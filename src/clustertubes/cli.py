@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Iterator, Sequence
 
@@ -185,7 +184,6 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     n = args.n
-    workers = int(os.environ.get("CLUSTERTUBES_THREADS", "1"))
     checks: list[tuple[str, bool]] = []
 
     formula = counting.torsion_count(n)
@@ -195,7 +193,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             structured = torsion.enumerate_structured(n, cap=args.structured_cap)
             count = len(structured)
         else:
-            count = torsion.count_structured(n, cap=args.structured_cap, workers=workers)
+            count = torsion.count_structured(n, cap=args.structured_cap)
         checks.append(("2 * |structured| == closed formula", 2 * count == formula))
     if n <= args.brute_cap:
         brute = torsion.enumerate_brute(n, cap=args.brute_cap)

@@ -57,13 +57,27 @@ def multinomial(parts: Iterable[int]) -> int:
 
 
 def torsion_count(n: int) -> int:
-    """Number of torsion pairs in the rank-n cluster tube."""
+    """Number of torsion pairs in the rank-n cluster tube.
+
+    The terms of the sum in the module docstring are built one from the last
+    by their exact ratio
+
+        term(l+1) / term(l) = 2 (n+l)(n-1-2l)(n-2-2l) / ((l+1)(n+2l+1)(n+2l+2)),
+
+    starting from term(0) = 2 C(2n-1, n-1), so each term costs a few
+    small-integer products and one exact division instead of two big binomials.
+    The ratio reaches zero exactly after the last term, l = (n-1) // 2.
+    """
     if n < 1:
         raise ValueError(f"rank must be >= 1, got {n}")
+    term = 2 * math.comb(2 * n - 1, n - 1)
     total = 0
     l = 0
-    while n - 1 - 2 * l >= 0:
-        total += 2 ** (l + 1) * binomial(n - 1 + l, l) * binomial(2 * n - 1, n - 1 - 2 * l)
+    while term:
+        total += term
+        term = term * 2 * (n + l) * (n - 1 - 2 * l) * (n - 2 - 2 * l) // (
+            (l + 1) * (n + 2 * l + 1) * (n + 2 * l + 2)
+        )
         l += 1
     return total
 

@@ -16,7 +16,8 @@ Two enumerators are provided.  :func:`enumerate_polygon` is the brute-force
 oracle: it scans all subsets of diagonals and keeps the Ptolemy ones.
 :func:`polygon_diagrams` generates the same sets recursively through the
 cell-at-the-base grammar and is the one used for large sizes; agreement of
-the two is part of the test suite.
+the two is part of the test suite.  :func:`polygon_counts` counts the same
+grammar by recursion over compositions, without building a diagram.
 """
 
 from __future__ import annotations
@@ -253,6 +254,31 @@ def polygon_diagrams(m: int) -> tuple[PolygonDiagram, ...]:
                     out.append(PolygonDiagram(m, tuple(diags)))
     out.sort(key=lambda P: P.diagonals)
     return tuple(out)
+
+
+def polygon_counts(m: int) -> list[int]:
+    """``[0, p(1), ..., p(m)]`` with p(size) the number of Ptolemy diagrams,
+    counted through the base-cell grammar without building any of them.
+
+    The base cell splits a size into a composition of s >= 2 parts, each
+    carrying an independent smaller diagram: one cell kind (a triangle) for
+    s = 2, two kinds (a clique or an empty cell) for s >= 3, exactly as in
+    :func:`polygon_diagrams`.  Peeling off the first part, the compositions
+    of h into exactly two parts sum to ``sum_a p(a) p(h-a)`` and those into
+    three or more to ``sum_a p(a) at_least_2[h-a]``, where ``at_least_2``
+    tallies the compositions into two or more parts; the table costs O(m^2)
+    big-integer steps.
+    """
+    if m < 1:
+        raise ValueError(f"size must be >= 1, got {m}")
+    p = [0, 1]
+    at_least_2 = [0, 0]
+    for h in range(2, m + 1):
+        exactly_2 = sum(p[a] * p[h - a] for a in range(1, h))
+        at_least_3 = sum(p[a] * at_least_2[h - a] for a in range(1, h))
+        at_least_2.append(exactly_2 + at_least_3)
+        p.append(exactly_2 + 2 * at_least_3)
+    return p
 
 
 def _noncrossed_edges(diagram: PolygonDiagram) -> set[tuple[int, int]]:

@@ -56,6 +56,7 @@ from .polygons import (
     DEGENERATE,
     CellStatistics,
     PolygonDiagram,
+    polygon_counts,
     polygon_diagrams,
     statistics_polygon,
 )
@@ -420,42 +421,31 @@ def iter_structured(n: int, cap: int = DEFAULT_CAPS.structured_rank) -> Iterator
             yield PeriodicDiagram(n, frozenset(arcs))
 
 
-def _count_structured_masks(args: tuple[int, int, int]) -> int:
-    """Count the halves produced by one range of cut-subset masks."""
-    n, lo, hi = args
-    total = 0
-    for mask in range(lo, hi):
-        cuts = [v for v in range(n) if mask >> v & 1]
-        ends = cuts[1:] + [cuts[0] + n]
-        for _ in itertools.product(*(_piece_chunks(d - c) for c, d in zip(cuts, ends))):
-            total += 1
-    return total
+def count_structured(n: int, cap: int = DEFAULT_CAPS.structured_rank) -> int:
+    """Number of finite halves at rank n, counted through the cut/wing grammar.
 
+    Nothing is built.  The grammar is counted by recursion over compositions:
+    with p(g) the polygon count of :func:`polygon_counts` (the span contents
+    of width g) and S(h) the number of ordered piece sequences of total width
+    h, ``S(0) = 1`` and ``S(h) = sum_a p(a) S(h-a)``.  A half is its span
+    around vertex 0 -- width g, placed in one of g ways so that 0 lies in
+    ``(c, c+g]`` -- followed clockwise by a piece sequence of width n-g, so
+    the count is ``sum_g g p(g) S(n-g)``.
 
-def count_structured(
-    n: int, cap: int = DEFAULT_CAPS.structured_rank, workers: int = 1
-) -> int:
-    """Number of finite halves at rank n, through the grammar enumeration.
-
-    With ``workers > 1`` the cut subsets are partitioned across processes and
-    the per-subset tallies merged; the result is identical to counting
-    :func:`iter_structured` (each subset contributes the product of its span
-    choices, the same items the generator walks one by one).
+    This route uses grammar counts only, no binomial and no series, so it
+    stays an independent check on :func:`~clustertubes.counting.torsion_count`
+    and the generating functions.  Agreement with walking
+    :func:`iter_structured` is part of the test suite.
     """
     if n > cap:
         raise CapExceeded(f"structured enumeration capped at rank {cap}, got {n}")
-    if workers <= 1:
-        return sum(1 for _ in iter_structured(n, cap))
-    import concurrent.futures
-
-    polygon_diagrams(n)  # warm the piece cache before forking
-    total_masks = 1 << n
-    step = max(1, total_masks // (workers * 8))
-    ranges = [
-        (n, lo, min(lo + step, total_masks)) for lo in range(1, total_masks, step)
-    ]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(_count_structured_masks, ranges))
+    if n < 1:
+        raise ValueError(f"rank must be >= 1, got {n}")
+    p = polygon_counts(n)
+    sequences = [1]
+    for h in range(1, n):
+        sequences.append(sum(p[a] * sequences[h - a] for a in range(1, h + 1)))
+    return sum(g * p[g] * sequences[n - g] for g in range(1, n + 1))
 
 
 @functools.lru_cache(maxsize=8)
@@ -533,6 +523,8 @@ def orbit_count(n: int) -> int:
     ``tau^b`` fixes as many pairs as there are pairs at rank gcd(b, n), so
     the orbit count is ``(1/n) * sum_{d | n} phi(n/d) T(d)``.
     """
+    if n < 1:
+        raise ValueError(f"rank must be >= 1, got {n}")
     total = sum(_totient(n // d) * torsion_count(d) for d in _divisors(n))
     if total % n:
         raise ArithmeticError("Burnside sum is not divisible by the group order")
@@ -547,6 +539,8 @@ def orbit_count_direct(n: int, cap: int = DEFAULT_CAPS.structured_rank) -> int:
 
 def orbit_count_refined(n: int) -> dict[tuple[int, int, int], int]:
     """tau-orbit counts refined by (triangles, cliques, empty cells)."""
+    if n < 1:
+        raise ValueError(f"rank must be >= 1, got {n}")
     out: dict[tuple[int, int, int], int] = {}
     for k, l, m in refined_support(n):
         total = 0

@@ -114,6 +114,13 @@ def test_orbits(capsys):
     assert "orbit count (direct partition): 4" in out
 
 
+def test_orbits_rank_zero_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "orbits", "--n", "0")
+    assert code == 2
+    assert out == ""
+    assert err == "error: rank must be >= 1, got 0\n"
+
+
 @pytest.mark.parametrize("n", [1, 3, 4, 5])
 def test_verify_passes(capsys, n):
     code, out, _ = run(capsys, "verify", "--n", str(n))
@@ -121,8 +128,7 @@ def test_verify_passes(capsys, n):
     assert "FAIL" not in out
 
 
-def test_verify_degraded_mode_beyond_rank_six(capsys, monkeypatch):
-    monkeypatch.setenv("CLUSTERTUBES_THREADS", "2")
+def test_verify_degraded_mode_beyond_rank_six(capsys):
     code, out, _ = run(capsys, "verify", "--n", "7")
     assert code == 0
     assert "(sampled)" in out

@@ -37,6 +37,21 @@ def test_torsion_count_small_values():
         torsion_count(0)
 
 
+def reference_torsion_count(n):
+    """The defining sum, each term from two fresh binomials."""
+    total = 0
+    l = 0
+    while n - 1 - 2 * l >= 0:
+        total += 2 ** (l + 1) * math.comb(n - 1 + l, l) * math.comb(2 * n - 1, n - 1 - 2 * l)
+        l += 1
+    return total
+
+
+def test_torsion_count_matches_per_term_binomials():
+    for n in range(1, 301):
+        assert torsion_count(n) == reference_torsion_count(n)
+
+
 def test_refined_values():
     assert torsion_count_refined(2, 0, 0, 0) == 2
     assert torsion_count_refined(2, 1, 0, 0) == 4

@@ -15,6 +15,7 @@ from clustertubes.polygons import (
     decompose_base,
     enumerate_polygon,
     is_ptolemy_polygon,
+    polygon_counts,
     polygon_diagrams,
     statistics_polygon,
     statistics_recursive,
@@ -64,6 +65,14 @@ def test_grammar_output_is_valid_and_duplicate_free(m):
     assert len(set(diagrams)) == len(diagrams)
     for diagram in diagrams:
         assert is_ptolemy_polygon(diagram)
+
+
+def test_polygon_counts_match_grammar_and_brute_force():
+    counts = polygon_counts(9)
+    assert counts[1:] == [len(polygon_diagrams(m)) for m in range(1, 10)]
+    assert counts[1:7] == [len(enumerate_polygon(m)) for m in range(1, 7)]
+    with pytest.raises(ValueError):
+        polygon_counts(0)
 
 
 @pytest.mark.parametrize("m", range(1, 8))

@@ -5,12 +5,14 @@ from hypothesis import strategies as st
 from clustertubes.arcs import PeriodicDiagram, nc_enumerate
 from clustertubes.config import CapExceeded
 from clustertubes.counting import refined_table, torsion_count
-from clustertubes.polygons import DEGENERATE, CellStatistics, PolygonDiagram
+from clustertubes.polygons import DEGENERATE, CellStatistics, PolygonDiagram, polygon_diagrams
 from clustertubes.torsion import (
     PointedCycle,
     TorsionPair,
     WingDecomposition,
+    _piece_chunks,
     compose,
+    count_structured,
     decompose,
     enumerate_brute,
     enumerate_structured,
@@ -314,11 +316,29 @@ def test_structured_cap():
         list(iter_structured(10))
 
 
-def test_count_structured_serial_and_parallel():
-    from clustertubes.torsion import count_structured
+@pytest.mark.parametrize("n", range(1, 8))
+def test_count_structured_matches_walked_grammar(n):
+    assert count_structured(n) == sum(1 for _ in iter_structured(n))
 
-    assert count_structured(6) == len(enumerate_structured(6))
-    assert count_structured(6, workers=2) == len(enumerate_structured(6))
+
+def test_count_structured_matches_formula_at_large_rank():
+    for n in range(1, 151):
+        assert 2 * count_structured(n, cap=n) == torsion_count(n)
+
+
+def test_count_structured_guards():
+    with pytest.raises(CapExceeded):
+        count_structured(10)
+    with pytest.raises(ValueError):
+        count_structured(0)
+
+
+def test_count_structured_builds_nothing():
+    polygon_diagrams.cache_clear()
+    _piece_chunks.cache_clear()
+    count_structured(9)
+    assert polygon_diagrams.cache_info().currsize == 0
+    assert _piece_chunks.cache_info().currsize == 0
 
 
 def test_torsion_pairs_stream():
