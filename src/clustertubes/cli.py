@@ -3,13 +3,19 @@
 One binary, subcommand style.  All commands are deterministic for fixed
 inputs; streams are one JSON record per line.  Exit codes: 0 success,
 1 verification mismatch, 2 usage or malformed input, 3 enumeration cap
-exceeded.
+exceeded, 141 stdout closed by its reader (128 + SIGPIPE, what a shell
+reports for ``yes | head -1``; nothing is printed to stderr).
+
+``enumerate`` streams the pairs in grammar order (see
+:func:`clustertubes.torsion.iter_structured`) in bounded memory, so
+``enumerate --n 9 | head`` prints its first lines at once.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Iterator, Sequence
 
@@ -28,6 +34,31 @@ def _input_lines(arg: str | None) -> Iterator[str]:
                 yield line
     else:
         yield arg
+
+
+def _record(line: str, arcs: str, *required: str) -> dict:
+    """Decode one JSON input record and check the fields the commands read.
+
+    The record must be an object holding ``rank``, the arc field ``arcs``
+    (``"orbits"`` or ``"pairs"``) and every key in ``required``.  ``rank``
+    must be an integer and not a bool, the arc field a list, and
+    ``finite_side``, when present, ``"left"`` or ``"right"``.  Every failure
+    is a ValueError naming the key, so ``main`` exits 2.
+    """
+    data = json.loads(line)
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    for key in ("rank", arcs, *required):
+        if key not in data:
+            raise ValueError(f"missing key {key!r}")
+    if not isinstance(data["rank"], int) or isinstance(data["rank"], bool):
+        raise ValueError(f"key 'rank' must be an integer, got {type(data['rank']).__name__}")
+    if not isinstance(data[arcs], list):
+        raise ValueError(f"key {arcs!r} must be a list, got {type(data[arcs]).__name__}")
+    side = data.get("finite_side", "left")
+    if side not in ("left", "right"):
+        raise ValueError(f"key 'finite_side' must be 'left' or 'right', got {side!r}")
+    return data
 
 
 def _parse_diagram(data: dict) -> PeriodicDiagram:
@@ -67,7 +98,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     for line in _input_lines(args.diagram):
-        data = json.loads(line)
+        data = _record(line, "orbits")
         diagram = _parse_diagram(data)
         if args.n is not None and diagram.rank != args.n:
             raise ValueError(f"diagram rank {diagram.rank} does not match --n {args.n}")
@@ -82,8 +113,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_compose(args: argparse.Namespace) -> int:
     for line in _input_lines(args.wings):
-        data = json.loads(line)
-        wings = WingDecomposition.from_json(line)
+        data = _record(line, "pairs")
+        wings = WingDecomposition.from_data(data)
         diagram = torsion.compose(wings)
         if "finite_side" in data:
             print(TorsionPair(diagram.rank, diagram, data["finite_side"]).to_json())
@@ -94,7 +125,7 @@ def cmd_compose(args: argparse.Namespace) -> int:
 
 def cmd_perp(args: argparse.Namespace) -> int:
     line = next(_input_lines(args.diagram))
-    diagram = _parse_diagram(json.loads(line))
+    diagram = _parse_diagram(_record(line, "orbits"))
     if args.n is not None and diagram.rank != args.n:
         raise ValueError(f"diagram rank {diagram.rank} does not match --n {args.n}")
     if args.arc is not None:
@@ -168,7 +199,8 @@ def cmd_render(args: argparse.Namespace) -> int:
     else:
         with open(args.pair, "r", encoding="utf-8") as fh:
             text = fh.read()
-    pair = TorsionPair.from_json(text)
+    data = _record(text, "orbits", "finite_side")
+    pair = TorsionPair(data["rank"], _parse_diagram(data), data["finite_side"])
     if args.n is not None and pair.rank != args.n:
         raise ValueError(f"pair rank {pair.rank} does not match --n {args.n}")
     if not torsion.is_finite_half(pair.finite_half):
@@ -328,7 +360,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (``enumerate | head``).  Point stdout at
+        # devnull so the interpreter's final flush cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

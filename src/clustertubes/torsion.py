@@ -20,7 +20,9 @@ The structure theory implemented here:
   bijection with cycles-of-diagrams pointed at a label.
 * *Enumeration*.  ``enumerate_brute`` scans all orbit subsets for the
   Ptolemy property (the oracle), ``iter_structured`` runs the cut/wing
-  grammar (the fast path); both must produce the same sets.
+  grammar (the fast path); both must produce the same sets.  The grammar
+  yields each half exactly once, so ``torsion_pairs`` streams it unsorted:
+  grammar order is the canonical order of the ``enumerate`` stream.
 * *Symmetry*.  The translation ``tau`` acts on halves; a half is fixed by
   ``tau^d`` (d | n) iff it is d-periodic, i.e. iff it is a rank-d half in
   disguise, which is what makes the orbit counts and the sieving identities
@@ -29,7 +31,6 @@ The structure theory implemented here:
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -164,7 +165,11 @@ class WingDecomposition:
 
     @classmethod
     def from_json(cls, text: str) -> "WingDecomposition":
-        data = json.loads(text)
+        return cls.from_data(json.loads(text))
+
+    @classmethod
+    def from_data(cls, data: dict) -> "WingDecomposition":
+        """Build from a decoded wing record (the object :meth:`to_json` writes)."""
         n = data["rank"]
         cuts, pieces = [], []
         for pair in data["pairs"]:
@@ -388,21 +393,21 @@ def enumerate_brute(n: int, cap: int = DEFAULT_CAPS.brute_rank) -> list[Periodic
     return halves
 
 
-@functools.cache
-def _piece_chunks(gap: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Per gap size, every piece as (base arc + diagonals) in span coordinates."""
-    if gap == 1:
-        return ((),)
-    return tuple(((0, gap),) + P.diagonals for P in polygon_diagrams(gap))
-
-
 def iter_structured(n: int, cap: int = DEFAULT_CAPS.structured_rank) -> Iterator[PeriodicDiagram]:
     """Generate every finite half at rank n through the cut/wing grammar.
 
     Iterates all nonempty cut subsets of ``Z/n``; every span of width g >= 2
-    independently carries any polygon Ptolemy diagram of size g.  Each half
-    is produced exactly once (the cut set and span contents are recoverable
-    by :func:`decompose`).
+    independently carries any polygon Ptolemy diagram of size g, laid on the
+    span together with the span's top arc.  Each half is produced exactly
+    once (the cut set and span contents are recoverable by
+    :func:`decompose`), so the stream needs no sort and no memory beyond the
+    polygon diagrams of the spans.
+
+    The order is *grammar order*, the canonical order of the ``enumerate``
+    stream: cut masks ascending (bit v set iff v is a cut), and for each
+    mask the product of the spans' pieces, each span running through
+    :func:`~clustertubes.polygons.polygon_diagrams` in its order, the span
+    starting at the largest cut varying fastest.
     """
     if n > cap:
         raise CapExceeded(f"structured enumeration capped at rank {cap}, got {n}")
@@ -411,13 +416,15 @@ def iter_structured(n: int, cap: int = DEFAULT_CAPS.structured_rank) -> Iterator
     for mask in range(1, 1 << n):
         cuts = [v for v in range(n) if mask >> v & 1]
         ends = cuts[1:] + [cuts[0] + n]
-        gaps = [d - c for c, d in zip(cuts, ends)]
-        for combo in itertools.product(*(_piece_chunks(g) for g in gaps)):
+        spans = [polygon_diagrams(d - c) for c, d in zip(cuts, ends)]
+        for combo in itertools.product(*spans):
             arcs = []
-            for c, chunk in zip(cuts, combo):
-                for a, b in chunk:
-                    i = (c + a) % n
-                    arcs.append((i, i + (b - a)))
+            for c, piece in zip(cuts, combo):
+                if piece.size >= 2:
+                    arcs.append((c, c + piece.size))
+                    for a, b in piece.diagonals:
+                        i = (c + a) % n
+                        arcs.append((i, i + (b - a)))
             yield PeriodicDiagram(n, frozenset(arcs))
 
 
@@ -448,17 +455,10 @@ def count_structured(n: int, cap: int = DEFAULT_CAPS.structured_rank) -> int:
     return sum(g * p[g] * sequences[n - g] for g in range(1, n + 1))
 
 
-@functools.lru_cache(maxsize=8)
-def _structured_sorted(n: int) -> tuple[PeriodicDiagram, ...]:
-    return tuple(sorted(iter_structured(n), key=lambda X: X.sorted_orbits()))
-
-
 def enumerate_structured(n: int, cap: int = DEFAULT_CAPS.structured_rank) -> list[PeriodicDiagram]:
-    """Sorted list of all finite halves at rank n (grammar enumeration)."""
-    if n > cap:
-        raise CapExceeded(f"structured enumeration capped at rank {cap}, got {n}")
-    if n <= 6:
-        return list(_structured_sorted(n))
+    """All finite halves at rank n from the grammar, as a list sorted by
+    ``sorted_orbits()`` -- the order :func:`enumerate_brute` gives, so the two
+    routes compare as lists.  Streams should use :func:`iter_structured`."""
     return sorted(iter_structured(n, cap), key=lambda X: X.sorted_orbits())
 
 
@@ -482,9 +482,10 @@ def sample_halves(n: int, count: int, seed: int = 0) -> list[PeriodicDiagram]:
 
 
 def torsion_pairs(n: int, cap: int = DEFAULT_CAPS.structured_rank) -> Iterator[TorsionPair]:
-    """Every torsion pair at rank n: each half once as left-finite, once as
-    right-finite, halves in canonical order."""
-    for half in enumerate_structured(n, cap):
+    """Every torsion pair at rank n, streamed: each half of
+    :func:`iter_structured` in grammar order, once as left-finite and then
+    once as right-finite.  Nothing is sorted or kept."""
+    for half in iter_structured(n, cap):
         yield TorsionPair(n, half, "left")
         yield TorsionPair(n, half, "right")
 

@@ -1,9 +1,17 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from clustertubes.cli import main
 from clustertubes.counting import torsion_count
+from clustertubes.torsion import TorsionPair, iter_structured
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -38,6 +46,40 @@ def test_enumerate_record_count(capsys, n):
     assert len(lines) == torsion_count(n)
     sides = [json.loads(line)["finite_side"] for line in lines]
     assert sides.count("left") == sides.count("right")
+
+
+def test_enumerate_streams_grammar_order(capsys):
+    code, out, _ = run(capsys, "enumerate", "--n", "3")
+    assert code == 0
+    assert out.splitlines() == [
+        TorsionPair(3, h, s).to_json() for h in iter_structured(3) for s in ("left", "right")
+    ]
+
+
+def test_enumerate_stream_is_byte_stable(capsys):
+    code, out, _ = run(capsys, "enumerate", "--n", "5")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "09c40dd0dad80ce59409fcb07fe471c085a82eb9c1fa9847a93d055c45d832a8"
+
+
+def test_enumerate_into_closed_pipe_exits_141_quietly():
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "clustertubes.cli", "enumerate", "--n", "7"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert proc.stdout.readline().startswith(b'{"rank":7,')
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == b""
 
 
 def test_enumerate_decompose_compose_round_trip(capsys, monkeypatch):
@@ -156,6 +198,49 @@ def test_malformed_input_exit_code(capsys):
     code, _, err = run(capsys, "perp", "--diagram", '{"rank":2,"orbits":[[1,2]]}',
                        "--arc", "0", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["decompose", "--diagram", '{"rank": true, "orbits": []}'], "'rank'"),
+        (["decompose", "--diagram", '{"rank": "2", "orbits": []}'], "'rank'"),
+        (["decompose", "--diagram", '{"orbits": []}'], "missing key 'rank'"),
+        (["decompose", "--diagram", '{"rank": 2}'], "missing key 'orbits'"),
+        (["decompose", "--diagram", '{"rank": 2, "orbits": 5}'], "'orbits'"),
+        (["decompose", "--diagram", '{"rank": 2, "orbits": [], "finite_side": "up"}'],
+         "'finite_side'"),
+        (["decompose", "--diagram", "[[0, 2]]"], "object"),
+        (["compose", "--wings", '{"rank": true, "pairs": []}'], "'rank'"),
+        (["compose", "--wings", '{"rank": 2}'], "missing key 'pairs'"),
+        (["compose", "--wings", '{"rank": 2, "pairs": {}}'], "'pairs'"),
+        (["compose", "--wings", '"pairs"'], "object"),
+        (["perp", "--diagram", '{"rank": false, "orbits": []}', "--arc", "0", "2"], "'rank'"),
+        (["perp", "--diagram", "[]", "--max-length", "4"], "object"),
+    ],
+)
+def test_malformed_record_names_the_key(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "record,message",
+    [
+        ('{"rank": true, "finite_side": "left", "orbits": []}', "'rank'"),
+        ('{"rank": 2, "orbits": []}', "missing key 'finite_side'"),
+        ('{"rank": 2, "finite_side": "left"}', "missing key 'orbits'"),
+        ("[2]", "object"),
+    ],
+)
+def test_render_malformed_record_names_the_key(capsys, tmp_path, record, message):
+    src = tmp_path / "pair.json"
+    src.write_text(record)
+    code, _, err = run(capsys, "render", "--pair", str(src), "--out", "-")
+    assert code == 2
+    assert err.startswith("error: ") and message in err
 
 
 def test_usage_error_exit_code():

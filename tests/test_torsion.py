@@ -10,7 +10,6 @@ from clustertubes.torsion import (
     PointedCycle,
     TorsionPair,
     WingDecomposition,
-    _piece_chunks,
     compose,
     count_structured,
     decompose,
@@ -335,16 +334,31 @@ def test_count_structured_guards():
 
 def test_count_structured_builds_nothing():
     polygon_diagrams.cache_clear()
-    _piece_chunks.cache_clear()
     count_structured(9)
     assert polygon_diagrams.cache_info().currsize == 0
-    assert _piece_chunks.cache_info().currsize == 0
 
 
 def test_torsion_pairs_stream():
     pairs = list(torsion_pairs(2))
     assert len(pairs) == torsion_count(2)
     assert {p.finite_side for p in pairs} == {"left", "right"}
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_torsion_pairs_follow_grammar_order(n):
+    expected = [TorsionPair(n, h, s) for h in iter_structured(n) for s in ("left", "right")]
+    assert list(torsion_pairs(n)) == expected
+
+
+def test_torsion_pairs_is_lazy(monkeypatch):
+    first = PeriodicDiagram.from_arcs(9, [(0, 9)])
+
+    def grammar(n, cap):
+        yield first
+        raise AssertionError("the stream read past its first half")
+
+    monkeypatch.setattr("clustertubes.torsion.iter_structured", grammar)
+    assert next(torsion_pairs(9)) == TorsionPair(9, first, "left")
 
 
 # ---- translation symmetry ------------------------------------------------------------
