@@ -107,7 +107,7 @@ def is_rigid(n: int, a: Arc) -> bool:
     return a[1] - a[0] <= n
 
 
-def _ptolemy_completions(u: Arc, v: Arc) -> list[Arc]:
+def ptolemy_completions(u: Arc, v: Arc) -> list[Arc]:
     """The four connector pairs of a crossing pair, kept only when they are arcs."""
     if v[0] < u[0]:
         u, v = v, u
@@ -234,7 +234,7 @@ def is_ptolemy(diagram: PeriodicDiagram, max_completion_length: int | None = Non
     of :func:`nc_enumerate`.
     """
     for a, b in iter_crossing_pairs(diagram):
-        for p in _ptolemy_completions(a, b):
+        for p in ptolemy_completions(a, b):
             if max_completion_length is not None and p[1] - p[0] > max_completion_length:
                 continue
             if not diagram.contains_arc(p):

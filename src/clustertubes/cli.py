@@ -36,14 +36,23 @@ def _input_lines(arg: str | None) -> Iterator[str]:
         yield arg
 
 
+def _is_arc(value: object) -> bool:
+    """Is ``value`` a pair of integers?  JSON decodes to exactly ``list`` and
+    ``int``, so exact type checks cost little and keep bools out."""
+    return (type(value) is list and len(value) == 2
+            and type(value[0]) is int and type(value[1]) is int)
+
+
 def _record(line: str, arcs: str, *required: str) -> dict:
     """Decode one JSON input record and check the fields the commands read.
 
     The record must be an object holding ``rank``, the arc field ``arcs``
     (``"orbits"`` or ``"pairs"``) and every key in ``required``.  ``rank``
     must be an integer and not a bool, the arc field a list, and
-    ``finite_side``, when present, ``"left"`` or ``"right"``.  Every failure
-    is a ValueError naming the key, so ``main`` exits 2.
+    ``finite_side``, when present, ``"left"`` or ``"right"``.  An arc (an
+    ``orbits`` entry, a pair's ``top`` or an entry of its ``arcs`` list) must
+    be a pair of integers.  Every failure is a ValueError naming the key or
+    its path (``orbits[0]``, ``pairs[1].arcs[0]``), so ``main`` exits 2.
     """
     data = json.loads(line)
     if not isinstance(data, dict):
@@ -55,6 +64,17 @@ def _record(line: str, arcs: str, *required: str) -> dict:
         raise ValueError(f"key 'rank' must be an integer, got {type(data['rank']).__name__}")
     if not isinstance(data[arcs], list):
         raise ValueError(f"key {arcs!r} must be a list, got {type(data[arcs]).__name__}")
+    for i, entry in enumerate(data[arcs]):
+        if arcs == "orbits":
+            if not _is_arc(entry):
+                raise ValueError(f"orbits[{i}] must be a pair of integers, got {entry!r}")
+            continue
+        if not (type(entry) is dict and _is_arc(entry.get("top"))
+                and type(entry.get("arcs")) is list):
+            raise ValueError(f"pairs[{i}] must be an object with an arc 'top' and a list 'arcs'")
+        for j, arc in enumerate(entry["arcs"]):
+            if not _is_arc(arc):
+                raise ValueError(f"pairs[{i}].arcs[{j}] must be a pair of integers, got {arc!r}")
     side = data.get("finite_side", "left")
     if side not in ("left", "right"):
         raise ValueError(f"key 'finite_side' must be 'left' or 'right', got {side!r}")
@@ -227,9 +247,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         else:
             count = torsion.count_structured(n, cap=args.structured_cap)
         checks.append(("2 * |structured| == closed formula", 2 * count == formula))
-    if n <= args.brute_cap:
-        brute = torsion.enumerate_brute(n, cap=args.brute_cap)
-        checks.append(("brute == structured (as sets)", brute == structured))
+        if n <= args.brute_cap:
+            brute = torsion.enumerate_brute(n, cap=args.brute_cap)
+            expected = structured or torsion.enumerate_structured(n, cap=args.structured_cap)
+            checks.append(("brute == structured (as sets)", brute == expected))
     series_total = series_torsion(n, 1, 1, 1, cap=max(n, DEFAULT_CAPS.series_order)).coeffs[n]
     checks.append(("series coefficient == closed formula", series_total == formula))
     checks.append((

@@ -16,18 +16,18 @@ class Caps:
     """Hard limits for the exhaustive code paths.
 
     brute_rank
-        Largest rank for subset brute force over arc orbits
-        (search space ``2^(n(n-1))``).
+        Largest rank for the backtracking search over subsets of the
+        ``n(n-1)`` arc orbits.
     structured_rank
         Largest rank for enumeration through the cut/wing grammar.
     polygon_brute
-        Largest polygon size for subset brute force over diagonals.
+        Largest polygon size for the backtracking search over diagonals.
     series_order
         Largest truncation order for power series with polynomial
         coefficients.
     """
 
-    brute_rank: int = 5
+    brute_rank: int = 7
     structured_rank: int = 9
     polygon_brute: int = 8
     series_order: int = 24

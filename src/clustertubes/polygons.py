@@ -13,11 +13,12 @@ vertices, none drawn).  The cell counts are the statistics ``(k, l, m)``
 that the refined torsion-pair counts are indexed by.
 
 Two enumerators are provided.  :func:`enumerate_polygon` is the brute-force
-oracle: it scans all subsets of diagonals and keeps the Ptolemy ones.
-:func:`polygon_diagrams` generates the same sets recursively through the
-cell-at-the-base grammar and is the one used for large sizes; agreement of
-the two is part of the test suite.  :func:`polygon_counts` counts the same
-grammar by recursion over compositions, without building a diagram.
+oracle: the pruned backtracking search :func:`constrained_subsets` finds its
+Ptolemy subsets of diagonals.  :func:`polygon_diagrams` generates the same
+sets recursively through the cell-at-the-base grammar and is the one used
+for large sizes; agreement of the two is part of the test suite.
+:func:`polygon_counts` counts the same grammar by recursion over
+compositions, without building a diagram.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
+from .arcs import cross, ptolemy_completions
 from .config import DEFAULT_CAPS, CapExceeded
 
 
@@ -136,39 +136,69 @@ def diagonal_pairs(m: int) -> list[tuple[int, int]]:
     ]
 
 
-def _chords_cross(c: tuple[int, int], d: tuple[int, int]) -> bool:
-    return c[0] < d[0] < c[1] < d[1] or d[0] < c[0] < d[1] < c[1]
-
-
 def is_ptolemy_polygon(diagram: PolygonDiagram) -> bool:
     """Every crossing pair of diagonals forces its four connectors.
 
     Connectors of length 1 are polygon sides and the pair ``(0, size)`` is
     the base edge; both count as present.
     """
-    m = diagram.size
-    ds = diagram.diagonals
-    have = set(ds)
-    for c, d in itertools.combinations(ds, 2):
-        if not _chords_cross(c, d):
-            continue
-        if d[0] < c[0]:
-            c, d = d, c
-        (i, j), (r, s) = c, d
-        for p in ((i, r), (i, s), (r, j), (j, s)):
-            if p[1] - p[0] >= 2 and p != (0, m) and p not in have:
-                return False
-    return True
+    have = set(diagram.diagonals)
+    return all(
+        p == (0, diagram.size) or p in have
+        for c, d in itertools.combinations(diagram.diagonals, 2)
+        if cross(c, d)
+        for p in ptolemy_completions(c, d)
+    )
+
+
+def constrained_subsets(
+    k: int, constraints: Sequence[tuple[int, int, int | None]]
+) -> list[int]:
+    """Every subset of items ``0..k-1``, as a bitmask, meeting all constraints.
+
+    A constraint ``(p, q, req)`` (p == q allowed) says that if p and q are
+    both chosen, so is every item in the bitmask ``req``; ``req is None``
+    forbids the pair.  Backtracking (Knuth, TAOCP 4B, section 7.2.2) decides
+    the items in index order, in before out, keeping ``need``, the union of
+    ``req`` over the chosen pairs.  A branch dies when it excludes a needed
+    item or chooses a pair that is forbidden or needs an excluded item.
+    Both brute-force oracles, :func:`enumerate_polygon` and
+    :func:`clustertubes.torsion.enumerate_brute`, run on this search.
+    """
+    closing: list[list[tuple[int, int | None]]] = [[] for _ in range(k)]
+    for p, q, req in constraints:
+        closing[max(p, q)].append((1 << min(p, q), req))
+    found: list[int] = []
+
+    def search(t: int, chosen: int, excluded: int, need: int) -> None:
+        if t == k:
+            found.append(chosen)
+            return
+        bit = 1 << t
+        grown = chosen | bit
+        grown_need = need
+        for other, req in closing[t]:
+            if grown & other:
+                if req is None or req & excluded:
+                    break
+                grown_need |= req
+        else:
+            search(t + 1, grown, excluded, grown_need)
+        if not need & bit:
+            search(t + 1, chosen, excluded | bit, need)
+
+    search(0, 0, 0, 0)
+    return found
 
 
 def enumerate_polygon(m: int, cap: int = DEFAULT_CAPS.polygon_brute) -> list[PolygonDiagram]:
-    """Brute-force oracle: scan all diagonal subsets, keep the Ptolemy ones.
+    """Brute-force oracle: every diagonal subset with the Ptolemy property.
 
-    The scan is a vectorized bitmask sweep; each crossing pair of diagonals
-    contributes one constraint "if both bits are set, the connector bits must
-    be set too" (or an outright exclusion when a pair can never be completed,
-    which does not happen on the polygon).  Counts for m = 1..5 are
-    1, 1, 4, 17, 82.
+    Each crossing pair of diagonals contributes one constraint "if both are
+    chosen, the connectors are chosen too" (a connector is never too long
+    on the polygon, so no pair is forbidden outright), and
+    :func:`constrained_subsets` finds the subsets meeting them all by a
+    pruned backtracking search.  Counts for m = 1..5 are 1, 1, 4, 17, 82.
     """
     if m < 1:
         raise ValueError(f"size must be >= 1, got {m}")
@@ -176,37 +206,15 @@ def enumerate_polygon(m: int, cap: int = DEFAULT_CAPS.polygon_brute) -> list[Pol
         raise CapExceeded(f"polygon brute force capped at size {cap}, got {m}")
     diags = diagonal_pairs(m)
     k = len(diags)
-    if k == 0:
-        return [PolygonDiagram(m)]
     index = {d: t for t, d in enumerate(diags)}
     constraints: list[tuple[int, int, int]] = []
     for p, q in itertools.combinations(range(k), 2):
-        c, d = diags[p], diags[q]
-        if not _chords_cross(c, d):
-            continue
-        if d[0] < c[0]:
-            c, d = d, c
-        (i, j), (r, s) = c, d
-        req = 0
-        for pair in ((i, r), (i, s), (r, j), (j, s)):
-            if pair[1] - pair[0] >= 2 and pair != (0, m):
-                req |= 1 << index[pair]
-        constraints.append((p, q, req))
-
-    good: list[int] = []
-    total = 1 << k
-    chunk = 1 << 22
-    for start in range(0, total, chunk):
-        masks = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        valid = np.ones(masks.shape, dtype=bool)
-        for p, q, req in constraints:
-            both = ((masks >> np.uint64(p)) & (masks >> np.uint64(q)) & np.uint64(1)).astype(bool)
-            ok = (masks & np.uint64(req)) == np.uint64(req)
-            np.logical_and(valid, ~both | ok, out=valid)
-        good.extend(int(v) for v in masks[valid])
+        if cross(diags[p], diags[q]):
+            forced = [c for c in ptolemy_completions(diags[p], diags[q]) if c != (0, m)]
+            constraints.append((p, q, sum(1 << index[c] for c in forced)))
 
     out = []
-    for mask in good:
+    for mask in constrained_subsets(k, constraints):
         chosen = tuple(diags[t] for t in range(k) if mask >> t & 1)
         out.append(PolygonDiagram(m, chosen))
     out.sort(key=lambda P: P.diagonals)
@@ -286,7 +294,7 @@ def _noncrossed_edges(diagram: PolygonDiagram) -> set[tuple[int, int]]:
     ds = diagram.diagonals
     crossed = set()
     for c, d in itertools.combinations(ds, 2):
-        if _chords_cross(c, d):
+        if cross(c, d):
             crossed.add(c)
             crossed.add(d)
     edges = {(a, a + 1) for a in range(diagram.size)}

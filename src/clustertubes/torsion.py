@@ -18,11 +18,12 @@ The structure theory implemented here:
   vertex is 0 turns a half into a cycle of polygon diagrams with one marked
   non-base vertex; ``to_pointed_cycle`` / ``from_pointed_cycle`` realize the
   bijection with cycles-of-diagrams pointed at a label.
-* *Enumeration*.  ``enumerate_brute`` scans all orbit subsets for the
-  Ptolemy property (the oracle), ``iter_structured`` runs the cut/wing
-  grammar (the fast path); both must produce the same sets.  The grammar
-  yields each half exactly once, so ``torsion_pairs`` streams it unsorted:
-  grammar order is the canonical order of the ``enumerate`` stream.
+* *Enumeration*.  ``enumerate_brute`` searches the orbit subsets for the
+  Ptolemy property by pruned backtracking (the oracle, sharing no code with
+  the grammar), ``iter_structured`` runs the cut/wing grammar (the fast
+  path); both must produce the same sets.  The grammar yields each half
+  exactly once, so ``torsion_pairs`` streams it unsorted: grammar order is
+  the canonical order of the ``enumerate`` stream.
 * *Symmetry*.  The translation ``tau`` acts on halves; a half is fixed by
   ``tau^d`` (d | n) iff it is d-periodic, i.e. iff it is a rank-d half in
   disguise, which is what makes the orbit counts and the sieving identities
@@ -39,16 +40,14 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
 from .arcs import (
-    Arc,
     PeriodicDiagram,
     cross,
     is_ptolemy,
     nc_contains,
     nc_enumerate,
     normalize_orbit,
+    ptolemy_completions,
     shift_window,
 )
 from .config import DEFAULT_CAPS, CapExceeded
@@ -57,6 +56,7 @@ from .polygons import (
     DEGENERATE,
     CellStatistics,
     PolygonDiagram,
+    constrained_subsets,
     polygon_counts,
     polygon_diagrams,
     statistics_polygon,
@@ -326,69 +326,37 @@ def from_pointed_cycle(cycle: PointedCycle, rank: int) -> PeriodicDiagram:
 # enumeration
 
 
-def _orbit_pool(n: int) -> list[Arc]:
-    return [(i, i + length) for length in range(2, n + 1) for i in range(n)]
-
-
 def enumerate_brute(n: int, cap: int = DEFAULT_CAPS.brute_rank) -> list[PeriodicDiagram]:
     """All finite halves at rank n by brute force over orbit subsets.
 
     Every pair of orbits contributes a bitmask constraint: if two orbits
     cross (in some shift), the connectors of every crossing must be present,
-    and a connector longer than n outlaws the pair altogether.  The scan
-    then sweeps all ``2^(n(n-1))`` subsets.  This is the oracle the grammar
-    enumeration is checked against.
+    and a connector longer than n outlaws the pair altogether.  The pruned
+    backtracking search :func:`~clustertubes.polygons.constrained_subsets`
+    finds the orbit subsets meeting them all.  This is the oracle the
+    grammar enumeration is checked against.
     """
     if n > cap:
         raise CapExceeded(f"brute-force enumeration capped at rank {cap}, got {n}")
-    pool = _orbit_pool(n)
+    pool = [(i, i + length) for length in range(2, n + 1) for i in range(n)]
     k = len(pool)
-    if k == 0:
-        return [PeriodicDiagram.empty(n)]
     index = {a: t for t, a in enumerate(pool)}
     constraints: list[tuple[int, int, int | None]] = []
-    for p in range(k):
-        for q in range(p, k):
-            a, b = pool[p], pool[q]
-            req = 0
-            banned = False
-            w = shift_window(n, a[1] - a[0], b[1] - b[0])
-            for m in range(-w, w + 1):
-                shifted = (b[0] + m * n, b[1] + m * n)
-                if not cross(a, shifted):
-                    continue
-                u, v = (a, shifted) if a[0] < shifted[0] else (shifted, a)
-                for pair in ((u[0], v[0]), (u[0], v[1]), (v[0], u[1]), (u[1], v[1])):
-                    if pair[1] - pair[0] < 2:
-                        continue
-                    if pair[1] - pair[0] > n:
-                        banned = True
-                        break
-                    req |= 1 << index[normalize_orbit(n, pair)]
-                if banned:
-                    break
-            if banned:
-                constraints.append((p, q, None))
-            elif req:
-                constraints.append((p, q, req))
+    for p, q in itertools.combinations_with_replacement(range(k), 2):
+        a, b = pool[p], pool[q]
+        w = shift_window(n, a[1] - a[0], b[1] - b[0])
+        shifts = [(b[0] + m * n, b[1] + m * n) for m in range(-w, w + 1)]
+        forced = [c for s in shifts if cross(a, s) for c in ptolemy_completions(a, s)]
+        if any(c[1] - c[0] > n for c in forced):
+            constraints.append((p, q, None))
+        elif forced:
+            items = {index[normalize_orbit(n, c)] for c in forced}
+            constraints.append((p, q, sum(1 << t for t in items)))
 
-    halves: list[PeriodicDiagram] = []
-    total = 1 << k
-    chunk = 1 << 22
-    for start in range(0, total, chunk):
-        masks = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        valid = np.ones(masks.shape, dtype=bool)
-        for p, q, req in constraints:
-            both = ((masks >> np.uint64(p)) & (masks >> np.uint64(q)) & np.uint64(1)).astype(bool)
-            if req is None:
-                np.logical_and(valid, ~both, out=valid)
-            else:
-                ok = (masks & np.uint64(req)) == np.uint64(req)
-                np.logical_and(valid, ~both | ok, out=valid)
-        for mask in masks[valid]:
-            mask = int(mask)
-            orbits = frozenset(pool[t] for t in range(k) if mask >> t & 1)
-            halves.append(PeriodicDiagram(n, orbits))
+    halves = [
+        PeriodicDiagram(n, frozenset(pool[t] for t in range(k) if mask >> t & 1))
+        for mask in constrained_subsets(k, constraints)
+    ]
     halves.sort(key=lambda X: X.sorted_orbits())
     return halves
 

@@ -82,6 +82,16 @@ def test_enumerate_into_closed_pipe_exits_141_quietly():
     assert err == b""
 
 
+def test_cli_import_does_not_load_numpy():
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import clustertubes.cli, sys; assert 'numpy' not in sys.modules"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_enumerate_decompose_compose_round_trip(capsys, monkeypatch):
     import io
 
@@ -163,7 +173,7 @@ def test_orbits_rank_zero_is_a_usage_error(capsys):
     assert err == "error: rank must be >= 1, got 0\n"
 
 
-@pytest.mark.parametrize("n", [1, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 3, 4, 5, 6])
 def test_verify_passes(capsys, n):
     code, out, _ = run(capsys, "verify", "--n", str(n))
     assert code == 0
@@ -175,6 +185,10 @@ def test_verify_degraded_mode_beyond_rank_six(capsys):
     assert code == 0
     assert "(sampled)" in out
     assert "FAIL" not in out
+    assert any(
+        line.startswith("brute == structured (as sets)") and line.endswith("  pass")
+        for line in out.splitlines()
+    )
 
 
 def test_verify_prints_invariance_readings(capsys):
@@ -217,6 +231,22 @@ def test_malformed_input_exit_code(capsys):
         (["compose", "--wings", '"pairs"'], "object"),
         (["perp", "--diagram", '{"rank": false, "orbits": []}', "--arc", "0", "2"], "'rank'"),
         (["perp", "--diagram", "[]", "--max-length", "4"], "object"),
+        (["decompose", "--diagram", '{"rank": 3, "orbits": [[0]]}'], "orbits[0]"),
+        (["decompose", "--diagram", '{"rank": 3, "orbits": [[0, 2], 5]}'], "orbits[1]"),
+        (["decompose", "--diagram", '{"rank": 3, "orbits": [[0, "2"]]}'], "orbits[0]"),
+        (["perp", "--diagram", '{"rank": 3, "orbits": [[0, true]]}', "--arc", "0", "2"],
+         "orbits[0]"),
+        (["compose", "--wings", '{"rank": 2, "pairs": [5]}'], "pairs[0]"),
+        (["compose", "--wings", '{"rank": 2, "pairs": [{"top": [0, 2]}]}'],
+         "pairs[0] must be an object"),
+        (["compose", "--wings", '{"rank": 2, "pairs": [{"arcs": []}]}'],
+         "pairs[0] must be an object"),
+        (["compose", "--wings", '{"rank": 2, "pairs": [{"top": 5, "arcs": []}]}'],
+         "pairs[0] must be an object with an arc 'top'"),
+        (["compose", "--wings", '{"rank": 2, "pairs": [{"top": [0, 2], "arcs": 5}]}'],
+         "pairs[0] must be an object with an arc 'top' and a list 'arcs'"),
+        (["compose", "--wings",
+          '{"rank": 2, "pairs": [{"top": [0, 2], "arcs": [[0, 2], [1]]}]}'], "pairs[0].arcs[1]"),
     ],
 )
 def test_malformed_record_names_the_key(capsys, argv, message):

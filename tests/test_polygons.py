@@ -50,7 +50,7 @@ def test_enumerate_polygon_cap():
         enumerate_polygon(0)
 
 
-@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("m", range(1, 9))
 def test_brute_force_equals_grammar(m):
     assert set(enumerate_polygon(m)) == set(polygon_diagrams(m))
 

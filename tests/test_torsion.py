@@ -275,7 +275,7 @@ def test_tau_maps_halves_to_halves(n):
 
 
 def test_enumerate_brute_counts():
-    assert [len(enumerate_brute(n)) for n in range(1, 6)] == [1, 3, 16, 91, 546]
+    assert [len(enumerate_brute(n)) for n in range(1, 8)] == [1, 3, 16, 91, 546, 3366, 21134]
 
 
 def test_enumerate_brute_rank_one_and_two():
@@ -289,10 +289,10 @@ def test_enumerate_brute_rank_one_and_two():
 
 def test_enumerate_brute_cap():
     with pytest.raises(CapExceeded):
-        enumerate_brute(6)
+        enumerate_brute(8)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_brute_equals_structured(n):
     b, s = enumerate_brute(n), enumerate_structured(n)
     assert b == s
