@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -61,6 +62,16 @@ def test_enumerate_stream_is_byte_stable(capsys):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "09c40dd0dad80ce59409fcb07fe471c085a82eb9c1fa9847a93d055c45d832a8"
+
+
+def test_enumerate_writes_whole_lines_in_pipe_sized_blocks(monkeypatch):
+    writes = []
+    monkeypatch.setattr("sys.stdout", SimpleNamespace(write=writes.append, flush=lambda: None))
+    assert main(["enumerate", "--n", "5"]) == 0
+    lines = "".join(writes).splitlines()
+    assert len(lines) == torsion_count(5)
+    assert len(writes) < len(lines) / 10
+    assert all(0 < len(w.encode()) <= 4096 and w.endswith("\n") for w in writes)
 
 
 def test_enumerate_into_closed_pipe_exits_141_quietly():
