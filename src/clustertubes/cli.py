@@ -51,7 +51,8 @@ def _record(line: str, arcs: str, *required: str) -> dict:
     must be an integer and not a bool, the arc field a list, and
     ``finite_side``, when present, ``"left"`` or ``"right"``.  An arc (an
     ``orbits`` entry, a pair's ``top`` or an entry of its ``arcs`` list) must
-    be a pair of integers.  Every failure is a ValueError naming the key or
+    be a pair of integers.  ``rank`` must also be at least 1, as every
+    command divides by it.  Every failure is a ValueError naming the key or
     its path (``orbits[0]``, ``pairs[1].arcs[0]``), so ``main`` exits 2.
     """
     data = json.loads(line)
@@ -62,6 +63,8 @@ def _record(line: str, arcs: str, *required: str) -> dict:
             raise ValueError(f"missing key {key!r}")
     if not isinstance(data["rank"], int) or isinstance(data["rank"], bool):
         raise ValueError(f"key 'rank' must be an integer, got {type(data['rank']).__name__}")
+    if data["rank"] < 1:
+        raise ValueError(f"key 'rank' must be >= 1, got {data['rank']}")
     if not isinstance(data[arcs], list):
         raise ValueError(f"key {arcs!r} must be a list, got {type(data[arcs]).__name__}")
     for i, entry in enumerate(data[arcs]):
@@ -135,24 +138,20 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         diagram = _parse_diagram(data)
         if args.n is not None and diagram.rank != args.n:
             raise ValueError(f"diagram rank {diagram.rank} does not match --n {args.n}")
-        wings = torsion.decompose(diagram)
-        record = json.loads(wings.to_json())
-        if "finite_side" in data:
-            record = {"rank": record["rank"], "finite_side": data["finite_side"],
-                      "pairs": record["pairs"]}
-        print(json.dumps(record, separators=(",", ":")))
+        # One write per record: print makes two when stdout is unbuffered.
+        sys.stdout.write(torsion.decompose(diagram).to_json(data.get("finite_side")) + "\n")
     return 0
 
 
 def cmd_compose(args: argparse.Namespace) -> int:
     for line in _input_lines(args.wings):
         data = _record(line, "pairs")
-        wings = WingDecomposition.from_data(data)
-        diagram = torsion.compose(wings)
+        diagram = torsion.compose(WingDecomposition.from_data(data))
         if "finite_side" in data:
-            print(TorsionPair(diagram.rank, diagram, data["finite_side"]).to_json())
+            record = TorsionPair(diagram.rank, diagram, data["finite_side"]).to_json()
         else:
-            print(diagram.to_json())
+            record = diagram.to_json()
+        sys.stdout.write(record + "\n")
     return 0
 
 

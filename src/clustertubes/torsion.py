@@ -12,8 +12,9 @@ The structure theory implemented here:
   any arc of the half are its *cuts*; consecutive cuts at distance g >= 2
   enclose a span whose top arc is forced to be present, and the arcs inside
   the span form a polygon Ptolemy diagram of size g on that top arc as base
-  edge.  Distance-1 spans carry the degenerate diagram.  ``decompose`` /
-  ``compose`` are mutually inverse.
+  edge.  Distance-1 spans carry the degenerate diagram.  No arc straddles a
+  cut (the cut would be overarched), so ``decompose`` rejects only a missing
+  cut or top arc.  ``decompose`` / ``compose`` are mutually inverse.
 * *Pointed cycles*.  Reading the spans cyclically and remembering which
   vertex is 0 turns a half into a cycle of polygon diagrams with one marked
   non-base vertex; ``to_pointed_cycle`` / ``from_pointed_cycle`` realize the
@@ -36,9 +37,10 @@ import itertools
 import json
 import math
 import random
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .arcs import (
     PeriodicDiagram,
@@ -154,14 +156,16 @@ class WingDecomposition:
         ends = self.cuts[1:] + (self.cuts[0] + self.rank,)
         return list(zip(self.cuts, ends))
 
-    def to_json(self) -> str:
+    def to_json(self, finite_side: str | None = None) -> str:
+        """The wing record; ``finite_side``, when given, follows ``rank``."""
         pairs = []
         for (c, d), piece in zip(self.spans(), self.pieces):
             arcs = []
             if piece.size >= 2:
                 arcs = sorted([(c + a, c + b) for a, b in piece.diagonals] + [(c, d)])
             pairs.append({"top": [c, d], "arcs": [list(a) for a in arcs]})
-        return json.dumps({"rank": self.rank, "pairs": pairs}, separators=(",", ":"))
+        side = {} if finite_side is None else {"finite_side": finite_side}
+        return json.dumps({"rank": self.rank, **side, "pairs": pairs}, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "WingDecomposition":
@@ -183,62 +187,66 @@ class WingDecomposition:
         return cls(n, tuple(cuts[t] for t in order), tuple(pieces[t] for t in order))
 
 
+def _lay(n: int, placed: Iterable[tuple[int, PolygonDiagram]]) -> PeriodicDiagram:
+    """The rank-n diagram of pieces laid at offsets: for each ``(c, piece)``
+    of size >= 2, the top arc ``(c, c + size)`` and the diagonals shifted by
+    ``c``, each stored as its canonical orbit."""
+    arcs = []
+    for c, piece in placed:
+        if piece.size >= 2:
+            c %= n
+            arcs.append((c, c + piece.size))
+            for a, b in piece.diagonals:
+                i = (c + a) % n
+                arcs.append((i, i + (b - a)))
+    return PeriodicDiagram(n, frozenset(arcs))
+
+
 def decompose(diagram: PeriodicDiagram) -> WingDecomposition:
     """Split a finite half into its cuts and per-span polygon diagrams.
 
-    Cuts are the vertices of ``[0, n)`` not strictly overarched by any arc.
-    Raises if a multi-vertex span is missing its top arc or if some arc
-    straddles a cut; both mean the input was not a finite half.
+    Cuts are the vertices of ``[0, n)`` not strictly overarched by any arc,
+    found in one pass in memory bounded by the arcs, not the rank.  Raises if
+    there is no cut or a multi-vertex span lacks its top arc: the input was
+    not a finite half.  No arc straddles a cut (an arc ``(a, b)`` with
+    ``a < d < b`` would overarch the cut ``d mod n``), so arcs are placed by
+    lookup.
     """
     n = diagram.rank
-    covered = set()
+    reach, furthest = 0, {}  # shifts from the left reach up to j - n
     for i, j in diagram.orbits:
-        for v in range(i + 1, j):
-            covered.add(v % n)
-    cuts = tuple(v for v in range(n) if v not in covered)
+        reach = max(reach, j - n)
+        furthest[i] = max(j, furthest.get(i, j))
+    cuts = []
+    for v in range(n):
+        if v >= reach:
+            cuts.append(v)
+        reach = max(reach, furthest.get(v, reach))
     if not cuts:
         raise ValueError("no cut vertex: the diagram is not a finite half")
 
-    ends = cuts[1:] + (cuts[0] + n,)
-    spans = list(zip(cuts, ends))
-    buckets: list[list[tuple[int, int]]] = [[] for _ in spans]
-    for c, d in spans:
+    ends = cuts[1:] + [cuts[0] + n]
+    for c, d in zip(cuts, ends):
         if d - c >= 2 and (c, d) not in diagram.orbits:
             raise ValueError(f"span ({c}, {d}) is missing its top arc; input is not Ptolemy")
-    placed = 0
+    buckets: list[list[tuple[int, int]]] = [[] for _ in cuts]
     for a, b in diagram.orbits:
-        for t, (c, d) in enumerate(spans):
-            for shift in (0, 1):
-                aa, bb = a + shift * n, b + shift * n
-                if c <= aa and bb <= d:
-                    if (aa, bb) != (c, d):
-                        buckets[t].append((aa - c, bb - c))
-                    placed += 1
-                    break
-            else:
-                continue
-            break
-        else:
-            raise ValueError(f"arc {(a, b)} straddles a cut; input is not a finite half")
-    if placed != len(diagram.orbits):
-        raise ValueError("arc placement is inconsistent")
+        if a < cuts[0]:
+            a, b = a + n, b + n
+        t = bisect_right(cuts, a) - 1
+        if (a, b) != (cuts[t], ends[t]):
+            buckets[t].append((a - cuts[t], b - cuts[t]))
 
     pieces = tuple(
         DEGENERATE if d - c == 1 else PolygonDiagram(d - c, tuple(bucket))
-        for (c, d), bucket in zip(spans, buckets)
+        for c, d, bucket in zip(cuts, ends, buckets)
     )
-    return WingDecomposition(n, cuts, pieces)
+    return WingDecomposition(n, tuple(cuts), pieces)
 
 
 def compose(wings: WingDecomposition) -> PeriodicDiagram:
     """Inverse of :func:`decompose`: lay each piece onto its span."""
-    n = wings.rank
-    arcs: list[tuple[int, int]] = []
-    for (c, _), piece in zip(wings.spans(), wings.pieces):
-        if piece.size >= 2:
-            arcs.append((c, c + piece.size))
-            arcs.extend((c + a, c + b) for a, b in piece.diagonals)
-    return PeriodicDiagram.from_arcs(n, arcs)
+    return _lay(wings.rank, zip(wings.cuts, wings.pieces))
 
 
 def statistics(diagram: PeriodicDiagram) -> CellStatistics:
@@ -310,16 +318,9 @@ def from_pointed_cycle(cycle: PointedCycle, rank: int) -> PeriodicDiagram:
     """
     if cycle.total_size() != rank:
         raise ValueError(f"piece sizes sum to {cycle.total_size()}, expected rank {rank}")
-    arcs: list[tuple[int, int]] = []
-    pos = -cycle.vertex
-    r = len(cycle.pieces)
-    for step in range(r):
-        piece = cycle.pieces[(cycle.piece_index + step) % r]
-        if piece.size >= 2:
-            arcs.append((pos, pos + piece.size))
-            arcs.extend((pos + a, pos + b) for a, b in piece.diagonals)
-        pos += piece.size
-    return PeriodicDiagram.from_arcs(rank, arcs)
+    pieces = cycle.rotate(cycle.piece_index).pieces
+    offsets = itertools.accumulate((p.size for p in pieces), initial=-cycle.vertex)
+    return _lay(rank, zip(offsets, pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +387,7 @@ def iter_structured(n: int, cap: int = DEFAULT_CAPS.structured_rank) -> Iterator
         ends = cuts[1:] + [cuts[0] + n]
         spans = [polygon_diagrams(d - c) for c, d in zip(cuts, ends)]
         for combo in itertools.product(*spans):
-            arcs = []
-            for c, piece in zip(cuts, combo):
-                if piece.size >= 2:
-                    arcs.append((c, c + piece.size))
-                    for a, b in piece.diagonals:
-                        i = (c + a) % n
-                        arcs.append((i, i + (b - a)))
-            yield PeriodicDiagram(n, frozenset(arcs))
+            yield _lay(n, zip(cuts, combo))
 
 
 def count_structured(n: int, cap: int = DEFAULT_CAPS.structured_rank) -> int:
@@ -445,7 +439,7 @@ def sample_halves(n: int, count: int, seed: int = 0) -> list[PeriodicDiagram]:
         pieces = tuple(
             rng.choice(polygon_diagrams(d - c)) for c, d in zip(cuts, ends)
         )
-        out.append(compose(WingDecomposition(n, tuple(cuts), pieces)))
+        out.append(_lay(n, zip(cuts, pieces)))
     return out
 
 

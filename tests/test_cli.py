@@ -74,6 +74,25 @@ def test_enumerate_writes_whole_lines_in_pipe_sized_blocks(monkeypatch):
     assert all(0 < len(w.encode()) <= 4096 and w.endswith("\n") for w in writes)
 
 
+@pytest.mark.parametrize("command", ["decompose", "compose"])
+def test_decompose_and_compose_write_each_record_once(capsys, monkeypatch, command):
+    import io
+
+    code, records, _ = run(capsys, "enumerate", "--n", "3")
+    assert code == 0
+    if command == "compose":
+        monkeypatch.setattr("sys.stdin", io.StringIO(records))
+        code, records, _ = run(capsys, "decompose")
+        assert code == 0
+    k = len(records.splitlines())
+    writes = []
+    monkeypatch.setattr("sys.stdin", io.StringIO(records))
+    monkeypatch.setattr("sys.stdout", SimpleNamespace(write=writes.append, flush=lambda: None))
+    assert main([command]) == 0
+    assert len(writes) == k
+    assert all(w.endswith("\n") and w.count("\n") == 1 for w in writes)
+
+
 def test_enumerate_into_closed_pipe_exits_141_quietly():
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
@@ -258,6 +277,11 @@ def test_malformed_input_exit_code(capsys):
          "pairs[0] must be an object with an arc 'top' and a list 'arcs'"),
         (["compose", "--wings",
           '{"rank": 2, "pairs": [{"top": [0, 2], "arcs": [[0, 2], [1]]}]}'], "pairs[0].arcs[1]"),
+        (["decompose", "--diagram", '{"rank": 0, "orbits": [[0, 2]]}'], "'rank' must be >= 1"),
+        (["perp", "--diagram", '{"rank": 0, "orbits": [[0, 2]]}', "--arc", "0", "2"],
+         "'rank' must be >= 1"),
+        (["compose", "--wings", '{"rank": 0, "pairs": [{"top": [0, 1], "arcs": []}]}'],
+         "'rank' must be >= 1"),
     ],
 )
 def test_malformed_record_names_the_key(capsys, argv, message):
@@ -274,6 +298,7 @@ def test_malformed_record_names_the_key(capsys, argv, message):
         ('{"rank": 2, "orbits": []}', "missing key 'finite_side'"),
         ('{"rank": 2, "finite_side": "left"}', "missing key 'orbits'"),
         ("[2]", "object"),
+        ('{"rank": 0, "finite_side": "left", "orbits": [[0, 2]]}', "'rank' must be >= 1"),
     ],
 )
 def test_render_malformed_record_names_the_key(capsys, tmp_path, record, message):

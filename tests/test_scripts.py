@@ -1,5 +1,7 @@
-"""Smoke tests: every script in ``scripts/`` runs with small arguments."""
+"""Smoke tests: every script in ``scripts/`` runs with small arguments, and
+the benchmark's trace harness still finds the functions it wraps."""
 
+import json
 import os
 import subprocess
 import sys
@@ -39,3 +41,17 @@ def test_render_demo(tmp_path):
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == f"wrote {out}"
     assert out.read_text().startswith("<?xml")
+
+
+def test_trace_harness_spans_the_wing_layer(tmp_path):
+    stats = tmp_path / "stats.json"
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "replay.py"), "--mode", "traced",
+         "--stats", str(stats), "--", "verify", "--n", "4"],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert result.returncode == 0, result.stderr
+    spans = json.loads(stats.read_text())["spans"]
+    for name in ("torsion.decompose", "torsion.compose", "torsion.from_pointed_cycle"):
+        assert spans[name]["calls"] > 0, name

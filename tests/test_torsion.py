@@ -160,6 +160,43 @@ def test_decompose_rejects_non_halves():
     # missing top arc over the covered vertex
     with pytest.raises(ValueError):
         decompose(PeriodicDiagram.from_arcs(2, [(0, 2), (1, 3)]))
+    # Any periodic diagram either lacks a cut or a top arc, or decomposes and
+    # composes back to itself: no arc can straddle a cut.
+    import random
+
+    rng = random.Random(2012)
+    seen = set()
+    for _ in range(3000):
+        n = rng.randint(1, 7)
+        orbits = set()
+        for _ in range(rng.randint(0, 6)):
+            i = rng.randrange(n)
+            orbits.add((i, i + rng.randint(2, 2 * n + 1)))
+        X = PeriodicDiagram(n, frozenset(orbits))
+        try:
+            wings = decompose(X)
+        except ValueError as exc:
+            reasons = [r for r in ("no cut vertex", "missing its top arc") if r in str(exc)]
+            assert reasons, exc
+            seen.add(reasons[0])
+            continue
+        assert compose(wings) == X
+        seen.add("round trip")
+    assert seen == {"no cut vertex", "missing its top arc", "round trip"}
+
+
+def test_decompose_memory_does_not_grow_with_the_rank():
+    import tracemalloc
+
+    X = PeriodicDiagram(200000, frozenset({(0, 200000)}))
+    tracemalloc.start()
+    try:
+        wings = decompose(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert wings.cuts == (0,)
+    assert peak < 2**20
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
