@@ -10,11 +10,16 @@ Plain counts for a rank range, or the full refined (k, l, m) table:
 from __future__ import annotations
 
 import argparse
+import sys
 
 from clustertubes.counting import refined_table, torsion_count
 
 
 def main() -> None:
+    # Counts past about n = 5,150 have more digits than CPython's default
+    # int/str limit; the function exists from Python 3.10.7 on.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-n", type=int, default=15)
     parser.add_argument("--refined", action="store_true")

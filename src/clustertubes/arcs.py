@@ -40,10 +40,6 @@ def check_arc(pair: tuple[int, int]) -> Arc:
     return (i, j)
 
 
-def arc_length(a: Arc) -> int:
-    return a[1] - a[0]
-
-
 def cross(a: Arc, b: Arc) -> bool:
     """Strict interleaving of endpoints.
 
@@ -240,8 +236,3 @@ def is_ptolemy(diagram: PeriodicDiagram, max_completion_length: int | None = Non
             if not diagram.contains_arc(p):
                 return False
     return True
-
-
-def tau(diagram: PeriodicDiagram, power: int = 1) -> PeriodicDiagram:
-    """Functional alias for :meth:`PeriodicDiagram.tau`."""
-    return diagram.tau(power)

@@ -390,6 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # Exact counts outgrow CPython's 4,300-digit int/str limit (T(5200) has
+    # more digits); the function exists from Python 3.10.7 on.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -33,6 +33,7 @@ The structure theory implemented here:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -250,11 +251,32 @@ def compose(wings: WingDecomposition) -> PeriodicDiagram:
 
 
 def statistics(diagram: PeriodicDiagram) -> CellStatistics:
-    """Total triangle/clique/empty-cell counts over the wing decomposition."""
+    """Total triangle/clique/empty-cell counts over the wing decomposition.
+
+    This decomposes the half and runs
+    :func:`~clustertubes.polygons.cells` on every piece; it is the reference
+    the grammar walk's statistics lookups are tested against.
+    """
     stats = CellStatistics()
     for piece in decompose(diagram).pieces:
         stats = stats + statistics_polygon(piece)
     return stats
+
+
+@functools.cache
+def _piece_statistics(g: int) -> dict[PolygonDiagram, tuple[int, int, int]]:
+    """``(k, l, m)`` of every diagram of :func:`polygon_diagrams` of size g."""
+    return {piece: statistics_polygon(piece).as_tuple() for piece in polygon_diagrams(g)}
+
+
+def _half_statistics(pieces: Iterable[PolygonDiagram]) -> tuple[int, int, int]:
+    """Statistics of the half with these pieces, a sum of table lookups: the
+    cells of a half are the cells of its pieces."""
+    k = l = m = 0
+    for piece in pieces:
+        a, b, c = _piece_statistics(piece.size)[piece]
+        k, l, m = k + a, l + b, m + c
+    return k, l, m
 
 
 # ---------------------------------------------------------------------------
@@ -362,6 +384,25 @@ def enumerate_brute(n: int, cap: int = DEFAULT_CAPS.brute_rank) -> list[Periodic
     return halves
 
 
+def _walk(n: int, cap: int) -> Iterator[tuple[int, list[int], tuple[PolygonDiagram, ...]]]:
+    """The cut/wing grammar in grammar order, as ``(mask, cuts, pieces)``.
+
+    ``mask`` has bit v set iff v is a cut, ``cuts`` lists the cuts ascending
+    and ``pieces`` holds one diagram of :func:`polygon_diagrams` per span, in
+    cut order; nothing is laid.  :func:`iter_structured` documents the order.
+    """
+    if n > cap:
+        raise CapExceeded(f"structured enumeration capped at rank {cap}, got {n}")
+    if n < 1:
+        raise ValueError(f"rank must be >= 1, got {n}")
+    for mask in range(1, 1 << n):
+        cuts = [v for v in range(n) if mask >> v & 1]
+        ends = cuts[1:] + [cuts[0] + n]
+        spans = [polygon_diagrams(d - c) for c, d in zip(cuts, ends)]
+        for pieces in itertools.product(*spans):
+            yield mask, cuts, pieces
+
+
 def iter_structured(n: int, cap: int = DEFAULT_CAPS.structured_rank) -> Iterator[PeriodicDiagram]:
     """Generate every finite half at rank n through the cut/wing grammar.
 
@@ -378,16 +419,8 @@ def iter_structured(n: int, cap: int = DEFAULT_CAPS.structured_rank) -> Iterator
     :func:`~clustertubes.polygons.polygon_diagrams` in its order, the span
     starting at the largest cut varying fastest.
     """
-    if n > cap:
-        raise CapExceeded(f"structured enumeration capped at rank {cap}, got {n}")
-    if n < 1:
-        raise ValueError(f"rank must be >= 1, got {n}")
-    for mask in range(1, 1 << n):
-        cuts = [v for v in range(n) if mask >> v & 1]
-        ends = cuts[1:] + [cuts[0] + n]
-        spans = [polygon_diagrams(d - c) for c, d in zip(cuts, ends)]
-        for combo in itertools.product(*spans):
-            yield _lay(n, zip(cuts, combo))
+    for _, cuts, pieces in _walk(n, cap):
+        yield _lay(n, zip(cuts, pieces))
 
 
 def count_structured(n: int, cap: int = DEFAULT_CAPS.structured_rank) -> int:
@@ -520,16 +553,16 @@ def orbit_count_refined_direct(
 ) -> dict[tuple[int, int, int], int]:
     """Refined orbit counts by direct partition of the enumerated pairs."""
     seen: dict[tuple[int, int, int], set] = {}
-    for X in iter_structured(n, cap):
-        stats = statistics(X).as_tuple()
-        seen.setdefault(stats, set()).add(orbit_key(X))
+    for _, cuts, pieces in _walk(n, cap):
+        key = orbit_key(_lay(n, zip(cuts, pieces)))
+        seen.setdefault(_half_statistics(pieces), set()).add(key)
     return {stats: 2 * len(keys) for stats, keys in sorted(seen.items())}
 
 
 def statistics_histogram(n: int, cap: int = DEFAULT_CAPS.structured_rank) -> Counter:
     """Histogram of pair statistics at rank n from the enumeration (each half
-    counts twice: once per side)."""
+    counts twice: once per side), read off the grammar walk's pieces."""
     hist: Counter = Counter()
-    for X in iter_structured(n, cap):
-        hist[statistics(X).as_tuple()] += 2
+    for _, _, pieces in _walk(n, cap):
+        hist[_half_statistics(pieces)] += 2
     return hist

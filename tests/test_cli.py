@@ -39,6 +39,29 @@ def test_count_json(capsys):
     assert json.loads(out) == {"n": 1, "count": 2}
 
 
+@pytest.fixture
+def restore_int_digit_limit():
+    """``main`` lifts the int/str digit limit process-wide; put it back."""
+    if not hasattr(sys, "get_int_max_str_digits"):  # no limit before 3.10.7
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_count_beyond_the_int_digit_limit(capsys, restore_int_digit_limit, fmt):
+    # T(5200) has more than the 4,300 digits CPython converts by default
+    code, out, err = run(capsys, "count", "--n", "5200", "--format", fmt)
+    assert code == 0, err
+    expected = torsion_count(5200)
+    if fmt == "json":
+        assert json.loads(out) == {"n": 5200, "count": expected}
+    else:
+        assert out == f"{expected}\n"
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_enumerate_record_count(capsys, n):
     code, out, _ = run(capsys, "enumerate", "--n", str(n))
@@ -187,6 +210,16 @@ def test_sieve_json(capsys):
     records = json.loads(out)
     assert all(r["match"] for r in records)
     assert set(records[0]) == {"n", "d", "k", "l", "m", "polyValue", "fixedCount", "match"}
+
+
+@pytest.mark.parametrize("n, digest", [
+    (6, "5ffdfbdbe3778c4ebeaf291c1449de7abcb22ee2bfa9f737f0a000fde9edaf42"),
+    (7, "b07bb772acc7b75867c60f30b12d41b0f21b89a1ce2d4da36b23a3c2651694ae"),
+])
+def test_sieve_output_is_byte_stable(capsys, n, digest):
+    code, out, _ = run(capsys, "sieve", "--n", str(n))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_orbits(capsys):

@@ -77,3 +77,25 @@ def test_fixed_totals_agree_with_fixed_under(n):
         total = sum(r.fixed_count for r in records if r.d == d)
         assert total == 2 * len(fixed_under(n, n // d))
         assert total == torsion_count(n // d)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_fixed_counts_equal_statistics_and_tau_oracle(n):
+    # the walk's statistics lookups and cut-mask prefilter against decompose
+    # + cells (``statistics``) and ``PeriodicDiagram.tau`` on every half
+    from collections import Counter
+
+    from clustertubes.torsion import _divisors, iter_structured, statistics, statistics_histogram
+
+    halves = list(iter_structured(n))
+    records = csp_verify(n)
+    for d in _divisors(n):
+        oracle = Counter()
+        for X in halves:
+            if X.tau(n // d) == X:
+                oracle[statistics(X).as_tuple()] += 2
+        fixed = {(r.k, r.l, r.m): r.fixed_count for r in records if r.d == d}
+        assert set(oracle) <= set(fixed)
+        assert fixed == {klm: oracle[klm] for klm in fixed}
+        if d == 1:
+            assert statistics_histogram(n) == oracle
