@@ -59,7 +59,7 @@ from .torsion import (
     decompose,
     enumerate_brute,
     enumerate_structured,
-    fixed_under,
+    fixed_histograms,
     from_pointed_cycle,
     is_finite_half,
     iter_structured,

@@ -28,11 +28,6 @@ from typing import Iterable, Iterator
 Arc = tuple[int, int]
 
 
-def is_arc(pair: tuple[int, int]) -> bool:
-    """True iff the integer pair has length at least 2."""
-    return pair[1] - pair[0] >= 2
-
-
 def check_arc(pair: tuple[int, int]) -> Arc:
     i, j = pair
     if j - i < 2:

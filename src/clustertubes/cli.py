@@ -284,10 +284,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             label += " (sampled)"
         checks.append((label, round_trips))
     if structured is not None:
-        hist = torsion.statistics_histogram(n, cap=args.structured_cap)
+        fixed = torsion.fixed_histograms(n, cap=args.structured_cap)
         checks.append((
             "statistics histogram == refined formula",
-            dict(hist) == counting.refined_table(n),
+            dict(fixed[n]) == counting.refined_table(n),
         ))
         burnside = torsion.orbit_count(n) == torsion.orbit_count_direct(n, cap=args.structured_cap)
         checks.append(("Burnside orbit count == direct partition", burnside))
@@ -301,8 +301,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print("translation-invariance readings (count of tau^d-invariant pairs):")
         print("d,enumerated,count_at_rank_d,count_at_rank_n/d")
         for d in torsion._divisors(n):
-            fixed = 2 * sum(1 for X in structured if X.tau(d) == X)
-            print(f"{d},{fixed},{counting.torsion_count(d)},{counting.torsion_count(n // d)}")
+            enumerated = sum(fixed[d].values())
+            print(f"{d},{enumerated},{counting.torsion_count(d)},{counting.torsion_count(n // d)}")
 
     return 0 if all(good for _, good in checks) else 1
 

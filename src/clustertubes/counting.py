@@ -92,14 +92,20 @@ def torsion_count_refined(n: int, k: int, l: int, m: int) -> int:
 
 
 def refined_support(n: int) -> list[tuple[int, int, int]]:
-    """All (k, l, m) with a nonzero refined count, sorted."""
-    out = []
-    for k in range(n):
-        for l in range((n - 1 - k) // 2 + 1):
-            for m in range((n - 1 - k) // 2 - l + 1):
-                if torsion_count_refined(n, k, l, m):
-                    out.append((k, l, m))
-    return sorted(out)
+    """All (k, l, m) with a nonzero refined count, sorted.
+
+    These are the triples with k + 2(l+m) <= n-1: there both the
+    multinomial and ``C(n-1-k-l-m, l+m)`` are positive, and outside it the
+    binomial vanishes.  The loops produce them in sorted order.
+    """
+    if n < 1:
+        raise ValueError(f"rank must be >= 1, got {n}")
+    return [
+        (k, l, m)
+        for k in range(n)
+        for l in range((n - 1 - k) // 2 + 1)
+        for m in range((n - 1 - k) // 2 - l + 1)
+    ]
 
 
 def refined_table(n: int) -> dict[tuple[int, int, int], int]:
@@ -123,11 +129,7 @@ def lagrange_coefficient(n: int) -> Poly3:
         for l in range((n - 1 - k) // 2 + 1):
             for m in range((n - 1 - k) // 2 - l + 1):
                 i = n - 1 - k - 2 * (l + m)
-                if i < 0:
-                    continue
-                c = multinomial((n - 1, k, l, m)) * binomial(l + m + i, l + m)
-                if c:
-                    terms[(k, l, m)] = 2 * c
+                terms[(k, l, m)] = 2 * multinomial((n - 1, k, l, m)) * binomial(l + m + i, l + m)
     return Poly3.from_dict(terms)
 
 

@@ -54,9 +54,6 @@ class Poly3:
     def _as_dict(self) -> dict[Exponent, int]:
         return dict(self.terms)
 
-    def is_constant(self) -> bool:
-        return all(e == (0, 0, 0) for e, _ in self.terms)
-
     def coefficient(self, a: int, b: int, c: int) -> int:
         return self._as_dict().get((a, b, c), 0)
 
@@ -153,9 +150,6 @@ class PowerSeries:
         cs.extend([0] * (order + 1 - len(cs)))
         return cls(order, tuple(cs))
 
-    def __getitem__(self, k: int) -> Coefficient:
-        return self.coeffs[k]
-
     def __add__(self, other: "PowerSeries") -> "PowerSeries":
         n = min(self.order, other.order)
         return PowerSeries(n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
@@ -182,10 +176,6 @@ class PowerSeries:
             self.order - 1, tuple(k * self.coeffs[k] for k in range(1, self.order + 1))
         )
 
-    def shift_up(self) -> "PowerSeries":
-        """Multiply by z (the top coefficient falls off the truncation)."""
-        return PowerSeries(self.order, (0,) + self.coeffs[: self.order])
-
     def geometric(self) -> "PowerSeries":
         """``1/(1 - self)`` for a series with zero constant term."""
         if _as_poly(self.coeffs[0]) != ZERO:
@@ -194,11 +184,6 @@ class PowerSeries:
         for k in range(1, self.order + 1):
             g[k] = sum(self.coeffs[i] * g[k - i] for i in range(1, k + 1))
         return PowerSeries(self.order, tuple(g))
-
-    def evaluate_each(self, x: int = 1, y1: int = 1, y2: int = 1) -> tuple[int, ...]:
-        return tuple(
-            c if isinstance(c, int) else c.evaluate(x, y1, y2) for c in self.coeffs
-        )
 
 
 def series_P(

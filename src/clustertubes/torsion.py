@@ -105,9 +105,6 @@ class TorsionPair:
         if self.finite_half.max_length() > self.rank:
             raise ValueError("a finite half has arcs of length at most the rank")
 
-    def tau(self, power: int = 1) -> "TorsionPair":
-        return TorsionPair(self.rank, self.finite_half.tau(power), self.finite_side)
-
     def to_json(self) -> str:
         return json.dumps(
             {
@@ -384,6 +381,14 @@ def enumerate_brute(n: int, cap: int = DEFAULT_CAPS.brute_rank) -> list[Periodic
     return halves
 
 
+def _check_rank(n: int, cap: int) -> None:
+    """Reject a rank the grammar routes cannot take: above the cap, or below 1."""
+    if n > cap:
+        raise CapExceeded(f"structured enumeration capped at rank {cap}, got {n}")
+    if n < 1:
+        raise ValueError(f"rank must be >= 1, got {n}")
+
+
 def _walk(n: int, cap: int) -> Iterator[tuple[int, list[int], tuple[PolygonDiagram, ...]]]:
     """The cut/wing grammar in grammar order, as ``(mask, cuts, pieces)``.
 
@@ -391,10 +396,7 @@ def _walk(n: int, cap: int) -> Iterator[tuple[int, list[int], tuple[PolygonDiagr
     and ``pieces`` holds one diagram of :func:`polygon_diagrams` per span, in
     cut order; nothing is laid.  :func:`iter_structured` documents the order.
     """
-    if n > cap:
-        raise CapExceeded(f"structured enumeration capped at rank {cap}, got {n}")
-    if n < 1:
-        raise ValueError(f"rank must be >= 1, got {n}")
+    _check_rank(n, cap)
     for mask in range(1, 1 << n):
         cuts = [v for v in range(n) if mask >> v & 1]
         ends = cuts[1:] + [cuts[0] + n]
@@ -439,10 +441,7 @@ def count_structured(n: int, cap: int = DEFAULT_CAPS.structured_rank) -> int:
     and the generating functions.  Agreement with walking
     :func:`iter_structured` is part of the test suite.
     """
-    if n > cap:
-        raise CapExceeded(f"structured enumeration capped at rank {cap}, got {n}")
-    if n < 1:
-        raise ValueError(f"rank must be >= 1, got {n}")
+    _check_rank(n, cap)
     p = polygon_counts(n)
     sequences = [1]
     for h in range(1, n):
@@ -489,15 +488,35 @@ def torsion_pairs(n: int, cap: int = DEFAULT_CAPS.structured_rank) -> Iterator[T
 # translation symmetry
 
 
-def fixed_under(n: int, d: int, cap: int = DEFAULT_CAPS.structured_rank) -> list[PeriodicDiagram]:
-    """Finite halves at rank n invariant under tau^d, for d dividing n.
+def fixed_histograms(n: int, cap: int = DEFAULT_CAPS.structured_rank) -> dict[int, Counter]:
+    """For each s dividing n, the (k, l, m) histogram of the pairs at rank n
+    fixed by tau^s (each fixed half counts twice: once per side).
 
-    These are exactly the d-periodic diagrams, i.e. rank-d finite halves
-    repeated around the rank-n tube; their number is torsion_count(d)/2.
+    The histograms come from one walk of the cut/wing grammar.  A half's
+    statistics are read off the pieces the walk yields, as a sum of per-piece
+    lookups, so no half is decomposed and no cell decomposition is redone.
+    For s = n every pair counts, as tau^n is the identity.  For s < n a fixed
+    point is decided by :meth:`~clustertubes.arcs.PeriodicDiagram.tau` on the
+    laid half, but only for halves whose cut set is invariant under rotation
+    by s: the cuts of a half are the vertices no arc overarches, so tau^s
+    moves them by s, and a half with any other cut set cannot be fixed.
     """
-    if d < 1 or n % d != 0:
-        raise ValueError(f"{d} does not divide {n}")
-    return [X for X in enumerate_structured(n, cap) if X.tau(d) == X]
+    _check_rank(n, cap)
+    shifts = _divisors(n)
+    hists: dict[int, Counter] = {s: Counter() for s in shifts}
+    full = (1 << n) - 1
+    for mask, cuts, pieces in _walk(n, cap):
+        stats = _half_statistics(pieces)
+        hists[n][stats] += 2
+        X = None
+        for s in shifts[:-1]:
+            if (mask >> s | mask << (n - s)) & full != mask:
+                continue
+            if X is None:
+                X = _lay(n, zip(cuts, pieces))
+            if X.tau(s) == X:
+                hists[s][stats] += 2
+    return hists
 
 
 def orbit_key(diagram: PeriodicDiagram) -> tuple:
@@ -561,8 +580,5 @@ def orbit_count_refined_direct(
 
 def statistics_histogram(n: int, cap: int = DEFAULT_CAPS.structured_rank) -> Counter:
     """Histogram of pair statistics at rank n from the enumeration (each half
-    counts twice: once per side), read off the grammar walk's pieces."""
-    hist: Counter = Counter()
-    for _, _, pieces in _walk(n, cap):
-        hist[_half_statistics(pieces)] += 2
-    return hist
+    counts twice: once per side)."""
+    return fixed_histograms(n, cap)[n]

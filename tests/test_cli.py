@@ -222,6 +222,17 @@ def test_sieve_output_is_byte_stable(capsys, n, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("count", "--n", "0", "--refined"), "error: rank must be >= 1, got 0\n"),
+    (("sieve", "--n", "-2"), "error: rank must be >= 1, got -2\n"),
+])
+def test_rank_below_one_is_a_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == message
+
+
 def test_orbits(capsys):
     code, out, _ = run(capsys, "orbits", "--n", "2")
     assert code == 0
@@ -241,6 +252,17 @@ def test_verify_passes(capsys, n):
     code, out, _ = run(capsys, "verify", "--n", str(n))
     assert code == 0
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("n, digest", [
+    (4, "4de71aece4c7425c5da45294dce6c936cc6805db4370cefb1b98d54063f13153"),
+    (5, "42158f335b904bb6dd8b17c6133ec9599d0a33593521c579bd20d5853271bce6"),
+    (6, "315057607bbd6dc86994d68153d4d56d81c3c71c491bcb808a96444d09b3dec8"),
+])
+def test_verify_output_is_byte_stable(capsys, n, digest):
+    code, out, _ = run(capsys, "verify", "--n", str(n))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_degraded_mode_beyond_rank_six(capsys):

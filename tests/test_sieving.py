@@ -70,12 +70,11 @@ def test_fixed_totals_agree_with_fixed_under(n):
     # summing a divisor's records over (k,l,m) recovers the tau^(n/d)-invariant
     # pair count, which is the rank-n/d total
     from clustertubes.counting import torsion_count
-    from clustertubes.torsion import _divisors, fixed_under
+    from clustertubes.torsion import _divisors
 
     records = csp_verify(n)
     for d in _divisors(n):
         total = sum(r.fixed_count for r in records if r.d == d)
-        assert total == 2 * len(fixed_under(n, n // d))
         assert total == torsion_count(n // d)
 
 
@@ -85,15 +84,23 @@ def test_fixed_counts_equal_statistics_and_tau_oracle(n):
     # + cells (``statistics``) and ``PeriodicDiagram.tau`` on every half
     from collections import Counter
 
-    from clustertubes.torsion import _divisors, iter_structured, statistics, statistics_histogram
+    from clustertubes.torsion import (
+        _divisors,
+        fixed_histograms,
+        iter_structured,
+        statistics,
+        statistics_histogram,
+    )
 
     halves = list(iter_structured(n))
     records = csp_verify(n)
+    hists = fixed_histograms(n)
     for d in _divisors(n):
         oracle = Counter()
         for X in halves:
             if X.tau(n // d) == X:
                 oracle[statistics(X).as_tuple()] += 2
+        assert hists[n // d] == oracle
         fixed = {(r.k, r.l, r.m): r.fixed_count for r in records if r.d == d}
         assert set(oracle) <= set(fixed)
         assert fixed == {klm: oracle[klm] for klm in fixed}

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from clustertubes.torsion import (
     decompose,
     enumerate_brute,
     enumerate_structured,
-    fixed_under,
+    fixed_histograms,
     from_pointed_cycle,
     is_finite_half,
     iter_structured,
@@ -402,25 +404,24 @@ def test_torsion_pairs_is_lazy(monkeypatch):
 
 
 def test_fixed_under_cases():
-    assert fixed_under(2, 1) == [PeriodicDiagram.empty(2)]
-    assert len(fixed_under(2, 2)) == 3
-    assert len(fixed_under(4, 2)) == 3
-    with pytest.raises(ValueError):
-        fixed_under(4, 3)
+    assert fixed_histograms(2)[1] == Counter({(0, 0, 0): 2})  # only the empty half
+    assert sum(fixed_histograms(2)[2].values()) == 6
+    assert sum(fixed_histograms(4)[2].values()) == 6
+    assert set(fixed_histograms(4)) == {1, 2, 4}  # one histogram per divisor
 
 
 @pytest.mark.parametrize("n,d", [(2, 1), (4, 1), (4, 2), (6, 2), (6, 3)])
 def test_fixed_under_count_is_smaller_rank_count(n, d):
-    assert 2 * len(fixed_under(n, d)) == torsion_count(d)
+    assert sum(fixed_histograms(n)[d].values()) == torsion_count(d)
 
 
-@pytest.mark.parametrize("n,d", [(4, 2), (6, 2), (6, 3)])
+@pytest.mark.parametrize("n,d", [(2, 1), (4, 2), (6, 2), (6, 3)])
 def test_fixed_halves_are_lifted_smaller_rank_halves(n, d):
     lifted = set()
     for Y in enumerate_structured(d):
         arcs = [(i + t * d, j + t * d) for i, j in Y.orbits for t in range(n // d)]
         lifted.add(PeriodicDiagram.from_arcs(n, arcs))
-    assert set(fixed_under(n, d)) == lifted
+    assert {X for X in iter_structured(n) if X.tau(d) == X} == lifted
 
 
 def test_orbit_counts():
