@@ -35,6 +35,16 @@ def check_arc(pair: tuple[int, int]) -> Arc:
     return (i, j)
 
 
+def arcs_json(arcs: Iterable[Arc]) -> str:
+    """A list of arcs as compact JSON text, in the given order.
+
+    The one writer of arc lists in records: the text is byte-identical to
+    ``json.dumps([list(a) for a in arcs], separators=(",", ":"))``, built
+    with f-strings, which costs a fraction of ``json.dumps``.
+    """
+    return "[" + ",".join([f"[{i},{j}]" for i, j in arcs]) + "]"
+
+
 def cross(a: Arc, b: Arc) -> bool:
     """Strict interleaving of endpoints.
 
@@ -160,11 +170,13 @@ class PeriodicDiagram:
             n, frozenset(((i - power) % n, (i - power) % n + (j - i)) for i, j in self.orbits)
         )
 
+    def orbits_json(self) -> str:
+        """:meth:`sorted_orbits` as compact JSON text (see :func:`arcs_json`),
+        the ``orbits`` field of every record that carries this diagram."""
+        return arcs_json(self.sorted_orbits())
+
     def to_json(self) -> str:
-        return json.dumps(
-            {"rank": self.rank, "orbits": [list(a) for a in self.sorted_orbits()]},
-            separators=(",", ":"),
-        )
+        return f'{{"rank":{self.rank},"orbits":{self.orbits_json()}}}'
 
     @classmethod
     def from_json(cls, text: str) -> "PeriodicDiagram":

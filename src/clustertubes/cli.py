@@ -120,14 +120,18 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     # Whole lines in blocks, not a print each: with PYTHONUNBUFFERED set a
     # print is two writes (540,000 at n = 8; blocks make 5,800).  Blocks stay
     # within PIPE_BUF, as unbuffered stdout drops what a signal cuts short.
+    n = args.n
     block, size = [], 0
-    for pair in torsion.torsion_pairs(args.n, cap=args.structured_cap):
-        line = pair.to_json() + "\n"
-        if size + len(line) > _WRITE_BLOCK:
-            sys.stdout.write("".join(block))
-            block, size = [], 0
-        block.append(line)
-        size += len(line)
+    for half in torsion.iter_structured(n, cap=args.structured_cap):
+        TorsionPair(n, half, "left")  # the pair's rank and arc-length checks
+        orbits = half.orbits_json()
+        for side in ("left", "right"):
+            line = torsion.pair_json(n, side, orbits) + "\n"
+            if size + len(line) > _WRITE_BLOCK:
+                sys.stdout.write("".join(block))
+                block, size = [], 0
+            block.append(line)
+            size += len(line)
     sys.stdout.write("".join(block))
     return 0
 
@@ -274,11 +278,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
             pool = torsion.sample_halves(n, 1000, seed=n)
         else:
             pool = structured
-        round_trips = all(
-            torsion.compose(torsion.decompose(X)) == X
-            and torsion.from_pointed_cycle(torsion.to_pointed_cycle(X), n) == X
-            for X in pool
-        )
+
+        def round_trips_hold(X: PeriodicDiagram) -> bool:
+            wings = torsion.decompose(X)  # once, for both round trips
+            return (torsion.compose(wings) == X
+                    and torsion.from_pointed_cycle(wings.pointed_cycle(), n) == X)
+
+        round_trips = all(round_trips_hold(X) for X in pool)
         label = "decompose/compose and pointed-cycle round trips"
         if structured is None:
             label += " (sampled)"

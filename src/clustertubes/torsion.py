@@ -25,6 +25,12 @@ The structure theory implemented here:
   path); both must produce the same sets.  The grammar yields each half
   exactly once, so ``torsion_pairs`` streams it unsorted: grammar order is
   the canonical order of the ``enumerate`` stream.
+* *Records*.  Diagram, torsion-pair and wing records are compact JSON text,
+  byte-identical to ``json.dumps(..., separators=(",", ":"))`` but built
+  with f-strings around one arc-list writer,
+  :func:`~clustertubes.arcs.arcs_json`.  The ``enumerate`` stream
+  serializes each half once (its ``orbits`` text) and writes it as two
+  records, ``left`` and then ``right``, through :func:`pair_json`.
 * *Symmetry*.  The translation ``tau`` acts on halves; a half is fixed by
   ``tau^d`` (d | n) iff it is d-periodic, i.e. iff it is a rank-d half in
   disguise, which is what makes the orbit counts and the sieving identities
@@ -45,6 +51,7 @@ from typing import Iterable, Iterator
 
 from .arcs import (
     PeriodicDiagram,
+    arcs_json,
     cross,
     is_ptolemy,
     nc_contains,
@@ -106,20 +113,21 @@ class TorsionPair:
             raise ValueError("a finite half has arcs of length at most the rank")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "rank": self.rank,
-                "finite_side": self.finite_side,
-                "orbits": [list(a) for a in self.finite_half.sorted_orbits()],
-            },
-            separators=(",", ":"),
-        )
+        return pair_json(self.rank, self.finite_side, self.finite_half.orbits_json())
 
     @classmethod
     def from_json(cls, text: str) -> "TorsionPair":
         data = json.loads(text)
         half = PeriodicDiagram.from_arcs(data["rank"], (tuple(a) for a in data["orbits"]))
         return cls(data["rank"], half, data["finite_side"])
+
+
+def pair_json(rank: int, side: str, orbits_text: str) -> str:
+    """The torsion-pair record of a half whose ``orbits`` text is
+    ``orbits_text`` (:meth:`~clustertubes.arcs.PeriodicDiagram.orbits_json`),
+    with ``side`` ``"left"`` or ``"right"``: the text is byte-identical to
+    compact ``json.dumps`` of ``{"rank", "finite_side", "orbits"}``."""
+    return f'{{"rank":{rank},"finite_side":"{side}","orbits":{orbits_text}}}'
 
 
 # ---------------------------------------------------------------------------
@@ -155,15 +163,30 @@ class WingDecomposition:
         return list(zip(self.cuts, ends))
 
     def to_json(self, finite_side: str | None = None) -> str:
-        """The wing record; ``finite_side``, when given, follows ``rank``."""
+        """The wing record; ``finite_side``, when given, follows ``rank``.
+
+        The text is byte-identical to compact ``json.dumps`` of the record.
+        """
+        if finite_side not in (None, "left", "right"):
+            raise ValueError(f"finite_side must be 'left' or 'right', got {finite_side!r}")
         pairs = []
         for (c, d), piece in zip(self.spans(), self.pieces):
             arcs = []
             if piece.size >= 2:
                 arcs = sorted([(c + a, c + b) for a, b in piece.diagonals] + [(c, d)])
-            pairs.append({"top": [c, d], "arcs": [list(a) for a in arcs]})
-        side = {} if finite_side is None else {"finite_side": finite_side}
-        return json.dumps({"rank": self.rank, **side, "pairs": pairs}, separators=(",", ":"))
+            pairs.append(f'{{"top":[{c},{d}],"arcs":{arcs_json(arcs)}}}')
+        side = "" if finite_side is None else f'"finite_side":"{finite_side}",'
+        return f'{{"rank":{self.rank},{side}"pairs":[{",".join(pairs)}]}}'
+
+    def pointed_cycle(self) -> "PointedCycle":
+        """The pointed cycle of the decomposed half; the mark tracks which
+        vertex is 0.
+
+        Spans are read in cut order starting at the smallest cut, so vertex 0
+        (equivalently n) always lands in the last piece, ``n - cuts[-1]``
+        steps after its base vertex.
+        """
+        return PointedCycle(self.pieces, len(self.pieces) - 1, self.rank - self.cuts[-1])
 
     @classmethod
     def from_json(cls, text: str) -> "WingDecomposition":
@@ -318,14 +341,8 @@ class PointedCycle:
 
 
 def to_pointed_cycle(diagram: PeriodicDiagram) -> PointedCycle:
-    """Finite half -> pointed cycle; the mark tracks which vertex is 0.
-
-    Spans are read in cut order starting at the smallest cut, so vertex 0
-    (equivalently n) always lands in the last piece, ``n - cuts[-1]`` steps
-    after its base vertex.
-    """
-    wings = decompose(diagram)
-    return PointedCycle(wings.pieces, len(wings.pieces) - 1, diagram.rank - wings.cuts[-1])
+    """Finite half -> pointed cycle (see :meth:`WingDecomposition.pointed_cycle`)."""
+    return decompose(diagram).pointed_cycle()
 
 
 def from_pointed_cycle(cycle: PointedCycle, rank: int) -> PeriodicDiagram:
@@ -478,7 +495,8 @@ def sample_halves(n: int, count: int, seed: int = 0) -> list[PeriodicDiagram]:
 def torsion_pairs(n: int, cap: int = DEFAULT_CAPS.structured_rank) -> Iterator[TorsionPair]:
     """Every torsion pair at rank n, streamed: each half of
     :func:`iter_structured` in grammar order, once as left-finite and then
-    once as right-finite.  Nothing is sorted or kept."""
+    once as right-finite.  Nothing is sorted or kept.  (``enumerate`` walks
+    :func:`iter_structured` itself, to serialize each half once.)"""
     for half in iter_structured(n, cap):
         yield TorsionPair(n, half, "left")
         yield TorsionPair(n, half, "right")

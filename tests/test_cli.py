@@ -87,6 +87,27 @@ def test_enumerate_stream_is_byte_stable(capsys):
     assert digest == "09c40dd0dad80ce59409fcb07fe471c085a82eb9c1fa9847a93d055c45d832a8"
 
 
+def test_enumerate_stream_is_byte_stable_at_rank_six(capsys):
+    code, out, _ = run(capsys, "enumerate", "--n", "6")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "0e95e331256bb70e13dedb5c733b021281b74a3f7ab62c3c8cadeb34c63c8fb8"
+
+
+def test_enumerate_checks_every_half(capsys, monkeypatch):
+    from clustertubes import torsion
+    from clustertubes.arcs import PeriodicDiagram
+
+    def grammar_with_a_long_arc(n, cap):
+        yield PeriodicDiagram.empty(n)
+        yield PeriodicDiagram(n, frozenset({(0, n + 2)}))
+
+    monkeypatch.setattr(torsion, "iter_structured", grammar_with_a_long_arc)
+    code, _, err = run(capsys, "enumerate", "--n", "3")
+    assert code == 2
+    assert err == "error: a finite half has arcs of length at most the rank\n"
+
+
 def test_enumerate_writes_whole_lines_in_pipe_sized_blocks(monkeypatch):
     writes = []
     monkeypatch.setattr("sys.stdout", SimpleNamespace(write=writes.append, flush=lambda: None))

@@ -1,3 +1,6 @@
+import itertools
+import json
+import random
 from collections import Counter
 
 import pytest
@@ -12,6 +15,7 @@ from clustertubes.torsion import (
     PointedCycle,
     TorsionPair,
     WingDecomposition,
+    _lay,
     compose,
     count_structured,
     decompose,
@@ -232,6 +236,72 @@ def test_wing_json_round_trip():
     text = wings.to_json()
     assert WingDecomposition.from_json(text).to_json() == text
     assert compose(WingDecomposition.from_json(text)) == RANK_TEN_HALF
+
+
+def test_wing_json_rejects_an_unknown_side():
+    with pytest.raises(ValueError, match="finite_side"):
+        decompose(RANK_TEN_HALF).to_json("both")
+
+
+# ---- records against json.dumps -----------------------------------------------------
+
+
+def compact(obj):
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def laid_halves(count, seed):
+    """Seeded halves at ranks 10-60, so endpoints have two digits: spans of
+    width at most 6, each carrying a random diagram of its width."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(10, 60)
+        widths = []
+        while sum(widths) < n:
+            widths.append(rng.randint(1, min(6, n - sum(widths))))
+        starts = itertools.accumulate(widths[:-1], initial=rng.randrange(n))
+        pieces = [rng.choice(polygon_diagrams(g)) for g in widths]
+        yield _lay(n, zip(starts, pieces))
+
+
+def record_halves():
+    for n in range(1, 7):
+        yield from iter_structured(n)
+    yield from laid_halves(300, seed=8)
+
+
+def expected_wing_pairs(X, wings):
+    """The wing record's pairs read off the half itself: per span (c, d),
+    the top and every arc of X shifted into [c, d], sorted."""
+    n = X.rank
+    pairs = []
+    for c, d in wings.spans():
+        inside = [(i + s, j + s) for i, j in X.orbits for s in (0, n) if c <= i + s and j + s <= d]
+        pairs.append({"top": [c, d], "arcs": [list(a) for a in sorted(inside)]})
+    return pairs
+
+
+def test_records_are_compact_json_dumps():
+    widest = 0
+    for X in record_halves():
+        widest = max([widest, *(j for _, j in X.orbits)])
+        n = X.rank
+        orbits = [list(a) for a in sorted(X.orbits, key=lambda a: (a[1] - a[0], a[0]))]
+        records = [(X.to_json(), {"rank": n, "orbits": orbits})]
+        for side in ("left", "right"):
+            records.append((
+                TorsionPair(n, X, side).to_json(),
+                {"rank": n, "finite_side": side, "orbits": orbits},
+            ))
+        wings = decompose(X)
+        pairs = expected_wing_pairs(X, wings)
+        records.append((wings.to_json(), {"rank": n, "pairs": pairs}))
+        for side in ("left", "right"):
+            records.append((wings.to_json(side), {"rank": n, "finite_side": side, "pairs": pairs}))
+        for text, expected in records:
+            assert text == compact(json.loads(text))
+            assert text == compact(expected)
+    assert widest >= 10  # some endpoints have two digits
 
 
 # ---- pointed cycles ---------------------------------------------------------------
