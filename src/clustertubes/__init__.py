@@ -21,7 +21,7 @@ from .arcs import (
     normalize_orbit,
     orbits_cross,
 )
-from .config import Caps, CapExceeded, DEFAULT_CAPS
+from .config import CapExceeded
 from .counting import (
     asymptotic_check,
     growth_amplitude,

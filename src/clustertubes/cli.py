@@ -2,8 +2,8 @@
 
 One binary, subcommand style.  All commands are deterministic for fixed
 inputs; streams are one JSON record per line.  Exit codes: 0 success,
-1 verification mismatch, 2 usage or malformed input, 3 enumeration cap
-exceeded, 141 stdout closed by its reader (128 + SIGPIPE, what a shell
+1 verification mismatch, 2 usage or malformed input, 3 a rank or order
+limit exceeded, 141 stdout closed by its reader (128 + SIGPIPE, what a shell
 reports for ``yes | head -1``; nothing is printed to stderr).
 
 ``enumerate`` streams the pairs in grammar order (see
@@ -17,11 +17,12 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from typing import Iterator, Sequence
 
 from . import counting, sieving, torsion
 from .arcs import PeriodicDiagram
-from .config import DEFAULT_CAPS, CapExceeded
+from .config import BRUTE_RANK, COUNT_RANK, REFINED_RANK, STRUCTURED_RANK, CapExceeded
 from .render import render_torsion_pair
 from .series import PowerSeries, series_P, series_torsion
 from .torsion import TorsionPair, WingDecomposition
@@ -90,6 +91,10 @@ def _parse_diagram(data: dict) -> PeriodicDiagram:
 
 def cmd_count(args: argparse.Namespace) -> int:
     n = args.n
+    limit = REFINED_RANK if args.refined else COUNT_RANK
+    if n > limit:
+        kind = "refined count table" if args.refined else "count"
+        raise CapExceeded(f"{kind} capped at rank {limit}, got {n}")
     if args.refined:
         table = counting.refined_table(n)
         if args.format == "json":
@@ -122,7 +127,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     # within PIPE_BUF, as unbuffered stdout drops what a signal cuts short.
     n = args.n
     block, size = [], 0
-    for half in torsion.iter_structured(n, cap=args.structured_cap):
+    for half in torsion.iter_structured(n):
         TorsionPair(n, half, "left")  # the pair's rank and arc-length checks
         orbits = half.orbits_json()
         for side in ("left", "right"):
@@ -187,14 +192,14 @@ def _print_series(series: PowerSeries, name: str, fmt: str) -> None:
 
 def cmd_series(args: argparse.Namespace) -> int:
     if args.kind == "P":
-        _print_series(series_P(args.order, cap=args.series_order), "P", args.format)
+        _print_series(series_P(args.order), "P", args.format)
     else:
-        _print_series(series_torsion(args.order, cap=args.series_order), "torsion", args.format)
+        _print_series(series_torsion(args.order), "torsion", args.format)
     return 0
 
 
 def cmd_sieve(args: argparse.Namespace) -> int:
-    records = sieving.csp_verify(args.n, cap=args.structured_cap)
+    records = sieving.csp_verify(args.n)
     if args.format == "json":
         print(sieving.csp_report_json(records))
     else:
@@ -213,8 +218,8 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     formula = torsion.orbit_count(n)
     rows = [("orbit count (Burnside formula)", formula)]
     ok = True
-    if n <= args.structured_cap:
-        direct = torsion.orbit_count_direct(n, cap=args.structured_cap)
+    if n <= STRUCTURED_RANK:
+        direct = torsion.orbit_count_direct(n)
         rows.append(("orbit count (direct partition)", direct))
         ok = formula == direct
     for label, value in rows:
@@ -253,31 +258,29 @@ def cmd_render(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     n = args.n
     checks: list[tuple[str, bool]] = []
+    # Beyond rank 6 the round trips are sampled, and the statistics, Burnside
+    # and invariance checks are left out.
+    exhaustive = n <= 6
 
     formula = counting.torsion_count(n)
-    structured = None
-    if n <= args.structured_cap:
-        if n <= 6:
-            structured = torsion.enumerate_structured(n, cap=args.structured_cap)
-            count = len(structured)
-        else:
-            count = torsion.count_structured(n, cap=args.structured_cap)
+    if n <= STRUCTURED_RANK:
+        count = torsion.count_structured(n)
         checks.append(("2 * |structured| == closed formula", 2 * count == formula))
-        if n <= args.brute_cap:
-            brute = torsion.enumerate_brute(n, cap=args.brute_cap)
-            expected = structured or torsion.enumerate_structured(n, cap=args.structured_cap)
-            checks.append(("brute == structured (as sets)", brute == expected))
-    series_total = series_torsion(n, 1, 1, 1, cap=max(n, DEFAULT_CAPS.series_order)).coeffs[n]
+        if n <= BRUTE_RANK:
+            brute = Counter(torsion.enumerate_brute(n))
+            checks.append(("brute == structured (as sets)",
+                           brute == Counter(torsion.iter_structured(n))))
+    series_total = series_torsion(n, 1, 1, 1, cap=n).coeffs[n]
     checks.append(("series coefficient == closed formula", series_total == formula))
     checks.append((
         "refined formula sums to total",
         sum(counting.refined_table(n).values()) == formula,
     ))
-    if n <= args.structured_cap:
-        if structured is None:  # degraded mode beyond rank 6: spot checks only
-            pool = torsion.sample_halves(n, 1000, seed=n)
+    if n <= STRUCTURED_RANK:
+        if exhaustive:
+            pool = torsion.iter_structured(n)
         else:
-            pool = structured
+            pool = torsion.sample_halves(n, 1000, seed=n)
 
         def round_trips_hold(X: PeriodicDiagram) -> bool:
             wings = torsion.decompose(X)  # once, for both round trips
@@ -286,23 +289,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
         round_trips = all(round_trips_hold(X) for X in pool)
         label = "decompose/compose and pointed-cycle round trips"
-        if structured is None:
+        if not exhaustive:
             label += " (sampled)"
         checks.append((label, round_trips))
-    if structured is not None:
-        fixed = torsion.fixed_histograms(n, cap=args.structured_cap)
+    if exhaustive:
+        fixed = torsion.fixed_histograms(n)
         checks.append((
             "statistics histogram == refined formula",
             dict(fixed[n]) == counting.refined_table(n),
         ))
-        burnside = torsion.orbit_count(n) == torsion.orbit_count_direct(n, cap=args.structured_cap)
+        burnside = torsion.orbit_count(n) == torsion.orbit_count_direct(n)
         checks.append(("Burnside orbit count == direct partition", burnside))
 
     width = max(len(label) for label, _ in checks)
     for label, good in checks:
         print(f"{label:<{width}}  {'pass' if good else 'FAIL'}")
 
-    if structured is not None:
+    if exhaustive:
         print()
         print("translation-invariance readings (count of tau^d-invariant pairs):")
         print("d,enumerated,count_at_rank_d,count_at_rank_n/d")
@@ -320,18 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_caps(p: argparse.ArgumentParser, brute: bool = False, structured: bool = False,
-                 series: bool = False) -> None:
-        if brute:
-            p.add_argument("--brute-cap", type=int, default=DEFAULT_CAPS.brute_rank,
-                           help="largest rank for subset brute force")
-        if structured:
-            p.add_argument("--structured-cap", type=int, default=DEFAULT_CAPS.structured_rank,
-                           help="largest rank for grammar enumeration")
-        if series:
-            p.add_argument("--series-order", type=int, default=DEFAULT_CAPS.series_order,
-                           help="largest allowed series truncation order")
-
     p = sub.add_parser("count", help="closed-form torsion pair counts")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--refined", action="store_true", help="full (k,l,m) table")
@@ -340,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="stream every torsion pair as JSON lines")
     p.add_argument("--n", type=int, required=True)
-    add_caps(p, structured=True)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("decompose", help="wing decomposition of finite halves")
@@ -366,24 +356,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=int, default=8)
     p.add_argument("--kind", choices=("P", "torsion"), default="P")
     p.add_argument("--format", choices=("text", "json"), default="text")
-    add_caps(p, series=True)
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("sieve", help="verify the cyclic sieving identities")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
-    add_caps(p, structured=True)
     p.set_defaults(func=cmd_sieve)
 
     p = sub.add_parser("orbits", help="count translation orbits of torsion pairs")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--refined", action="store_true")
-    add_caps(p, structured=True)
     p.set_defaults(func=cmd_orbits)
 
     p = sub.add_parser("verify", help="cross-check enumeration, formulas and bijections")
     p.add_argument("--n", type=int, required=True)
-    add_caps(p, brute=True, structured=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("render", help="render a torsion pair to SVG")

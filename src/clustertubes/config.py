@@ -1,40 +1,18 @@
-"""Enumeration caps and shared error types.
+"""Rank and order limits, and the error raised past them.
 
-All exhaustive searches in this package are desk-scale by design; the caps
-below are the guard rails.  Blowing past them raises :class:`CapExceeded`
-instead of silently grinding, so callers (and the CLI, which maps the error
-to exit code 3) can fail fast.
+Every exhaustive path in this package is desk-scale by design.  Each
+constant below guards one of them and is checked in one place.  Going past
+one raises :class:`CapExceeded` instead of silently grinding; the CLI maps
+it to exit code 3.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class Caps:
-    """Hard limits for the exhaustive code paths.
-
-    brute_rank
-        Largest rank for the backtracking search over subsets of the
-        ``n(n-1)`` arc orbits.
-    structured_rank
-        Largest rank for enumeration through the cut/wing grammar.
-    polygon_brute
-        Largest polygon size for the backtracking search over diagonals.
-    series_order
-        Largest truncation order for power series with polynomial
-        coefficients.
-    """
-
-    brute_rank: int = 7
-    structured_rank: int = 9
-    polygon_brute: int = 8
-    series_order: int = 24
-
-
-DEFAULT_CAPS = Caps()
+BRUTE_RANK = 7  # torsion.enumerate_brute: subsets of the n(n-1) arc orbits
+STRUCTURED_RANK = 9  # torsion._check_rank: every walk of the cut/wing grammar
+POLYGON_BRUTE = 8  # polygons.enumerate_polygon: subsets of diagonals
+SERIES_ORDER = 24  # series.series_P: the default limit on the truncation order
+COUNT_RANK = 20_000  # cli.cmd_count: the closed-form count (the library is uncapped)
+REFINED_RANK = 150  # cli.cmd_count --refined: the (k, l, m) table
 
 
 class CapExceeded(RuntimeError):
-    """An enumeration was requested beyond its configured cap."""
+    """A rank or order was requested beyond its limit."""

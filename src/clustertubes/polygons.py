@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from .arcs import cross, ptolemy_completions
-from .config import DEFAULT_CAPS, CapExceeded
+from .config import POLYGON_BRUTE, CapExceeded
 
 
 class MixedFaceError(ValueError):
@@ -191,7 +191,7 @@ def constrained_subsets(
     return found
 
 
-def enumerate_polygon(m: int, cap: int = DEFAULT_CAPS.polygon_brute) -> list[PolygonDiagram]:
+def enumerate_polygon(m: int) -> list[PolygonDiagram]:
     """Brute-force oracle: every diagonal subset with the Ptolemy property.
 
     Each crossing pair of diagonals contributes one constraint "if both are
@@ -202,8 +202,8 @@ def enumerate_polygon(m: int, cap: int = DEFAULT_CAPS.polygon_brute) -> list[Pol
     """
     if m < 1:
         raise ValueError(f"size must be >= 1, got {m}")
-    if m > cap:
-        raise CapExceeded(f"polygon brute force capped at size {cap}, got {m}")
+    if m > POLYGON_BRUTE:
+        raise CapExceeded(f"polygon brute force capped at size {POLYGON_BRUTE}, got {m}")
     diags = diagonal_pairs(m)
     k = len(diags)
     index = {d: t for t, d in enumerate(diags)}

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
-from .config import DEFAULT_CAPS, CapExceeded
+from .config import SERIES_ORDER, CapExceeded
 
 Exponent = tuple[int, int, int]
 Coefficient = Union[int, "Poly3"]
@@ -191,7 +191,7 @@ def series_P(
     x: Coefficient = X,
     y1: Coefficient = Y1,
     y2: Coefficient = Y2,
-    cap: int = DEFAULT_CAPS.series_order,
+    cap: int = SERIES_ORDER,
 ) -> PowerSeries:
     """Solve ``P = z + x P^2 + (y1+y2) P^3/(1-P)`` to the given order.
 
@@ -222,7 +222,7 @@ def series_torsion(
     x: Coefficient = X,
     y1: Coefficient = Y1,
     y2: Coefficient = Y2,
-    cap: int = DEFAULT_CAPS.series_order,
+    cap: int = SERIES_ORDER,
 ) -> PowerSeries:
     """``2 z P'(z)/(1 - P(z))`` to the given order.
 

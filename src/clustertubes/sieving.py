@@ -28,7 +28,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .config import DEFAULT_CAPS
 from .counting import refined_support, torsion_count_refined
 from .qpolys import QPoly, eval_at_primitive_root, qbinomial, qmultinomial
 from .torsion import _divisors, fixed_histograms
@@ -68,7 +67,7 @@ class SieveRecord:
         }
 
 
-def csp_verify(n: int, cap: int = DEFAULT_CAPS.structured_rank) -> list[SieveRecord]:
+def csp_verify(n: int) -> list[SieveRecord]:
     """Check the sieving identity at rank n for every d | n and every (k,l,m).
 
     A record matches iff the exact evaluation at a primitive d-th root
@@ -77,7 +76,7 @@ def csp_verify(n: int, cap: int = DEFAULT_CAPS.structured_rank) -> list[SieveRec
 
     The fixed-point counts of tau^(n/d) come from :func:`fixed_histograms`.
     """
-    fixed = fixed_histograms(n, cap)
+    fixed = fixed_histograms(n)
     checked = set(refined_support(n))
     for hist in fixed.values():
         checked.update(hist)  # any stats outside the formula support must show up as mismatches

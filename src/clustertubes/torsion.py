@@ -60,7 +60,7 @@ from .arcs import (
     ptolemy_completions,
     shift_window,
 )
-from .config import DEFAULT_CAPS, CapExceeded
+from .config import BRUTE_RANK, STRUCTURED_RANK, CapExceeded
 from .counting import torsion_count, torsion_count_refined, refined_support
 from .polygons import (
     DEGENERATE,
@@ -194,15 +194,17 @@ class WingDecomposition:
 
     @classmethod
     def from_data(cls, data: dict) -> "WingDecomposition":
-        """Build from a decoded wing record (the object :meth:`to_json` writes)."""
+        """Build from a decoded wing record (the object :meth:`to_json` writes).
+        A span of width >= 2 must list its top arc among its ``arcs``."""
         n = data["rank"]
         cuts, pieces = [], []
-        for pair in data["pairs"]:
+        for i, pair in enumerate(data["pairs"]):
             c, d = pair["top"]
+            arcs = [tuple(arc) for arc in pair["arcs"]]
+            if d - c >= 2 and (c, d) not in arcs:
+                raise ValueError(f"pairs[{i}] omits its top arc [{c}, {d}] from 'arcs'")
             cuts.append(c % n)
-            diags = tuple(
-                (a - c, b - c) for a, b in map(tuple, pair["arcs"]) if (a, b) != (c, d)
-            )
+            diags = tuple((a - c, b - c) for a, b in arcs if (a, b) != (c, d))
             pieces.append(PolygonDiagram(d - c, diags))
         order = sorted(range(len(cuts)), key=lambda t: cuts[t])
         return cls(n, tuple(cuts[t] for t in order), tuple(pieces[t] for t in order))
@@ -363,7 +365,7 @@ def from_pointed_cycle(cycle: PointedCycle, rank: int) -> PeriodicDiagram:
 # enumeration
 
 
-def enumerate_brute(n: int, cap: int = DEFAULT_CAPS.brute_rank) -> list[PeriodicDiagram]:
+def enumerate_brute(n: int) -> list[PeriodicDiagram]:
     """All finite halves at rank n by brute force over orbit subsets.
 
     Every pair of orbits contributes a bitmask constraint: if two orbits
@@ -373,8 +375,8 @@ def enumerate_brute(n: int, cap: int = DEFAULT_CAPS.brute_rank) -> list[Periodic
     finds the orbit subsets meeting them all.  This is the oracle the
     grammar enumeration is checked against.
     """
-    if n > cap:
-        raise CapExceeded(f"brute-force enumeration capped at rank {cap}, got {n}")
+    if n > BRUTE_RANK:
+        raise CapExceeded(f"brute-force enumeration capped at rank {BRUTE_RANK}, got {n}")
     pool = [(i, i + length) for length in range(2, n + 1) for i in range(n)]
     k = len(pool)
     index = {a: t for t, a in enumerate(pool)}
@@ -398,22 +400,22 @@ def enumerate_brute(n: int, cap: int = DEFAULT_CAPS.brute_rank) -> list[Periodic
     return halves
 
 
-def _check_rank(n: int, cap: int) -> None:
-    """Reject a rank the grammar routes cannot take: above the cap, or below 1."""
-    if n > cap:
-        raise CapExceeded(f"structured enumeration capped at rank {cap}, got {n}")
+def _check_rank(n: int) -> None:
+    """Reject a rank above ``STRUCTURED_RANK`` or below 1."""
+    if n > STRUCTURED_RANK:
+        raise CapExceeded(f"structured enumeration capped at rank {STRUCTURED_RANK}, got {n}")
     if n < 1:
         raise ValueError(f"rank must be >= 1, got {n}")
 
 
-def _walk(n: int, cap: int) -> Iterator[tuple[int, list[int], tuple[PolygonDiagram, ...]]]:
+def _walk(n: int) -> Iterator[tuple[int, list[int], tuple[PolygonDiagram, ...]]]:
     """The cut/wing grammar in grammar order, as ``(mask, cuts, pieces)``.
 
     ``mask`` has bit v set iff v is a cut, ``cuts`` lists the cuts ascending
     and ``pieces`` holds one diagram of :func:`polygon_diagrams` per span, in
     cut order; nothing is laid.  :func:`iter_structured` documents the order.
     """
-    _check_rank(n, cap)
+    _check_rank(n)
     for mask in range(1, 1 << n):
         cuts = [v for v in range(n) if mask >> v & 1]
         ends = cuts[1:] + [cuts[0] + n]
@@ -422,7 +424,7 @@ def _walk(n: int, cap: int) -> Iterator[tuple[int, list[int], tuple[PolygonDiagr
             yield mask, cuts, pieces
 
 
-def iter_structured(n: int, cap: int = DEFAULT_CAPS.structured_rank) -> Iterator[PeriodicDiagram]:
+def iter_structured(n: int) -> Iterator[PeriodicDiagram]:
     """Generate every finite half at rank n through the cut/wing grammar.
 
     Iterates all nonempty cut subsets of ``Z/n``; every span of width g >= 2
@@ -438,11 +440,11 @@ def iter_structured(n: int, cap: int = DEFAULT_CAPS.structured_rank) -> Iterator
     :func:`~clustertubes.polygons.polygon_diagrams` in its order, the span
     starting at the largest cut varying fastest.
     """
-    for _, cuts, pieces in _walk(n, cap):
+    for _, cuts, pieces in _walk(n):
         yield _lay(n, zip(cuts, pieces))
 
 
-def count_structured(n: int, cap: int = DEFAULT_CAPS.structured_rank) -> int:
+def count_structured(n: int) -> int:
     """Number of finite halves at rank n, counted through the cut/wing grammar.
 
     Nothing is built.  The grammar is counted by recursion over compositions:
@@ -456,9 +458,11 @@ def count_structured(n: int, cap: int = DEFAULT_CAPS.structured_rank) -> int:
     This route uses grammar counts only, no binomial and no series, so it
     stays an independent check on :func:`~clustertubes.counting.torsion_count`
     and the generating functions.  Agreement with walking
-    :func:`iter_structured` is part of the test suite.
+    :func:`iter_structured` is part of the test suite.  As it builds
+    nothing, no rank limit applies.
     """
-    _check_rank(n, cap)
+    if n < 1:
+        raise ValueError(f"rank must be >= 1, got {n}")
     p = polygon_counts(n)
     sequences = [1]
     for h in range(1, n):
@@ -466,11 +470,11 @@ def count_structured(n: int, cap: int = DEFAULT_CAPS.structured_rank) -> int:
     return sum(g * p[g] * sequences[n - g] for g in range(1, n + 1))
 
 
-def enumerate_structured(n: int, cap: int = DEFAULT_CAPS.structured_rank) -> list[PeriodicDiagram]:
+def enumerate_structured(n: int) -> list[PeriodicDiagram]:
     """All finite halves at rank n from the grammar, as a list sorted by
     ``sorted_orbits()`` -- the order :func:`enumerate_brute` gives, so the two
     routes compare as lists.  Streams should use :func:`iter_structured`."""
-    return sorted(iter_structured(n, cap), key=lambda X: X.sorted_orbits())
+    return sorted(iter_structured(n), key=lambda X: X.sorted_orbits())
 
 
 def sample_halves(n: int, count: int, seed: int = 0) -> list[PeriodicDiagram]:
@@ -492,12 +496,12 @@ def sample_halves(n: int, count: int, seed: int = 0) -> list[PeriodicDiagram]:
     return out
 
 
-def torsion_pairs(n: int, cap: int = DEFAULT_CAPS.structured_rank) -> Iterator[TorsionPair]:
+def torsion_pairs(n: int) -> Iterator[TorsionPair]:
     """Every torsion pair at rank n, streamed: each half of
     :func:`iter_structured` in grammar order, once as left-finite and then
     once as right-finite.  Nothing is sorted or kept.  (``enumerate`` walks
     :func:`iter_structured` itself, to serialize each half once.)"""
-    for half in iter_structured(n, cap):
+    for half in iter_structured(n):
         yield TorsionPair(n, half, "left")
         yield TorsionPair(n, half, "right")
 
@@ -506,7 +510,7 @@ def torsion_pairs(n: int, cap: int = DEFAULT_CAPS.structured_rank) -> Iterator[T
 # translation symmetry
 
 
-def fixed_histograms(n: int, cap: int = DEFAULT_CAPS.structured_rank) -> dict[int, Counter]:
+def fixed_histograms(n: int) -> dict[int, Counter]:
     """For each s dividing n, the (k, l, m) histogram of the pairs at rank n
     fixed by tau^s (each fixed half counts twice: once per side).
 
@@ -519,11 +523,11 @@ def fixed_histograms(n: int, cap: int = DEFAULT_CAPS.structured_rank) -> dict[in
     by s: the cuts of a half are the vertices no arc overarches, so tau^s
     moves them by s, and a half with any other cut set cannot be fixed.
     """
-    _check_rank(n, cap)
+    _check_rank(n)
     shifts = _divisors(n)
     hists: dict[int, Counter] = {s: Counter() for s in shifts}
     full = (1 << n) - 1
-    for mask, cuts, pieces in _walk(n, cap):
+    for mask, cuts, pieces in _walk(n):
         stats = _half_statistics(pieces)
         hists[n][stats] += 2
         X = None
@@ -564,9 +568,9 @@ def orbit_count(n: int) -> int:
     return total // n
 
 
-def orbit_count_direct(n: int, cap: int = DEFAULT_CAPS.structured_rank) -> int:
+def orbit_count_direct(n: int) -> int:
     """Orbit count by direct partition of the enumerated pairs."""
-    keys = {orbit_key(X) for X in iter_structured(n, cap)}
+    keys = {orbit_key(X) for X in iter_structured(n)}
     return 2 * len(keys)
 
 
@@ -585,18 +589,16 @@ def orbit_count_refined(n: int) -> dict[tuple[int, int, int], int]:
     return out
 
 
-def orbit_count_refined_direct(
-    n: int, cap: int = DEFAULT_CAPS.structured_rank
-) -> dict[tuple[int, int, int], int]:
+def orbit_count_refined_direct(n: int) -> dict[tuple[int, int, int], int]:
     """Refined orbit counts by direct partition of the enumerated pairs."""
     seen: dict[tuple[int, int, int], set] = {}
-    for _, cuts, pieces in _walk(n, cap):
+    for _, cuts, pieces in _walk(n):
         key = orbit_key(_lay(n, zip(cuts, pieces)))
         seen.setdefault(_half_statistics(pieces), set()).add(key)
     return {stats: 2 * len(keys) for stats, keys in sorted(seen.items())}
 
 
-def statistics_histogram(n: int, cap: int = DEFAULT_CAPS.structured_rank) -> Counter:
+def statistics_histogram(n: int) -> Counter:
     """Histogram of pair statistics at rank n from the enumeration (each half
     counts twice: once per side)."""
-    return fixed_histograms(n, cap)[n]
+    return fixed_histograms(n)[n]

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from clustertubes.cli import main
+from clustertubes.config import COUNT_RANK, REFINED_RANK
 from clustertubes.counting import torsion_count
 from clustertubes.torsion import TorsionPair, iter_structured
 
@@ -98,7 +99,7 @@ def test_enumerate_checks_every_half(capsys, monkeypatch):
     from clustertubes import torsion
     from clustertubes.arcs import PeriodicDiagram
 
-    def grammar_with_a_long_arc(n, cap):
+    def grammar_with_a_long_arc(n):
         yield PeriodicDiagram.empty(n)
         yield PeriodicDiagram(n, frozenset({(0, n + 2)}))
 
@@ -312,6 +313,54 @@ def test_cap_exceeded_exit_code(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize(
+    "limit,refined,message",
+    [(COUNT_RANK, [], "count capped"), (REFINED_RANK, ["--refined"], "refined count table capped")],
+)
+def test_count_rank_limits_exit_3_before_computing(capsys, monkeypatch, limit, refined, message):
+    monkeypatch.setattr("clustertubes.counting.torsion_count", lambda n: 0)
+    monkeypatch.setattr("clustertubes.counting.refined_table", lambda n: {})
+    code, _, _ = run(capsys, "count", "--n", str(limit), *refined)
+    assert code == 0
+
+    def refuse(n):
+        raise AssertionError("computed past the limit")
+
+    monkeypatch.setattr("clustertubes.counting.torsion_count", refuse)
+    monkeypatch.setattr("clustertubes.counting.refined_table", refuse)
+    code, out, err = run(capsys, "count", "--n", str(limit + 1), *refined)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {message} at rank {limit}, got {limit + 1}\n"
+
+
+@pytest.mark.parametrize("command", ["enumerate", "series", "sieve", "orbits", "verify"])
+def test_no_command_offers_a_cap_flag(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    usage = capsys.readouterr().out
+    for flag in ("--brute-cap", "--structured-cap", "--series-order"):
+        assert flag not in usage
+
+
+def test_verify_compares_brute_and_grammar_as_multisets(capsys, monkeypatch):
+    from clustertubes import torsion
+
+    grammar = torsion.iter_structured
+
+    def one_half_twice(n):
+        halves = list(grammar(n))
+        yield from halves + halves[:1]
+
+    monkeypatch.setattr(torsion, "iter_structured", one_half_twice)
+    code, out, _ = run(capsys, "verify", "--n", "3")
+    assert code == 1
+    verdicts = dict(line.rsplit(None, 1) for line in out.splitlines()
+                    if line.endswith(("pass", "FAIL")))
+    assert verdicts.pop("brute == structured (as sets)") == "FAIL"
+    assert set(verdicts.values()) == {"pass"}
+
+
 def test_malformed_input_exit_code(capsys):
     code, _, err = run(capsys, "decompose", "--diagram", "{not json")
     assert code == 2
@@ -358,6 +407,10 @@ def test_malformed_input_exit_code(capsys):
          "'rank' must be >= 1"),
         (["compose", "--wings", '{"rank": 0, "pairs": [{"top": [0, 1], "arcs": []}]}'],
          "'rank' must be >= 1"),
+        (["compose", "--wings", '{"rank": 4, "pairs": [{"top": [0, 4], "arcs": [[1, 3]]}]}'],
+         "pairs[0] omits its top arc [0, 4]"),
+        (["compose", "--wings", '{"rank": 2, "pairs": [{"top": [0, 2], "arcs": []}]}'],
+         "pairs[0] omits its top arc [0, 2]"),
     ],
 )
 def test_malformed_record_names_the_key(capsys, argv, message):

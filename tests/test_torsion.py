@@ -431,12 +431,10 @@ def test_count_structured_matches_walked_grammar(n):
 
 def test_count_structured_matches_formula_at_large_rank():
     for n in range(1, 151):
-        assert 2 * count_structured(n, cap=n) == torsion_count(n)
+        assert 2 * count_structured(n) == torsion_count(n)
 
 
 def test_count_structured_guards():
-    with pytest.raises(CapExceeded):
-        count_structured(10)
     with pytest.raises(ValueError):
         count_structured(0)
 
@@ -462,7 +460,7 @@ def test_torsion_pairs_follow_grammar_order(n):
 def test_torsion_pairs_is_lazy(monkeypatch):
     first = PeriodicDiagram.from_arcs(9, [(0, 9)])
 
-    def grammar(n, cap):
+    def grammar(n):
         yield first
         raise AssertionError("the stream read past its first half")
 
