@@ -69,7 +69,6 @@ from .torsion import (
     perp_contains,
     perp_enumerate,
     statistics,
-    statistics_histogram,
     to_pointed_cycle,
 )
 

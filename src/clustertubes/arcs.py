@@ -15,8 +15,7 @@ operator ``nc`` (as a membership oracle plus a bounded enumerator, since
 ``nc`` of a finite collection is infinite), the Ptolemy closure condition,
 and the Auslander-Reiten translation ``tau: (i, j) -> (i - 1, j - 1)``.
 
-All values are immutable and all operations are pure functions; callers may
-fan out over them from any number of workers.
+All values are immutable and all operations are pure functions.
 """
 
 from __future__ import annotations

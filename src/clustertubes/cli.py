@@ -22,7 +22,7 @@ from typing import Iterator, Sequence
 
 from . import counting, sieving, torsion
 from .arcs import PeriodicDiagram
-from .config import BRUTE_RANK, COUNT_RANK, REFINED_RANK, STRUCTURED_RANK, CapExceeded
+from .config import BRUTE_RANK, COUNT_RANK, REFINED_RANK, SERIES_ORDER, STRUCTURED_RANK, CapExceeded
 from .render import render_torsion_pair
 from .series import PowerSeries, series_P, series_torsion
 from .torsion import TorsionPair, WingDecomposition
@@ -191,6 +191,8 @@ def _print_series(series: PowerSeries, name: str, fmt: str) -> None:
 
 
 def cmd_series(args: argparse.Namespace) -> int:
+    if args.order > SERIES_ORDER:
+        raise CapExceeded(f"series order capped at {SERIES_ORDER}, got {args.order}")
     if args.kind == "P":
         _print_series(series_P(args.order), "P", args.format)
     else:
@@ -215,6 +217,9 @@ def cmd_sieve(args: argparse.Namespace) -> int:
 
 def cmd_orbits(args: argparse.Namespace) -> int:
     n = args.n
+    limit = REFINED_RANK if args.refined else COUNT_RANK
+    if n > limit:
+        raise CapExceeded(f"orbit count capped at rank {limit}, got {n}")
     formula = torsion.orbit_count(n)
     rows = [("orbit count (Burnside formula)", formula)]
     ok = True
@@ -257,12 +262,15 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     n = args.n
+    if n > REFINED_RANK:  # it builds refined_table(n)
+        raise CapExceeded(f"verify capped at rank {REFINED_RANK}, got {n}")
     checks: list[tuple[str, bool]] = []
     # Beyond rank 6 the round trips are sampled, and the statistics, Burnside
     # and invariance checks are left out.
     exhaustive = n <= 6
 
     formula = counting.torsion_count(n)
+    refined = counting.refined_table(n)
     if n <= STRUCTURED_RANK:
         count = torsion.count_structured(n)
         checks.append(("2 * |structured| == closed formula", 2 * count == formula))
@@ -270,12 +278,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             brute = Counter(torsion.enumerate_brute(n))
             checks.append(("brute == structured (as sets)",
                            brute == Counter(torsion.iter_structured(n))))
-    series_total = series_torsion(n, 1, 1, 1, cap=n).coeffs[n]
+    series_total = series_torsion(n, 1, 1, 1).coeffs[n]
     checks.append(("series coefficient == closed formula", series_total == formula))
-    checks.append((
-        "refined formula sums to total",
-        sum(counting.refined_table(n).values()) == formula,
-    ))
+    checks.append(("refined formula sums to total", sum(refined.values()) == formula))
     if n <= STRUCTURED_RANK:
         if exhaustive:
             pool = torsion.iter_structured(n)
@@ -293,13 +298,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
             label += " (sampled)"
         checks.append((label, round_trips))
     if exhaustive:
-        fixed = torsion.fixed_histograms(n)
-        checks.append((
-            "statistics histogram == refined formula",
-            dict(fixed[n]) == counting.refined_table(n),
-        ))
-        burnside = torsion.orbit_count(n) == torsion.orbit_count_direct(n)
-        checks.append(("Burnside orbit count == direct partition", burnside))
+        fixed = torsion.fixed_histograms(n)  # one walk for the three readings
+        checks.append(("statistics histogram == refined formula", dict(fixed[n]) == refined))
+        direct = sum(torsion.orbits_from_fixed(fixed).values())
+        checks.append(("Burnside orbit count == direct partition",
+                       torsion.orbit_count(n) == direct))
 
     width = max(len(label) for label, _ in checks)
     for label, good in checks:

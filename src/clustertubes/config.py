@@ -1,17 +1,17 @@
 """Rank and order limits, and the error raised past them.
 
-Every exhaustive path in this package is desk-scale by design.  Each
-constant below guards one of them and is checked in one place.  Going past
-one raises :class:`CapExceeded` instead of silently grinding; the CLI maps
-it to exit code 3.
+Every exhaustive path in this package, and every closed form or series the
+CLI prints, is desk-scale by design.  Each constant below guards one of
+them.  Going past one raises :class:`CapExceeded` instead of silently
+grinding; the CLI maps it to exit code 3.
 """
 
 BRUTE_RANK = 7  # torsion.enumerate_brute: subsets of the n(n-1) arc orbits
 STRUCTURED_RANK = 9  # torsion._check_rank: every walk of the cut/wing grammar
 POLYGON_BRUTE = 8  # polygons.enumerate_polygon: subsets of diagonals
-SERIES_ORDER = 24  # series.series_P: the default limit on the truncation order
-COUNT_RANK = 20_000  # cli.cmd_count: the closed-form count (the library is uncapped)
-REFINED_RANK = 150  # cli.cmd_count --refined: the (k, l, m) table
+SERIES_ORDER = 24  # cli.cmd_series: the truncation order (the library is uncapped)
+COUNT_RANK = 20_000  # cli.cmd_count, cmd_orbits: the closed-form counts (likewise)
+REFINED_RANK = 150  # cli.cmd_count/cmd_orbits --refined, cmd_verify: the (k, l, m) table
 
 
 class CapExceeded(RuntimeError):

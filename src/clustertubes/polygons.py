@@ -18,7 +18,8 @@ Ptolemy subsets of diagonals.  :func:`polygon_diagrams` generates the same
 sets recursively through the cell-at-the-base grammar and is the one used
 for large sizes; agreement of the two is part of the test suite.
 :func:`polygon_counts` counts the same grammar by recursion over
-compositions, without building a diagram.
+compositions, without building a diagram, and :func:`random_polygon`
+draws one diagram from it; builders assemble through :func:`compose_base`.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import enum
 import functools
 import itertools
 import json
+import random
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -126,14 +128,13 @@ class PolygonDiagram:
 DEGENERATE = PolygonDiagram(1)
 
 
-def diagonal_pairs(m: int) -> list[tuple[int, int]]:
-    """All candidate diagonals of the (m+1)-gon, base edge excluded."""
-    return [
-        (a, b)
-        for a in range(m + 1)
-        for b in range(a + 2, m + 1)
-        if (a, b) != (0, m)
-    ]
+def _connectors(corners: Sequence[int]) -> list[tuple[int, int]]:
+    """The chords between the corners of a cell other than its sides and its
+    base edge ``(corners[0], corners[-1])``, in lexicographic order: what a
+    clique draws, and with corners ``0..m`` every diagonal of the polygon."""
+    t = len(corners) - 1
+    pairs = itertools.combinations(range(t + 1), 2)
+    return [(corners[x], corners[y]) for x, y in pairs if 2 <= y - x < t]
 
 
 def is_ptolemy_polygon(diagram: PolygonDiagram) -> bool:
@@ -204,7 +205,7 @@ def enumerate_polygon(m: int) -> list[PolygonDiagram]:
         raise ValueError(f"size must be >= 1, got {m}")
     if m > POLYGON_BRUTE:
         raise CapExceeded(f"polygon brute force capped at size {POLYGON_BRUTE}, got {m}")
-    diags = diagonal_pairs(m)
+    diags = _connectors(range(m + 1))
     k = len(diags)
     index = {d: t for t, d in enumerate(diags)}
     constraints: list[tuple[int, int, int]] = []
@@ -227,8 +228,8 @@ def polygon_diagrams(m: int) -> tuple[PolygonDiagram, ...]:
 
     A non-degenerate diagram is a cell sitting on the base edge -- a triangle,
     a clique or an empty cell -- with smaller diagrams glued along their own
-    base edges onto the cell's other edges.  The glued edge of a size->=2
-    sub-diagram is itself a diagonal of the result.
+    base edges onto the cell's other edges; :func:`compose_base` assembles
+    each one.
     """
     if m < 1:
         raise ValueError(f"size must be >= 1, got {m}")
@@ -238,30 +239,32 @@ def polygon_diagrams(m: int) -> tuple[PolygonDiagram, ...]:
     for t in range(1, m):
         for inner in itertools.combinations(range(1, m), t):
             corners = (0,) + inner + (m,)
-            s = t + 1  # corner indices run 0..s; the cell has s+1 vertices
-            if t == 1:
-                kinds: tuple[CellKind, ...] = (CellKind.TRIANGLE,)
-            else:
-                kinds = (CellKind.CLIQUE, CellKind.EMPTY_CELL)
-            gaps = [corners[i + 1] - corners[i] for i in range(s)]
-            sub_choices = [polygon_diagrams(g) for g in gaps]
-            for kind in kinds:
-                cell_diags: list[tuple[int, int]] = []
-                if kind is CellKind.CLIQUE:
-                    for a in range(s + 1):
-                        for b in range(a + 2, s + 1):
-                            if (a, b) != (0, s):
-                                cell_diags.append((corners[a], corners[b]))
-                for combo in itertools.product(*sub_choices):
-                    diags = list(cell_diags)
-                    for i, sub in enumerate(combo):
-                        c = corners[i]
-                        if sub.size >= 2:
-                            diags.append((c, corners[i + 1]))
-                            diags.extend((c + a, c + b) for a, b in sub.diagonals)
-                    out.append(PolygonDiagram(m, tuple(diags)))
+            sub_choices = [polygon_diagrams(d - c) for c, d in zip(corners, corners[1:])]
+            for kind in _base_kinds(t):
+                cell = Cell(corners, kind)
+                out.extend(compose_base(cell, combo) for combo in itertools.product(*sub_choices))
     out.sort(key=lambda P: P.diagonals)
     return tuple(out)
+
+
+def _base_kinds(inner: int) -> tuple[CellKind, ...]:
+    """The kinds of a base cell with ``inner`` corners off the base edge."""
+    return (CellKind.TRIANGLE,) if inner == 1 else (CellKind.CLIQUE, CellKind.EMPTY_CELL)
+
+
+def random_polygon(rng: random.Random, m: int) -> PolygonDiagram:
+    """A random Ptolemy diagram of size m: a base cell on a random nonempty
+    set of inner corners, of a random kind, with random diagrams drawn the
+    same way glued on, assembled by :func:`compose_base`.  Every diagram of
+    size m can occur, though not uniformly."""
+    if m < 1:
+        raise ValueError(f"size must be >= 1, got {m}")
+    if m == 1:
+        return DEGENERATE
+    mask = rng.randrange(1, 1 << (m - 1))
+    corners = (0, *(v for v in range(1, m) if mask >> (v - 1) & 1), m)
+    cell = Cell(corners, rng.choice(_base_kinds(len(corners) - 2)))
+    return compose_base(cell, [random_polygon(rng, d - c) for c, d in zip(corners, corners[1:])])
 
 
 def polygon_counts(m: int) -> list[int]:
@@ -318,12 +321,7 @@ def _classify(diagram: PolygonDiagram, corners: tuple[int, ...]) -> Cell:
     if t == 2:
         return Cell(corners, CellKind.TRIANGLE)
     have = set(diagram.diagonals)
-    internal = [
-        (corners[x], corners[y])
-        for x in range(t + 1)
-        for y in range(x + 2, t + 1)
-        if not (x == 0 and y == t)
-    ]
+    internal = _connectors(corners)
     present = sum(1 for p in internal if p in have)
     if present == len(internal):
         return Cell(corners, CellKind.CLIQUE)
@@ -396,22 +394,17 @@ def compose_base(cell: Cell | None, subs: Sequence[PolygonDiagram]) -> PolygonDi
     corners = cell.vertices
     if len(subs) != len(corners) - 1:
         raise ValueError(f"cell with {len(corners)} corners needs {len(corners) - 1} pieces")
-    m = corners[-1]
-    diags: list[tuple[int, int]] = []
-    t = len(corners) - 1
-    if cell.kind is CellKind.CLIQUE:
-        for x in range(t + 1):
-            for y in range(x + 2, t + 1):
-                if (x, y) != (0, t):
-                    diags.append((corners[x], corners[y]))
+    diags = _connectors(corners) if cell.kind is CellKind.CLIQUE else []
     for i, sub in enumerate(subs):
         c, d = corners[i], corners[i + 1]
         if sub.size != d - c:
             raise ValueError(f"piece of size {sub.size} glued on an edge of span {d - c}")
         if sub.size >= 2:
             diags.append((c, d))
-            diags.extend((c + a, c + b) for a, b in sub.diagonals)
-    return PolygonDiagram(m, tuple(diags))
+            # A piece glued at corner 0 keeps its coordinates, so share its
+            # tuples: the polygon_diagrams cache then holds fewer objects.
+            diags.extend(sub.diagonals if c == 0 else ((c + a, c + b) for a, b in sub.diagonals))
+    return PolygonDiagram(corners[-1], tuple(diags))
 
 
 def statistics_recursive(diagram: PolygonDiagram) -> CellStatistics:

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
-from .config import SERIES_ORDER, CapExceeded
 
 Exponent = tuple[int, int, int]
 Coefficient = Union[int, "Poly3"]
@@ -191,7 +190,6 @@ def series_P(
     x: Coefficient = X,
     y1: Coefficient = Y1,
     y2: Coefficient = Y2,
-    cap: int = SERIES_ORDER,
 ) -> PowerSeries:
     """Solve ``P = z + x P^2 + (y1+y2) P^3/(1-P)`` to the given order.
 
@@ -202,8 +200,6 @@ def series_P(
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if order > cap:
-        raise CapExceeded(f"series order capped at {cap}, got {order}")
     quad = 1 + x
     cub = y1 + y2 - x
     a: list[Coefficient] = [0] * (order + 1)
@@ -222,14 +218,13 @@ def series_torsion(
     x: Coefficient = X,
     y1: Coefficient = Y1,
     y2: Coefficient = Y2,
-    cap: int = SERIES_ORDER,
 ) -> PowerSeries:
     """``2 z P'(z)/(1 - P(z))`` to the given order.
 
     This is twice the pointed cycle of P; its z^n coefficient, summed over
     the statistics variables, is the number of torsion pairs at rank n.
     """
-    P = series_P(order, x, y1, y2, cap=cap)
+    P = series_P(order, x, y1, y2)
     # z * P' has z^k coefficient k * a_k, exact to the full order
     zPprime = PowerSeries(order, tuple(k * P.coeffs[k] for k in range(order + 1)))
     return (zPprime * P.geometric()).scale(2)

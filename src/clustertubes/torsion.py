@@ -69,6 +69,7 @@ from .polygons import (
     constrained_subsets,
     polygon_counts,
     polygon_diagrams,
+    random_polygon,
     statistics_polygon,
 )
 
@@ -478,10 +479,11 @@ def enumerate_structured(n: int) -> list[PeriodicDiagram]:
 
 
 def sample_halves(n: int, count: int, seed: int = 0) -> list[PeriodicDiagram]:
-    """Random finite halves at rank n: random cut set, random span contents.
+    """Random finite halves at rank n: a random cut set, and on each span a
+    diagram drawn by :func:`~clustertubes.polygons.random_polygon`.
 
     Deterministic for a fixed seed; not uniform over halves, which is fine
-    for round-trip testing.
+    for round-trip testing.  No list of diagrams is built, so any rank works.
     """
     rng = random.Random(seed)
     out = []
@@ -489,10 +491,7 @@ def sample_halves(n: int, count: int, seed: int = 0) -> list[PeriodicDiagram]:
         mask = rng.randrange(1, 1 << n)
         cuts = [v for v in range(n) if mask >> v & 1]
         ends = cuts[1:] + [cuts[0] + n]
-        pieces = tuple(
-            rng.choice(polygon_diagrams(d - c)) for c, d in zip(cuts, ends)
-        )
-        out.append(_lay(n, zip(cuts, pieces)))
+        out.append(_lay(n, ((c, random_polygon(rng, d - c)) for c, d in zip(cuts, ends))))
     return out
 
 
@@ -541,11 +540,6 @@ def fixed_histograms(n: int) -> dict[int, Counter]:
     return hists
 
 
-def orbit_key(diagram: PeriodicDiagram) -> tuple:
-    """Canonical representative key of a half's tau-orbit."""
-    return min(tuple(diagram.tau(t).sorted_orbits()) for t in range(diagram.rank))
-
-
 def _totient(n: int) -> int:
     return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
 
@@ -569,9 +563,8 @@ def orbit_count(n: int) -> int:
 
 
 def orbit_count_direct(n: int) -> int:
-    """Orbit count by direct partition of the enumerated pairs."""
-    keys = {orbit_key(X) for X in iter_structured(n)}
-    return 2 * len(keys)
+    """Orbit count from the pairs each tau^s fixes (:func:`orbits_from_fixed`)."""
+    return sum(orbit_count_refined_direct(n).values())
 
 
 def orbit_count_refined(n: int) -> dict[tuple[int, int, int], int]:
@@ -590,15 +583,27 @@ def orbit_count_refined(n: int) -> dict[tuple[int, int, int], int]:
 
 
 def orbit_count_refined_direct(n: int) -> dict[tuple[int, int, int], int]:
-    """Refined orbit counts by direct partition of the enumerated pairs."""
-    seen: dict[tuple[int, int, int], set] = {}
-    for _, cuts, pieces in _walk(n):
-        key = orbit_key(_lay(n, zip(cuts, pieces)))
-        seen.setdefault(_half_statistics(pieces), set()).add(key)
-    return {stats: 2 * len(keys) for stats, keys in sorted(seen.items())}
+    """Refined orbit counts from the pairs each tau^s fixes (:func:`orbits_from_fixed`)."""
+    return orbits_from_fixed(fixed_histograms(n))
 
 
-def statistics_histogram(n: int) -> Counter:
-    """Histogram of pair statistics at rank n from the enumeration (each half
-    counts twice: once per side)."""
-    return fixed_histograms(n)[n]
+def orbits_from_fixed(fixed: dict[int, Counter]) -> dict[tuple[int, int, int], int]:
+    """Refined tau-orbit counts from the histograms of :func:`fixed_histograms`.
+
+    tau^s fixes a pair of least period t iff t divides s, so the pairs of
+    least period s are those tau^s fixes minus those of least period t for
+    each proper divisor t of s; they form orbits of s members.  No totient or
+    closed form enters, so this stays independent of :func:`orbit_count`.
+    """
+    least: dict[int, Counter] = {}
+    orbits: Counter = Counter()
+    for s in sorted(fixed):
+        least[s] = Counter(fixed[s])
+        for t in least:
+            if t < s and s % t == 0:
+                least[s].subtract(least[t])
+        for stats, pairs in least[s].items():
+            if pairs % s:
+                raise ArithmeticError(f"{pairs} pairs of least period {s} fill no whole orbits")
+            orbits[stats] += pairs // s
+    return dict(sorted(orbits.items()))

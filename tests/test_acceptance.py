@@ -40,13 +40,13 @@ from clustertubes.torsion import (
     decompose,
     enumerate_brute,
     enumerate_structured,
+    fixed_histograms,
     from_pointed_cycle,
     iter_structured,
     orbit_count,
     orbit_count_direct,
     sample_halves,
     statistics,
-    statistics_histogram,
     to_pointed_cycle,
 )
 
@@ -80,7 +80,7 @@ def test_criterion_2_structured_vs_formula():
 
 def test_criterion_3_refined_counts():
     for n in range(1, 6):
-        assert dict(statistics_histogram(n)) == refined_table(n)
+        assert dict(fixed_histograms(n)[n]) == refined_table(n)
     for n in range(1, 31):
         assert sum(refined_table(n).values()) == torsion_count(n)
     print("\nACCEPTANCE 3 PASS: statistics histograms match the refined formula "

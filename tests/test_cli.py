@@ -9,8 +9,9 @@ from types import SimpleNamespace
 import pytest
 
 from clustertubes.cli import main
-from clustertubes.config import COUNT_RANK, REFINED_RANK
+from clustertubes.config import COUNT_RANK, REFINED_RANK, SERIES_ORDER
 from clustertubes.counting import torsion_count
+from clustertubes.polygons import polygon_diagrams
 from clustertubes.torsion import TorsionPair, iter_structured
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -332,6 +333,62 @@ def test_count_rank_limits_exit_3_before_computing(capsys, monkeypatch, limit, r
     assert code == 3
     assert out == ""
     assert err == f"error: {message} at rank {limit}, got {limit + 1}\n"
+
+
+def refuse(*args):
+    raise AssertionError("computed past the limit")
+
+
+@pytest.mark.parametrize(
+    "argv,limit,message",
+    [(["orbits"], COUNT_RANK, "orbit count capped"),
+     (["orbits", "--refined"], REFINED_RANK, "orbit count capped"),
+     (["verify"], REFINED_RANK, "verify capped")],
+)
+def test_orbits_and_verify_rank_limits_exit_3_before_computing(
+        capsys, monkeypatch, argv, limit, message):
+    fakes = {
+        "clustertubes.counting.torsion_count": lambda n: 0,
+        "clustertubes.counting.refined_table": lambda n: {},
+        "clustertubes.torsion.orbit_count": lambda n: 0,
+        "clustertubes.torsion.orbit_count_refined": lambda n: {},
+        "clustertubes.cli.series_torsion": lambda order, *_: SimpleNamespace(coeffs=[0] * (order + 1)),
+    }
+    for target, fake in fakes.items():
+        monkeypatch.setattr(target, fake)
+    code, out, _ = run(capsys, argv[0], "--n", str(limit), *argv[1:])
+    assert code == 0
+    assert "FAIL" not in out
+
+    for target in fakes:
+        monkeypatch.setattr(target, refuse)
+    code, out, err = run(capsys, argv[0], "--n", str(limit + 1), *argv[1:])
+    assert code == 3
+    assert out == ""
+    assert err == f"error: {message} at rank {limit}, got {limit + 1}\n"
+
+
+@pytest.mark.parametrize("kind", ["P", "torsion"])
+def test_series_order_limit_exits_3_before_computing(capsys, monkeypatch, kind):
+    code, _, _ = run(capsys, "series", "--kind", kind, "--order", str(SERIES_ORDER))
+    assert code == 0
+
+    monkeypatch.setattr("clustertubes.cli.series_P", refuse)
+    monkeypatch.setattr("clustertubes.cli.series_torsion", refuse)
+    code, out, err = run(capsys, "series", "--kind", kind, "--order", str(SERIES_ORDER + 1))
+    assert code == 3
+    assert out == ""
+    assert err == f"error: series order capped at {SERIES_ORDER}, got {SERIES_ORDER + 1}\n"
+
+
+def test_verify_builds_no_polygon_list(capsys):
+    # The sampled round trips draw pieces through random_polygon, so only the
+    # grammar walk (not run by verify beyond rank 6) fills this cache.
+    polygon_diagrams.cache_clear()
+    code, out, _ = run(capsys, "verify", "--n", "9")
+    assert code == 0
+    assert "FAIL" not in out
+    assert polygon_diagrams.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("command", ["enumerate", "series", "sieve", "orbits", "verify"])

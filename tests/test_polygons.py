@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -17,6 +18,7 @@ from clustertubes.polygons import (
     is_ptolemy_polygon,
     polygon_counts,
     polygon_diagrams,
+    random_polygon,
     statistics_polygon,
     statistics_recursive,
 )
@@ -179,3 +181,17 @@ def test_json_round_trip():
     diagram = PolygonDiagram(4, ((0, 2), (2, 4)))
     assert PolygonDiagram.from_json(diagram.to_json()) == diagram
     assert diagram.to_json() == '{"size":4,"diagonals":[[0,2],[2,4]]}'
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_random_polygon_draws_grammar_diagrams(m):
+    rng = random.Random(m)
+    drawn = {random_polygon(rng, m) for _ in range(1000)}
+    assert drawn <= set(polygon_diagrams(m))
+    if m <= 4:
+        assert drawn == set(polygon_diagrams(m))  # every diagram can occur
+
+
+def test_random_polygon_rejects_size_zero():
+    with pytest.raises(ValueError):
+        random_polygon(random.Random(0), 0)

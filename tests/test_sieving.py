@@ -89,7 +89,6 @@ def test_fixed_counts_equal_statistics_and_tau_oracle(n):
         fixed_histograms,
         iter_structured,
         statistics,
-        statistics_histogram,
     )
 
     halves = list(iter_structured(n))
@@ -105,4 +104,4 @@ def test_fixed_counts_equal_statistics_and_tau_oracle(n):
         assert set(oracle) <= set(fixed)
         assert fixed == {klm: oracle[klm] for klm in fixed}
         if d == 1:
-            assert statistics_histogram(n) == oracle
+            assert fixed_histograms(n)[n] == oracle

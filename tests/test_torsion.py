@@ -33,7 +33,6 @@ from clustertubes.torsion import (
     perp_enumerate,
     sample_halves,
     statistics,
-    statistics_histogram,
     to_pointed_cycle,
     torsion_pairs,
 )
@@ -364,7 +363,7 @@ def test_statistics_cases():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_statistics_histogram_matches_refined_formula(n):
-    assert dict(statistics_histogram(n)) == refined_table(n)
+    assert dict(fixed_histograms(n)[n]) == refined_table(n)
 
 
 @settings(max_examples=30, deadline=None)
@@ -499,9 +498,27 @@ def test_orbit_counts():
         assert orbit_count(n) == orbit_count_direct(n)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_orbit_counts_refined(n):
     assert orbit_count_refined(n) == orbit_count_refined_direct(n)
+
+
+def tau_orbit_partition(n):
+    """Refined orbit counts by explicit partition: each half's whole
+    tau-orbit is built with PeriodicDiagram.tau and marked seen."""
+    seen, counts = set(), Counter()
+    for X in iter_structured(n):
+        if X not in seen:
+            seen.update(X.tau(t) for t in range(n))
+            counts[statistics(X).as_tuple()] += 2  # one orbit per side
+    return dict(counts)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_orbit_counts_from_fixed_points_equal_an_explicit_partition(n):
+    partition = tau_orbit_partition(n)
+    assert orbit_count_refined_direct(n) == partition
+    assert orbit_count_direct(n) == sum(partition.values())
 
 
 def test_orbit_refined_sums_to_total():
