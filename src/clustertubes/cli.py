@@ -22,7 +22,8 @@ from typing import Iterator, Sequence
 
 from . import counting, sieving, torsion
 from .arcs import PeriodicDiagram
-from .config import BRUTE_RANK, COUNT_RANK, REFINED_RANK, SERIES_ORDER, STRUCTURED_RANK, CapExceeded
+from .config import BRUTE_RANK, COUNT_RANK, PERP_ORBITS, REFINED_RANK, SERIES_ORDER
+from .config import STRUCTURED_RANK, CapExceeded
 from .render import render_torsion_pair
 from .series import PowerSeries, series_P, series_torsion
 from .torsion import TorsionPair, WingDecomposition
@@ -174,6 +175,10 @@ def cmd_perp(args: argparse.Namespace) -> int:
         verdict = torsion.perp_contains(diagram, arc)
         print(json.dumps({"arc": list(arc), "in_perp": verdict}, separators=(",", ":")))
     else:
+        orbits = diagram.rank * (args.max_length - 1)
+        if orbits > PERP_ORBITS:
+            raise CapExceeded(f"perp listing capped at {PERP_ORBITS} orbits "
+                              f"(rank x (max length - 1)), got {orbits}")
         print(torsion.perp_enumerate(diagram, args.max_length).to_json())
     return 0
 
@@ -298,7 +303,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             label += " (sampled)"
         checks.append((label, round_trips))
     if exhaustive:
-        fixed = torsion.fixed_histograms(n)  # one walk for the three readings
+        fixed = torsion.fixed_histograms(n)  # one call for the three readings
         checks.append(("statistics histogram == refined formula", dict(fixed[n]) == refined))
         direct = sum(torsion.orbits_from_fixed(fixed).values())
         checks.append(("Burnside orbit count == direct partition",

@@ -12,6 +12,7 @@ POLYGON_BRUTE = 8  # polygons.enumerate_polygon: subsets of diagonals
 SERIES_ORDER = 24  # cli.cmd_series: the truncation order (the library is uncapped)
 COUNT_RANK = 20_000  # cli.cmd_count, cmd_orbits: the closed-form counts (likewise)
 REFINED_RANK = 150  # cli.cmd_count/cmd_orbits --refined, cmd_verify: the (k, l, m) table
+PERP_ORBITS = 40_000  # cli.cmd_perp --max-length: the rank x (max_length - 1) orbits it tests
 
 
 class CapExceeded(RuntimeError):

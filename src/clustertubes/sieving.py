@@ -8,15 +8,15 @@ For each rank n the q-analogue of the refined count,
 evaluated at a primitive d-th root of unity (d | n) must equal both
 
 * the number of torsion pairs with those statistics fixed by an order-d
-  element of the translation group (enumerated directly: the order-d
-  elements are the tau^(n/d)-powers, and a half is fixed iff it is
-  (n/d)-periodic), and
+  element of the translation group (the order-d elements are the
+  tau^(n/d)-powers, and a half is fixed iff it is (n/d)-periodic), and
 * the plain count T(n/d, k/d, l/d, m/d) -- zero unless d divides each of
   k, l, m, because an (n/d)-periodic half repeats its statistics d times
   around the rank-n tube.
 
-The enumerated side is :func:`~clustertubes.torsion.fixed_histograms`, one
-walk of the cut/wing grammar for every d at once.
+The fixed-point side is :func:`~clustertubes.torsion.fixed_histograms`: a
+grammar count weighted by cell kind for d = 1, and for d > 1 a tau^(n/d) test
+of only the halves whose cut mask is (n/d)-periodic.
 
 :func:`csp_verify` checks all of this exactly (integer arithmetic only)
 and returns one record per (d, k, l, m); any mismatch is reported, never
@@ -71,7 +71,7 @@ def csp_verify(n: int) -> list[SieveRecord]:
     """Check the sieving identity at rank n for every d | n and every (k,l,m).
 
     A record matches iff the exact evaluation at a primitive d-th root
-    equals the enumerated fixed-point count of the order-d translation and
+    equals the fixed-point count of the order-d translation and
     equals T(n/d, k/d, l/d, m/d) (0 when d does not divide all statistics).
 
     The fixed-point counts of tau^(n/d) come from :func:`fixed_histograms`.

@@ -39,7 +39,6 @@ The structure theory implemented here:
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -72,6 +71,7 @@ from .polygons import (
     random_polygon,
     statistics_polygon,
 )
+from .series import X, Y1, Y2, ZERO, Coefficient
 
 
 def is_finite_half(diagram: PeriodicDiagram) -> bool:
@@ -278,28 +278,12 @@ def statistics(diagram: PeriodicDiagram) -> CellStatistics:
 
     This decomposes the half and runs
     :func:`~clustertubes.polygons.cells` on every piece; it is the reference
-    the grammar walk's statistics lookups are tested against.
+    the weighted grammar count of :func:`fixed_histograms` is tested against.
     """
     stats = CellStatistics()
     for piece in decompose(diagram).pieces:
         stats = stats + statistics_polygon(piece)
     return stats
-
-
-@functools.cache
-def _piece_statistics(g: int) -> dict[PolygonDiagram, tuple[int, int, int]]:
-    """``(k, l, m)`` of every diagram of :func:`polygon_diagrams` of size g."""
-    return {piece: statistics_polygon(piece).as_tuple() for piece in polygon_diagrams(g)}
-
-
-def _half_statistics(pieces: Iterable[PolygonDiagram]) -> tuple[int, int, int]:
-    """Statistics of the half with these pieces, a sum of table lookups: the
-    cells of a half are the cells of its pieces."""
-    k = l = m = 0
-    for piece in pieces:
-        a, b, c = _piece_statistics(piece.size)[piece]
-        k, l, m = k + a, l + b, m + c
-    return k, l, m
 
 
 # ---------------------------------------------------------------------------
@@ -409,20 +393,20 @@ def _check_rank(n: int) -> None:
         raise ValueError(f"rank must be >= 1, got {n}")
 
 
-def _walk(n: int) -> Iterator[tuple[int, list[int], tuple[PolygonDiagram, ...]]]:
-    """The cut/wing grammar in grammar order, as ``(mask, cuts, pieces)``.
+def _walk(n: int, masks: Iterable[int]) -> Iterator[tuple[list[int], tuple[PolygonDiagram, ...]]]:
+    """The cut/wing grammar over the given cut masks, as ``(cuts, pieces)``.
 
-    ``mask`` has bit v set iff v is a cut, ``cuts`` lists the cuts ascending
+    A mask has bit v set iff v is a cut; ``cuts`` lists the cuts ascending
     and ``pieces`` holds one diagram of :func:`polygon_diagrams` per span, in
     cut order; nothing is laid.  :func:`iter_structured` documents the order.
     """
     _check_rank(n)
-    for mask in range(1, 1 << n):
+    for mask in masks:
         cuts = [v for v in range(n) if mask >> v & 1]
         ends = cuts[1:] + [cuts[0] + n]
         spans = [polygon_diagrams(d - c) for c, d in zip(cuts, ends)]
         for pieces in itertools.product(*spans):
-            yield mask, cuts, pieces
+            yield cuts, pieces
 
 
 def iter_structured(n: int) -> Iterator[PeriodicDiagram]:
@@ -441,7 +425,7 @@ def iter_structured(n: int) -> Iterator[PeriodicDiagram]:
     :func:`~clustertubes.polygons.polygon_diagrams` in its order, the span
     starting at the largest cut varying fastest.
     """
-    for _, cuts, pieces in _walk(n):
+    for cuts, pieces in _walk(n, range(1, 1 << n)):
         yield _lay(n, zip(cuts, pieces))
 
 
@@ -460,11 +444,19 @@ def count_structured(n: int) -> int:
     stays an independent check on :func:`~clustertubes.counting.torsion_count`
     and the generating functions.  Agreement with walking
     :func:`iter_structured` is part of the test suite.  As it builds
-    nothing, no rank limit applies.
+    nothing, no rank limit applies.  :func:`_count_halves` runs the recursion
+    over any coefficient ring; with unit weights the result is an ``int``.
     """
+    return _count_halves(n, 1, 1, 1)
+
+
+def _count_halves(n: int, x: Coefficient, y1: Coefficient, y2: Coefficient) -> Coefficient:
+    """:func:`count_structured` with the cell weights of
+    :func:`~clustertubes.polygons.polygon_counts`: a half weighs the product
+    of its pieces' weights, as its cells are theirs."""
     if n < 1:
         raise ValueError(f"rank must be >= 1, got {n}")
-    p = polygon_counts(n)
+    p = polygon_counts(n, x, y1, y2)
     sequences = [1]
     for h in range(1, n):
         sequences.append(sum(p[a] * sequences[h - a] for a in range(1, h + 1)))
@@ -513,30 +505,26 @@ def fixed_histograms(n: int) -> dict[int, Counter]:
     """For each s dividing n, the (k, l, m) histogram of the pairs at rank n
     fixed by tau^s (each fixed half counts twice: once per side).
 
-    The histograms come from one walk of the cut/wing grammar.  A half's
-    statistics are read off the pieces the walk yields, as a sum of per-piece
-    lookups, so no half is decomposed and no cell decomposition is redone.
-    For s = n every pair counts, as tau^n is the identity.  For s < n a fixed
-    point is decided by :meth:`~clustertubes.arcs.PeriodicDiagram.tau` on the
-    laid half, but only for halves whose cut set is invariant under rotation
-    by s: the cuts of a half are the vertices no arc overarches, so tau^s
-    moves them by s, and a half with any other cut set cannot be fixed.
+    tau^n fixes every pair, so ``hists[n]`` is twice the grammar count of
+    :func:`count_structured` weighted by cell kind, and nothing is built.  For
+    s < n, tau^s moves the cuts of a half (the vertices no arc overarches) by
+    s, so only halves on cut masks that repeat an s-bit pattern are laid, with
+    spans at most s <= n/2 wide; :meth:`~clustertubes.arcs.PeriodicDiagram.tau`
+    decides each, and a fixed half's statistics are the cells of its pieces.
     """
     _check_rank(n)
-    shifts = _divisors(n)
-    hists: dict[int, Counter] = {s: Counter() for s in shifts}
-    full = (1 << n) - 1
-    for mask, cuts, pieces in _walk(n):
-        stats = _half_statistics(pieces)
-        hists[n][stats] += 2
-        X = None
-        for s in shifts[:-1]:
-            if (mask >> s | mask << (n - s)) & full != mask:
-                continue
-            if X is None:
-                X = _lay(n, zip(cuts, pieces))
-            if X.tau(s) == X:
-                hists[s][stats] += 2
+    hists: dict[int, Counter] = {}
+    for s in _divisors(n)[:-1]:
+        hists[s] = Counter()
+        repeat = sum(1 << (s * t) for t in range(n // s))
+        for cuts, pieces in _walk(n, (pattern * repeat for pattern in range(1, 1 << s))):
+            half = _lay(n, zip(cuts, pieces))
+            if half.tau(s) == half:
+                stats = sum(map(statistics_polygon, pieces), CellStatistics())
+                hists[s][stats.as_tuple()] += 2
+    # ZERO + lifts rank 1's plain-int count into Poly3.
+    total = ZERO + 2 * _count_halves(n, X, Y1, Y2)
+    hists[n] = Counter(dict(total.terms))
     return hists
 
 

@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from clustertubes.cli import main
-from clustertubes.config import COUNT_RANK, REFINED_RANK, SERIES_ORDER
+from clustertubes.config import COUNT_RANK, PERP_ORBITS, REFINED_RANK, SERIES_ORDER
 from clustertubes.counting import torsion_count
 from clustertubes.polygons import polygon_diagrams
 from clustertubes.torsion import TorsionPair, iter_structured
@@ -379,6 +379,23 @@ def test_series_order_limit_exits_3_before_computing(capsys, monkeypatch, kind):
     assert code == 3
     assert out == ""
     assert err == f"error: series order capped at {SERIES_ORDER}, got {SERIES_ORDER + 1}\n"
+
+
+def test_perp_listing_limit_exits_3_before_computing(capsys, monkeypatch):
+    empty = '{"rank":1,"orbits":[]}'
+    code, out, _ = run(capsys, "perp", "--diagram", empty, "--max-length", str(PERP_ORBITS + 1))
+    assert code == 0
+    assert len(json.loads(out)["orbits"]) == PERP_ORBITS
+
+    monkeypatch.setattr("clustertubes.torsion.perp_enumerate", refuse)
+    for rank, length in [(1, PERP_ORBITS + 2), (4, 10_000_000)]:
+        diagram = f'{{"rank":{rank},"orbits":[]}}'
+        code, out, err = run(capsys, "perp", "--diagram", diagram, "--max-length", str(length))
+        assert code == 3
+        assert out == ""
+        orbits = rank * (length - 1)
+        assert err == (f"error: perp listing capped at {PERP_ORBITS} orbits "
+                       f"(rank x (max length - 1)), got {orbits}\n")
 
 
 def test_verify_builds_no_polygon_list(capsys):

@@ -43,15 +43,25 @@ def test_render_demo(tmp_path):
     assert out.read_text().startswith("<?xml")
 
 
-def test_trace_harness_spans_the_wing_layer(tmp_path):
-    stats = tmp_path / "stats.json"
+def run_traced(stats, *argv):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "replay.py"), "--mode", "traced",
-         "--stats", str(stats), "--", "verify", "--n", "4"],
+         "--stats", str(stats), "--", *argv],
         capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def test_trace_harness_spans_the_wing_layer(tmp_path):
+    stats = tmp_path / "stats.json"
+    result = run_traced(stats, "verify", "--n", "4")
     assert result.returncode == 0, result.stderr
     spans = json.loads(stats.read_text())["spans"]
     for name in ("torsion.decompose", "torsion.compose", "torsion.from_pointed_cycle"):
         assert spans[name]["calls"] > 0, name
+
+
+def test_trace_harness_replays_sieve(tmp_path):
+    # every spanned function's result must fit the stats JSON
+    result = run_traced(tmp_path / "stats.json", "sieve", "--n", "6")
+    assert result.returncode == 0, result.stderr

@@ -80,8 +80,9 @@ def test_fixed_totals_agree_with_fixed_under(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_fixed_counts_equal_statistics_and_tau_oracle(n):
-    # the walk's statistics lookups and cut-mask prefilter against decompose
-    # + cells (``statistics``) and ``PeriodicDiagram.tau`` on every half
+    # the weighted grammar count (s = n) and the s-periodic cut masks (s < n)
+    # against decompose + cells (``statistics``) and ``PeriodicDiagram.tau``
+    # on every half
     from collections import Counter
 
     from clustertubes.torsion import (
@@ -105,3 +106,43 @@ def test_fixed_counts_equal_statistics_and_tau_oracle(n):
         assert fixed == {klm: oracle[klm] for klm in fixed}
         if d == 1:
             assert fixed_histograms(n)[n] == oracle
+
+
+def full_walk_fixed_histograms(n):
+    """The fixed-point histograms from every half of the grammar: statistics
+    from a per-piece ``statistics_polygon`` table, and ``tau`` on each half
+    whose cut mask is invariant under the rotation."""
+    from collections import Counter
+
+    from clustertubes.polygons import statistics_polygon
+    from clustertubes.torsion import _divisors, _lay, _walk
+
+    shifts = _divisors(n)
+    hists = {s: Counter() for s in shifts}
+    table = {}
+    full = (1 << n) - 1
+    for mask in range(1, 1 << n):
+        for cuts, pieces in _walk(n, [mask]):
+            k = l = m = 0
+            for piece in pieces:
+                if piece not in table:
+                    table[piece] = statistics_polygon(piece).as_tuple()
+                a, b, c = table[piece]
+                k, l, m = k + a, l + b, m + c
+            hists[n][(k, l, m)] += 2
+            X = None
+            for s in shifts[:-1]:
+                if (mask >> s | mask << (n - s)) & full != mask:
+                    continue
+                if X is None:
+                    X = _lay(n, zip(cuts, pieces))
+                if X.tau(s) == X:
+                    hists[s][(k, l, m)] += 2
+    return hists
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_fixed_histograms_equal_full_walk_oracle(n):
+    from clustertubes.torsion import fixed_histograms
+
+    assert fixed_histograms(n) == full_walk_fixed_histograms(n)
