@@ -195,16 +195,31 @@ def nc_contains(diagram: PeriodicDiagram, arc: tuple[int, int]) -> bool:
 
 
 def nc_enumerate(diagram: PeriodicDiagram, max_length: int) -> PeriodicDiagram:
-    """All orbits of length <= max_length whose arcs cross nothing in X."""
+    """All orbits of length <= max_length whose arcs cross nothing in X.
+
+    An arc (i, j) crosses X iff a vertex strictly inside it starts an arc of X
+    ending beyond j or ends one starting before i.  Sweeping j from each i
+    against the longest arc leaving and entering each vertex class tests each
+    candidate in O(1); :func:`nc_contains` is the oracle it is tested against.
+    """
     if max_length < 2:
         raise ValueError(f"max_length must be >= 2, got {max_length}")
     n = diagram.rank
-    kept = [
-        (i, i + length)
-        for length in range(2, max_length + 1)
-        for i in range(n)
-        if nc_contains(diagram, (i, i + length))
-    ]
+    out = [0] * n  # longest arc leaving each vertex class
+    into = [0] * n  # longest arc entering it
+    for i, j in diagram.orbits:
+        out[i] = max(out[i], j - i)
+        into[j % n] = max(into[j % n], j - i)
+    kept = []
+    for i in range(n):
+        right = left = i
+        for v in range(i + 1, i + max_length):  # the arc (i, v + 1)
+            right = max(right, v + out[v % n])
+            left = min(left, v - into[v % n])
+            if left < i:  # and stays below i as the arc grows
+                break
+            if right <= v + 1:
+                kept.append((i, v + 1))
     return PeriodicDiagram(n, frozenset(kept))
 
 

@@ -34,7 +34,6 @@ from typing import Sequence
 
 from .arcs import cross, ptolemy_completions
 from .config import POLYGON_BRUTE, CapExceeded
-from .series import Coefficient
 
 
 class MixedFaceError(ValueError):
@@ -268,22 +267,18 @@ def random_polygon(rng: random.Random, m: int) -> PolygonDiagram:
     return compose_base(cell, [random_polygon(rng, d - c) for c, d in zip(corners, corners[1:])])
 
 
-def polygon_counts(
-    m: int, x: Coefficient = 1, y1: Coefficient = 1, y2: Coefficient = 1
-) -> list[Coefficient]:
+def polygon_counts(m: int) -> list[int]:
     """``[0, p(1), ..., p(m)]`` with p(size) the number of Ptolemy diagrams,
     counted through the base-cell grammar without building any of them.
-    Weighting each triangle by x, clique by y1 and empty cell by y2, as in
-    :func:`~clustertubes.series.series_P`, turns p(size) into its polynomial.
 
     The base cell splits a size into a composition of s >= 2 parts, each
-    carrying an independent smaller diagram: a triangle (x) for s = 2, a
-    clique or an empty cell (y1 + y2) for s >= 3, exactly as in
+    carrying an independent smaller diagram: one cell kind (a triangle) for
+    s = 2, two kinds (a clique or an empty cell) for s >= 3, exactly as in
     :func:`polygon_diagrams`.  Peeling off the first part, the compositions
     of h into exactly two parts sum to ``sum_a p(a) p(h-a)`` and those into
     three or more to ``sum_a p(a) at_least_2[h-a]``, where ``at_least_2``
     tallies the compositions into two or more parts; the table costs O(m^2)
-    ring operations.
+    big-integer steps.
     """
     if m < 1:
         raise ValueError(f"size must be >= 1, got {m}")
@@ -293,7 +288,7 @@ def polygon_counts(
         exactly_2 = sum(p[a] * p[h - a] for a in range(1, h))
         at_least_3 = sum(p[a] * at_least_2[h - a] for a in range(1, h))
         at_least_2.append(exactly_2 + at_least_3)
-        p.append(x * exactly_2 + (y1 + y2) * at_least_3)
+        p.append(exactly_2 + 2 * at_least_3)
     return p
 
 

@@ -14,9 +14,9 @@ evaluated at a primitive d-th root of unity (d | n) must equal both
   k, l, m, because an (n/d)-periodic half repeats its statistics d times
   around the rank-n tube.
 
-The fixed-point side is :func:`~clustertubes.torsion.fixed_histograms`: a
-grammar count weighted by cell kind for d = 1, and for d > 1 a tau^(n/d) test
-of only the halves whose cut mask is (n/d)-periodic.
+The fixed-point side is :func:`~clustertubes.torsion.fixed_histograms`: the
+refined generating function for d = 1, and for d > 1 a tau^(n/d) test of only
+the halves whose cut mask is (n/d)-periodic.
 
 :func:`csp_verify` checks all of this exactly (integer arithmetic only)
 and returns one record per (d, k, l, m); any mismatch is reported, never

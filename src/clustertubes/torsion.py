@@ -71,7 +71,7 @@ from .polygons import (
     random_polygon,
     statistics_polygon,
 )
-from .series import X, Y1, Y2, ZERO, Coefficient
+from .series import series_torsion
 
 
 def is_finite_half(diagram: PeriodicDiagram) -> bool:
@@ -278,7 +278,7 @@ def statistics(diagram: PeriodicDiagram) -> CellStatistics:
 
     This decomposes the half and runs
     :func:`~clustertubes.polygons.cells` on every piece; it is the reference
-    the weighted grammar count of :func:`fixed_histograms` is tested against.
+    the tau fixed points of :func:`fixed_histograms` are tested against.
     """
     stats = CellStatistics()
     for piece in decompose(diagram).pieces:
@@ -444,19 +444,11 @@ def count_structured(n: int) -> int:
     stays an independent check on :func:`~clustertubes.counting.torsion_count`
     and the generating functions.  Agreement with walking
     :func:`iter_structured` is part of the test suite.  As it builds
-    nothing, no rank limit applies.  :func:`_count_halves` runs the recursion
-    over any coefficient ring; with unit weights the result is an ``int``.
+    nothing, no rank limit applies.
     """
-    return _count_halves(n, 1, 1, 1)
-
-
-def _count_halves(n: int, x: Coefficient, y1: Coefficient, y2: Coefficient) -> Coefficient:
-    """:func:`count_structured` with the cell weights of
-    :func:`~clustertubes.polygons.polygon_counts`: a half weighs the product
-    of its pieces' weights, as its cells are theirs."""
     if n < 1:
         raise ValueError(f"rank must be >= 1, got {n}")
-    p = polygon_counts(n, x, y1, y2)
+    p = polygon_counts(n)
     sequences = [1]
     for h in range(1, n):
         sequences.append(sum(p[a] * sequences[h - a] for a in range(1, h + 1)))
@@ -505,8 +497,8 @@ def fixed_histograms(n: int) -> dict[int, Counter]:
     """For each s dividing n, the (k, l, m) histogram of the pairs at rank n
     fixed by tau^s (each fixed half counts twice: once per side).
 
-    tau^n fixes every pair, so ``hists[n]`` is twice the grammar count of
-    :func:`count_structured` weighted by cell kind, and nothing is built.  For
+    tau^n fixes every pair, so ``hists[n]`` is the z^n coefficient of
+    :func:`~clustertubes.series.series_torsion`, and nothing is built.  For
     s < n, tau^s moves the cuts of a half (the vertices no arc overarches) by
     s, so only halves on cut masks that repeat an s-bit pattern are laid, with
     spans at most s <= n/2 wide; :meth:`~clustertubes.arcs.PeriodicDiagram.tau`
@@ -522,9 +514,7 @@ def fixed_histograms(n: int) -> dict[int, Counter]:
             if half.tau(s) == half:
                 stats = sum(map(statistics_polygon, pieces), CellStatistics())
                 hists[s][stats.as_tuple()] += 2
-    # ZERO + lifts rank 1's plain-int count into Poly3.
-    total = ZERO + 2 * _count_halves(n, X, Y1, Y2)
-    hists[n] = Counter(dict(total.terms))
+    hists[n] = Counter(dict(series_torsion(n).coeffs[n].terms))
     return hists
 
 

@@ -128,6 +128,19 @@ def test_nc_enumerate_cases():
         nc_enumerate(X, 1)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: diagram_strategy(n, 3 * n)), st.integers(2, 16))
+def test_nc_enumerate_matches_nc_contains(X, max_length):
+    # the sweep against the orbit-by-orbit crossing test; X may self-cross
+    expected = {
+        (i, i + length)
+        for length in range(2, max_length + 1)
+        for i in range(X.rank)
+        if nc_contains(X, (i, i + length))
+    }
+    assert nc_enumerate(X, max_length).orbits == expected
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda n: diagram_strategy(n, 2 * n)))
 def test_nc_is_ptolemy(X):

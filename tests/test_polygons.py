@@ -22,7 +22,7 @@ from clustertubes.polygons import (
     statistics_polygon,
     statistics_recursive,
 )
-from clustertubes.series import X, Y1, Y2, series_P
+from clustertubes.series import series_P
 
 
 def test_diagram_validation():
@@ -75,11 +75,6 @@ def test_polygon_counts_match_grammar_and_brute_force():
     assert counts[1:7] == [len(enumerate_polygon(m)) for m in range(1, 7)]
     with pytest.raises(ValueError):
         polygon_counts(0)
-
-
-def test_weighted_polygon_counts_equal_series():
-    # x per triangle, y1 per clique, y2 per empty cell, as in series_P
-    assert polygon_counts(12, X, Y1, Y2)[1:] == list(series_P(12).coeffs[1:])
 
 
 @pytest.mark.parametrize("m", range(1, 8))

@@ -80,7 +80,7 @@ def test_fixed_totals_agree_with_fixed_under(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_fixed_counts_equal_statistics_and_tau_oracle(n):
-    # the weighted grammar count (s = n) and the s-periodic cut masks (s < n)
+    # the series coefficient (s = n) and the s-periodic cut masks (s < n)
     # against decompose + cells (``statistics``) and ``PeriodicDiagram.tau``
     # on every half
     from collections import Counter

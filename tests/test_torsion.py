@@ -11,12 +11,10 @@ from clustertubes.arcs import PeriodicDiagram, nc_enumerate
 from clustertubes.config import CapExceeded
 from clustertubes.counting import refined_table, torsion_count
 from clustertubes.polygons import DEGENERATE, CellStatistics, PolygonDiagram, polygon_diagrams
-from clustertubes.series import X, Y1, Y2, ZERO
 from clustertubes.torsion import (
     PointedCycle,
     TorsionPair,
     WingDecomposition,
-    _count_halves,
     _lay,
     compose,
     count_structured,
@@ -444,12 +442,6 @@ def test_count_structured_builds_nothing():
     polygon_diagrams.cache_clear()
     count_structured(9)
     assert polygon_diagrams.cache_info().currsize == 0
-
-
-def test_weighted_count_is_refined_table():
-    for n in range(1, 21):
-        weighted = ZERO + 2 * _count_halves(n, X, Y1, Y2)
-        assert dict(weighted.terms) == refined_table(n), n
 
 
 def test_fixed_histograms_build_only_short_pieces():
