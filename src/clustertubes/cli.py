@@ -2,7 +2,8 @@
 
 One binary, subcommand style.  All commands are deterministic for fixed
 inputs; streams are one JSON record per line.  Exit codes: 0 success,
-1 verification mismatch, 2 usage or malformed input, 3 a rank or order
+1 verification mismatch (a check that reads ``FAIL``; a check skipped at a
+rank limit never sets it), 2 usage or malformed input, 3 a rank or order
 limit exceeded, 141 stdout closed by its reader (128 + SIGPIPE, what a shell
 reports for ``yes | head -1``; nothing is printed to stderr).
 
@@ -23,7 +24,7 @@ from typing import Iterator, Sequence
 from . import counting, sieving, torsion
 from .arcs import PeriodicDiagram
 from .config import BRUTE_RANK, COUNT_RANK, PERP_ORBITS, REFINED_RANK, SERIES_ORDER
-from .config import STRUCTURED_RANK, CapExceeded
+from .config import RECORD_RANK, STRUCTURED_RANK, CapExceeded
 from .render import render_torsion_pair
 from .series import PowerSeries, series_P, series_torsion
 from .torsion import TorsionPair, WingDecomposition
@@ -55,7 +56,9 @@ def _record(line: str, arcs: str, *required: str) -> dict:
     ``orbits`` entry, a pair's ``top`` or an entry of its ``arcs`` list) must
     be a pair of integers.  ``rank`` must also be at least 1, as every
     command divides by it.  Every failure is a ValueError naming the key or
-    its path (``orbits[0]``, ``pairs[1].arcs[0]``), so ``main`` exits 2.
+    its path (``orbits[0]``, ``pairs[1].arcs[0]``), so ``main`` exits 2.  A
+    well-formed record whose rank passes ``RECORD_RANK`` raises CapExceeded
+    (exit 3), as the commands take time and output growing with the rank.
     """
     data = json.loads(line)
     if not isinstance(data, dict):
@@ -83,6 +86,8 @@ def _record(line: str, arcs: str, *required: str) -> dict:
     side = data.get("finite_side", "left")
     if side not in ("left", "right"):
         raise ValueError(f"key 'finite_side' must be 'left' or 'right', got {side!r}")
+    if data["rank"] > RECORD_RANK:
+        raise CapExceeded(f"record rank capped at {RECORD_RANK}, got {data['rank']}")
     return data
 
 
@@ -220,20 +225,24 @@ def cmd_sieve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _skipped(n: int, name: str, limit: int) -> str:
+    """The verdict of a check whose route stops at the limit ``name``."""
+    return f"skipped (rank {n} > {name} = {limit})"
+
+
 def cmd_orbits(args: argparse.Namespace) -> int:
     n = args.n
     limit = REFINED_RANK if args.refined else COUNT_RANK
     if n > limit:
         raise CapExceeded(f"orbit count capped at rank {limit}, got {n}")
     formula = torsion.orbit_count(n)
-    rows = [("orbit count (Burnside formula)", formula)]
+    direct: int | str = _skipped(n, "STRUCTURED_RANK", STRUCTURED_RANK)
     ok = True
     if n <= STRUCTURED_RANK:
         direct = torsion.orbit_count_direct(n)
-        rows.append(("orbit count (direct partition)", direct))
         ok = formula == direct
-    for label, value in rows:
-        print(f"{label}: {value}")
+    print(f"orbit count (Burnside formula): {formula}")
+    print(f"orbit count (direct partition): {direct}")
     if args.refined:
         print("k,l,m,orbits")
         for (k, l, m), c in torsion.orbit_count_refined(n).items():
@@ -269,59 +278,59 @@ def cmd_verify(args: argparse.Namespace) -> int:
     n = args.n
     if n > REFINED_RANK:  # it builds refined_table(n)
         raise CapExceeded(f"verify capped at rank {REFINED_RANK}, got {n}")
-    checks: list[tuple[str, bool]] = []
-    # Beyond rank 6 the round trips are sampled, and the statistics, Burnside
-    # and invariance checks are left out.
-    exhaustive = n <= 6
-
+    # A verdict is True (pass), False (FAIL) or the reason a check was skipped.
+    checks: list[tuple[str, bool | str]] = []
     formula = counting.torsion_count(n)
     refined = counting.refined_table(n)
-    if n <= STRUCTURED_RANK:
-        count = torsion.count_structured(n)
-        checks.append(("2 * |structured| == closed formula", 2 * count == formula))
-        if n <= BRUTE_RANK:
-            brute = Counter(torsion.enumerate_brute(n))
-            checks.append(("brute == structured (as sets)",
-                           brute == Counter(torsion.iter_structured(n))))
+    checks.append(("2 * |structured| == closed formula",
+                   2 * torsion.count_structured(n) == formula))
+    brute: bool | str = _skipped(n, "BRUTE_RANK", BRUTE_RANK)
+    if n <= BRUTE_RANK:
+        brute = Counter(torsion.enumerate_brute(n)) == Counter(torsion.iter_structured(n))
+    checks.append(("brute == structured (as sets)", brute))
     series_total = series_torsion(n, 1, 1, 1).coeffs[n]
     checks.append(("series coefficient == closed formula", series_total == formula))
     checks.append(("refined formula sums to total", sum(refined.values()) == formula))
+
+    # The round trips take every half up to rank 6 and 1000 samples beyond.
+    exhaustive = n <= 6
+    pool = torsion.iter_structured(n) if exhaustive else torsion.sample_halves(n, 1000, seed=n)
+
+    def round_trips_hold(X: PeriodicDiagram) -> bool:
+        wings = torsion.decompose(X)  # once, for both round trips
+        return (torsion.compose(wings) == X
+                and torsion.from_pointed_cycle(wings.pointed_cycle(), n) == X)
+
+    label = "decompose/compose and pointed-cycle round trips"
+    if not exhaustive:
+        label += " (sampled)"
+    checks.append((label, all(round_trips_hold(X) for X in pool)))
+
+    skipped = _skipped(n, "STRUCTURED_RANK", STRUCTURED_RANK)
+    histogram: bool | str = skipped
+    burnside: bool | str = skipped
+    readings = [f"translation-invariance readings: {skipped}"]
     if n <= STRUCTURED_RANK:
-        if exhaustive:
-            pool = torsion.iter_structured(n)
-        else:
-            pool = torsion.sample_halves(n, 1000, seed=n)
-
-        def round_trips_hold(X: PeriodicDiagram) -> bool:
-            wings = torsion.decompose(X)  # once, for both round trips
-            return (torsion.compose(wings) == X
-                    and torsion.from_pointed_cycle(wings.pointed_cycle(), n) == X)
-
-        round_trips = all(round_trips_hold(X) for X in pool)
-        label = "decompose/compose and pointed-cycle round trips"
-        if not exhaustive:
-            label += " (sampled)"
-        checks.append((label, round_trips))
-    if exhaustive:
         fixed = torsion.fixed_histograms(n)  # one call for the three readings
-        checks.append(("statistics histogram == refined formula", dict(fixed[n]) == refined))
-        direct = sum(torsion.orbits_from_fixed(fixed).values())
-        checks.append(("Burnside orbit count == direct partition",
-                       torsion.orbit_count(n) == direct))
-
-    width = max(len(label) for label, _ in checks)
-    for label, good in checks:
-        print(f"{label:<{width}}  {'pass' if good else 'FAIL'}")
-
-    if exhaustive:
-        print()
-        print("translation-invariance readings (count of tau^d-invariant pairs):")
-        print("d,enumerated,count_at_rank_d,count_at_rank_n/d")
+        histogram = dict(fixed[n]) == refined
+        burnside = torsion.orbit_count(n) == sum(torsion.orbits_from_fixed(fixed).values())
+        readings = ["translation-invariance readings (count of tau^d-invariant pairs):",
+                    "d,enumerated,count_at_rank_d,count_at_rank_n/d"]
         for d in torsion._divisors(n):
             enumerated = sum(fixed[d].values())
-            print(f"{d},{enumerated},{counting.torsion_count(d)},{counting.torsion_count(n // d)}")
+            readings.append(f"{d},{enumerated},{counting.torsion_count(d)},"
+                            f"{counting.torsion_count(n // d)}")
+    checks.append(("statistics histogram == refined formula", histogram))
+    checks.append(("Burnside orbit count == direct partition", burnside))
 
-    return 0 if all(good for _, good in checks) else 1
+    width = max(len(label) for label, _ in checks)
+    for label, verdict in checks:
+        if isinstance(verdict, bool):
+            verdict = "pass" if verdict else "FAIL"
+        print(f"{label:<{width}}  {verdict}")
+    print()
+    print("\n".join(readings))
+    return 1 if any(verdict is False for _, verdict in checks) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,6 +13,7 @@ SERIES_ORDER = 24  # cli.cmd_series: the truncation order (the library is uncapp
 COUNT_RANK = 20_000  # cli.cmd_count, cmd_orbits: the closed-form counts (likewise)
 REFINED_RANK = 150  # cli.cmd_count/cmd_orbits --refined, cmd_verify: the (k, l, m) table
 PERP_ORBITS = 40_000  # cli.cmd_perp --max-length: the rank x (max_length - 1) orbits it tests
+RECORD_RANK = 500  # cli._record: the decoded rank of decompose, compose, perp and render
 
 
 class CapExceeded(RuntimeError):

@@ -98,13 +98,6 @@ Q_ZERO = QPoly(())
 Q_ONE = QPoly((1,))
 
 
-def q_int(n: int) -> QPoly:
-    """[n]_q = 1 + q + ... + q^(n-1)."""
-    if n < 0:
-        raise ValueError(f"need n >= 0, got {n}")
-    return QPoly((1,) * n)
-
-
 @functools.cache
 def qbinomial(a: int, b: int) -> QPoly:
     """Gaussian binomial [a choose b]_q, by the Pascal recurrence.

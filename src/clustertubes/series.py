@@ -169,12 +169,6 @@ class PowerSeries:
     def scale(self, c: Coefficient) -> "PowerSeries":
         return PowerSeries(self.order, tuple(c * a for a in self.coeffs))
 
-    def derivative(self) -> "PowerSeries":
-        """d/dz, exact to order ``order - 1``."""
-        return PowerSeries(
-            self.order - 1, tuple(k * self.coeffs[k] for k in range(1, self.order + 1))
-        )
-
     def geometric(self) -> "PowerSeries":
         """``1/(1 - self)`` for a series with zero constant term."""
         if _as_poly(self.coeffs[0]) != ZERO:

@@ -400,7 +400,6 @@ def _walk(n: int, masks: Iterable[int]) -> Iterator[tuple[list[int], tuple[Polyg
     and ``pieces`` holds one diagram of :func:`polygon_diagrams` per span, in
     cut order; nothing is laid.  :func:`iter_structured` documents the order.
     """
-    _check_rank(n)
     for mask in masks:
         cuts = [v for v in range(n) if mask >> v & 1]
         ends = cuts[1:] + [cuts[0] + n]
@@ -425,6 +424,7 @@ def iter_structured(n: int) -> Iterator[PeriodicDiagram]:
     :func:`~clustertubes.polygons.polygon_diagrams` in its order, the span
     starting at the largest cut varying fastest.
     """
+    _check_rank(n)  # before 1 << n, which fails below 0
     for cuts, pieces in _walk(n, range(1, 1 << n)):
         yield _lay(n, zip(cuts, pieces))
 

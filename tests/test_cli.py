@@ -1,6 +1,8 @@
 import hashlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,8 @@ from types import SimpleNamespace
 import pytest
 
 from clustertubes.cli import main
-from clustertubes.config import COUNT_RANK, PERP_ORBITS, REFINED_RANK, SERIES_ORDER
+from clustertubes.config import BRUTE_RANK, COUNT_RANK, PERP_ORBITS, RECORD_RANK
+from clustertubes.config import REFINED_RANK, SERIES_ORDER, STRUCTURED_RANK
 from clustertubes.counting import torsion_count
 from clustertubes.polygons import polygon_diagrams
 from clustertubes.torsion import TorsionPair, iter_structured
@@ -248,6 +251,7 @@ def test_sieve_output_is_byte_stable(capsys, n, digest):
 @pytest.mark.parametrize("argv, message", [
     (("count", "--n", "0", "--refined"), "error: rank must be >= 1, got 0\n"),
     (("sieve", "--n", "-2"), "error: rank must be >= 1, got -2\n"),
+    (("enumerate", "--n", "-1"), "error: rank must be >= 1, got -1\n"),
 ])
 def test_rank_below_one_is_a_usage_error(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -335,7 +339,7 @@ def test_count_rank_limits_exit_3_before_computing(capsys, monkeypatch, limit, r
     assert err == f"error: {message} at rank {limit}, got {limit + 1}\n"
 
 
-def refuse(*args):
+def refuse(*args, **kwargs):
     raise AssertionError("computed past the limit")
 
 
@@ -352,6 +356,8 @@ def test_orbits_and_verify_rank_limits_exit_3_before_computing(
         "clustertubes.counting.refined_table": lambda n: {},
         "clustertubes.torsion.orbit_count": lambda n: 0,
         "clustertubes.torsion.orbit_count_refined": lambda n: {},
+        "clustertubes.torsion.count_structured": lambda n: 0,
+        "clustertubes.torsion.sample_halves": lambda n, count, seed: [],
         "clustertubes.cli.series_torsion": lambda order, *_: SimpleNamespace(coeffs=[0] * (order + 1)),
     }
     for target, fake in fakes.items():
@@ -399,13 +405,92 @@ def test_perp_listing_limit_exits_3_before_computing(capsys, monkeypatch):
 
 
 def test_verify_builds_no_polygon_list(capsys):
-    # The sampled round trips draw pieces through random_polygon, so only the
-    # grammar walk (not run by verify beyond rank 6) fills this cache.
+    # The sampled round trips draw pieces through random_polygon, so only
+    # fixed_histograms(9) fills this cache: the widths 1..3 of the cut masks
+    # that tau^1 and tau^3 can fix.
     polygon_diagrams.cache_clear()
     code, out, _ = run(capsys, "verify", "--n", "9")
     assert code == 0
     assert "FAIL" not in out
-    assert polygon_diagrams.cache_info().misses == 0
+    assert polygon_diagrams.cache_info().currsize <= 3
+
+
+# verify's rows in order, each with the limit that gates it (None: ungated)
+VERIFY_ROWS = [
+    ("2 * |structured| == closed formula", None),
+    ("brute == structured (as sets)", ("BRUTE_RANK", BRUTE_RANK)),
+    ("series coefficient == closed formula", None),
+    ("refined formula sums to total", None),
+    ("decompose/compose and pointed-cycle round trips", None),
+    ("statistics histogram == refined formula", ("STRUCTURED_RANK", STRUCTURED_RANK)),
+    ("Burnside orbit count == direct partition", ("STRUCTURED_RANK", STRUCTURED_RANK)),
+]
+
+
+@pytest.mark.parametrize("n", [1, 6, 7, 8, 9, 10, 12])
+def test_verify_and_orbits_name_every_check_they_skip(capsys, n):
+    code, out, _ = run(capsys, "verify", "--n", str(n))
+    assert code == 0
+    table, readings = out.split("\n\n")
+    rows = [re.fullmatch(r"(.+?) {2,}(\S.*)", row).groups() for row in table.splitlines()]
+    assert [label.removesuffix(" (sampled)") for label, _ in rows] == [l for l, _ in VERIFY_ROWS]
+    for (_, verdict), (_, gate) in zip(rows, VERIFY_ROWS):
+        if gate is not None and n > gate[1]:
+            assert verdict == f"skipped (rank {n} > {gate[0]} = {gate[1]})"
+        else:
+            assert verdict == "pass"
+    if n <= STRUCTURED_RANK:
+        assert readings.startswith("translation-invariance readings (count of")
+        assert f"\n{n},{torsion_count(n)},{torsion_count(n)},2" in readings
+    else:
+        assert readings == ("translation-invariance readings: "
+                            f"skipped (rank {n} > STRUCTURED_RANK = {STRUCTURED_RANK})\n")
+
+    code, out, _ = run(capsys, "orbits", "--n", str(n))
+    assert code == 0
+    formula, direct = out.splitlines()
+    assert formula.startswith("orbit count (Burnside formula): ")
+    if n <= STRUCTURED_RANK:
+        assert direct == "orbit count (direct partition): " + formula.split(": ")[1]
+    else:
+        assert direct == ("orbit count (direct partition): "
+                          f"skipped (rank {n} > STRUCTURED_RANK = {STRUCTURED_RANK})")
+
+
+def test_verify_exits_1_on_a_fail_among_skips(capsys, monkeypatch):
+    from clustertubes import torsion
+
+    monkeypatch.setattr(torsion, "count_structured", lambda n: 0)
+    code, out, _ = run(capsys, "verify", "--n", str(STRUCTURED_RANK + 1))
+    assert code == 1
+    assert out.splitlines()[0].endswith("  FAIL")
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["decompose", "--diagram", '{"rank":%d,"orbits":[]}'], None),
+    (["decompose"], '{"rank":%d,"orbits":[]}\n'),
+    (["compose", "--wings", '{"rank":%d,"pairs":[{"top":[0,1],"arcs":[]}]}'], None),
+    (["perp", "--diagram", '{"rank":%d,"orbits":[]}', "--arc", "0", "2"], None),
+    (["render", "--pair", "-", "--out", "-"], '{"rank":%d,"finite_side":"left","orbits":[]}'),
+])
+def test_record_rank_limit_exits_3_before_computing(capsys, monkeypatch, argv, stdin):
+    for target in ("decompose", "compose", "perp_contains", "is_finite_half"):
+        monkeypatch.setattr(f"clustertubes.torsion.{target}", refuse)
+    monkeypatch.setattr("clustertubes.cli.render_torsion_pair", refuse)
+    rank = RECORD_RANK + 1
+    argv = [arg % rank if "%d" in arg else arg for arg in argv]
+    if stdin is not None:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin % rank))
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert err == f"error: record rank capped at {RECORD_RANK}, got {rank}\n"
+
+
+def test_decompose_at_the_record_rank_limit(capsys):
+    code, out, _ = run(capsys, "decompose", "--diagram", f'{{"rank":{RECORD_RANK},"orbits":[]}}')
+    assert code == 0
+    assert len(json.loads(out)["pairs"]) == RECORD_RANK
 
 
 @pytest.mark.parametrize("command", ["enumerate", "series", "sieve", "orbits", "verify"])
@@ -485,6 +570,8 @@ def test_malformed_input_exit_code(capsys):
          "pairs[0] omits its top arc [0, 4]"),
         (["compose", "--wings", '{"rank": 2, "pairs": [{"top": [0, 2], "arcs": []}]}'],
          "pairs[0] omits its top arc [0, 2]"),
+        (["decompose", "--diagram", f'{{"rank": {RECORD_RANK + 1}, "orbits": [[0]]}}'],
+         "orbits[0]"),
     ],
 )
 def test_malformed_record_names_the_key(capsys, argv, message):

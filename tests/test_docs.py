@@ -1,7 +1,9 @@
+import argparse
 import re
 from pathlib import Path
 
 from clustertubes import config
+from clustertubes.cli import build_parser
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -13,3 +15,11 @@ def test_readme_states_every_limit_with_its_value():
     for name, value in limits.items():
         assert f"`{name} = {value:_}`" in README, name
 
+
+
+def test_readme_shows_every_subcommand():
+    subparsers = next(action for action in build_parser()._actions
+                      if isinstance(action, argparse._SubParsersAction))
+    assert len(subparsers.choices) >= 10
+    for command in subparsers.choices:
+        assert re.search(rf"\bclustertubes {command}\b", README), command

@@ -8,16 +8,9 @@ from clustertubes.qpolys import (
     Q_ZERO,
     cyclotomic,
     eval_at_primitive_root,
-    q_int,
     qbinomial,
     qmultinomial,
 )
-
-
-def test_q_int():
-    assert q_int(0) == Q_ZERO
-    assert q_int(1) == Q_ONE
-    assert q_int(3).coeffs == (1, 1, 1)
 
 
 def test_qbinomial_cases():

@@ -86,11 +86,6 @@ def test_geometric_is_a_true_inverse():
     assert all(c == 0 for c in product.coeffs[1:])
 
 
-def test_derivative():
-    s = PowerSeries.from_list([5, 0, 3, 7], 3)
-    assert s.derivative().coeffs == (0, 6, 21)
-
-
 def test_order_cap():
     # The order limit is the CLI's (tests/test_cli.py); the library only
     # needs a positive order.
