@@ -224,6 +224,18 @@ def test_series_torsion_kind(capsys):
     assert out.splitlines() == ["z^0: 0", "z^1: 2", "z^2: 4x + 2"]
 
 
+@pytest.mark.parametrize("kind, fmt, digest", [
+    ("P", "text", "0cfb068265f29b921fed4e1dca3ba6780ba270511a5b1345ca7fe398184a7c54"),
+    ("P", "json", "d643959196e8b76d88876eb90ee71c43334c92b84526d674f468eaef87ae9dc2"),
+    ("torsion", "text", "2a87629dd59216641752574a3ce7b35d435fa812621e0cc6d99fe02e1e5c8954"),
+    ("torsion", "json", "100f558118aaba73db00bc90723464a3c18fd07e6b371538e18c3bcff18704c7"),
+])
+def test_series_output_is_byte_stable(capsys, kind, fmt, digest):
+    code, out, _ = run(capsys, "series", "--order", "24", "--kind", kind, "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_sieve_pass(capsys):
     code, out, _ = run(capsys, "sieve", "--n", "2")
     assert code == 0

@@ -1,5 +1,6 @@
 import pytest
 
+from clustertubes.config import REFINED_RANK, SERIES_ORDER
 from clustertubes.counting import (
     lagrange_coefficient,
     refined_table,
@@ -43,15 +44,57 @@ def test_series_satisfies_its_equation():
     assert lhs.coeffs == rhs.coeffs
 
 
+def _oracle_P(order, x, y1, y2):
+    """The recursion over Z[x, y1, y2], all three variables kept apart."""
+    quad = 1 + x
+    cub = y1 + y2 - x
+    a = [0] * (order + 1)
+    sq = [0] * (order + 1)
+    cb = [0] * (order + 1)
+    for m in range(1, order + 1):
+        sq[m] = sum(a[i] * a[m - i] for i in range(1, m))
+        cb[m] = sum(a[i] * sq[m - i] for i in range(1, m - 1))
+        base = 1 if m == 1 else 0
+        a[m] = base - a[m - 1] + quad * sq[m] + cub * cb[m]
+    return PowerSeries(order, tuple(a))
+
+
+def _oracle_torsion(order, x, y1, y2):
+    """``2 z P'/(1 - P)`` through the series product and ``geometric``."""
+    P = _oracle_P(order, x, y1, y2)
+    zPprime = PowerSeries(order, tuple(k * P.coeffs[k] for k in range(order + 1)))
+    return (zPprime * P.geometric()).scale(2)
+
+
+@pytest.mark.parametrize("args", [
+    (X, Y1, Y2),
+    (1, 1, 1),
+    (X, Y1, 1),
+    (X, Y2, Y1),
+    (2, Y1, Y2),
+    (X, 3, 4),
+    (Y1, Y1, Y2),  # x shares a variable with y1 + y2
+])
+def test_series_match_the_three_variable_recursion(args):
+    order = 10
+    assert series_P(order, *args).coeffs == _oracle_P(order, *args).coeffs
+    assert series_torsion(order, *args).coeffs == _oracle_torsion(order, *args).coeffs
+
+
+def test_integer_arguments_give_plain_integers():
+    for S in (series_P(12, 1, 1, 1), series_torsion(12, 2, 3, 4)):
+        assert all(type(c) is int for c in S.coeffs)
+
+
 def test_torsion_series_matches_formula_at_ones():
-    T = series_torsion(20, 1, 1, 1)
-    for n in range(1, 21):
+    T = series_torsion(REFINED_RANK, 1, 1, 1)
+    for n in range(1, REFINED_RANK + 1):
         assert T.coeffs[n] == torsion_count(n)
 
 
 def test_torsion_series_matches_refined_coefficientwise():
-    T = series_torsion(10)
-    for n in range(1, 11):
+    T = series_torsion(SERIES_ORDER)
+    for n in range(1, SERIES_ORDER + 1):
         coeff = T.coeffs[n]
         table = {exp: c for exp, c in coeff.terms}
         assert table == refined_table(n)
