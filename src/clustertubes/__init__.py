@@ -26,7 +26,6 @@ from .counting import (
     asymptotic_check,
     growth_amplitude,
     growth_rate,
-    lagrange_coefficient,
     real_root,
     refined_table,
     torsion_count,

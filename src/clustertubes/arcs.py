@@ -20,7 +20,6 @@ All values are immutable and all operations are pure functions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -176,11 +175,6 @@ class PeriodicDiagram:
 
     def to_json(self) -> str:
         return f'{{"rank":{self.rank},"orbits":{self.orbits_json()}}}'
-
-    @classmethod
-    def from_json(cls, text: str) -> "PeriodicDiagram":
-        data = json.loads(text)
-        return cls.from_arcs(data["rank"], (tuple(a) for a in data["orbits"]))
 
 
 def nc_contains(diagram: PeriodicDiagram, arc: tuple[int, int]) -> bool:

@@ -60,7 +60,10 @@ def _record(line: str, arcs: str, *required: str) -> dict:
     well-formed record whose rank passes ``RECORD_RANK`` raises CapExceeded
     (exit 3), as the commands take time and output growing with the rank.
     """
-    data = json.loads(line)
+    try:
+        data = json.loads(line)
+    except RecursionError:  # json's C decoder recurses once per nesting level
+        raise ValueError("record nested too deeply to decode") from None
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object, got {type(data).__name__}")
     for key in ("rank", arcs, *required):
@@ -171,7 +174,9 @@ def cmd_compose(args: argparse.Namespace) -> int:
 
 
 def cmd_perp(args: argparse.Namespace) -> int:
-    line = next(_input_lines(args.diagram))
+    line = next(_input_lines(args.diagram), None)
+    if line is None:
+        raise ValueError("missing diagram record on stdin")
     diagram = _parse_diagram(_record(line, "orbits"))
     if args.n is not None and diagram.rank != args.n:
         raise ValueError(f"diagram rank {diagram.rank} does not match --n {args.n}")

@@ -10,11 +10,7 @@ and the refinement by k triangles, l cliques and m empty cells is
                    * C(n-1-k-l-m, l+m),
 
 with the convention that a binomial with bottom larger than top (or negative
-top) is zero.  :func:`lagrange_coefficient` re-derives the degree-n refined
-coefficient by Lagrange inversion from the compositional inverse
-``Q(z) = z (1 - x z - (y1+y2) z^2/(1-z))`` of the polygon series, expanding
-``(1-z)^{-1} (z/Q(z))^n`` by the multinomial theorem; it must agree with the
-power-series route coefficient for coefficientwise cross-checks.
+top) is zero.
 
 T(n) grows like ``alpha / sqrt(pi n) * rho^n`` where rho is the largest
 positive root of ``8x^3 - 48x^2 - 47x + 4`` and alpha the smallest positive
@@ -29,8 +25,6 @@ import functools
 import math
 from fractions import Fraction
 from typing import Iterable, Literal
-
-from .series import Poly3
 
 # coefficient lists are low degree -> high degree
 RHO_POLYNOMIAL: tuple[int, ...] = (4, -47, -48, 8)
@@ -110,27 +104,6 @@ def refined_support(n: int) -> list[tuple[int, int, int]]:
 
 def refined_table(n: int) -> dict[tuple[int, int, int], int]:
     return {klm: torsion_count_refined(n, *klm) for klm in refined_support(n)}
-
-
-def lagrange_coefficient(n: int) -> Poly3:
-    """Degree-n refined coefficient via Lagrange inversion.
-
-    Extracts ``[z^(n-1)] (1-z)^{-1} (1 - xz - (y1+y2) z^2/(1-z))^{-n}`` from
-    the multinomial expansion with ``X = xz`` and ``Y_i = y_i z^2/(1-z)``:
-    the (k, l, m) term carries ``z^(k+2(l+m)) (1-z)^{-(l+m+1)}``, so the
-    geometric factor must supply ``i = n-1-k-2(l+m)`` powers of z, worth
-    ``C(l+m+i, l+m)``.  The result is doubled since either half of a torsion
-    pair may be the finite one.
-    """
-    if n < 1:
-        raise ValueError(f"rank must be >= 1, got {n}")
-    terms: dict[tuple[int, int, int], int] = {}
-    for k in range(n):
-        for l in range((n - 1 - k) // 2 + 1):
-            for m in range((n - 1 - k) // 2 - l + 1):
-                i = n - 1 - k - 2 * (l + m)
-                terms[(k, l, m)] = 2 * multinomial((n - 1, k, l, m)) * binomial(l + m + i, l + m)
-    return Poly3.from_dict(terms)
 
 
 def _poly_eval(coeffs: tuple[int, ...], x: Fraction) -> Fraction:

@@ -27,7 +27,6 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -108,21 +107,6 @@ class PolygonDiagram:
             if (a, b) == (0, self.size):
                 raise ValueError("the base edge is implicit and never stored as a diagonal")
         object.__setattr__(self, "diagonals", canon)
-
-    @property
-    def is_degenerate(self) -> bool:
-        return self.size == 1
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"size": self.size, "diagonals": [list(d) for d in self.diagonals]},
-            separators=(",", ":"),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "PolygonDiagram":
-        data = json.loads(text)
-        return cls(data["size"], tuple(tuple(d) for d in data["diagonals"]))
 
 
 DEGENERATE = PolygonDiagram(1)
@@ -406,11 +390,3 @@ def compose_base(cell: Cell | None, subs: Sequence[PolygonDiagram]) -> PolygonDi
             diags.extend(sub.diagonals if c == 0 else ((c + a, c + b) for a, b in sub.diagonals))
     return PolygonDiagram(corners[-1], tuple(diags))
 
-
-def statistics_recursive(diagram: PolygonDiagram) -> CellStatistics:
-    """Statistics through the grammar recursion; equals :func:`statistics_polygon`."""
-    cell, subs = decompose_base(diagram)
-    stats = CellStatistics() if cell is None else _KIND_TO_FIELD[cell.kind]
-    for sub in subs:
-        stats = stats + statistics_recursive(sub)
-    return stats

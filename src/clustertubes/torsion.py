@@ -23,8 +23,8 @@ The structure theory implemented here:
   Ptolemy property by pruned backtracking (the oracle, sharing no code with
   the grammar), ``iter_structured`` runs the cut/wing grammar (the fast
   path); both must produce the same sets.  The grammar yields each half
-  exactly once, so ``torsion_pairs`` streams it unsorted: grammar order is
-  the canonical order of the ``enumerate`` stream.
+  exactly once, so the ``enumerate`` stream walks it unsorted: grammar order
+  is the canonical order of that stream.
 * *Records*.  Diagram, torsion-pair and wing records are compact JSON text,
   byte-identical to ``json.dumps(..., separators=(",", ":"))`` but built
   with f-strings around one arc-list writer,
@@ -115,12 +115,6 @@ class TorsionPair:
 
     def to_json(self) -> str:
         return pair_json(self.rank, self.finite_side, self.finite_half.orbits_json())
-
-    @classmethod
-    def from_json(cls, text: str) -> "TorsionPair":
-        data = json.loads(text)
-        half = PeriodicDiagram.from_arcs(data["rank"], (tuple(a) for a in data["orbits"]))
-        return cls(data["rank"], half, data["finite_side"])
 
 
 def pair_json(rank: int, side: str, orbits_text: str) -> str:
@@ -477,16 +471,6 @@ def sample_halves(n: int, count: int, seed: int = 0) -> list[PeriodicDiagram]:
         ends = cuts[1:] + [cuts[0] + n]
         out.append(_lay(n, ((c, random_polygon(rng, d - c)) for c, d in zip(cuts, ends))))
     return out
-
-
-def torsion_pairs(n: int) -> Iterator[TorsionPair]:
-    """Every torsion pair at rank n, streamed: each half of
-    :func:`iter_structured` in grammar order, once as left-finite and then
-    once as right-finite.  Nothing is sorted or kept.  (``enumerate`` walks
-    :func:`iter_structured` itself, to serialize each half once.)"""
-    for half in iter_structured(n):
-        yield TorsionPair(n, half, "left")
-        yield TorsionPair(n, half, "right")
 
 
 # ---------------------------------------------------------------------------

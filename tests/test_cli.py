@@ -611,6 +611,30 @@ def test_render_malformed_record_names_the_key(capsys, tmp_path, record, message
     assert err.startswith("error: ") and message in err
 
 
+NESTED_RECORD = '{"rank":4,"orbits":' + "[" * 3000 + "]" * 3000 + "}"
+
+
+@pytest.mark.parametrize("argv, stdin", [
+    (["decompose"], NESTED_RECORD),
+    (["compose"], NESTED_RECORD),
+    (["perp", "--arc", "0", "2"], NESTED_RECORD),
+    (["render", "--pair", "-", "--out", "-"], NESTED_RECORD),
+    (["perp", "--arc", "0", "2"], ""),
+], ids=["decompose-nested", "compose-nested", "perp-nested", "render-nested", "perp-empty"])
+def test_unreadable_record_exits_2_without_a_traceback(argv, stdin):
+    # A child process: JSON nesting deep enough to exhaust the recursion limit
+    # depends on the stack the command runs on, and a traceback goes to stderr.
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "clustertubes.cli", *argv], input=stdin,
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["count", "--n", "2", "--unknown-flag"])

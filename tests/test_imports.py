@@ -1,4 +1,5 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and the cross-checking
+routes import none of each other.
 
 No linter ships with the project; this catches the stale imports a deletion
 leaves behind.  ``__init__.py`` is skipped, as its imports are the package's
@@ -30,3 +31,31 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(imported_names(tree)) - used)
     assert unused == [], f"{path.name} imports but never uses {unused}"
+
+
+def package_imports(tree):
+    """The package modules a module imports, wherever the import statement is."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                yield node.module.split(".")[0]
+            else:  # from . import counting, torsion
+                yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("clustertubes."):
+            yield node.module.split(".")[1]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("clustertubes."):
+                    yield alias.name.split(".")[1]
+
+
+# The closed forms and the series check each other and the grammar: neither
+# may share code with the routes it is compared against.
+@pytest.mark.parametrize("module, forbidden", [
+    ("counting", {"series", "torsion", "polygons", "qpolys", "sieving"}),
+    ("series", {"counting", "torsion", "polygons"}),
+], ids=["counting", "series"])
+def test_independent_routes_share_no_code(module, forbidden):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    shared = sorted(set(package_imports(tree)) & forbidden)
+    assert shared == [], f"{module}.py imports {shared}"

@@ -1,13 +1,8 @@
 import pytest
 
 from clustertubes.config import REFINED_RANK, SERIES_ORDER
-from clustertubes.counting import (
-    lagrange_coefficient,
-    refined_table,
-    torsion_count,
-    torsion_count_refined,
-)
-from clustertubes.series import ONE, Poly3, PowerSeries, X, Y1, Y2, ZERO, series_P, series_torsion
+from clustertubes.counting import refined_table, torsion_count
+from clustertubes.series import ONE, PowerSeries, X, Y1, Y2, ZERO, series_P, series_torsion
 
 
 def test_poly3_arithmetic():
@@ -98,19 +93,6 @@ def test_torsion_series_matches_refined_coefficientwise():
         coeff = T.coeffs[n]
         table = {exp: c for exp, c in coeff.terms}
         assert table == refined_table(n)
-
-
-@pytest.mark.parametrize("n", range(1, 13))
-def test_lagrange_coefficient_matches_series(n):
-    T = series_torsion(12)
-    assert lagrange_coefficient(n) == T.coeffs[n]
-
-
-def test_lagrange_small_values():
-    assert lagrange_coefficient(1) == Poly3.const(2)
-    assert lagrange_coefficient(2) == 2 + 4 * X
-    assert lagrange_coefficient(2).evaluate() == torsion_count(2)
-    assert lagrange_coefficient(2).coefficient(1, 0, 0) == torsion_count_refined(2, 1, 0, 0)
 
 
 def test_geometric_requires_zero_constant_term():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clustertubes.arcs import PeriodicDiagram, nc_enumerate
+from clustertubes.cli import _parse_diagram, _record
 from clustertubes.config import CapExceeded
 from clustertubes.counting import refined_table, torsion_count
 from clustertubes.polygons import DEGENERATE, CellStatistics, PolygonDiagram, polygon_diagrams
@@ -34,7 +35,6 @@ from clustertubes.torsion import (
     sample_halves,
     statistics,
     to_pointed_cycle,
-    torsion_pairs,
 )
 
 RANK_TEN_HALF = PeriodicDiagram.from_arcs(
@@ -451,29 +451,6 @@ def test_fixed_histograms_build_only_short_pieces():
     assert polygon_diagrams.cache_info().currsize <= 3
 
 
-def test_torsion_pairs_stream():
-    pairs = list(torsion_pairs(2))
-    assert len(pairs) == torsion_count(2)
-    assert {p.finite_side for p in pairs} == {"left", "right"}
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_torsion_pairs_follow_grammar_order(n):
-    expected = [TorsionPair(n, h, s) for h in iter_structured(n) for s in ("left", "right")]
-    assert list(torsion_pairs(n)) == expected
-
-
-def test_torsion_pairs_is_lazy(monkeypatch):
-    first = PeriodicDiagram.from_arcs(9, [(0, 9)])
-
-    def grammar(n):
-        yield first
-        raise AssertionError("the stream read past its first half")
-
-    monkeypatch.setattr("clustertubes.torsion.iter_structured", grammar)
-    assert next(torsion_pairs(9)) == TorsionPair(9, first, "left")
-
-
 # ---- translation symmetry ------------------------------------------------------------
 
 
@@ -539,8 +516,10 @@ def test_orbit_refined_sums_to_total():
 def test_torsion_pair_json_round_trip():
     pair = TorsionPair(10, RANK_TEN_HALF, "right")
     text = pair.to_json()
-    assert TorsionPair.from_json(text) == pair
-    assert TorsionPair.from_json(text).to_json() == text
+    data = _record(text, "orbits", "finite_side")
+    decoded = TorsionPair(data["rank"], _parse_diagram(data), data["finite_side"])
+    assert decoded == pair
+    assert decoded.to_json() == text
 
 
 def test_torsion_pair_validation():
