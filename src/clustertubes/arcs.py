@@ -142,7 +142,27 @@ class PeriodicDiagram:
 
     @classmethod
     def from_arcs(cls, rank: int, arcs: Iterable[tuple[int, int]]) -> "PeriodicDiagram":
-        return cls(rank, frozenset(normalize_orbit(rank, a) for a in arcs))
+        """The diagram of the orbits of ``arcs``, each a pair ``(i, j)`` of
+        integers at any shift.  Each arc is checked and normalized once, in
+        input order: the first one shorter than 2 raises :func:`check_arc`'s
+        error."""
+        if rank < 1:
+            raise ValueError(f"rank must be positive, got {rank}")
+        orbits = frozenset([((r := i % rank), r + (j - i)) for i, j in arcs
+                            if j - i >= 2 or check_arc((i, j))])
+        # Canonical as built: rank >= 1, each left endpoint taken mod rank,
+        # and each length checked >= 2.
+        return cls._canonical(rank, orbits)
+
+    @classmethod
+    def _canonical(cls, rank: int, orbits: frozenset[Arc]) -> "PeriodicDiagram":
+        """The diagram with these fields, built without ``__post_init__``.
+        Only for values canonical by construction: ``rank >= 1``, and every
+        orbit ``(i, j)`` with ``0 <= i < rank`` and ``j - i >= 2``."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "orbits", orbits)
+        return self
 
     @classmethod
     def empty(cls, rank: int) -> "PeriodicDiagram":

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import reprlib
 import sys
 from collections import Counter
 from typing import Iterator, Sequence
@@ -39,6 +40,12 @@ def _input_lines(arg: str | None) -> Iterator[str]:
         yield arg
 
 
+# Error lines echo a malformed value through this: a short one prints as its
+# repr, a long or deeply nested one as a bounded abbreviation of it.
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel, _ECHO.maxstring, _ECHO.maxlist = 3, 40, 4
+
+
 def _is_arc(value: object) -> bool:
     """Is ``value`` a pair of integers?  JSON decodes to exactly ``list`` and
     ``int``, so exact type checks cost little and keep bools out."""
@@ -59,6 +66,8 @@ def _record(line: str, arcs: str, *required: str) -> dict:
     its path (``orbits[0]``, ``pairs[1].arcs[0]``), so ``main`` exits 2.  A
     well-formed record whose rank passes ``RECORD_RANK`` raises CapExceeded
     (exit 3), as the commands take time and output growing with the rank.
+    A value quoted in a message is abbreviated past a few levels or dozens
+    of characters (``_ECHO``).
     """
     try:
         data = json.loads(line)
@@ -72,30 +81,32 @@ def _record(line: str, arcs: str, *required: str) -> dict:
     if not isinstance(data["rank"], int) or isinstance(data["rank"], bool):
         raise ValueError(f"key 'rank' must be an integer, got {type(data['rank']).__name__}")
     if data["rank"] < 1:
-        raise ValueError(f"key 'rank' must be >= 1, got {data['rank']}")
+        raise ValueError(f"key 'rank' must be >= 1, got {_ECHO.repr(data['rank'])}")
     if not isinstance(data[arcs], list):
         raise ValueError(f"key {arcs!r} must be a list, got {type(data[arcs]).__name__}")
     for i, entry in enumerate(data[arcs]):
         if arcs == "orbits":
             if not _is_arc(entry):
-                raise ValueError(f"orbits[{i}] must be a pair of integers, got {entry!r}")
+                raise ValueError(f"orbits[{i}] must be a pair of integers, "
+                                 f"got {_ECHO.repr(entry)}")
             continue
         if not (type(entry) is dict and _is_arc(entry.get("top"))
                 and type(entry.get("arcs")) is list):
             raise ValueError(f"pairs[{i}] must be an object with an arc 'top' and a list 'arcs'")
         for j, arc in enumerate(entry["arcs"]):
             if not _is_arc(arc):
-                raise ValueError(f"pairs[{i}].arcs[{j}] must be a pair of integers, got {arc!r}")
+                raise ValueError(f"pairs[{i}].arcs[{j}] must be a pair of integers, "
+                                 f"got {_ECHO.repr(arc)}")
     side = data.get("finite_side", "left")
     if side not in ("left", "right"):
-        raise ValueError(f"key 'finite_side' must be 'left' or 'right', got {side!r}")
+        raise ValueError(f"key 'finite_side' must be 'left' or 'right', got {_ECHO.repr(side)}")
     if data["rank"] > RECORD_RANK:
-        raise CapExceeded(f"record rank capped at {RECORD_RANK}, got {data['rank']}")
+        raise CapExceeded(f"record rank capped at {RECORD_RANK}, got {_ECHO.repr(data['rank'])}")
     return data
 
 
 def _parse_diagram(data: dict) -> PeriodicDiagram:
-    return PeriodicDiagram.from_arcs(data["rank"], (tuple(a) for a in data["orbits"]))
+    return PeriodicDiagram.from_arcs(data["rank"], data["orbits"])
 
 
 def cmd_count(args: argparse.Namespace) -> int:

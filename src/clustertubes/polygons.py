@@ -108,6 +108,17 @@ class PolygonDiagram:
                 raise ValueError("the base edge is implicit and never stored as a diagonal")
         object.__setattr__(self, "diagonals", canon)
 
+    @classmethod
+    def _canonical(cls, size: int, diagonals: tuple[tuple[int, int], ...]) -> "PolygonDiagram":
+        """The diagram with these fields, built without ``__post_init__``.
+        Only for values canonical by construction: ``size >= 1``, and the
+        diagonals sorted, distinct, of length >= 2, inside ``[0, size]`` and
+        without the base edge."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "diagonals", diagonals)
+        return self
+
 
 DEGENERATE = PolygonDiagram(1)
 

@@ -43,7 +43,7 @@ import itertools
 import json
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -167,8 +167,9 @@ class WingDecomposition:
         pairs = []
         for (c, d), piece in zip(self.spans(), self.pieces):
             arcs = []
-            if piece.size >= 2:
-                arcs = sorted([(c + a, c + b) for a, b in piece.diagonals] + [(c, d)])
+            if piece.size >= 2:  # the diagonals are sorted, and so are their shifts
+                arcs = [(c + a, c + b) for a, b in piece.diagonals]
+                insort(arcs, (c, d))
             pairs.append(f'{{"top":[{c},{d}],"arcs":{arcs_json(arcs)}}}')
         side = "" if finite_side is None else f'"finite_side":"{finite_side}",'
         return f'{{"rank":{self.rank},{side}"pairs":[{",".join(pairs)}]}}'
@@ -189,26 +190,31 @@ class WingDecomposition:
 
     @classmethod
     def from_data(cls, data: dict) -> "WingDecomposition":
-        """Build from a decoded wing record (the object :meth:`to_json` writes).
-        A span of width >= 2 must list its top arc among its ``arcs``."""
+        """Build from a decoded wing record (the object :meth:`to_json` writes),
+        whose arcs are JSON lists.  A span of width >= 2 must list its top arc
+        among its ``arcs``.  Every piece but an empty unit span is checked by
+        :class:`~clustertubes.polygons.PolygonDiagram`."""
         n = data["rank"]
         cuts, pieces = [], []
         for i, pair in enumerate(data["pairs"]):
             c, d = pair["top"]
-            arcs = [tuple(arc) for arc in pair["arcs"]]
-            if d - c >= 2 and (c, d) not in arcs:
+            arcs = pair["arcs"]
+            if d - c >= 2 and [c, d] not in arcs:
                 raise ValueError(f"pairs[{i}] omits its top arc [{c}, {d}] from 'arcs'")
             cuts.append(c % n)
-            diags = tuple((a - c, b - c) for a, b in arcs if (a, b) != (c, d))
+            if d - c == 1 and not arcs:
+                pieces.append(DEGENERATE)
+                continue
+            diags = tuple([(a - c, b - c) for a, b in arcs if a != c or b != d])
             pieces.append(PolygonDiagram(d - c, diags))
         order = sorted(range(len(cuts)), key=lambda t: cuts[t])
         return cls(n, tuple(cuts[t] for t in order), tuple(pieces[t] for t in order))
 
 
 def _lay(n: int, placed: Iterable[tuple[int, PolygonDiagram]]) -> PeriodicDiagram:
-    """The rank-n diagram of pieces laid at offsets: for each ``(c, piece)``
-    of size >= 2, the top arc ``(c, c + size)`` and the diagonals shifted by
-    ``c``, each stored as its canonical orbit."""
+    """The rank-n diagram (n >= 1) of pieces laid at offsets: for each
+    ``(c, piece)`` of size >= 2, the top arc ``(c, c + size)`` and the
+    diagonals shifted by ``c``, each stored as its canonical orbit."""
     arcs = []
     for c, piece in placed:
         if piece.size >= 2:
@@ -217,49 +223,62 @@ def _lay(n: int, placed: Iterable[tuple[int, PolygonDiagram]]) -> PeriodicDiagra
             for a, b in piece.diagonals:
                 i = (c + a) % n
                 arcs.append((i, i + (b - a)))
-    return PeriodicDiagram(n, frozenset(arcs))
+    # Canonical as built: each left endpoint is taken mod n, and each length
+    # is a top arc's size >= 2 or a piece diagonal's length >= 2.
+    return PeriodicDiagram._canonical(n, frozenset(arcs))
 
 
 def decompose(diagram: PeriodicDiagram) -> WingDecomposition:
     """Split a finite half into its cuts and per-span polygon diagrams.
 
-    Cuts are the vertices of ``[0, n)`` not strictly overarched by any arc,
-    found in one pass in memory bounded by the arcs, not the rank.  Raises if
-    there is no cut or a multi-vertex span lacks its top arc: the input was
-    not a finite half.  No arc straddles a cut (an arc ``(a, b)`` with
-    ``a < d < b`` would overarch the cut ``d mod n``), so arcs are placed by
-    lookup.
+    Cuts are the vertices of ``[0, n)`` not strictly overarched by any arc.
+    A sweep finds them: it walks the orbits sorted by left endpoint, carrying
+    the furthest right end ``reach`` seen so far (from the start, the
+    furthest ``j - n`` of the arcs shifted left by n), and the vertices from
+    ``reach`` up to the next left endpoint are cuts, one range at a time.
+    Time and memory grow with the arcs, not the rank.  Raises if there is no
+    cut or a multi-vertex span lacks its top arc: the input was not a finite
+    half.  No arc straddles a cut (an arc ``(a, b)`` with ``a < d < b`` would
+    overarch the cut ``d mod n``), so with the arcs left of the first cut
+    shifted by n and moved to the end, the sorted orbits split into the spans
+    in one merge.
     """
     n = diagram.rank
-    reach, furthest = 0, {}  # shifts from the left reach up to j - n
-    for i, j in diagram.orbits:
-        reach = max(reach, j - n)
-        furthest[i] = max(j, furthest.get(i, j))
+    arcs = sorted(diagram.orbits)
+    reach = max(0, max([j for _, j in arcs], default=0) - n)  # shifts by -n end at j - n
     cuts = []
-    for v in range(n):
-        if v >= reach:
-            cuts.append(v)
-        reach = max(reach, furthest.get(v, reach))
+    for i, j in arcs:
+        if i >= reach:  # no arc starting left of i passes reach
+            cuts.extend(range(reach, i + 1))
+        if j > reach:
+            reach = j
+    cuts.extend(range(reach, n))
     if not cuts:
         raise ValueError("no cut vertex: the diagram is not a finite half")
 
     ends = cuts[1:] + [cuts[0] + n]
+    first = bisect_left(arcs, (cuts[0],))
+    arcs = arcs[first:] + [(i + n, j + n) for i, j in arcs[:first]]
+    arcs.append((ends[-1], 0))  # a sentinel: it starts past every span
+    rest = iter(arcs)
+    a, b = next(rest)
+    pieces = []
     for c, d in zip(cuts, ends):
-        if d - c >= 2 and (c, d) not in diagram.orbits:
+        if d - c == 1:  # no arc starts here: it would straddle d
+            pieces.append(DEGENERATE)
+            continue
+        if (c, d) not in diagram.orbits:
             raise ValueError(f"span ({c}, {d}) is missing its top arc; input is not Ptolemy")
-    buckets: list[list[tuple[int, int]]] = [[] for _ in cuts]
-    for a, b in diagram.orbits:
-        if a < cuts[0]:
-            a, b = a + n, b + n
-        t = bisect_right(cuts, a) - 1
-        if (a, b) != (cuts[t], ends[t]):
-            buckets[t].append((a - cuts[t], b - cuts[t]))
-
-    pieces = tuple(
-        DEGENERATE if d - c == 1 else PolygonDiagram(d - c, tuple(bucket))
-        for c, d, bucket in zip(cuts, ends, buckets)
-    )
-    return WingDecomposition(n, tuple(cuts), pieces)
+        diagonals = []
+        while a < d:
+            if a != c or b != d:
+                diagonals.append((a - c, b - c))
+            a, b = next(rest)
+        # Canonical as built: the diagonals come sorted and distinct from the
+        # orbits, have length >= 2, lie in [0, d - c] as no arc straddles a
+        # cut, and leave out the top arc.
+        pieces.append(PolygonDiagram._canonical(d - c, tuple(diagonals)))
+    return WingDecomposition(n, tuple(cuts), tuple(pieces))
 
 
 def compose(wings: WingDecomposition) -> PeriodicDiagram:

@@ -200,6 +200,19 @@ def test_normalize_and_validation():
         PeriodicDiagram(0, frozenset())
 
 
+def test_public_constructors_still_validate():
+    # from_arcs builds its value without __post_init__, so it keeps the
+    # checks that __post_init__ made for it.
+    with pytest.raises(ValueError, match="rank must be positive"):
+        PeriodicDiagram.from_arcs(0, [])
+    with pytest.raises(ValueError, match=r"not an arc \(length 1 < 2\)"):
+        PeriodicDiagram.from_arcs(3, [(0, 1)])
+    with pytest.raises(ValueError, match="not in canonical form"):
+        PeriodicDiagram(3, frozenset({(3, 5)}))
+    expected = PeriodicDiagram(3, frozenset({(2, 7)}))
+    assert PeriodicDiagram.from_arcs(3, [[-1, 4], (2, 7)]) == expected
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(1, 5).flatmap(lambda n: diagram_strategy(n, 2 * n)))
 def test_json_round_trip_is_bit_exact(X):

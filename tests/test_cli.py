@@ -635,6 +635,36 @@ def test_unreadable_record_exits_2_without_a_traceback(argv, stdin):
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
 
 
+LONG_ENTRY = '{"rank":3,"orbits":[[0,"' + "x" * 100_000 + '"]]}'
+DEEP_ENTRY = '{"rank":3,"orbits":[' + "[" * 900 + "]" * 900 + "]}"
+
+
+@pytest.mark.parametrize("stdin", [LONG_ENTRY, DEEP_ENTRY], ids=["long", "deep"])
+def test_malformed_entry_is_echoed_in_bounded_form(stdin):
+    # A child process, as the deep entry decodes only on a shallow stack.
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "clustertubes.cli", "decompose"], input=stdin,
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: orbits[0] must be a pair of integers, got ")
+    assert result.stderr.count("\n") == 1
+    assert len(result.stderr.encode()) < 300
+
+
+@pytest.mark.parametrize("wings", [
+    '{"rank": 4, "pairs": [{"top": [0, 4], "arcs": [[0, 4], [1, 5]]}]}',
+    '{"rank": 2, "pairs": [{"top": [0, 1], "arcs": [[0, 2]]}, {"top": [1, 2], "arcs": []}]}',
+], ids=["wide-span", "unit-span"])
+def test_compose_rejects_a_diagonal_outside_its_span(capsys, wings):
+    code, out, err = run(capsys, "compose", "--wings", wings)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "out of range for size" in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         main(["count", "--n", "2", "--unknown-flag"])

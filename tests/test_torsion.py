@@ -161,23 +161,27 @@ def test_compose_all_degenerate_is_empty():
     assert compose(wings) == PeriodicDiagram.empty(3)
 
 
+def random_diagrams(count, seed=2012):
+    """Periodic diagrams at ranks 1-7 with up to 6 orbits of length up to
+    2n + 1: most are not finite halves."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 7)
+        orbits = set()
+        for _ in range(rng.randint(0, 6)):
+            i = rng.randrange(n)
+            orbits.add((i, i + rng.randint(2, 2 * n + 1)))
+        yield PeriodicDiagram(n, frozenset(orbits))
+
+
 def test_decompose_rejects_non_halves():
     # missing top arc over the covered vertex
     with pytest.raises(ValueError):
         decompose(PeriodicDiagram.from_arcs(2, [(0, 2), (1, 3)]))
     # Any periodic diagram either lacks a cut or a top arc, or decomposes and
     # composes back to itself: no arc can straddle a cut.
-    import random
-
-    rng = random.Random(2012)
     seen = set()
-    for _ in range(3000):
-        n = rng.randint(1, 7)
-        orbits = set()
-        for _ in range(rng.randint(0, 6)):
-            i = rng.randrange(n)
-            orbits.add((i, i + rng.randint(2, 2 * n + 1)))
-        X = PeriodicDiagram(n, frozenset(orbits))
+    for X in random_diagrams(3000):
         try:
             wings = decompose(X)
         except ValueError as exc:
@@ -188,6 +192,40 @@ def test_decompose_rejects_non_halves():
         assert compose(wings) == X
         seen.add("round trip")
     assert seen == {"no cut vertex", "missing its top arc", "round trip"}
+
+
+def cuts_by_vertex(X):
+    """The cuts by a walk over every vertex of [0, n), each tested against
+    the furthest right end of the arcs starting left of it: the reference
+    for the sweep in decompose."""
+    n = X.rank
+    reach, furthest = 0, {}  # shifts from the left reach up to j - n
+    for i, j in X.orbits:
+        reach = max(reach, j - n)
+        furthest[i] = max(j, furthest.get(i, j))
+    cuts = []
+    for v in range(n):
+        if v >= reach:
+            cuts.append(v)
+        reach = max(reach, furthest.get(v, reach))
+    return cuts
+
+
+def test_cut_sweep_matches_the_vertex_walk():
+    for X in itertools.chain(random_diagrams(3000), record_halves()):
+        cuts = cuts_by_vertex(X)
+        if not cuts:
+            expected = "no cut vertex: the diagram is not a finite half"
+        else:
+            spans = zip(cuts, cuts[1:] + [cuts[0] + X.rank])
+            missing = [(c, d) for c, d in spans if d - c >= 2 and (c, d) not in X.orbits]
+            if not missing:
+                assert decompose(X).cuts == tuple(cuts)
+                continue
+            expected = f"span {missing[0]} is missing its top arc; input is not Ptolemy"
+        with pytest.raises(ValueError) as info:
+            decompose(X)
+        assert str(info.value) == expected
 
 
 def test_decompose_memory_does_not_grow_with_the_rank():
@@ -301,6 +339,36 @@ def test_records_are_compact_json_dumps():
             assert text == compact(json.loads(text))
             assert text == compact(expected)
     assert widest >= 10  # some endpoints have two digits
+
+
+def test_built_values_equal_the_validating_constructors():
+    # _lay and decompose build their values without __post_init__.
+    for X in record_halves():
+        assert X == PeriodicDiagram(X.rank, X.orbits)
+        for p in decompose(X).pieces:
+            assert p == PolygonDiagram(p.size, p.diagonals)
+
+
+def test_decompose_and_compose_check_each_piece_once(monkeypatch):
+    # decompose builds its pieces canonical; compose checks each piece of
+    # width >= 2 once, and an empty unit span not at all.
+    halves = list(laid_halves(300, seed=8))
+    check = PolygonDiagram.__post_init__
+    checked = []
+
+    def counted(self):
+        checked.append(self)
+        check(self)
+
+    monkeypatch.setattr(PolygonDiagram, "__post_init__", counted)
+    records = [decompose(X).to_json() for X in halves]
+    assert checked == []
+    wide = 0
+    for X, text in zip(halves, records):
+        wings = WingDecomposition.from_json(text)
+        assert compose(wings) == X
+        wide += sum(p.size >= 2 for p in wings.pieces)
+    assert len(checked) == wide > 300
 
 
 # ---- pointed cycles ---------------------------------------------------------------
