@@ -61,6 +61,7 @@ from .torsion import (
     fixed_histograms,
     from_pointed_cycle,
     is_finite_half,
+    iter_orbits_json,
     iter_structured,
     orbit_count,
     orbit_count_direct,

@@ -20,16 +20,23 @@ All values are immutable and all operations are pure functions.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 Arc = tuple[int, int]
 
+# Error lines echo a malformed value through this: a short one prints as its
+# repr, a long or deeply nested one (or an integer of more than 40 digits) as
+# a bounded abbreviation of it.
+_ECHO = reprlib.Repr()
+_ECHO.maxlevel, _ECHO.maxstring, _ECHO.maxlist = 3, 40, 4
+
 
 def check_arc(pair: tuple[int, int]) -> Arc:
     i, j = pair
     if j - i < 2:
-        raise ValueError(f"not an arc (length {j - i} < 2): {pair!r}")
+        raise ValueError(f"not an arc (length {_ECHO.repr(j - i)} < 2): {_ECHO.repr(pair)}")
     return (i, j)
 
 
@@ -38,7 +45,9 @@ def arcs_json(arcs: Iterable[Arc]) -> str:
 
     The one writer of arc lists in records: the text is byte-identical to
     ``json.dumps([list(a) for a in arcs], separators=(",", ":"))``, built
-    with f-strings, which costs a fraction of ``json.dumps``.
+    with f-strings, which costs a fraction of ``json.dumps``.  The
+    ``enumerate`` stream joins per-arc texts cut from it
+    (:func:`~clustertubes.torsion.iter_orbits_json`).
     """
     return "[" + ",".join([f"[{i},{j}]" for i, j in arcs]) + "]"
 

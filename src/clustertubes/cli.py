@@ -8,7 +8,9 @@ limit exceeded, 141 stdout closed by its reader (128 + SIGPIPE, what a shell
 reports for ``yes | head -1``; nothing is printed to stderr).
 
 ``enumerate`` streams the pairs in grammar order (see
-:func:`clustertubes.torsion.iter_structured`) in bounded memory, so
+:func:`clustertubes.torsion.iter_structured`) in bounded memory, writing
+each half's text from the grammar without building the half
+(:func:`clustertubes.torsion.iter_orbits_json`), so
 ``enumerate --n 9 | head`` prints its first lines at once.
 """
 
@@ -17,13 +19,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import reprlib
 import sys
 from collections import Counter
 from typing import Iterator, Sequence
 
 from . import counting, sieving, torsion
-from .arcs import PeriodicDiagram
+from .arcs import _ECHO, PeriodicDiagram
 from .config import BRUTE_RANK, COUNT_RANK, PERP_ORBITS, REFINED_RANK, SERIES_ORDER
 from .config import RECORD_RANK, STRUCTURED_RANK, CapExceeded
 from .render import render_torsion_pair
@@ -38,12 +39,6 @@ def _input_lines(arg: str | None) -> Iterator[str]:
                 yield line
     else:
         yield arg
-
-
-# Error lines echo a malformed value through this: a short one prints as its
-# repr, a long or deeply nested one as a bounded abbreviation of it.
-_ECHO = reprlib.Repr()
-_ECHO.maxlevel, _ECHO.maxstring, _ECHO.maxlist = 3, 40, 4
 
 
 def _is_arc(value: object) -> bool:
@@ -147,9 +142,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     # within PIPE_BUF, as unbuffered stdout drops what a signal cuts short.
     n = args.n
     block, size = [], 0
-    for half in torsion.iter_structured(n):
-        TorsionPair(n, half, "left")  # the pair's rank and arc-length checks
-        orbits = half.orbits_json()
+    for orbits in torsion.iter_orbits_json(n):  # arc lengths checked there
         for side in ("left", "right"):
             line = torsion.pair_json(n, side, orbits) + "\n"
             if size + len(line) > _WRITE_BLOCK:

@@ -24,12 +24,15 @@ The structure theory implemented here:
   the grammar), ``iter_structured`` runs the cut/wing grammar (the fast
   path); both must produce the same sets.  The grammar yields each half
   exactly once, so the ``enumerate`` stream walks it unsorted: grammar order
-  is the canonical order of that stream.
+  is the canonical order of that stream.  ``iter_orbits_json`` walks the
+  same grammar but builds no half: it writes each one's ``orbits`` text
+  straight from its spans, as sorted integer orbit keys.
 * *Records*.  Diagram, torsion-pair and wing records are compact JSON text,
   byte-identical to ``json.dumps(..., separators=(",", ":"))`` but built
   with f-strings around one arc-list writer,
-  :func:`~clustertubes.arcs.arcs_json`.  The ``enumerate`` stream
-  serializes each half once (its ``orbits`` text) and writes it as two
+  :func:`~clustertubes.arcs.arcs_json`.  The ``enumerate`` stream takes
+  each half's ``orbits`` text from :func:`iter_orbits_json`, whose per-rank
+  table of orbit texts is cut from that writer, and writes it as two
   records, ``left`` and then ``right``, through :func:`pair_json`.
 * *Symmetry*.  The translation ``tau`` acts on halves; a half is fixed by
   ``tau^d`` (d | n) iff it is d-periodic, i.e. iff it is a rank-d half in
@@ -150,6 +153,18 @@ class WingDecomposition:
         for (c, d), piece in zip(self.spans(), self.pieces):
             if piece.size != d - c:
                 raise ValueError(f"piece of size {piece.size} on a span of width {d - c}")
+
+    @classmethod
+    def _canonical(cls, rank: int, cuts: tuple[int, ...],
+                   pieces: tuple[PolygonDiagram, ...]) -> "WingDecomposition":
+        """The decomposition with these fields, built without ``__post_init__``.
+        Only for values valid by construction: cuts strictly increasing within
+        ``[0, rank)``, and one piece per cut whose size is its span's width."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "cuts", cuts)
+        object.__setattr__(self, "pieces", pieces)
+        return self
 
     def spans(self) -> list[tuple[int, int]]:
         """Absolute spans (c, d) between consecutive cuts; the last wraps to
@@ -278,7 +293,9 @@ def decompose(diagram: PeriodicDiagram) -> WingDecomposition:
         # orbits, have length >= 2, lie in [0, d - c] as no arc straddles a
         # cut, and leave out the top arc.
         pieces.append(PolygonDiagram._canonical(d - c, tuple(diagonals)))
-    return WingDecomposition(n, tuple(cuts), tuple(pieces))
+    # Valid as built: the sweep finds at least one cut, ascending and distinct
+    # within [0, n), and each span's piece has the span's width.
+    return WingDecomposition._canonical(n, tuple(cuts), tuple(pieces))
 
 
 def compose(wings: WingDecomposition) -> PeriodicDiagram:
@@ -442,6 +459,34 @@ def iter_structured(n: int) -> Iterator[PeriodicDiagram]:
         yield _lay(n, zip(cuts, pieces))
 
 
+def iter_orbits_json(n: int) -> Iterator[str]:
+    """The ``orbits`` text (:meth:`~clustertubes.arcs.PeriodicDiagram.orbits_json`)
+    of every finite half at rank n, in the grammar order of
+    :func:`iter_structured`, without building the halves.
+
+    A canonical orbit ``(i, j)`` is laid as the integer key ``(j - i) n + i``,
+    so ascending keys are ``sorted_orbits()`` order (length, then left
+    endpoint).  Each span's keys are those of :func:`_lay`'s arcs; a plain
+    int sort orders them, and the text is joined from a table of the
+    ``n (n + 1)`` orbits of length at most n.  A larger key is an arc longer
+    than the rank, which no finite half has: it raises ValueError, the check
+    :class:`TorsionPair` would make.
+    """
+    _check_rank(n)
+    texts = [arcs_json([(k % n, k % n + k // n)])[1:-1] for k in range(n * (n + 1))]
+    for cuts, pieces in _walk(n, range(1, 1 << n)):
+        keys = []
+        for c, piece in zip(cuts, pieces):
+            if piece.size >= 2:
+                keys.append(piece.size * n + c)
+                for a, b in piece.diagonals:
+                    keys.append((b - a) * n + (c + a) % n)
+        keys.sort()
+        if keys and keys[-1] >= len(texts):
+            raise ValueError("a finite half has arcs of length at most the rank")
+        yield "[" + ",".join([texts[k] for k in keys]) + "]"
+
+
 def count_structured(n: int) -> int:
     """Number of finite halves at rank n, counted through the cut/wing grammar.
 
@@ -545,7 +590,7 @@ def orbit_count(n: int) -> int:
 
 def orbit_count_direct(n: int) -> int:
     """Orbit count from the pairs each tau^s fixes (:func:`orbits_from_fixed`)."""
-    return sum(orbit_count_refined_direct(n).values())
+    return sum(orbits_from_fixed(fixed_histograms(n)).values())
 
 
 def orbit_count_refined(n: int) -> dict[tuple[int, int, int], int]:
@@ -561,11 +606,6 @@ def orbit_count_refined(n: int) -> dict[tuple[int, int, int], int]:
             raise ArithmeticError("refined Burnside sum is not divisible by the group order")
         out[(k, l, m)] = total // n
     return out
-
-
-def orbit_count_refined_direct(n: int) -> dict[tuple[int, int, int], int]:
-    """Refined orbit counts from the pairs each tau^s fixes (:func:`orbits_from_fixed`)."""
-    return orbits_from_fixed(fixed_histograms(n))
 
 
 def orbits_from_fixed(fixed: dict[int, Counter]) -> dict[tuple[int, int, int], int]:

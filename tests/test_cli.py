@@ -78,11 +78,12 @@ def test_enumerate_record_count(capsys, n):
 
 
 def test_enumerate_streams_grammar_order(capsys):
-    code, out, _ = run(capsys, "enumerate", "--n", "3")
-    assert code == 0
-    assert out.splitlines() == [
-        TorsionPair(3, h, s).to_json() for h in iter_structured(3) for s in ("left", "right")
-    ]
+    for n in range(1, 7):
+        code, out, _ = run(capsys, "enumerate", "--n", str(n))
+        assert code == 0
+        assert out.splitlines() == [
+            TorsionPair(n, h, s).to_json() for h in iter_structured(n) for s in ("left", "right")
+        ]
 
 
 def test_enumerate_stream_is_byte_stable(capsys):
@@ -101,16 +102,29 @@ def test_enumerate_stream_is_byte_stable_at_rank_six(capsys):
 
 def test_enumerate_checks_every_half(capsys, monkeypatch):
     from clustertubes import torsion
-    from clustertubes.arcs import PeriodicDiagram
+    from clustertubes.polygons import PolygonDiagram
 
-    def grammar_with_a_long_arc(n):
-        yield PeriodicDiagram.empty(n)
-        yield PeriodicDiagram(n, frozenset({(0, n + 2)}))
+    def grammar_with_a_long_arc(n, masks):
+        yield [0], (PolygonDiagram(n + 2),)  # its top arc is longer than the rank
 
-    monkeypatch.setattr(torsion, "iter_structured", grammar_with_a_long_arc)
+    monkeypatch.setattr(torsion, "_walk", grammar_with_a_long_arc)
     code, _, err = run(capsys, "enumerate", "--n", "3")
     assert code == 2
     assert err == "error: a finite half has arcs of length at most the rank\n"
+
+
+def test_enumerate_builds_no_half(capsys, monkeypatch):
+    from clustertubes import torsion
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerate built a half")
+
+    monkeypatch.setattr(torsion, "_lay", refuse)
+    monkeypatch.setattr(torsion.TorsionPair, "__init__", refuse)
+    code, out, _ = run(capsys, "enumerate", "--n", "5")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "09c40dd0dad80ce59409fcb07fe471c085a82eb9c1fa9847a93d055c45d832a8"
 
 
 def test_enumerate_writes_whole_lines_in_pipe_sized_blocks(monkeypatch):
@@ -652,6 +666,17 @@ def test_malformed_entry_is_echoed_in_bounded_form(stdin):
     assert result.stderr.startswith("error: orbits[0] must be a pair of integers, got ")
     assert result.stderr.count("\n") == 1
     assert len(result.stderr.encode()) < 300
+
+
+def test_short_arc_with_a_huge_endpoint_is_echoed_in_bounded_form(capsys):
+    # The endpoint is an integer, so the record passes its checks and the arc
+    # reaches PeriodicDiagram.from_arcs, whose message quotes length and pair.
+    diagram = '{"rank":3,"orbits":[[0,-' + "9" * 2000 + ']]}'
+    code, out, err = run(capsys, "decompose", "--diagram", diagram)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: not an arc (length -999") and err.count("\n") == 1
+    assert len(err.encode()) < 200
 
 
 @pytest.mark.parametrize("wings", [

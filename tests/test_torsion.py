@@ -25,11 +25,12 @@ from clustertubes.torsion import (
     fixed_histograms,
     from_pointed_cycle,
     is_finite_half,
+    iter_orbits_json,
     iter_structured,
     orbit_count,
     orbit_count_direct,
     orbit_count_refined,
-    orbit_count_refined_direct,
+    orbits_from_fixed,
     perp_contains,
     perp_enumerate,
     sample_halves,
@@ -345,8 +346,27 @@ def test_built_values_equal_the_validating_constructors():
     # _lay and decompose build their values without __post_init__.
     for X in record_halves():
         assert X == PeriodicDiagram(X.rank, X.orbits)
-        for p in decompose(X).pieces:
+        wings = decompose(X)
+        assert wings == WingDecomposition(wings.rank, wings.cuts, wings.pieces)
+        for p in wings.pieces:
             assert p == PolygonDiagram(p.size, p.diagonals)
+
+
+def test_decompose_skips_the_wing_checks_and_from_json_keeps_them(monkeypatch):
+    halves = list(laid_halves(100, seed=8))
+    check = WingDecomposition.__post_init__
+    checked = []
+
+    def counted(self):
+        checked.append(self)
+        check(self)
+
+    monkeypatch.setattr(WingDecomposition, "__post_init__", counted)
+    records = [decompose(X).to_json() for X in halves]
+    assert checked == []
+    for text in records:
+        WingDecomposition.from_json(text)
+    assert len(checked) == len(records)
 
 
 def test_decompose_and_compose_check_each_piece_once(monkeypatch):
@@ -489,6 +509,10 @@ def test_structured_counts_match_formula():
 def test_structured_cap():
     with pytest.raises(CapExceeded):
         list(iter_structured(10))
+    with pytest.raises(CapExceeded):
+        next(iter_orbits_json(10))
+    with pytest.raises(ValueError, match="rank must be >= 1"):
+        next(iter_orbits_json(0))
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -552,7 +576,7 @@ def test_orbit_counts():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_orbit_counts_refined(n):
-    assert orbit_count_refined(n) == orbit_count_refined_direct(n)
+    assert orbit_count_refined(n) == orbits_from_fixed(fixed_histograms(n))
 
 
 def tau_orbit_partition(n):
@@ -569,7 +593,7 @@ def tau_orbit_partition(n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_orbit_counts_from_fixed_points_equal_an_explicit_partition(n):
     partition = tau_orbit_partition(n)
-    assert orbit_count_refined_direct(n) == partition
+    assert orbits_from_fixed(fixed_histograms(n)) == partition
     assert orbit_count_direct(n) == sum(partition.values())
 
 
