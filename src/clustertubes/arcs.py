@@ -81,12 +81,22 @@ def shift_window(n: int, len_a: int, len_b: int) -> int:
 
 
 def orbits_cross(n: int, a: Arc, b: Arc) -> bool:
-    """True iff some shift ``(b[0] + m*n, b[1] + m*n)`` crosses ``a``."""
-    w = shift_window(n, a[1] - a[0], b[1] - b[0])
-    for m in range(-w, w + 1):
-        if cross(a, (b[0] + m * n, b[1] + m * n)):
-            return True
-    return False
+    """True iff some shift ``(b[0] + m*n, b[1] + m*n)`` crosses ``a``.
+
+    With ``a = (i, j)`` and ``b = (p, q)``, the shift by s crosses a iff s
+    lies in ``(max(i - p, j - q), j - p)`` (it starts inside a and ends
+    beyond) or in ``(i - q, min(i - p, j - q))`` (it starts before a and ends
+    inside).  Each interval is tested for a multiple of n in constant time,
+    whatever the arcs' lengths.
+    """
+    (i, j), (p, q) = a, b
+    return (_holds_multiple(n, max(i - p, j - q), j - p)
+            or _holds_multiple(n, i - q, min(i - p, j - q)))
+
+
+def _holds_multiple(n: int, lo: int, hi: int) -> bool:
+    """Does the open interval ``(lo, hi)`` hold a multiple of n?"""
+    return -(-(lo + 1) // n) * n < hi
 
 
 def _count_interior_shifts(n: int, i: int, j: int, v: int) -> int:
@@ -172,10 +182,6 @@ class PeriodicDiagram:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "orbits", orbits)
         return self
-
-    @classmethod
-    def empty(cls, rank: int) -> "PeriodicDiagram":
-        return cls(rank, frozenset())
 
     def sorted_orbits(self) -> list[Arc]:
         """Serialization order: by (length, left endpoint)."""
@@ -263,20 +269,13 @@ def iter_crossing_pairs(diagram: PeriodicDiagram) -> Iterator[tuple[Arc, Arc]]:
                     yield a, shifted
 
 
-def is_ptolemy(diagram: PeriodicDiagram, max_completion_length: int | None = None) -> bool:
+def is_ptolemy(diagram: PeriodicDiagram) -> bool:
     """Ptolemy condition: every crossing pair forces its four connectors.
 
     For each crossing pair of arcs drawn from the diagram, each connector
     pair of length >= 2 must again lie in the diagram (length-1 pairs are not
-    arcs and impose nothing).  When ``max_completion_length`` is given,
-    connectors longer than the bound are skipped; that is the right check for
-    a length-truncated slice of a known Ptolemy collection, e.g. the output
-    of :func:`nc_enumerate`.
+    arcs and impose nothing).
     """
-    for a, b in iter_crossing_pairs(diagram):
-        for p in ptolemy_completions(a, b):
-            if max_completion_length is not None and p[1] - p[0] > max_completion_length:
-                continue
-            if not diagram.contains_arc(p):
-                return False
-    return True
+    return all(diagram.contains_arc(p)
+               for a, b in iter_crossing_pairs(diagram)
+               for p in ptolemy_completions(a, b))

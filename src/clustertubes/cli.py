@@ -140,16 +140,18 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     # Whole lines in blocks, not a print each: with PYTHONUNBUFFERED set a
     # print is two writes (540,000 at n = 8; blocks make 5,800).  Blocks stay
     # within PIPE_BUF, as unbuffered stdout drops what a signal cuts short.
+    # One string per half, both records around its orbits text; the record
+    # prefixes are fixed per rank.
     n = args.n
+    left, right = (torsion.pair_json(n, side, "")[:-1] for side in ("left", "right"))
     block, size = [], 0
     for orbits in torsion.iter_orbits_json(n):  # arc lengths checked there
-        for side in ("left", "right"):
-            line = torsion.pair_json(n, side, orbits) + "\n"
-            if size + len(line) > _WRITE_BLOCK:
-                sys.stdout.write("".join(block))
-                block, size = [], 0
-            block.append(line)
-            size += len(line)
+        lines = f"{left}{orbits}}}\n{right}{orbits}}}\n"
+        if size + len(lines) > _WRITE_BLOCK:
+            sys.stdout.write("".join(block))
+            block, size = [], 0
+        block.append(lines)
+        size += len(lines)
     sys.stdout.write("".join(block))
     return 0
 

@@ -22,16 +22,18 @@ series are solved over ``Z[x, s]``, with s carried as one variable, and s is
 expanded into ``Z[x, y1, y2]`` only in the coefficients returned.  At z^24
 the torsion coefficient has 156 terms in (x, s) against 728 in (x, y1, y2).
 
-Division is only ever by a series with unit constant term, so everything
-stays over the integers; the cycle-with-pointing operator ``z S'/(1-S)`` is
-implemented directly rather than through a logarithm, which would leave the
-coefficient ring.
+Both recursions divide only by a series with unit constant term, so
+everything stays over the integers; the cycle-with-pointing operator
+``z S'/(1-S)`` is implemented directly rather than through a logarithm,
+which would leave the coefficient ring.  The module has no general series
+product or inverse: the tests keep those as the reference that both series
+are checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 
 Exponent = tuple[int, int, int]
@@ -58,12 +60,6 @@ class Poly3:
 
     def _as_dict(self) -> dict[Exponent, int]:
         return dict(self.terms)
-
-    def coefficient(self, a: int, b: int, c: int) -> int:
-        return self._as_dict().get((a, b, c), 0)
-
-    def evaluate(self, x: int = 1, y1: int = 1, y2: int = 1) -> int:
-        return sum(co * x**a * y1**b * y2**c for (a, b, c), co in self.terms)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -142,9 +138,10 @@ Y2 = Poly3.from_dict({(0, 0, 1): 1})
 class PowerSeries:
     """Truncated series in z; ``coeffs[k]`` is the z^k coefficient (int or Poly3).
 
-    The arithmetic below (``+``, ``*``, ``scale``, ``geometric``) is not on
-    the path of :func:`series_P` and :func:`series_torsion`; the tests use it
-    as the reference that both are checked against.
+    The value that :func:`series_P` and :func:`series_torsion` return.  It
+    carries no series arithmetic: both solve their equations coefficient by
+    coefficient, and the tests hold the product and geometric series they are
+    checked against.
     """
 
     order: int
@@ -153,41 +150,6 @@ class PowerSeries:
     def __post_init__(self) -> None:
         if len(self.coeffs) != self.order + 1:
             raise ValueError("coefficient list does not match truncation order")
-
-    @classmethod
-    def from_list(cls, coeffs: Iterable[Coefficient], order: int) -> "PowerSeries":
-        cs = list(coeffs)[: order + 1]
-        cs.extend([0] * (order + 1 - len(cs)))
-        return cls(order, tuple(cs))
-
-    def __add__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        return PowerSeries(n, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other: "PowerSeries") -> "PowerSeries":
-        n = min(self.order, other.order)
-        out: list[Coefficient] = [0] * (n + 1)
-        for i, a in enumerate(self.coeffs[: n + 1]):
-            if isinstance(a, int) and a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if isinstance(b, int) and b == 0:
-                    continue
-                out[i + j] = out[i + j] + a * b
-        return PowerSeries(n, tuple(out))
-
-    def scale(self, c: Coefficient) -> "PowerSeries":
-        return PowerSeries(self.order, tuple(c * a for a in self.coeffs))
-
-    def geometric(self) -> "PowerSeries":
-        """``1/(1 - self)`` for a series with zero constant term."""
-        if _as_poly(self.coeffs[0]) != ZERO:
-            raise ValueError("geometric series needs zero constant term")
-        g: list[Coefficient] = [1] + [0] * self.order
-        for k in range(1, self.order + 1):
-            g[k] = sum(self.coeffs[i] * g[k - i] for i in range(1, k + 1))
-        return PowerSeries(self.order, tuple(g))
 
 
 # The formal variable that stands for s = y1 + y2 while the series is solved.

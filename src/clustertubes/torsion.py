@@ -54,6 +54,7 @@ from typing import Iterable, Iterator
 from .arcs import (
     PeriodicDiagram,
     arcs_json,
+    check_arc,
     cross,
     is_ptolemy,
     nc_contains,
@@ -90,9 +91,10 @@ def perp_contains(diagram: PeriodicDiagram, arc: tuple[int, int]) -> bool:
 
     The perpendicular corresponds to the arcs whose down-shift by one crosses
     nothing in X, i.e. ``a`` is perpendicular iff ``(a0+1, a1+1)`` is in
-    ``nc X``.
+    ``nc X``.  The arc is checked as given, before the shift.
     """
-    return nc_contains(diagram, (arc[0] + 1, arc[1] + 1))
+    i, j = check_arc(arc)
+    return nc_contains(diagram, (i + 1, j + 1))
 
 
 def perp_enumerate(diagram: PeriodicDiagram, max_length: int) -> PeriodicDiagram:
@@ -351,10 +353,6 @@ class PointedCycle:
             (self.piece_index - steps) % r,
             self.vertex,
         )
-
-    def canonical(self) -> "PointedCycle":
-        """Rotate so the pointed piece comes last."""
-        return self.rotate((self.piece_index + 1) % len(self.pieces))
 
 
 def to_pointed_cycle(diagram: PeriodicDiagram) -> PointedCycle:

@@ -10,10 +10,12 @@ from clustertubes.arcs import (
     ext1_dim,
     is_ptolemy,
     is_rigid,
+    iter_crossing_pairs,
     nc_contains,
     nc_enumerate,
     normalize_orbit,
     orbits_cross,
+    ptolemy_completions,
     shift_window,
 )
 from clustertubes.cli import _parse_diagram, _record
@@ -77,6 +79,30 @@ def test_orbits_cross_cases():
     assert orbits_cross(2, (0, 3), (0, 3))  # the shift (2, 5) crosses (0, 3)
 
 
+def _orbits_cross_by_scan(n, a, b):
+    """The shift scan over ``shift_window``, for canonical a and b."""
+    w = shift_window(n, a[1] - a[0], b[1] - b[0])
+    return any(cross(a, (b[0] + m * n, b[1] + m * n)) for m in range(-w, w + 1))
+
+
+canonical_pairs = st.integers(1, 9).flatmap(
+    lambda n: st.tuples(st.just(n), orbit_strategy(n, 41), orbit_strategy(n, 41)))
+
+
+@settings(max_examples=500)
+@given(canonical_pairs)
+def test_orbits_cross_matches_the_shift_scan(pair):
+    n, a, b = pair
+    assert orbits_cross(n, a, b) == _orbits_cross_by_scan(n, a, b)
+
+
+def test_orbits_cross_far_beyond_the_rank():
+    # The shift (2, 10**100 + 2) of (0, 10**100) crosses (1, 10**100 + 1).
+    assert orbits_cross(2, (1, 10**100 + 1), (0, 10**100))
+    assert not orbits_cross(2, (0, 2), (0, 10**100))
+    assert orbits_cross(3, (0, 2), (1, 10**100))
+
+
 # ---- Ext^1 -------------------------------------------------------------------
 
 
@@ -112,7 +138,7 @@ def test_rigid_boundary():
 
 
 def test_nc_contains_cases():
-    empty = PeriodicDiagram.empty(3)
+    empty = PeriodicDiagram(3, frozenset())
     assert nc_contains(empty, (0, 7))
     X = PeriodicDiagram.from_arcs(2, [(0, 2)])
     assert not nc_contains(X, (1, 3))
@@ -120,7 +146,7 @@ def test_nc_contains_cases():
 
 
 def test_nc_enumerate_cases():
-    assert len(nc_enumerate(PeriodicDiagram.empty(2), 3).orbits) == 4
+    assert len(nc_enumerate(PeriodicDiagram(2, frozenset()), 3).orbits) == 4
     X = PeriodicDiagram.from_arcs(2, [(0, 2)])
     assert nc_enumerate(X, 2).orbits == frozenset({(0, 2)})
     both = PeriodicDiagram.from_arcs(2, [(0, 2), (1, 3)])
@@ -142,11 +168,19 @@ def test_nc_enumerate_matches_nc_contains(X, max_length):
     assert nc_enumerate(X, max_length).orbits == expected
 
 
+def _is_ptolemy_up_to(diagram, bound):
+    """Ptolemy check of a length-truncated slice of a Ptolemy collection:
+    connectors longer than ``bound`` are skipped, as the slice drops them."""
+    return all(diagram.contains_arc(p)
+               for a, b in iter_crossing_pairs(diagram)
+               for p in ptolemy_completions(a, b) if p[1] - p[0] <= bound)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4).flatmap(lambda n: diagram_strategy(n, 2 * n)))
 def test_nc_is_ptolemy(X):
     sliced = nc_enumerate(X, 2 * X.rank + 2)
-    assert is_ptolemy(sliced, max_completion_length=2 * X.rank + 2)
+    assert _is_ptolemy_up_to(sliced, 2 * X.rank + 2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -160,7 +194,7 @@ def test_tau_commutes_with_nc(X, arc):
 
 
 def test_is_ptolemy_cases():
-    assert is_ptolemy(PeriodicDiagram.empty(2))
+    assert is_ptolemy(PeriodicDiagram(2, frozenset()))
     assert is_ptolemy(PeriodicDiagram.from_arcs(2, [(0, 2)]))
     # the crossing forces (0, 3), whose orbit is absent
     assert not is_ptolemy(PeriodicDiagram.from_arcs(2, [(0, 2), (1, 3)]))
@@ -177,7 +211,7 @@ def test_long_orbit_self_crossing_needs_completions():
 def test_tau_cases():
     X = PeriodicDiagram.from_arcs(2, [(0, 2)])
     assert X.tau() == PeriodicDiagram.from_arcs(2, [(1, 3)])
-    assert PeriodicDiagram.empty(3).tau() == PeriodicDiagram.empty(3)
+    assert PeriodicDiagram(3, frozenset()).tau() == PeriodicDiagram(3, frozenset())
 
 
 @settings(max_examples=60, deadline=None)

@@ -226,6 +226,29 @@ def test_perp_verdict_and_listing(capsys):
     assert json.loads(out) == {"rank": 2, "orbits": [[1, 3], [1, 5], [1, 7]]}
 
 
+def test_perp_names_the_arc_as_given(capsys):
+    code, out, err = run(capsys, "perp", "--diagram", '{"rank":2,"orbits":[]}',
+                         "--arc", "5", "3")
+    assert code == 2
+    assert out == ""
+    assert err == "error: not an arc (length -2 < 2): (5, 3)\n"
+
+
+@pytest.mark.parametrize("diagram,arc", [
+    ('{"rank":2,"orbits":[[0,2]]}', ["0", str(10**100)]),
+    ('{"rank":2,"orbits":[[0,%d]]}' % 10**100, ["1", "5"]),
+], ids=["long-arc", "long-orbit"])
+def test_perp_time_does_not_grow_with_arc_length(diagram, arc):
+    # A child process with a timeout: a scan over the shifts would not end.
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "clustertubes.cli", "perp", "--diagram", diagram, "--arc", *arc],
+        capture_output=True, text=True, timeout=20, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"arc": [int(a) for a in arc], "in_perp": False}
+
+
 def test_series_text(capsys):
     code, out, _ = run(capsys, "series", "--order", "3")
     assert code == 0

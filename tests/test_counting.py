@@ -79,6 +79,29 @@ def test_real_root_calibration():
     assert abs(float(root) - math.sqrt(2)) < 1e-13
 
 
+def test_real_root_separates_close_roots():
+    # (x - 2)(10000x - 10001)(10000x - 10002): two roots 1e-4 apart, one cell
+    # of any grid coarser than that
+    cubic = (-200060004, 500090002, -400030000, 100000000)
+    assert abs(real_root(cubic, "smallest") - Fraction(10001, 10000)) < Fraction(1, 10**14)
+    assert abs(real_root(cubic, "largest") - 2) < Fraction(1, 10**14)
+    # (10000x - 10001)(10000x - 10002): no sign change between grid points
+    quadratic = (100030002, -200030000, 100000000)
+    assert abs(real_root(quadratic, "smallest") - Fraction(10001, 10000)) < Fraction(1, 10**14)
+    assert abs(real_root(quadratic, "largest") - Fraction(10002, 10000)) < Fraction(1, 10**14)
+
+
+def test_real_root_finds_a_double_root():
+    assert abs(real_root((4, -4, 1), "smallest") - 2) < Fraction(1, 10**14)  # (x - 2)^2
+
+
+def test_real_root_without_positive_root():
+    with pytest.raises(ValueError):
+        real_root((1, 0, 1))  # x^2 + 1
+    with pytest.raises(ValueError):
+        real_root((2, 1))  # x + 2
+
+
 def test_growth_constants_match_reference_decimals():
     assert abs(growth_rate() - RHO) < 1e-12
     assert abs(growth_amplitude() - ALPHA) < 1e-12
