@@ -34,7 +34,6 @@ from .counting import (
 from .polygons import (
     Cell,
     CellKind,
-    CellStatistics,
     DEGENERATE,
     MixedFaceError,
     PolygonDiagram,

@@ -9,11 +9,15 @@ the cluster tube of rank ``n`` (a half-infinite cylinder of circumference
 collection of arcs is stored here as a :class:`PeriodicDiagram`.
 
 Everything reduces to the crossing predicate: two arcs cross iff their
-endpoints strictly interleave.  On top of it this module provides the
-dimension of ``Ext^1`` between two orbits, rigidity, the non-crossing
-operator ``nc`` (as a membership oracle plus a bounded enumerator, since
-``nc`` of a finite collection is infinite), the Ptolemy closure condition,
-and the Auslander-Reiten translation ``tau: (i, j) -> (i - 1, j - 1)``.
+endpoints strictly interleave.  Its periodic form, which shifts of one arc
+by multiples of n cross another arc, is answered exactly by
+:func:`crossing_shifts` from two intervals, with no scan; the orbit
+crossing test and the crossing-pair listing both read it.  On top of these
+the module provides the dimension of ``Ext^1`` between two orbits,
+rigidity, the non-crossing operator ``nc`` (as a membership oracle plus a
+bounded enumerator, since ``nc`` of a finite collection is infinite), the
+Ptolemy closure condition, and the Auslander-Reiten translation
+``tau: (i, j) -> (i - 1, j - 1)``.
 
 All values are immutable and all operations are pure functions.
 """
@@ -68,35 +72,26 @@ def normalize_orbit(n: int, arc: tuple[int, int]) -> Arc:
     return (r, r + (j - i))
 
 
-def shift_window(n: int, len_a: int, len_b: int) -> int:
-    """Half-width of the shift scan needed to find every crossing.
+def crossing_shifts(n: int, a: Arc, b: Arc) -> Iterator[int]:
+    """Every m, ascending, for which the shift ``(b[0] + m*n, b[1] + m*n)``
+    crosses ``a``.
 
-    Two arcs whose spans do not overlap cannot cross, so only shifts
-    ``|m| <= ceil((len_a + len_b)/n) + 1`` can produce a crossing between a
-    representative of one orbit and a shifted representative of the other.
-    The bound over-covers by one on purpose; the test suite asserts that
-    widening it further finds nothing new.
+    With ``a = (i, j)`` and ``b = (p, q)``, the shift by s crosses a iff s
+    lies in ``(i - q, min(i - p, j - q))`` (it starts before a and ends
+    inside) or in ``(max(i - p, j - q), j - p)`` (it starts inside a and
+    ends beyond).  The first interval lies below the second, and the
+    multiples of n in each are read off in constant time, whatever the
+    arcs' lengths.
     """
-    return -((len_a + len_b) // -n) + 1
+    (i, j), (p, q) = a, b
+    for lo, hi in ((i - q, min(i - p, j - q)), (max(i - p, j - q), j - p)):
+        yield from range(lo // n + 1, -(-hi // n))
 
 
 def orbits_cross(n: int, a: Arc, b: Arc) -> bool:
-    """True iff some shift ``(b[0] + m*n, b[1] + m*n)`` crosses ``a``.
-
-    With ``a = (i, j)`` and ``b = (p, q)``, the shift by s crosses a iff s
-    lies in ``(max(i - p, j - q), j - p)`` (it starts inside a and ends
-    beyond) or in ``(i - q, min(i - p, j - q))`` (it starts before a and ends
-    inside).  Each interval is tested for a multiple of n in constant time,
-    whatever the arcs' lengths.
-    """
-    (i, j), (p, q) = a, b
-    return (_holds_multiple(n, max(i - p, j - q), j - p)
-            or _holds_multiple(n, i - q, min(i - p, j - q)))
-
-
-def _holds_multiple(n: int, lo: int, hi: int) -> bool:
-    """Does the open interval ``(lo, hi)`` hold a multiple of n?"""
-    return -(-(lo + 1) // n) * n < hi
+    """True iff some shift ``(b[0] + m*n, b[1] + m*n)`` crosses ``a``: the
+    first of :func:`crossing_shifts`, found in constant time."""
+    return next(crossing_shifts(n, a, b), None) is not None
 
 
 def _count_interior_shifts(n: int, i: int, j: int, v: int) -> int:
@@ -260,13 +255,8 @@ def iter_crossing_pairs(diagram: PeriodicDiagram) -> Iterator[tuple[Arc, Arc]]:
     reps = diagram.sorted_orbits()
     for ia, a in enumerate(reps):
         for b in reps[ia:]:
-            w = shift_window(n, a[1] - a[0], b[1] - b[0])
-            for m in range(-w, w + 1):
-                if a == b and m == 0:
-                    continue
-                shifted = (b[0] + m * n, b[1] + m * n)
-                if cross(a, shifted):
-                    yield a, shifted
+            for m in crossing_shifts(n, a, b):
+                yield a, (b[0] + m * n, b[1] + m * n)
 
 
 def is_ptolemy(diagram: PeriodicDiagram) -> bool:

@@ -331,7 +331,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             enumerated = sum(fixed[d].values())
             readings.append(f"{d},{enumerated},{counting.torsion_count(d)},"
                             f"{counting.torsion_count(n // d)}")
-    checks.append(("statistics histogram == refined formula", histogram))
+    checks.append(("refined series coefficients == refined formula", histogram))
     checks.append(("Burnside orbit count == direct partition", burnside))
 
     width = max(len(label) for label, _ in checks)

@@ -10,7 +10,13 @@ Every such Ptolemy diagram decomposes uniquely into cells, read off from the
 subdivision of the polygon by its non-crossed chords: triangles, cliques
 (>= 4 vertices, all internal connectors drawn) and empty cells (>= 4
 vertices, none drawn).  The cell counts are the statistics ``(k, l, m)``
-that the refined torsion-pair counts are indexed by.
+that the refined torsion-pair counts are indexed by.  One walk over that
+subdivision, base face first, reads every face: :func:`cells` lists them,
+:func:`statistics_polygon` tallies their kinds into a plain ``(k, l, m)``
+tuple and :func:`decompose_base` takes the base face.  A face with some but
+not all of its internal connectors raises :class:`MixedFaceError`; the test
+suite checks that this happens exactly on the diagonal sets that are not
+Ptolemy, for every set up to size 6.
 
 Two enumerators are provided.  :func:`enumerate_polygon` is the brute-force
 oracle: the pruned backtracking search :func:`constrained_subsets` finds its
@@ -29,7 +35,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .arcs import cross, ptolemy_completions
 from .config import POLYGON_BRUTE, CapExceeded
@@ -60,32 +66,6 @@ class Cell:
                 raise ValueError(f"triangle with {len(self.vertices)} vertices")
         elif len(self.vertices) < 4:
             raise ValueError(f"{self.kind.value} needs >= 4 vertices, got {len(self.vertices)}")
-
-
-@dataclass(frozen=True)
-class CellStatistics:
-    """Counts of (triangles, cliques, empty cells)."""
-
-    triangles: int = 0
-    cliques: int = 0
-    empty_cells: int = 0
-
-    def __add__(self, other: "CellStatistics") -> "CellStatistics":
-        return CellStatistics(
-            self.triangles + other.triangles,
-            self.cliques + other.cliques,
-            self.empty_cells + other.empty_cells,
-        )
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.triangles, self.cliques, self.empty_cells)
-
-
-_KIND_TO_FIELD = {
-    CellKind.TRIANGLE: CellStatistics(1, 0, 0),
-    CellKind.CLIQUE: CellStatistics(0, 1, 0),
-    CellKind.EMPTY_CELL: CellStatistics(0, 0, 1),
-}
 
 
 @dataclass(frozen=True)
@@ -287,44 +267,43 @@ def polygon_counts(m: int) -> list[int]:
     return p
 
 
-def _noncrossed_edges(diagram: PolygonDiagram) -> set[tuple[int, int]]:
-    """Polygon sides plus the diagonals crossed by no other diagonal."""
+def _faces(diagram: PolygonDiagram) -> Iterator[tuple[tuple[int, ...], CellKind]]:
+    """The faces of the subdivision by the non-crossed chords, base face
+    first, each as its corners in increasing order and its kind.
+
+    The chords are the polygon sides, the base edge and the diagonals
+    crossed by no other diagonal.  The face inside a chord ``(a, b)`` is
+    walked from ``a`` by the longest chord at each corner that ends at or
+    before ``b``, ``(a, b)`` itself excepted.  Raises
+    :class:`MixedFaceError` when a face has some but not all of its
+    internal connectors.
+    """
     ds = diagram.diagonals
-    crossed = set()
-    for c, d in itertools.combinations(ds, 2):
-        if cross(c, d):
-            crossed.add(c)
-            crossed.add(d)
-    edges = {(a, a + 1) for a in range(diagram.size)}
-    edges.update(d for d in ds if d not in crossed)
-    return edges
-
-
-def _face_above(edges: set[tuple[int, int]], a: int, b: int) -> tuple[int, ...]:
-    """Corners of the face directly inside chord (a, b), in increasing order."""
-    corners = [a]
-    u = a
-    while u != b:
-        w = max(v for v in range(u + 1, b + 1) if (u, v) in edges and (u, v) != (a, b))
-        corners.append(w)
-        u = w
-    return tuple(corners)
-
-
-def _classify(diagram: PolygonDiagram, corners: tuple[int, ...]) -> Cell:
-    t = len(corners) - 1
-    if t == 2:
-        return Cell(corners, CellKind.TRIANGLE)
-    have = set(diagram.diagonals)
-    internal = _connectors(corners)
-    present = sum(1 for p in internal if p in have)
-    if present == len(internal):
-        return Cell(corners, CellKind.CLIQUE)
-    if present == 0:
-        return Cell(corners, CellKind.EMPTY_CELL)
-    raise MixedFaceError(
-        f"face {corners} has {present}/{len(internal)} internal connectors; input is not Ptolemy"
-    )
+    have = set(ds)
+    crossed = {x for c, d in itertools.combinations(ds, 2) if cross(c, d) for x in (c, d)}
+    edges = {(a, a + 1) for a in range(diagram.size)} | (have - crossed)
+    stack = [(0, diagram.size)] if diagram.size >= 2 else []
+    while stack:
+        a, b = stack.pop()
+        corners = [a]
+        while corners[-1] != b:
+            u = corners[-1]
+            corners.append(max(v for v in range(u + 1, b + 1)
+                               if (u, v) in edges and (u, v) != (a, b)))
+        if len(corners) == 3:
+            kind = CellKind.TRIANGLE
+        else:
+            internal = _connectors(corners)
+            present = sum(1 for c in internal if c in have)
+            if present == len(internal):
+                kind = CellKind.CLIQUE
+            elif present == 0:
+                kind = CellKind.EMPTY_CELL
+            else:
+                raise MixedFaceError(f"face {tuple(corners)} has {present}/{len(internal)} "
+                                     "internal connectors; input is not Ptolemy")
+        yield tuple(corners), kind
+        stack.extend((x, y) for x, y in zip(corners, corners[1:]) if y - x >= 2)
 
 
 def cells(diagram: PolygonDiagram) -> list[Cell]:
@@ -333,28 +312,16 @@ def cells(diagram: PolygonDiagram) -> list[Cell]:
     The degenerate diagram has no cells.  Raises :class:`MixedFaceError` on
     non-Ptolemy input.
     """
-    if diagram.size == 1:
-        return []
-    edges = _noncrossed_edges(diagram)
-    out: list[Cell] = []
-    stack: list[tuple[int, int]] = [(0, diagram.size)]
-    while stack:
-        a, b = stack.pop()
-        corners = _face_above(edges, a, b)
-        out.append(_classify(diagram, corners))
-        for x, y in zip(corners, corners[1:]):
-            if y - x >= 2:
-                stack.append((x, y))
-    out.sort(key=lambda c: c.vertices)
-    return out
+    return sorted((Cell(corners, kind) for corners, kind in _faces(diagram)),
+                  key=lambda c: c.vertices)
 
 
-def statistics_polygon(diagram: PolygonDiagram) -> CellStatistics:
-    """Tally the cell decomposition by kind."""
-    stats = CellStatistics()
-    for cell in cells(diagram):
-        stats = stats + _KIND_TO_FIELD[cell.kind]
-    return stats
+def statistics_polygon(diagram: PolygonDiagram) -> tuple[int, int, int]:
+    """The statistics ``(k, l, m)``: the numbers of triangles, cliques and
+    empty cells of the cell decomposition."""
+    kinds = [kind for _, kind in _faces(diagram)]
+    return (kinds.count(CellKind.TRIANGLE), kinds.count(CellKind.CLIQUE),
+            kinds.count(CellKind.EMPTY_CELL))
 
 
 def decompose_base(diagram: PolygonDiagram) -> tuple[Cell | None, list[PolygonDiagram]]:
@@ -366,9 +333,7 @@ def decompose_base(diagram: PolygonDiagram) -> tuple[Cell | None, list[PolygonDi
     """
     if diagram.size == 1:
         return None, []
-    edges = _noncrossed_edges(diagram)
-    corners = _face_above(edges, 0, diagram.size)
-    cell = _classify(diagram, corners)
+    corners, kind = next(_faces(diagram))
     subs = []
     for c, d in zip(corners, corners[1:]):
         inner = tuple(
@@ -377,7 +342,7 @@ def decompose_base(diagram: PolygonDiagram) -> tuple[Cell | None, list[PolygonDi
             if c <= a and b <= d and (a, b) != (c, d)
         )
         subs.append(PolygonDiagram(d - c, inner))
-    return cell, subs
+    return Cell(corners, kind), subs
 
 
 def compose_base(cell: Cell | None, subs: Sequence[PolygonDiagram]) -> PolygonDiagram:

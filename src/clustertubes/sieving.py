@@ -81,11 +81,12 @@ def csp_verify(n: int) -> list[SieveRecord]:
     for hist in fixed.values():
         checked.update(hist)  # any stats outside the formula support must show up as mismatches
 
+    polys = {(k, l, m): q_torsion_count_refined(n, k, l, m) for k, l, m in sorted(checked)}
     records = []
     for d in _divisors(n):
         hist = fixed[n // d]
-        for k, l, m in sorted(checked):
-            value = eval_at_primitive_root(q_torsion_count_refined(n, k, l, m), d)
+        for (k, l, m), poly in polys.items():
+            value = eval_at_primitive_root(poly, d)
             count = hist[(k, l, m)]
             if k % d == 0 and l % d == 0 and m % d == 0:
                 smaller = torsion_count_refined(n // d, k // d, l // d, m // d)

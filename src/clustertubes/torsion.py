@@ -55,19 +55,17 @@ from .arcs import (
     PeriodicDiagram,
     arcs_json,
     check_arc,
-    cross,
+    crossing_shifts,
     is_ptolemy,
     nc_contains,
     nc_enumerate,
     normalize_orbit,
     ptolemy_completions,
-    shift_window,
 )
 from .config import BRUTE_RANK, STRUCTURED_RANK, CapExceeded
 from .counting import torsion_count, torsion_count_refined, refined_support
 from .polygons import (
     DEGENERATE,
-    CellStatistics,
     PolygonDiagram,
     constrained_subsets,
     polygon_counts,
@@ -305,17 +303,22 @@ def compose(wings: WingDecomposition) -> PeriodicDiagram:
     return _lay(wings.rank, zip(wings.cuts, wings.pieces))
 
 
-def statistics(diagram: PeriodicDiagram) -> CellStatistics:
-    """Total triangle/clique/empty-cell counts over the wing decomposition.
+def statistics(diagram: PeriodicDiagram) -> tuple[int, int, int]:
+    """The statistics ``(k, l, m)`` of a half: its triangles, cliques and
+    empty cells, summed over the pieces of its wing decomposition.
 
-    This decomposes the half and runs
-    :func:`~clustertubes.polygons.cells` on every piece; it is the reference
-    the tau fixed points of :func:`fixed_histograms` are tested against.
+    This decomposes the half and walks the faces of every piece; it is the
+    reference the tau fixed points of :func:`fixed_histograms` are tested
+    against.
     """
-    stats = CellStatistics()
-    for piece in decompose(diagram).pieces:
-        stats = stats + statistics_polygon(piece)
-    return stats
+    return _total_statistics(decompose(diagram).pieces)
+
+
+def _total_statistics(pieces: Iterable[PolygonDiagram]) -> tuple[int, int, int]:
+    """The sum of :func:`~clustertubes.polygons.statistics_polygon` over a
+    nonempty run of pieces."""
+    k, l, m = zip(*map(statistics_polygon, pieces))
+    return sum(k), sum(l), sum(m)
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +399,8 @@ def enumerate_brute(n: int) -> list[PeriodicDiagram]:
     constraints: list[tuple[int, int, int | None]] = []
     for p, q in itertools.combinations_with_replacement(range(k), 2):
         a, b = pool[p], pool[q]
-        w = shift_window(n, a[1] - a[0], b[1] - b[0])
-        shifts = [(b[0] + m * n, b[1] + m * n) for m in range(-w, w + 1)]
-        forced = [c for s in shifts if cross(a, s) for c in ptolemy_completions(a, s)]
+        shifts = [(b[0] + m * n, b[1] + m * n) for m in crossing_shifts(n, a, b)]
+        forced = [c for s in shifts for c in ptolemy_completions(a, s)]
         if any(c[1] - c[0] > n for c in forced):
             constraints.append((p, q, None))
         elif forced:
@@ -558,8 +560,7 @@ def fixed_histograms(n: int) -> dict[int, Counter]:
         for cuts, pieces in _walk(n, (pattern * repeat for pattern in range(1, 1 << s))):
             half = _lay(n, zip(cuts, pieces))
             if half.tau(s) == half:
-                stats = sum(map(statistics_polygon, pieces), CellStatistics())
-                hists[s][stats.as_tuple()] += 2
+                hists[s][_total_statistics(pieces)] += 2
     hists[n] = Counter(dict(series_torsion(n).coeffs[n].terms))
     return hists
 

@@ -81,7 +81,7 @@ def test_criterion_3_refined_counts():
         assert dict(fixed_histograms(n)[n]) == refined_table(n)
     for n in range(1, 31):
         assert sum(refined_table(n).values()) == torsion_count(n)
-    print("\nACCEPTANCE 3 PASS: statistics histograms match the refined formula "
+    print("\nACCEPTANCE 3 PASS: refined series coefficients match the refined formula "
           "(n<=5); refined sums equal totals (n<=30)")
 
 

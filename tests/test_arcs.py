@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from clustertubes.arcs import (
     PeriodicDiagram,
     cross,
+    crossing_shifts,
     ext1_dim,
     is_ptolemy,
     is_rigid,
@@ -16,7 +17,6 @@ from clustertubes.arcs import (
     normalize_orbit,
     orbits_cross,
     ptolemy_completions,
-    shift_window,
 )
 from clustertubes.cli import _parse_diagram, _record
 
@@ -59,34 +59,34 @@ def test_cross_irreflexive(a):
     assert not cross(a, a)
 
 
-@given(st.integers(1, 5), arcs, arcs)
-def test_crossing_window_is_wide_enough(n, a, b):
-    a = normalize_orbit(n, a)
-    b = normalize_orbit(n, b)
-    w = shift_window(n, a[1] - a[0], b[1] - b[0])
-    inside = {m for m in range(-w, w + 1) if cross(a, (b[0] + m * n, b[1] + m * n))}
-    wider = {
-        m
-        for m in range(-w - 4, w + 5)
-        if cross(a, (b[0] + m * n, b[1] + m * n))
-    }
-    assert inside == wider
-
-
 def test_orbits_cross_cases():
     assert orbits_cross(2, (0, 2), (1, 3))
     assert not orbits_cross(2, (0, 2), (0, 2))
     assert orbits_cross(2, (0, 3), (0, 3))  # the shift (2, 5) crosses (0, 3)
+    assert list(crossing_shifts(2, (0, 3), (0, 3))) == [-1, 1]  # never the arc itself
+
+
+def _crossing_shifts_by_scan(n, a, b):
+    """The m with ``|m| <= (len_a + len_b) // n + 4`` whose shift of b crosses
+    a, each tested with ``cross``; for canonical a and b no crossing shift
+    lies outside that window."""
+    w = (a[1] - a[0] + b[1] - b[0]) // n + 4
+    return [m for m in range(-w, w + 1) if cross(a, (b[0] + m * n, b[1] + m * n))]
 
 
 def _orbits_cross_by_scan(n, a, b):
-    """The shift scan over ``shift_window``, for canonical a and b."""
-    w = shift_window(n, a[1] - a[0], b[1] - b[0])
-    return any(cross(a, (b[0] + m * n, b[1] + m * n)) for m in range(-w, w + 1))
+    return bool(_crossing_shifts_by_scan(n, a, b))
 
 
 canonical_pairs = st.integers(1, 9).flatmap(
     lambda n: st.tuples(st.just(n), orbit_strategy(n, 41), orbit_strategy(n, 41)))
+
+
+@settings(max_examples=500)
+@given(canonical_pairs)
+def test_crossing_shifts_match_the_shift_scan(pair):
+    n, a, b = pair
+    assert list(crossing_shifts(n, a, b)) == _crossing_shifts_by_scan(n, a, b)
 
 
 @settings(max_examples=500)

@@ -49,12 +49,14 @@ def package_imports(tree):
                     yield alias.name.split(".")[1]
 
 
-# The closed forms and the series check each other and the grammar: neither
+# The closed forms and the series check each other and the grammar, and the
+# cell statistics of the polygon grammar are checked against the series: none
 # may share code with the routes it is compared against.
 @pytest.mark.parametrize("module, forbidden", [
     ("counting", {"series", "torsion", "polygons", "qpolys", "sieving"}),
     ("series", {"counting", "torsion", "polygons"}),
-], ids=["counting", "series"])
+    ("polygons", {"series", "counting", "qpolys", "sieving", "torsion"}),
+], ids=["counting", "series", "polygons"])
 def test_independent_routes_share_no_code(module, forbidden):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     shared = sorted(set(package_imports(tree)) & forbidden)

@@ -8,7 +8,6 @@ from clustertubes.polygons import (
     DEGENERATE,
     Cell,
     CellKind,
-    CellStatistics,
     MixedFaceError,
     PolygonDiagram,
     cells,
@@ -88,7 +87,7 @@ def test_multivariate_refinement_matches_series(m):
     want = P.coeffs[m]
     hist = {}
     for diagram in polygon_diagrams(m):
-        t, c, e = statistics_polygon(diagram).as_tuple()
+        t, c, e = statistics_polygon(diagram)
         hist[(t, c, e)] = hist.get((t, c, e), 0) + 1
     assert hist == {exp: coeff for exp, coeff in want.terms}
 
@@ -108,9 +107,9 @@ def test_cells_cases():
 
 
 def test_statistics_cases():
-    assert statistics_polygon(DEGENERATE) == CellStatistics(0, 0, 0)
-    assert statistics_polygon(PolygonDiagram(2)) == CellStatistics(1, 0, 0)
-    assert statistics_polygon(PolygonDiagram(3, ((1, 3),))) == CellStatistics(2, 0, 0)
+    assert statistics_polygon(DEGENERATE) == (0, 0, 0)
+    assert statistics_polygon(PolygonDiagram(2)) == (1, 0, 0)
+    assert statistics_polygon(PolygonDiagram(3, ((1, 3),))) == (2, 0, 0)
 
 
 @pytest.mark.parametrize("m", range(1, 8))
@@ -124,6 +123,20 @@ def test_mixed_face_raises():
     # has exactly one of its two connectors
     with pytest.raises(MixedFaceError):
         cells(PolygonDiagram(4, ((0, 2), (1, 3))))
+    # On every diagonal set up to size 6, the face walk fails exactly on the
+    # sets that are not Ptolemy.
+    for m in range(1, 7):
+        diagonals = [(a, b) for a, b in itertools.combinations(range(m + 1), 2)
+                     if b - a >= 2 and (a, b) != (0, m)]
+        for r in range(len(diagonals) + 1):
+            for chosen in itertools.combinations(diagonals, r):
+                diagram = PolygonDiagram(m, chosen)
+                try:
+                    cells(diagram)
+                    raised = False
+                except MixedFaceError:
+                    raised = True
+                assert raised != is_ptolemy_polygon(diagram), diagram
 
 
 def test_decompose_base_cases():

@@ -17,6 +17,24 @@ def test_sieving_polynomial_specializes_at_one():
             assert q_torsion_count_refined(n, *klm)(1) == count
 
 
+def test_each_sieving_polynomial_is_built_once(monkeypatch):
+    from collections import Counter
+
+    from clustertubes import sieving
+
+    calls = Counter()
+
+    def counted(n, k, l, m):
+        calls[(n, k, l, m)] += 1
+        return q_torsion_count_refined(n, k, l, m)
+
+    monkeypatch.setattr(sieving, "q_torsion_count_refined", counted)
+    records = csp_verify(6)  # four divisors of 6, one record per divisor and triple
+    assert all(r.match for r in records)
+    assert sorted(calls) == sorted({(6, r.k, r.l, r.m) for r in records})
+    assert set(calls.values()) == {1}
+
+
 def test_rank_two_records():
     records = {(r.d, r.k, r.l, r.m): r for r in csp_verify(2)}
     r = records[(2, 0, 0, 0)]
@@ -99,7 +117,7 @@ def test_fixed_counts_equal_statistics_and_tau_oracle(n):
         oracle = Counter()
         for X in halves:
             if X.tau(n // d) == X:
-                oracle[statistics(X).as_tuple()] += 2
+                oracle[statistics(X)] += 2
         assert hists[n // d] == oracle
         fixed = {(r.k, r.l, r.m): r.fixed_count for r in records if r.d == d}
         assert set(oracle) <= set(fixed)
@@ -126,7 +144,7 @@ def full_walk_fixed_histograms(n):
             k = l = m = 0
             for piece in pieces:
                 if piece not in table:
-                    table[piece] = statistics_polygon(piece).as_tuple()
+                    table[piece] = statistics_polygon(piece)
                 a, b, c = table[piece]
                 k, l, m = k + a, l + b, m + c
             hists[n][(k, l, m)] += 2
