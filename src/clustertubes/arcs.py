@@ -44,16 +44,26 @@ def check_arc(pair: tuple[int, int]) -> Arc:
     return (i, j)
 
 
-def arcs_json(arcs: Iterable[Arc]) -> str:
-    """A list of arcs as compact JSON text, in the given order.
+def orbit_keys_json(n: int, keys: Iterable[int]) -> str:
+    """The rank-n orbits with these integer keys as compact JSON text, in the
+    given order.
 
-    The one writer of arc lists in records: the text is byte-identical to
-    ``json.dumps([list(a) for a in arcs], separators=(",", ":"))``, built
-    with f-strings, which costs a fraction of ``json.dumps``.  The
-    ``enumerate`` stream joins per-arc texts cut from it
-    (:func:`~clustertubes.torsion.iter_orbits_json`).
+    The key of a canonical orbit ``(i, j)`` is ``(j - i) n + i``, so ascending
+    keys are :meth:`PeriodicDiagram.sorted_orbits` order (length, then left
+    endpoint) and a plain int sort orders them.  The one writer of
+    ``orbits`` lists: :meth:`PeriodicDiagram.orbits_json`, the ``compose``
+    command and :func:`~clustertubes.torsion.iter_orbits_json` all write
+    through it.  The text is byte-identical to compact ``json.dumps`` of the
+    list of ``[i, j]`` pairs, built with f-strings, which costs a fraction
+    of ``json.dumps``.
     """
-    return "[" + ",".join([f"[{i},{j}]" for i, j in arcs]) + "]"
+    return "[" + ",".join([f"[{(i := k % n)},{i + k // n}]" for k in keys]) + "]"
+
+
+def diagram_json(rank: int, orbits_text: str) -> str:
+    """The diagram record of a rank-``rank`` diagram whose ``orbits`` text is
+    ``orbits_text`` (:func:`orbit_keys_json`)."""
+    return f'{{"rank":{rank},"orbits":{orbits_text}}}'
 
 
 def cross(a: Arc, b: Arc) -> bool:
@@ -199,12 +209,14 @@ class PeriodicDiagram:
         )
 
     def orbits_json(self) -> str:
-        """:meth:`sorted_orbits` as compact JSON text (see :func:`arcs_json`),
-        the ``orbits`` field of every record that carries this diagram."""
-        return arcs_json(self.sorted_orbits())
+        """:meth:`sorted_orbits` as compact JSON text, sorted and written as
+        integer keys (see :func:`orbit_keys_json`): the ``orbits`` field of
+        every record that carries this diagram."""
+        n = self.rank
+        return orbit_keys_json(n, sorted([(j - i) * n + i for i, j in self.orbits]))
 
     def to_json(self) -> str:
-        return f'{{"rank":{self.rank},"orbits":{self.orbits_json()}}}'
+        return diagram_json(self.rank, self.orbits_json())
 
 
 def nc_contains(diagram: PeriodicDiagram, arc: tuple[int, int]) -> bool:

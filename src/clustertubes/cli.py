@@ -11,7 +11,9 @@ reports for ``yes | head -1``; nothing is printed to stderr).
 :func:`clustertubes.torsion.iter_structured`) in bounded memory, writing
 each half's text from the grammar without building the half
 (:func:`clustertubes.torsion.iter_orbits_json`), so
-``enumerate --n 9 | head`` prints its first lines at once.
+``enumerate --n 9 | head`` prints its first lines at once.  ``decompose``
+and ``compose`` likewise write each record's text from one walk per
+record, building no half, piece or pair.
 """
 
 from __future__ import annotations
@@ -24,12 +26,12 @@ from collections import Counter
 from typing import Iterator, Sequence
 
 from . import counting, sieving, torsion
-from .arcs import _ECHO, PeriodicDiagram
+from .arcs import _ECHO, PeriodicDiagram, diagram_json, orbit_keys_json
 from .config import BRUTE_RANK, COUNT_RANK, PERP_ORBITS, REFINED_RANK, SERIES_ORDER
 from .config import RECORD_RANK, STRUCTURED_RANK, CapExceeded
 from .render import render_torsion_pair
 from .series import PowerSeries, series_P, series_torsion
-from .torsion import TorsionPair, WingDecomposition
+from .torsion import TorsionPair
 
 
 def _input_lines(arg: str | None) -> Iterator[str]:
@@ -162,19 +164,29 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         diagram = _parse_diagram(data)
         if args.n is not None and diagram.rank != args.n:
             raise ValueError(f"diagram rank {diagram.rank} does not match --n {args.n}")
+        n = diagram.rank
+        record = torsion.wings_json(n, torsion._cut_spans(n, diagram.orbits),
+                                    data.get("finite_side"))
         # One write per record: print makes two when stdout is unbuffered.
-        sys.stdout.write(torsion.decompose(diagram).to_json(data.get("finite_side")) + "\n")
+        sys.stdout.write(record + "\n")
     return 0
 
 
 def cmd_compose(args: argparse.Namespace) -> int:
+    # Each arc is laid as its orbit's integer key (see orbit_keys_json), so
+    # one set dedups the arcs and a plain int sort orders the orbits.
     for line in _input_lines(args.wings):
         data = _record(line, "pairs")
-        diagram = torsion.compose(WingDecomposition.from_data(data))
+        n = data["rank"]
+        keys = sorted({(b - a) * n + a % n for _, _, arcs in torsion._wing_spans(data)
+                       for a, b in arcs})
+        if keys and keys[-1] >= n * (n + 1):
+            raise ValueError("a finite half has arcs of length at most the rank")
+        orbits = orbit_keys_json(n, keys)
         if "finite_side" in data:
-            record = TorsionPair(diagram.rank, diagram, data["finite_side"]).to_json()
+            record = torsion.pair_json(n, data["finite_side"], orbits)
         else:
-            record = diagram.to_json()
+            record = diagram_json(n, orbits)
         sys.stdout.write(record + "\n")
     return 0
 

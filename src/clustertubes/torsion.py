@@ -14,7 +14,8 @@ The structure theory implemented here:
   the span form a polygon Ptolemy diagram of size g on that top arc as base
   edge.  Distance-1 spans carry the degenerate diagram.  No arc straddles a
   cut (the cut would be overarched), so ``decompose`` rejects only a missing
-  cut or top arc.  ``decompose`` / ``compose`` are mutually inverse.
+  cut or top arc.  ``decompose`` / ``compose`` are mutually inverse, and so
+  are the ``decompose`` / ``compose`` commands on records.
 * *Pointed cycles*.  Reading the spans cyclically and remembering which
   vertex is 0 turns a half into a cycle of polygon diagrams with one marked
   non-base vertex; ``to_pointed_cycle`` / ``from_pointed_cycle`` realize the
@@ -29,11 +30,18 @@ The structure theory implemented here:
   straight from its spans, as sorted integer orbit keys.
 * *Records*.  Diagram, torsion-pair and wing records are compact JSON text,
   byte-identical to ``json.dumps(..., separators=(",", ":"))`` but built
-  with f-strings around one arc-list writer,
-  :func:`~clustertubes.arcs.arcs_json`.  The ``enumerate`` stream takes
-  each half's ``orbits`` text from :func:`iter_orbits_json`, whose per-rank
-  table of orbit texts is cut from that writer, and writes it as two
-  records, ``left`` and then ``right``, through :func:`pair_json`.
+  with f-strings.  Orbit lists have one writer,
+  :func:`~clustertubes.arcs.orbit_keys_json`, which takes the orbits as
+  sorted integer keys ``(j - i) n + i``; wing records have one,
+  :func:`wings_json`.  The three record streams build no half, piece or
+  pair.  ``enumerate`` takes each half's ``orbits`` text from
+  :func:`iter_orbits_json`, whose per-rank table of orbit texts is cut
+  from the orbit writer, and writes it as two records, ``left`` and then
+  ``right``, through :func:`pair_json`.  ``decompose`` writes each wing
+  record from the spans of :func:`_cut_spans`, the walk :func:`decompose`
+  reads.  ``compose`` checks each wing record through :func:`_wing_spans`,
+  the reader :meth:`WingDecomposition.from_data` builds through, lays its
+  arcs as integer keys, and writes them deduplicated and sorted.
 * *Symmetry*.  The translation ``tau`` acts on halves; a half is fixed by
   ``tau^d`` (d | n) iff it is d-periodic, i.e. iff it is a rank-d half in
   disguise, which is what makes the orbit counts and the sieving identities
@@ -49,17 +57,19 @@ import random
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .arcs import (
+    _ECHO,
+    Arc,
     PeriodicDiagram,
-    arcs_json,
     check_arc,
     crossing_shifts,
     is_ptolemy,
     nc_contains,
     nc_enumerate,
     normalize_orbit,
+    orbit_keys_json,
     ptolemy_completions,
 )
 from .config import BRUTE_RANK, STRUCTURED_RANK, CapExceeded
@@ -177,17 +187,14 @@ class WingDecomposition:
 
         The text is byte-identical to compact ``json.dumps`` of the record.
         """
-        if finite_side not in (None, "left", "right"):
-            raise ValueError(f"finite_side must be 'left' or 'right', got {finite_side!r}")
-        pairs = []
+        spans = []
         for (c, d), piece in zip(self.spans(), self.pieces):
             arcs = []
             if piece.size >= 2:  # the diagonals are sorted, and so are their shifts
                 arcs = [(c + a, c + b) for a, b in piece.diagonals]
                 insort(arcs, (c, d))
-            pairs.append(f'{{"top":[{c},{d}],"arcs":{arcs_json(arcs)}}}')
-        side = "" if finite_side is None else f'"finite_side":"{finite_side}",'
-        return f'{{"rank":{self.rank},{side}"pairs":[{",".join(pairs)}]}}'
+            spans.append((c, d, arcs))
+        return wings_json(self.rank, spans, finite_side)
 
     def pointed_cycle(self) -> "PointedCycle":
         """The pointed cycle of the decomposed half; the mark tracks which
@@ -206,24 +213,98 @@ class WingDecomposition:
     @classmethod
     def from_data(cls, data: dict) -> "WingDecomposition":
         """Build from a decoded wing record (the object :meth:`to_json` writes),
-        whose arcs are JSON lists.  A span of width >= 2 must list its top arc
-        among its ``arcs``.  Every piece but an empty unit span is checked by
-        :class:`~clustertubes.polygons.PolygonDiagram`."""
+        whose arcs are JSON lists, through the checks of :func:`_wing_spans`.
+        Duplicate arcs are kept once."""
         n = data["rank"]
         cuts, pieces = [], []
-        for i, pair in enumerate(data["pairs"]):
-            c, d = pair["top"]
-            arcs = pair["arcs"]
-            if d - c >= 2 and [c, d] not in arcs:
-                raise ValueError(f"pairs[{i}] omits its top arc [{c}, {d}] from 'arcs'")
+        for c, d, arcs in _wing_spans(data):
             cuts.append(c % n)
-            if d - c == 1 and not arcs:
+            if d - c == 1:
                 pieces.append(DEGENERATE)
                 continue
-            diags = tuple([(a - c, b - c) for a, b in arcs if a != c or b != d])
-            pieces.append(PolygonDiagram(d - c, diags))
-        order = sorted(range(len(cuts)), key=lambda t: cuts[t])
-        return cls(n, tuple(cuts[t] for t in order), tuple(pieces[t] for t in order))
+            diagonals = sorted({(a - c, b - c) for a, b in arcs if a != c or b != d})
+            # Canonical as checked: the diagonals lie inside the span, have
+            # length >= 2 and leave out the top arc; the set makes them distinct.
+            pieces.append(PolygonDiagram._canonical(d - c, tuple(diagonals)))
+        # Valid as checked: at least one cut, distinct cuts in cut order, and
+        # each piece as wide as its span.
+        return cls._canonical(n, tuple(cuts), tuple(pieces))
+
+
+def wings_json(rank: int, spans: Iterable[tuple[int, int, Sequence[Arc]]],
+               finite_side: str | None = None) -> str:
+    """The wing record of a rank-``rank`` half from its spans in cut order,
+    each ``(c, d, arcs)`` with ``arcs`` the span's arcs in absolute
+    coordinates, sorted, top arc included (none on a unit span).
+    ``finite_side``, when given, follows ``rank``.
+
+    The one writer of wing records, for :meth:`WingDecomposition.to_json`
+    and the ``decompose`` command (through :func:`_cut_spans`); the text is
+    byte-identical to compact ``json.dumps`` of the record.
+    """
+    if finite_side not in (None, "left", "right"):
+        raise ValueError(f"finite_side must be 'left' or 'right', got {finite_side!r}")
+    pairs = ",".join([f'{{"top":[{c},{d}],"arcs":[{",".join([f"[{a},{b}]" for a, b in arcs])}]}}'
+                      for c, d, arcs in spans])
+    side = "" if finite_side is None else f'"finite_side":"{finite_side}",'
+    return f'{{"rank":{rank},{side}"pairs":[{pairs}]}}'
+
+
+def _wing_spans(data: dict) -> list[tuple[int, int, list]]:
+    """The spans of a decoded wing record, sorted by cut, as ``(c, d, arcs)``:
+    the pair's top arc ``[c, d]`` as written, and its ``arcs`` list as
+    written (top arc included, duplicates kept), empty on a unit span.
+
+    The one reader of wing records, for :meth:`WingDecomposition.from_data`
+    and the ``compose`` command.  It raises ValueError unless the record is
+    a wing decomposition: every pair of width >= 2 lists its top arc, every
+    other arc lies inside its span with length >= 2, a unit span lists no
+    arc but its top, every width is at least 1, and the cuts (the tops'
+    left ends mod the rank) are at least one, distinct and tile the rank,
+    each span reaching the next cut.  So no arc is longer than the rank.
+    The record's fields must have the types ``cli._record`` checks.  A value
+    quoted in a message is abbreviated past dozens of characters (``_ECHO``).
+    """
+    n = data["rank"]
+    spans = []
+    for i, pair in enumerate(data["pairs"]):
+        (c, d), arcs = pair["top"], pair["arcs"]
+        g = d - c
+        if g >= 2:
+            if [c, d] not in arcs:
+                raise ValueError(f"pairs[{i}] omits its top arc "
+                                 f"[{_ECHO.repr(c)}, {_ECHO.repr(d)}] from 'arcs'")
+            for a, b in arcs:
+                if a < c or b > d or b - a < 2:  # no diagonal of the span
+                    _check_diagonals(c, d, arcs)  # raises
+        elif g < 1:
+            raise ValueError(f"size must be >= 1, got {_ECHO.repr(g)}")
+        elif arcs:  # only the top arc may be listed
+            _check_diagonals(c, d, arcs)
+            arcs = []
+        spans.append((c, d, arcs))
+    if not spans:
+        raise ValueError("at least one cut is required")
+    spans.sort(key=lambda span: span[0] % n)
+    cuts = [c % n for c, _, _ in spans]
+    if any(cut == after for cut, after in zip(cuts, cuts[1:])):
+        raise ValueError(f"cuts must be strictly increasing within [0, {n})")
+    for cut, after, (c, d, _) in zip(cuts, cuts[1:] + [cuts[0] + n], spans):
+        if d - c != after - cut:
+            raise ValueError(f"piece of size {_ECHO.repr(d - c)} on a span of width {after - cut}")
+    return spans
+
+
+def _check_diagonals(c: int, d: int, arcs: list[list[int]]) -> None:
+    """Raise for the first arc of the span ``(c, d)`` other than its top, in
+    sorted order relative to ``c``, that lies outside the span or is
+    shorter than 2; the messages of :class:`PolygonDiagram`."""
+    for a, b in sorted({(a - c, b - c) for a, b in arcs if a != c or b != d}):
+        if not 0 <= a < b <= d - c:
+            raise ValueError(f"diagonal {_ECHO.repr((a, b))} out of range "
+                             f"for size {_ECHO.repr(d - c)}")
+        if b - a < 2:
+            raise ValueError(f"diagonal {_ECHO.repr((a, b))} has length < 2")
 
 
 def _lay(n: int, placed: Iterable[tuple[int, PolygonDiagram]]) -> PeriodicDiagram:
@@ -243,8 +324,11 @@ def _lay(n: int, placed: Iterable[tuple[int, PolygonDiagram]]) -> PeriodicDiagra
     return PeriodicDiagram._canonical(n, frozenset(arcs))
 
 
-def decompose(diagram: PeriodicDiagram) -> WingDecomposition:
-    """Split a finite half into its cuts and per-span polygon diagrams.
+def _cut_spans(n: int, orbits: frozenset[Arc]) -> Iterator[tuple[int, int, list[Arc]]]:
+    """The spans of the rank-n finite half with these canonical orbits, in
+    cut order, as ``(c, d, arcs)``: consecutive cuts ``c < d`` (the last
+    wraps to the first plus n) and the span's arcs, sorted, top arc
+    included, shifted into ``[c, d]``; a unit span has none.
 
     Cuts are the vertices of ``[0, n)`` not strictly overarched by any arc.
     A sweep finds them: it walks the orbits sorted by left endpoint, carrying
@@ -256,10 +340,11 @@ def decompose(diagram: PeriodicDiagram) -> WingDecomposition:
     half.  No arc straddles a cut (an arc ``(a, b)`` with ``a < d < b`` would
     overarch the cut ``d mod n``), so with the arcs left of the first cut
     shifted by n and moved to the end, the sorted orbits split into the spans
-    in one merge.
+    at the cuts.  This is the one walk of :func:`decompose` and the
+    ``decompose`` command, which writes its output through
+    :func:`wings_json`.
     """
-    n = diagram.rank
-    arcs = sorted(diagram.orbits)
+    arcs = sorted(orbits)
     reach = max(0, max([j for _, j in arcs], default=0) - n)  # shifts by -n end at j - n
     cuts = []
     for i, j in arcs:
@@ -271,31 +356,38 @@ def decompose(diagram: PeriodicDiagram) -> WingDecomposition:
     if not cuts:
         raise ValueError("no cut vertex: the diagram is not a finite half")
 
-    ends = cuts[1:] + [cuts[0] + n]
     first = bisect_left(arcs, (cuts[0],))
     arcs = arcs[first:] + [(i + n, j + n) for i, j in arcs[:first]]
-    arcs.append((ends[-1], 0))  # a sentinel: it starts past every span
-    rest = iter(arcs)
-    a, b = next(rest)
-    pieces = []
-    for c, d in zip(cuts, ends):
+    start = 0
+    for c, d in zip(cuts, cuts[1:] + [cuts[0] + n]):
         if d - c == 1:  # no arc starts here: it would straddle d
+            yield c, d, []
+            continue
+        if (c, d) not in orbits:
+            raise ValueError(f"span ({c}, {d}) is missing its top arc; input is not Ptolemy")
+        stop = bisect_left(arcs, (d,), start)
+        yield c, d, arcs[start:stop]
+        start = stop
+
+
+def decompose(diagram: PeriodicDiagram) -> WingDecomposition:
+    """Split a finite half into its cuts and per-span polygon diagrams, read
+    off the spans of :func:`_cut_spans`.  Raises ValueError if the diagram
+    has no cut or a multi-vertex span lacks its top arc."""
+    cuts, pieces = [], []
+    for c, d, arcs in _cut_spans(diagram.rank, diagram.orbits):
+        cuts.append(c)
+        if d - c == 1:
             pieces.append(DEGENERATE)
             continue
-        if (c, d) not in diagram.orbits:
-            raise ValueError(f"span ({c}, {d}) is missing its top arc; input is not Ptolemy")
-        diagonals = []
-        while a < d:
-            if a != c or b != d:
-                diagonals.append((a - c, b - c))
-            a, b = next(rest)
         # Canonical as built: the diagonals come sorted and distinct from the
         # orbits, have length >= 2, lie in [0, d - c] as no arc straddles a
         # cut, and leave out the top arc.
-        pieces.append(PolygonDiagram._canonical(d - c, tuple(diagonals)))
+        diagonals = tuple([(a - c, b - c) for a, b in arcs if a != c or b != d])
+        pieces.append(PolygonDiagram._canonical(d - c, diagonals))
     # Valid as built: the sweep finds at least one cut, ascending and distinct
     # within [0, n), and each span's piece has the span's width.
-    return WingDecomposition._canonical(n, tuple(cuts), tuple(pieces))
+    return WingDecomposition._canonical(diagram.rank, tuple(cuts), tuple(pieces))
 
 
 def compose(wings: WingDecomposition) -> PeriodicDiagram:
@@ -473,7 +565,7 @@ def iter_orbits_json(n: int) -> Iterator[str]:
     :class:`TorsionPair` would make.
     """
     _check_rank(n)
-    texts = [arcs_json([(k % n, k % n + k // n)])[1:-1] for k in range(n * (n + 1))]
+    texts = [orbit_keys_json(n, [k])[1:-1] for k in range(n * (n + 1))]
     for cuts, pieces in _walk(n, range(1, 1 << n)):
         keys = []
         for c, piece in zip(cuts, pieces):

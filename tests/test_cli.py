@@ -15,7 +15,8 @@ from clustertubes.config import BRUTE_RANK, COUNT_RANK, PERP_ORBITS, RECORD_RANK
 from clustertubes.config import REFINED_RANK, SERIES_ORDER, STRUCTURED_RANK
 from clustertubes.counting import torsion_count
 from clustertubes.polygons import polygon_diagrams
-from clustertubes.torsion import TorsionPair, iter_structured
+from clustertubes.torsion import TorsionPair, WingDecomposition, decompose, iter_structured
+from clustertubes.torsion import sample_halves
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -199,6 +200,56 @@ def test_enumerate_decompose_compose_round_trip(capsys, monkeypatch):
     code, rebuilt, _ = run(capsys, "compose")
     assert code == 0
     assert rebuilt == enumerated  # byte-identical
+
+
+def record_halves():
+    """Every half at rank <= 6, then seeded samples at ranks 10-60."""
+    for n in range(1, 7):
+        yield from iter_structured(n)
+    for n in range(10, 61, 5):
+        yield from sample_halves(n, 30, seed=n)
+
+
+def test_record_commands_match_the_object_api(capsys, monkeypatch):
+    # decompose and compose write their records from their own walks; each
+    # line must equal what the objects write, with every side and none.
+    halves = list(record_halves())
+    assert max(X.rank for X in halves) == 60
+    records, wings = [], []
+    for X in halves:
+        for side in (None, "left", "right"):
+            records.append(X.to_json() if side is None else TorsionPair(X.rank, X, side).to_json())
+            wings.append(decompose(X).to_json(side))
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(records)))
+    code, out, _ = run(capsys, "decompose")
+    assert code == 0
+    assert out.splitlines() == wings
+    monkeypatch.setattr("sys.stdin", io.StringIO(out))
+    code, out, _ = run(capsys, "compose")
+    assert code == 0
+    assert out.splitlines() == records
+
+
+def test_record_commands_build_no_half(capsys, monkeypatch):
+    # Both record commands stream text from one walk each: no piece, wing
+    # decomposition or torsion pair is constructed on the way.
+    from clustertubes import polygons, torsion
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a record command built an object")
+
+    code, enumerated, _ = run(capsys, "enumerate", "--n", "5")
+    assert code == 0
+    for cls in (polygons.PolygonDiagram, torsion.WingDecomposition, torsion.TorsionPair):
+        monkeypatch.setattr(cls, "__init__", refuse)
+        monkeypatch.setattr(cls, "_canonical", refuse, raising=False)
+    monkeypatch.setattr("sys.stdin", io.StringIO(enumerated))
+    code, wings, err = run(capsys, "decompose")
+    assert (code, err) == (0, "")
+    monkeypatch.setattr("sys.stdin", io.StringIO(wings))
+    code, rebuilt, err = run(capsys, "compose")
+    assert (code, err) == (0, "")
+    assert rebuilt == enumerated
 
 
 def test_decompose_single_diagram(capsys):
@@ -700,6 +751,85 @@ def test_short_arc_with_a_huge_endpoint_is_echoed_in_bounded_form(capsys):
     assert out == ""
     assert err.startswith("error: not an arc (length -999") and err.count("\n") == 1
     assert len(err.encode()) < 200
+
+
+HUGE = "9" * 5000
+
+
+@pytest.mark.parametrize("wings, start", [
+    ('{"rank":2,"pairs":[{"top":[0,2],"arcs":[[0,2],[0,%s]]}]}' % HUGE,
+     "error: diagonal (0, 999"),
+    ('{"rank":2,"pairs":[{"top":[0,-%s],"arcs":[]}]}' % HUGE, "error: size must be >= 1, got -999"),
+    ('{"rank":2,"pairs":[{"top":[0,%s],"arcs":[[0,%s]]}]}' % (HUGE, HUGE),
+     "error: piece of size 999"),
+    ('{"rank":2,"pairs":[{"top":[0,%s],"arcs":[]}]}' % HUGE, "error: pairs[0] omits its top arc [0, 999"),
+], ids=["diagonal", "top-reversed", "top-too-wide", "top-missing"])
+def test_compose_echoes_a_huge_integer_in_bounded_form(capsys, restore_int_digit_limit, wings, start):
+    code, out, err = run(capsys, "compose", "--wings", wings)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(start) and err.count("\n") == 1
+    assert len(err.encode()) < 200
+
+
+# Wing records that are no wing decomposition, each with the message both
+# the compose command and WingDecomposition.from_json give.
+MALFORMED_WINGS = [
+    ('{"rank":3,"pairs":[]}', "at least one cut is required"),
+    ('{"rank":3,"pairs":[{"top":[0,3],"arcs":[[0,3]]},{"top":[3,6],"arcs":[[3,6]]}]}',
+     "cuts must be strictly increasing within [0, 3)"),
+    ('{"rank":4,"pairs":[{"top":[0,1],"arcs":[]},{"top":[2,4],"arcs":[[2,4]]}]}',
+     "piece of size 1 on a span of width 2"),
+    ('{"rank":3,"pairs":[{"top":[0,2],"arcs":[[0,2]]},{"top":[2,4],"arcs":[[2,4]]}]}',
+     "piece of size 2 on a span of width 1"),
+    ('{"rank":3,"pairs":[{"top":[2,0],"arcs":[]}]}', "size must be >= 1, got -2"),
+    ('{"rank":3,"pairs":[{"top":[0,0],"arcs":[]}]}', "size must be >= 1, got 0"),
+    ('{"rank":2,"pairs":[{"top":[0,1],"arcs":[[0,2]]},{"top":[1,2],"arcs":[]}]}',
+     "diagonal (0, 2) out of range for size 1"),
+    ('{"rank":4,"pairs":[{"top":[0,4],"arcs":[[0,4],[1,5]]}]}',
+     "diagonal (1, 5) out of range for size 4"),
+    ('{"rank":4,"pairs":[{"top":[0,4],"arcs":[[0,4],[3,1]]}]}',
+     "diagonal (3, 1) out of range for size 4"),
+    ('{"rank":4,"pairs":[{"top":[0,4],"arcs":[[0,4],[1,2]]}]}',
+     "diagonal (1, 2) has length < 2"),
+    ('{"rank":4,"pairs":[{"top":[0,4],"arcs":[[1,3]]}]}',
+     "pairs[0] omits its top arc [0, 4] from 'arcs'"),
+    # per-pair checks come first, in pair order; within a pair, sorted order
+    ('{"rank":3,"pairs":[{"top":[0,1],"arcs":[]},{"top":[1,3],"arcs":[[1,3],[2,9],[1,2]]}]}',
+     "diagonal (0, 1) has length < 2"),
+]
+MALFORMED_IDS = ["no-pairs", "duplicate-cut", "gap", "overlap", "top-reversed", "top-empty",
+                 "unit-span-with-arcs", "outside-span", "reversed-diagonal", "short-diagonal",
+                 "missing-top", "first-in-sorted-order"]
+
+
+@pytest.mark.parametrize("wings, message", MALFORMED_WINGS, ids=MALFORMED_IDS)
+def test_malformed_wings_are_rejected_by_compose_and_from_json(capsys, wings, message):
+    code, out, err = run(capsys, "compose", "--wings", wings)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    with pytest.raises(ValueError) as info:
+        WingDecomposition.from_json(wings)
+    assert str(info.value) == message
+
+
+def test_compose_checks_every_arc_length(capsys, monkeypatch):
+    # The reader's checks already bound every arc by the rank; the key guard
+    # holds if they ever stop doing so.
+    from clustertubes import torsion
+
+    monkeypatch.setattr(torsion, "_wing_spans", lambda data: [(0, 5, [[0, 5]])])
+    code, out, err = run(capsys, "compose", "--wings", '{"rank":3,"pairs":[]}')
+    assert (code, out) == (2, "")
+    assert err == "error: a finite half has arcs of length at most the rank\n"
+
+
+def test_duplicate_wing_arcs_are_written_once(capsys):
+    wings = '{"rank":4,"pairs":[{"top":[0,4],"arcs":[[0,4],[1,3],[1,3],[0,4]]}]}'
+    code, out, _ = run(capsys, "compose", "--wings", wings)
+    assert code == 0
+    assert out == '{"rank":4,"orbits":[[1,3],[0,4]]}\n'
+    assert WingDecomposition.from_json(wings).to_json() == (
+        '{"rank":4,"pairs":[{"top":[0,4],"arcs":[[0,4],[1,3]]}]}')
 
 
 @pytest.mark.parametrize("wings", [
