@@ -353,6 +353,58 @@ def test_built_values_equal_the_validating_constructors():
             assert p == PolygonDiagram(p.size, p.diagonals)
 
 
+def refuse(self):
+    raise AssertionError("a validating constructor ran")
+
+
+def counting_wing_spans(monkeypatch):
+    """Patch ``torsion._wing_spans`` to record the spans of each call."""
+    from clustertubes import torsion
+
+    read, calls = torsion._wing_spans, []
+
+    def counted(data):
+        calls.append(read(data))
+        return calls[-1]
+
+    monkeypatch.setattr(torsion, "_wing_spans", counted)
+    return calls
+
+
+def test_decompose_skips_the_wing_checks_and_from_json_keeps_them(monkeypatch):
+    # decompose builds its decomposition canonical; from_json checks each
+    # record once, through _wing_spans, and still rejects a bad one.
+    halves = list(laid_halves(100, seed=8))
+    monkeypatch.setattr(WingDecomposition, "__post_init__", refuse)
+    checked = counting_wing_spans(monkeypatch)
+    records = [decompose(X).to_json() for X in halves]
+    assert checked == []
+    for X, text in zip(halves, records):
+        assert WingDecomposition.from_json(text) == decompose(X)
+    assert len(checked) == len(records)
+    duplicate_cut = '{"rank":2,"pairs":[{"top":[0,1],"arcs":[]},{"top":[2,3],"arcs":[]}]}'
+    with pytest.raises(ValueError, match=r"^cuts must be strictly increasing within \[0, 2\)$"):
+        WingDecomposition.from_json(duplicate_cut)
+
+
+def test_decompose_and_compose_check_each_piece_once(monkeypatch):
+    # decompose builds its pieces canonical; compose's input is checked one
+    # span per piece in _wing_spans, and no piece is re-checked on the way.
+    halves = list(laid_halves(300, seed=8))
+    monkeypatch.setattr(PolygonDiagram, "__post_init__", refuse)
+    checked = counting_wing_spans(monkeypatch)
+    records = [decompose(X).to_json() for X in halves]
+    assert checked == []
+    wide = 0
+    for X, text in zip(halves, records):
+        wings = WingDecomposition.from_json(text)
+        assert compose(wings) == X
+        assert len(checked[-1]) == len(wings.pieces)
+        wide += sum(p.size >= 2 for p in wings.pieces)
+    assert len(checked) == len(records)
+    assert wide > 300
+
+
 # ---- pointed cycles ---------------------------------------------------------------
 
 
