@@ -24,17 +24,12 @@ All values are immutable and all operations are pure functions.
 
 from __future__ import annotations
 
-import reprlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-Arc = tuple[int, int]
+from .config import _ECHO
 
-# Error lines echo a malformed value through this: a short one prints as its
-# repr, a long or deeply nested one (or an integer of more than 40 digits) as
-# a bounded abbreviation of it.
-_ECHO = reprlib.Repr()
-_ECHO.maxlevel, _ECHO.maxstring, _ECHO.maxlist = 3, 40, 4
+Arc = tuple[int, int]
 
 
 def check_arc(pair: tuple[int, int]) -> Arc:

@@ -14,6 +14,17 @@ each half's text from the grammar without building the half
 ``enumerate --n 9 | head`` prints its first lines at once.  ``decompose``
 and ``compose`` likewise write each record's text from one walk per
 record, building no half, piece or pair.
+
+A command loads only the modules it runs: this module imports the standard
+library and :mod:`clustertubes.config` alone, and each ``cmd_*`` imports its
+own modules once, at its top, never per record.  So ``count`` loads
+:mod:`clustertubes.counting` and nothing else of the package, and ``series``
+:mod:`clustertubes.series`.  No ``.pyc`` need be cached for this to pay:
+where bytecode is not written, every run compiles each module it loads.
+
+A command that reads stdin exits 2 when the process started with stdin
+closed, and every command does so when it started with stdout closed; the
+``error:`` line names the stream.
 """
 
 from __future__ import annotations
@@ -22,21 +33,22 @@ import argparse
 import json
 import os
 import sys
-from collections import Counter
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
-from . import counting, sieving, torsion
-from .arcs import _ECHO, PeriodicDiagram, diagram_json, orbit_keys_json
-from .config import BRUTE_RANK, COUNT_RANK, PERP_ORBITS, REFINED_RANK, SERIES_ORDER
+from .config import _ECHO, BRUTE_RANK, COUNT_RANK, PERP_ORBITS, REFINED_RANK, SERIES_ORDER
 from .config import RECORD_RANK, STRUCTURED_RANK, CapExceeded
-from .render import render_torsion_pair
-from .series import PowerSeries, series_P, series_torsion
-from .torsion import TorsionPair
+
+
+def _stdin():
+    """``sys.stdin``, which is None when the process started with fd 0 closed."""
+    if sys.stdin is None:
+        raise OSError("stdin is closed")
+    return sys.stdin
 
 
 def _input_lines(arg: str | None) -> Iterator[str]:
     if arg is None or arg == "-":
-        for line in sys.stdin:
+        for line in _stdin():
             if line.strip():
                 yield line
     else:
@@ -102,11 +114,9 @@ def _record(line: str, arcs: str, *required: str) -> dict:
     return data
 
 
-def _parse_diagram(data: dict) -> PeriodicDiagram:
-    return PeriodicDiagram.from_arcs(data["rank"], data["orbits"])
-
-
 def cmd_count(args: argparse.Namespace) -> int:
+    from . import counting
+
     n = args.n
     limit = REFINED_RANK if args.refined else COUNT_RANK
     if n > limit:
@@ -139,6 +149,8 @@ _WRITE_BLOCK = 4096  # PIPE_BUF on Linux: a pipe write this long is never split
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    from . import torsion
+
     # Whole lines in blocks, not a print each: with PYTHONUNBUFFERED set a
     # print is two writes (540,000 at n = 8; blocks make 5,800).  Blocks stay
     # within PIPE_BUF, as unbuffered stdout drops what a signal cuts short.
@@ -159,9 +171,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
+    from . import torsion
+    from .arcs import PeriodicDiagram
+
     for line in _input_lines(args.diagram):
         data = _record(line, "orbits")
-        diagram = _parse_diagram(data)
+        diagram = PeriodicDiagram.from_arcs(data["rank"], data["orbits"])
         if args.n is not None and diagram.rank != args.n:
             raise ValueError(f"diagram rank {diagram.rank} does not match --n {args.n}")
         n = diagram.rank
@@ -173,6 +188,9 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def cmd_compose(args: argparse.Namespace) -> int:
+    from . import torsion
+    from .arcs import diagram_json, orbit_keys_json
+
     # Each arc is laid as its orbit's integer key (see orbit_keys_json), so
     # one set dedups the arcs and a plain int sort orders the orbits.
     for line in _input_lines(args.wings):
@@ -192,10 +210,14 @@ def cmd_compose(args: argparse.Namespace) -> int:
 
 
 def cmd_perp(args: argparse.Namespace) -> int:
+    from . import torsion
+    from .arcs import PeriodicDiagram
+
     line = next(_input_lines(args.diagram), None)
     if line is None:
         raise ValueError("missing diagram record on stdin")
-    diagram = _parse_diagram(_record(line, "orbits"))
+    data = _record(line, "orbits")
+    diagram = PeriodicDiagram.from_arcs(data["rank"], data["orbits"])
     if args.n is not None and diagram.rank != args.n:
         raise ValueError(f"diagram rank {diagram.rank} does not match --n {args.n}")
     if args.arc is not None:
@@ -211,29 +233,27 @@ def cmd_perp(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_series(series: PowerSeries, name: str, fmt: str) -> None:
-    if fmt == "json":
+def cmd_series(args: argparse.Namespace) -> int:
+    from .series import series_P, series_torsion
+
+    if args.order > SERIES_ORDER:
+        raise CapExceeded(f"series order capped at {SERIES_ORDER}, got {args.order}")
+    series = (series_P if args.kind == "P" else series_torsion)(args.order)
+    if args.format == "json":
         rows = [
             {"degree": k, "coefficient": str(series.coeffs[k])}
             for k in range(series.order + 1)
         ]
-        print(json.dumps({"series": name, "coefficients": rows}, separators=(",", ":")))
+        print(json.dumps({"series": args.kind, "coefficients": rows}, separators=(",", ":")))
     else:
         for k in range(series.order + 1):
             print(f"z^{k}: {series.coeffs[k]}")
-
-
-def cmd_series(args: argparse.Namespace) -> int:
-    if args.order > SERIES_ORDER:
-        raise CapExceeded(f"series order capped at {SERIES_ORDER}, got {args.order}")
-    if args.kind == "P":
-        _print_series(series_P(args.order), "P", args.format)
-    else:
-        _print_series(series_torsion(args.order), "torsion", args.format)
     return 0
 
 
 def cmd_sieve(args: argparse.Namespace) -> int:
+    from . import sieving
+
     records = sieving.csp_verify(args.n)
     if args.format == "json":
         print(sieving.csp_report_json(records))
@@ -254,6 +274,8 @@ def _skipped(n: int, name: str, limit: int) -> str:
 
 
 def cmd_orbits(args: argparse.Namespace) -> int:
+    from . import torsion
+
     n = args.n
     limit = REFINED_RANK if args.refined else COUNT_RANK
     if n > limit:
@@ -277,13 +299,18 @@ def cmd_orbits(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    from . import torsion
+    from .arcs import PeriodicDiagram
+    from .render import render_torsion_pair
+
     if args.pair == "-":
-        text = sys.stdin.read()
+        text = _stdin().read()
     else:
         with open(args.pair, "r", encoding="utf-8") as fh:
             text = fh.read()
     data = _record(text, "orbits", "finite_side")
-    pair = TorsionPair(data["rank"], _parse_diagram(data), data["finite_side"])
+    diagram = PeriodicDiagram.from_arcs(data["rank"], data["orbits"])
+    pair = torsion.TorsionPair(data["rank"], diagram, data["finite_side"])
     if args.n is not None and pair.rank != args.n:
         raise ValueError(f"pair rank {pair.rank} does not match --n {args.n}")
     if not torsion.is_finite_half(pair.finite_half):
@@ -298,6 +325,12 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from collections import Counter
+
+    from . import counting, torsion
+    from .arcs import PeriodicDiagram
+    from .series import series_torsion
+
     n = args.n
     if n > REFINED_RANK:  # it builds refined_table(n)
         raise CapExceeded(f"verify capped at rank {REFINED_RANK}, got {n}")
@@ -429,6 +462,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if sys.stdout is None:  # the process started with fd 1 closed
+            raise OSError("stdout is closed")
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -60,7 +60,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .arcs import (
-    _ECHO,
     Arc,
     PeriodicDiagram,
     check_arc,
@@ -72,7 +71,7 @@ from .arcs import (
     orbit_keys_json,
     ptolemy_completions,
 )
-from .config import BRUTE_RANK, STRUCTURED_RANK, CapExceeded
+from .config import _ECHO, BRUTE_RANK, STRUCTURED_RANK, CapExceeded
 from .counting import torsion_count, torsion_count_refined, refined_support
 from .polygons import (
     DEGENERATE,

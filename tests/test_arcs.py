@@ -18,7 +18,7 @@ from clustertubes.arcs import (
     orbits_cross,
     ptolemy_completions,
 )
-from clustertubes.cli import _parse_diagram, _record
+from clustertubes.cli import _record
 
 arcs = st.builds(lambda i, length: (i, i + length), st.integers(-30, 30), st.integers(2, 12))
 
@@ -251,6 +251,7 @@ def test_public_constructors_still_validate():
 @given(st.integers(1, 5).flatmap(lambda n: diagram_strategy(n, 2 * n)))
 def test_json_round_trip_is_bit_exact(X):
     text = X.to_json()
-    decoded = _parse_diagram(_record(text, "orbits"))
+    data = _record(text, "orbits")
+    decoded = PeriodicDiagram.from_arcs(data["rank"], data["orbits"])
     assert decoded == X
     assert decoded.to_json() == text

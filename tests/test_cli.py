@@ -458,7 +458,7 @@ def test_orbits_and_verify_rank_limits_exit_3_before_computing(
         "clustertubes.torsion.orbit_count_refined": lambda n: {},
         "clustertubes.torsion.count_structured": lambda n: 0,
         "clustertubes.torsion.sample_halves": lambda n, count, seed: [],
-        "clustertubes.cli.series_torsion": lambda order, *_: SimpleNamespace(coeffs=[0] * (order + 1)),
+        "clustertubes.series.series_torsion": lambda order, *_: SimpleNamespace(coeffs=[0] * (order + 1)),
     }
     for target, fake in fakes.items():
         monkeypatch.setattr(target, fake)
@@ -479,8 +479,8 @@ def test_series_order_limit_exits_3_before_computing(capsys, monkeypatch, kind):
     code, _, _ = run(capsys, "series", "--kind", kind, "--order", str(SERIES_ORDER))
     assert code == 0
 
-    monkeypatch.setattr("clustertubes.cli.series_P", refuse)
-    monkeypatch.setattr("clustertubes.cli.series_torsion", refuse)
+    monkeypatch.setattr("clustertubes.series.series_P", refuse)
+    monkeypatch.setattr("clustertubes.series.series_torsion", refuse)
     code, out, err = run(capsys, "series", "--kind", kind, "--order", str(SERIES_ORDER + 1))
     assert code == 3
     assert out == ""
@@ -574,9 +574,11 @@ def test_verify_exits_1_on_a_fail_among_skips(capsys, monkeypatch):
     (["render", "--pair", "-", "--out", "-"], '{"rank":%d,"finite_side":"left","orbits":[]}'),
 ])
 def test_record_rank_limit_exits_3_before_computing(capsys, monkeypatch, argv, stdin):
+    # render first: patching it imports the module, which must bind the real
+    # torsion functions, not the refusals below.
+    monkeypatch.setattr("clustertubes.render.render_torsion_pair", refuse)
     for target in ("decompose", "compose", "perp_contains", "is_finite_half"):
         monkeypatch.setattr(f"clustertubes.torsion.{target}", refuse)
-    monkeypatch.setattr("clustertubes.cli.render_torsion_pair", refuse)
     rank = RECORD_RANK + 1
     argv = [arg % rank if "%d" in arg else arg for arg in argv]
     if stdin is not None:
@@ -721,6 +723,28 @@ def test_unreadable_record_exits_2_without_a_traceback(argv, stdin):
     assert result.stdout == ""
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, fd", [
+    (["decompose"], 0),
+    (["compose"], 0),
+    (["perp", "--arc", "0", "2"], 0),
+    (["render", "--pair", "-", "--out", "-"], 0),
+    (["enumerate", "--n", "3"], 1),
+    (["count", "--n", "3"], 1),
+], ids=["decompose-stdin", "compose-stdin", "perp-stdin", "render-stdin",
+        "enumerate-stdout", "count-stdout"])
+def test_closed_standard_stream_exits_2(argv, fd):
+    # A child process started by a shell with fd 0 or fd 1 closed, where
+    # Python sets sys.stdin or sys.stdout to None.
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        ["sh", "-c", f'exec "$@" {fd}>&-', "sh", sys.executable, "-m", "clustertubes.cli", *argv],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr == f"error: {('stdin', 'stdout')[fd]} is closed\n"
 
 
 LONG_ENTRY = '{"rank":3,"orbits":[[0,"' + "x" * 100_000 + '"]]}'

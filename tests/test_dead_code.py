@@ -16,6 +16,8 @@ checked.
 import ast
 from pathlib import Path
 
+import clustertubes
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "clustertubes"
 
 
@@ -62,10 +64,7 @@ def test_every_private_function_is_referenced():
 
 
 def test_every_unexported_public_function_is_referenced():
-    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    exported = {alias.asname or alias.name
-                for node in init.body if isinstance(node, ast.ImportFrom)
-                for alias in node.names}
+    exported = set(clustertubes.__all__)
     statements = list(top_level_statements())
     public = [
         (module, stmt) for module, stmt in statements

@@ -1,18 +1,24 @@
-"""Every name a module imports is used in that module, and the cross-checking
-routes import none of each other.
+"""Every name a module imports is used in that module, the cross-checking
+routes import none of each other, and a command loads only what it runs.
 
 No linter ships with the project; this catches the stale imports a deletion
-leaves behind.  ``__init__.py`` is skipped, as its imports are the package's
-exports.
+leaves behind.
 """
 
 import ast
+import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "clustertubes"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+import clustertubes
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+PACKAGE = SRC / "clustertubes"
+MODULES = sorted(PACKAGE.glob("*.py"))
 
 
 def imported_names(tree):
@@ -61,3 +67,51 @@ def test_independent_routes_share_no_code(module, forbidden):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     shared = sorted(set(package_imports(tree)) & forbidden)
     assert shared == [], f"{module}.py imports {shared}"
+
+
+# Imports the package, runs ``cli.main`` on the command given (if any), then
+# lists the package's modules then loaded on stderr, as main prints to stdout.
+LOADED = """
+import sys
+import clustertubes
+if sys.argv[1:]:
+    from clustertubes.cli import main
+    main(sys.argv[1:])
+print(*sorted(m for m in sys.modules if m.split(".")[0] == "clustertubes"), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], []),
+    (["count", "--n", "1"], ["cli", "config", "counting"]),
+    (["series", "--order", "3"], ["cli", "config", "series"]),
+], ids=["import", "count", "series"])
+def test_a_command_loads_only_the_modules_it_runs(argv, loaded):
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", LOADED, *argv],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.split() == ["clustertubes", *(f"clustertubes.{m}" for m in loaded)]
+
+
+def test_every_export_is_its_home_module_object():
+    from clustertubes import TorsionPair, series_P
+
+    for name in clustertubes.__all__:
+        home = importlib.import_module(f"clustertubes.{clustertubes._HOME[name]}")
+        assert getattr(clustertubes, name) is getattr(home, name), name
+    assert TorsionPair is clustertubes.torsion.TorsionPair
+    assert series_P is clustertubes.series.series_P
+
+
+def test_dir_lists_every_export():
+    assert set(clustertubes.__all__) <= set(dir(clustertubes))
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        clustertubes.no_such_name
+    with pytest.raises(ImportError):
+        from clustertubes import no_such_name  # noqa: F401

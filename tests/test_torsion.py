@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clustertubes.arcs import PeriodicDiagram, nc_enumerate
-from clustertubes.cli import _parse_diagram, _record
+from clustertubes.cli import _record
 from clustertubes.config import CapExceeded
 from clustertubes.counting import refined_table, torsion_count
 from clustertubes.polygons import DEGENERATE, PolygonDiagram, polygon_diagrams
@@ -623,7 +623,8 @@ def test_torsion_pair_json_round_trip():
     pair = TorsionPair(10, RANK_TEN_HALF, "right")
     text = pair.to_json()
     data = _record(text, "orbits", "finite_side")
-    decoded = TorsionPair(data["rank"], _parse_diagram(data), data["finite_side"])
+    diagram = PeriodicDiagram.from_arcs(data["rank"], data["orbits"])
+    decoded = TorsionPair(data["rank"], diagram, data["finite_side"])
     assert decoded == pair
     assert decoded.to_json() == text
 
