@@ -25,9 +25,9 @@ All values are immutable and all operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NoReturn, Sequence
 
-from .config import _ECHO
+from .config import _ECHO, RECORD_RANK, TEXT_ENTRIES
 
 Arc = tuple[int, int]
 
@@ -39,18 +39,87 @@ def check_arc(pair: tuple[int, int]) -> Arc:
     return (i, j)
 
 
+def is_int_pair(value: object) -> bool:
+    """Is ``value`` a pair (list or tuple) of integers?  JSON decodes to
+    exactly ``list`` and ``int``, so exact type checks cost little and keep
+    bools out."""
+    return (type(value) in (list, tuple) and len(value) == 2
+            and type(value[0]) is int is type(value[1]))
+
+
+def _not_an_arc() -> NoReturn:
+    raise ValueError("not an arc")
+
+
+def normalize_orbits(rank: int, arcs: Sequence) -> set[Arc]:
+    """The canonical orbits (:func:`normalize_orbit`) of ``arcs`` at rank
+    ``rank >= 1``, each a pair of integers at any shift.
+
+    One pass type-checks each arc, checks its length and normalizes it.
+    When an arc fails, the arcs are checked again in order to name the
+    first fault: the first entry that is no pair of integers
+    (:func:`is_int_pair`) raises TypeError, named ``orbits[t]`` as in a
+    record; else the first arc shorter than 2 raises :func:`check_arc`'s
+    ValueError.  The ``decompose``, ``perp`` and ``render`` commands read
+    their records' ``orbits`` through it.
+    """
+    try:
+        # An entry that does not unpack into two raises here; one whose ends
+        # are not both ints, or that is shorter than 2, raises in the test.
+        return {((r := i % rank), r + (j - i)) for i, j in arcs
+                if type(i) is int is type(j) and j - i >= 2 or _not_an_arc()}
+    except (TypeError, ValueError):
+        for t, arc in enumerate(arcs):
+            if not is_int_pair(arc):
+                raise TypeError(f"orbits[{t}] must be a pair of integers, "
+                                f"got {_ECHO.repr(arc)}") from None
+        for arc in arcs:
+            check_arc(tuple(arc))
+        raise
+
+
+# Text tables.  An arc's text ``[i,j]`` does not depend on the rank, so one
+# table kept across records serves every rank.  Each table keeps at most
+# TEXT_ENTRIES texts, whatever the input; a key it no longer takes is
+# formatted on every use.
+class _Texts(dict):
+    """The compact JSON text ``[i,j]`` of arcs by key, where ``arc(key)`` is
+    the arc ``(i, j)``; each text is made on first use, and kept while the
+    table holds fewer than ``TEXT_ENTRIES``."""
+
+    def __init__(self, arc: Callable[[object], Arc]) -> None:
+        super().__init__()
+        self.arc = arc
+
+    def __missing__(self, key: object) -> str:
+        i, j = self.arc(key)
+        text = f"[{i},{j}]"
+        if len(self) < TEXT_ENTRIES:
+            self[key] = text
+        return text
+
+
+# By the arc (i, j) itself: the arcs of wing records.
+ARC_TEXTS = _Texts(lambda arc: arc)
+# By the orbit key (j - i) RECORD_RANK + i of a canonical orbit (i, j) at a
+# rank n <= RECORD_RANK, whose left end i < n is below the base: the orbits
+# the ``compose`` command writes.
+ORBIT_TEXTS = _Texts(lambda key: ((i := key % RECORD_RANK), i + key // RECORD_RANK))
+
+
 def orbit_keys_json(n: int, keys: Iterable[int]) -> str:
     """The rank-n orbits with these integer keys as compact JSON text, in the
     given order.
 
     The key of a canonical orbit ``(i, j)`` is ``(j - i) n + i``, so ascending
     keys are :meth:`PeriodicDiagram.sorted_orbits` order (length, then left
-    endpoint) and a plain int sort orders them.  The one writer of
-    ``orbits`` lists: :meth:`PeriodicDiagram.orbits_json`, the ``compose``
-    command and :func:`~clustertubes.torsion.iter_orbits_json` all write
-    through it.  The text is byte-identical to compact ``json.dumps`` of the
-    list of ``[i, j]`` pairs, built with f-strings, which costs a fraction
-    of ``json.dumps``.
+    endpoint) and a plain int sort orders them.  The writer of ``orbits``
+    lists at any rank: :meth:`PeriodicDiagram.orbits_json` and
+    :func:`~clustertubes.torsion.iter_orbits_json` write through it; the
+    ``compose`` command lays its keys to the base ``RECORD_RANK`` and joins
+    the same texts from :data:`ORBIT_TEXTS`.  The text is byte-identical to
+    compact ``json.dumps`` of the list of ``[i, j]`` pairs, built with
+    f-strings, which costs a fraction of ``json.dumps``.
     """
     return "[" + ",".join([f"[{(i := k % n)},{i + k // n}]" for k in keys]) + "]"
 
@@ -160,18 +229,15 @@ class PeriodicDiagram:
                 raise ValueError(f"orbit {(i, j)!r} not in canonical form at rank {self.rank}")
 
     @classmethod
-    def from_arcs(cls, rank: int, arcs: Iterable[tuple[int, int]]) -> "PeriodicDiagram":
+    def from_arcs(cls, rank: int, arcs: Sequence[tuple[int, int]]) -> "PeriodicDiagram":
         """The diagram of the orbits of ``arcs``, each a pair ``(i, j)`` of
-        integers at any shift.  Each arc is checked and normalized once, in
-        input order: the first one shorter than 2 raises :func:`check_arc`'s
-        error."""
+        integers at any shift, checked and normalized once by
+        :func:`normalize_orbits`, which names the first fault."""
         if rank < 1:
             raise ValueError(f"rank must be positive, got {rank}")
-        orbits = frozenset([((r := i % rank), r + (j - i)) for i, j in arcs
-                            if j - i >= 2 or check_arc((i, j))])
         # Canonical as built: rank >= 1, each left endpoint taken mod rank,
         # and each length checked >= 2.
-        return cls._canonical(rank, orbits)
+        return cls._canonical(rank, frozenset(normalize_orbits(rank, arcs)))
 
     @classmethod
     def _canonical(cls, rank: int, orbits: frozenset[Arc]) -> "PeriodicDiagram":

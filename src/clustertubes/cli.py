@@ -12,8 +12,13 @@ reports for ``yes | head -1``; nothing is printed to stderr).
 each half's text from the grammar without building the half
 (:func:`clustertubes.torsion.iter_orbits_json`), so
 ``enumerate --n 9 | head`` prints its first lines at once.  ``decompose``
-and ``compose`` likewise write each record's text from one walk per
-record, building no half, piece or pair.
+and ``compose`` likewise take each record from decoded JSON to its text in
+one walk, building no diagram, half, piece or pair: the walk that reads
+each arc also type-checks it (:func:`clustertubes.arcs.normalize_orbits`
+for ``orbits``, :func:`clustertubes.torsion._wing_spans` for wing
+``pairs``), and :func:`_read` keeps the order in which a record's faults
+are named.  Arc and orbit texts are joined from text tables kept across
+records, each bounded by ``TEXT_ENTRIES`` entries whatever the input.
 
 A command loads only the modules it runs: this module imports the standard
 library and :mod:`clustertubes.config` alone, and each ``cmd_*`` imports its
@@ -33,7 +38,7 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from .config import _ECHO, BRUTE_RANK, COUNT_RANK, PERP_ORBITS, REFINED_RANK, SERIES_ORDER
 from .config import RECORD_RANK, STRUCTURED_RANK, CapExceeded
@@ -55,28 +60,17 @@ def _input_lines(arg: str | None) -> Iterator[str]:
         yield arg
 
 
-def _is_arc(value: object) -> bool:
-    """Is ``value`` a pair of integers?  JSON decodes to exactly ``list`` and
-    ``int``, so exact type checks cost little and keep bools out."""
-    return (type(value) is list and len(value) == 2
-            and type(value[0]) is int and type(value[1]) is int)
-
-
 def _record(line: str, arcs: str, *required: str) -> dict:
-    """Decode one JSON input record and check the fields the commands read.
+    """Decode one JSON input record and check its top level.
 
     The record must be an object holding ``rank``, the arc field ``arcs``
     (``"orbits"`` or ``"pairs"``) and every key in ``required``.  ``rank``
-    must be an integer and not a bool, the arc field a list, and
-    ``finite_side``, when present, ``"left"`` or ``"right"``.  An arc (an
-    ``orbits`` entry, a pair's ``top`` or an entry of its ``arcs`` list) must
-    be a pair of integers.  ``rank`` must also be at least 1, as every
-    command divides by it.  Every failure is a ValueError naming the key or
-    its path (``orbits[0]``, ``pairs[1].arcs[0]``), so ``main`` exits 2.  A
-    well-formed record whose rank passes ``RECORD_RANK`` raises CapExceeded
-    (exit 3), as the commands take time and output growing with the rank.
-    A value quoted in a message is abbreviated past a few levels or dozens
-    of characters (``_ECHO``).
+    must be an integer and not a bool, and at least 1, as every command
+    divides by it; the arc field must be a list.  Every failure is a
+    ValueError naming the key, so ``main`` exits 2.  A value quoted in a
+    message is abbreviated past a few levels or dozens of characters
+    (``_ECHO``).  The arc field's entries are checked by the one walk that
+    reads them, through :func:`_read`, which also checks the rest.
     """
     try:
         data = json.loads(line)
@@ -93,25 +87,41 @@ def _record(line: str, arcs: str, *required: str) -> dict:
         raise ValueError(f"key 'rank' must be >= 1, got {_ECHO.repr(data['rank'])}")
     if not isinstance(data[arcs], list):
         raise ValueError(f"key {arcs!r} must be a list, got {type(data[arcs]).__name__}")
-    for i, entry in enumerate(data[arcs]):
-        if arcs == "orbits":
-            if not _is_arc(entry):
-                raise ValueError(f"orbits[{i}] must be a pair of integers, "
-                                 f"got {_ECHO.repr(entry)}")
-            continue
-        if not (type(entry) is dict and _is_arc(entry.get("top"))
-                and type(entry.get("arcs")) is list):
-            raise ValueError(f"pairs[{i}] must be an object with an arc 'top' and a list 'arcs'")
-        for j, arc in enumerate(entry["arcs"]):
-            if not _is_arc(arc):
-                raise ValueError(f"pairs[{i}].arcs[{j}] must be a pair of integers, "
-                                 f"got {_ECHO.repr(arc)}")
+    return data
+
+
+def _check_side_and_cap(data: dict) -> None:
+    """``finite_side``, when present, must be ``"left"`` or ``"right"``
+    (ValueError, exit 2), and the rank at most ``RECORD_RANK``, as the
+    commands take time and output growing with it (CapExceeded, exit 3)."""
     side = data.get("finite_side", "left")
     if side not in ("left", "right"):
         raise ValueError(f"key 'finite_side' must be 'left' or 'right', got {_ECHO.repr(side)}")
     if data["rank"] > RECORD_RANK:
         raise CapExceeded(f"record rank capped at {RECORD_RANK}, got {_ECHO.repr(data['rank'])}")
-    return data
+
+
+def _read(data: dict, walk: Callable, *args: object) -> object:
+    """``walk(*args)``, the one walk that checks and reads the arc field of
+    a record from :func:`_record`, then the record's last checks
+    (:func:`_check_side_and_cap`).
+
+    The walk type-checks each entry as it reads it, and raises TypeError for
+    the first entry, in record order, that has the wrong type: an arc (an
+    ``orbits`` entry, a pair's ``top`` or an entry of its ``arcs`` list) must
+    be a pair of integers.  Its message names the path (``orbits[0]``,
+    ``pairs[1].arcs[0]``).  Any other fault it finds raises ValueError.  So
+    the order of the faults a record is named by is: a top-level fault, an
+    entry of the wrong type, a bad ``finite_side``, a rank past the cap, a
+    fault of the arcs themselves.
+    """
+    try:
+        value = walk(*args)
+    except ValueError:  # the side and the cap outrank the arcs' own faults
+        _check_side_and_cap(data)
+        raise
+    _check_side_and_cap(data)
+    return value
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -172,16 +182,15 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     from . import torsion
-    from .arcs import PeriodicDiagram
+    from .arcs import normalize_orbits
 
     for line in _input_lines(args.diagram):
         data = _record(line, "orbits")
-        diagram = PeriodicDiagram.from_arcs(data["rank"], data["orbits"])
-        if args.n is not None and diagram.rank != args.n:
-            raise ValueError(f"diagram rank {diagram.rank} does not match --n {args.n}")
-        n = diagram.rank
-        record = torsion.wings_json(n, torsion._cut_spans(n, diagram.orbits),
-                                    data.get("finite_side"))
+        n = data["rank"]
+        orbits = _read(data, normalize_orbits, n, data["orbits"])
+        if args.n is not None and n != args.n:
+            raise ValueError(f"diagram rank {n} does not match --n {args.n}")
+        record = torsion.wings_json(n, torsion._cut_spans(n, orbits), data.get("finite_side"))
         # One write per record: print makes two when stdout is unbuffered.
         sys.stdout.write(record + "\n")
     return 0
@@ -189,18 +198,21 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_compose(args: argparse.Namespace) -> int:
     from . import torsion
-    from .arcs import diagram_json, orbit_keys_json
+    from .arcs import ORBIT_TEXTS, diagram_json
 
-    # Each arc is laid as its orbit's integer key (see orbit_keys_json), so
-    # one set dedups the arcs and a plain int sort orders the orbits.
+    # Each arc is laid as its orbit's integer key (j - i) RECORD_RANK + i,
+    # which holds the left end i < n <= RECORD_RANK below the base: one set
+    # dedups the arcs, a plain int sort orders the orbits, and each orbit's
+    # text comes from one table for every rank.
+    text = ORBIT_TEXTS.__getitem__
     for line in _input_lines(args.wings):
         data = _record(line, "pairs")
         n = data["rank"]
-        keys = sorted({(b - a) * n + a % n for _, _, arcs in torsion._wing_spans(data)
-                       for a, b in arcs})
-        if keys and keys[-1] >= n * (n + 1):
+        spans = _read(data, torsion._wing_spans, data)
+        keys = sorted({(b - a) * RECORD_RANK + a % n for _, _, arcs in spans for a, b in arcs})
+        if keys and keys[-1] >= (n + 1) * RECORD_RANK:
             raise ValueError("a finite half has arcs of length at most the rank")
-        orbits = orbit_keys_json(n, keys)
+        orbits = "[" + ",".join(map(text, keys)) + "]"
         if "finite_side" in data:
             record = torsion.pair_json(n, data["finite_side"], orbits)
         else:
@@ -217,7 +229,7 @@ def cmd_perp(args: argparse.Namespace) -> int:
     if line is None:
         raise ValueError("missing diagram record on stdin")
     data = _record(line, "orbits")
-    diagram = PeriodicDiagram.from_arcs(data["rank"], data["orbits"])
+    diagram = _read(data, PeriodicDiagram.from_arcs, data["rank"], data["orbits"])
     if args.n is not None and diagram.rank != args.n:
         raise ValueError(f"diagram rank {diagram.rank} does not match --n {args.n}")
     if args.arc is not None:
@@ -309,7 +321,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         with open(args.pair, "r", encoding="utf-8") as fh:
             text = fh.read()
     data = _record(text, "orbits", "finite_side")
-    diagram = PeriodicDiagram.from_arcs(data["rank"], data["orbits"])
+    diagram = _read(data, PeriodicDiagram.from_arcs, data["rank"], data["orbits"])
     pair = torsion.TorsionPair(data["rank"], diagram, data["finite_side"])
     if args.n is not None and pair.rank != args.n:
         raise ValueError(f"pair rank {pair.rank} does not match --n {args.n}")

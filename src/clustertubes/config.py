@@ -3,8 +3,10 @@
 Every exhaustive path in this package, and every closed form or series the
 CLI prints, is desk-scale by design.  Each constant below guards one of
 them.  Going past one raises :class:`CapExceeded` instead of silently
-grinding; the CLI maps it to exit code 3.  ``_ECHO`` bounds the other side of
-outside input: how much of a malformed value an error message quotes.
+grinding; the CLI maps it to exit code 3.  ``TEXT_ENTRIES`` bounds memory
+and refuses nothing: a text table kept across records stops growing there.
+``_ECHO`` bounds the other side of outside input: how much of a malformed
+value an error message quotes.
 """
 
 import reprlib
@@ -16,7 +18,8 @@ SERIES_ORDER = 24  # cli.cmd_series: the truncation order (the library is uncapp
 COUNT_RANK = 20_000  # cli.cmd_count, cmd_orbits: the closed-form counts (likewise)
 REFINED_RANK = 150  # cli.cmd_count/cmd_orbits --refined, cmd_verify: the (k, l, m) table
 PERP_ORBITS = 40_000  # cli.cmd_perp --max-length: the rank x (max_length - 1) orbits it tests
-RECORD_RANK = 500  # cli._record: the decoded rank of decompose, compose, perp and render
+RECORD_RANK = 500  # cli._check_side_and_cap: the rank of decompose, compose, perp and render
+TEXT_ENTRIES = 4_096  # arcs._Texts: the texts each table kept across records holds
 
 # Error lines echo a malformed value through this: a short one prints as its
 # repr, a long or deeply nested one (or an integer of more than 40 digits) as

@@ -30,18 +30,25 @@ The structure theory implemented here:
   straight from its spans, as sorted integer orbit keys.
 * *Records*.  Diagram, torsion-pair and wing records are compact JSON text,
   byte-identical to ``json.dumps(..., separators=(",", ":"))`` but built
-  with f-strings.  Orbit lists have one writer,
-  :func:`~clustertubes.arcs.orbit_keys_json`, which takes the orbits as
-  sorted integer keys ``(j - i) n + i``; wing records have one,
-  :func:`wings_json`.  The three record streams build no half, piece or
-  pair.  ``enumerate`` takes each half's ``orbits`` text from
-  :func:`iter_orbits_json`, whose per-rank table of orbit texts is cut
-  from the orbit writer, and writes it as two records, ``left`` and then
-  ``right``, through :func:`pair_json`.  ``decompose`` writes each wing
-  record from the spans of :func:`_cut_spans`, the walk :func:`decompose`
-  reads.  ``compose`` checks each wing record through :func:`_wing_spans`,
-  the reader :meth:`WingDecomposition.from_data` builds through, lays its
-  arcs as integer keys, and writes them deduplicated and sorted.
+  with f-strings and text tables.  Orbit lists are written from the orbits
+  as sorted integer keys ``(j - i) b + i``, for a base b above every left
+  end i: by :func:`~clustertubes.arcs.orbit_keys_json` at the base n, and
+  by the ``compose`` command at the base ``RECORD_RANK``, joined from the
+  bounded table :data:`~clustertubes.arcs.ORBIT_TEXTS`.  Wing records have
+  one writer, :func:`wings_json`, which joins each arc's text from the
+  bounded table :data:`~clustertubes.arcs.ARC_TEXTS`.  The three record
+  streams build no half, piece or pair.  ``enumerate`` takes each half's
+  ``orbits`` text from :func:`iter_orbits_json`, whose per-rank table of
+  orbit texts is cut from the orbit writer, and writes it as two records,
+  ``left`` and then ``right``, through :func:`pair_json`.  ``decompose``
+  reads each record's orbits through
+  :func:`~clustertubes.arcs.normalize_orbits`, which type-checks, checks
+  and canonicalizes each arc in one pass, and writes the wing record from
+  the spans of :func:`_cut_spans`, the walk :func:`decompose` reads.
+  ``compose`` checks each wing record, field types included, in the one
+  walk of :func:`_wing_spans`, the reader
+  :meth:`WingDecomposition.from_data` builds through, lays its arcs as
+  integer keys, and writes them deduplicated and sorted.
 * *Symmetry*.  The translation ``tau`` acts on halves; a half is fixed by
   ``tau^d`` (d | n) iff it is d-periodic, i.e. iff it is a rank-d half in
   disguise, which is what makes the orbit counts and the sieving identities
@@ -57,13 +64,15 @@ import random
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .arcs import (
+    ARC_TEXTS,
     Arc,
     PeriodicDiagram,
     check_arc,
     crossing_shifts,
+    is_int_pair,
     is_ptolemy,
     nc_contains,
     nc_enumerate,
@@ -239,14 +248,19 @@ def wings_json(rank: int, spans: Iterable[tuple[int, int, Sequence[Arc]]],
 
     The one writer of wing records, for :meth:`WingDecomposition.to_json`
     and the ``decompose`` command (through :func:`_cut_spans`); the text is
-    byte-identical to compact ``json.dumps`` of the record.
+    byte-identical to compact ``json.dumps`` of the record.  Each arc's text,
+    top arcs included, is joined from the bounded table
+    :data:`~clustertubes.arcs.ARC_TEXTS`, so the arcs must be tuples.
     """
     if finite_side not in (None, "left", "right"):
         raise ValueError(f"finite_side must be 'left' or 'right', got {finite_side!r}")
-    pairs = ",".join([f'{{"top":[{c},{d}],"arcs":[{",".join([f"[{a},{b}]" for a, b in arcs])}]}}'
-                      for c, d, arcs in spans])
+    text = ARC_TEXTS.__getitem__
+    # The separator opens every pair but the first, which opens in the frame
+    # around the join: a half has at least one span.
+    pairs = '},{"top":'.join([f'{text((c, d))},"arcs":[{",".join(map(text, arcs))}]'
+                              for c, d, arcs in spans])
     side = "" if finite_side is None else f'"finite_side":"{finite_side}",'
-    return f'{{"rank":{rank},{side}"pairs":[{pairs}]}}'
+    return f'{{"rank":{rank},{side}"pairs":[{{"top":{pairs}}}]}}'
 
 
 def _wing_spans(data: dict) -> list[tuple[int, int, list]]:
@@ -255,35 +269,58 @@ def _wing_spans(data: dict) -> list[tuple[int, int, list]]:
     written (top arc included, duplicates kept), empty on a unit span.
 
     The one reader of wing records, for :meth:`WingDecomposition.from_data`
-    and the ``compose`` command.  It raises ValueError unless the record is
-    a wing decomposition: every pair of width >= 2 lists its top arc, every
-    other arc lies inside its span with length >= 2, a unit span lists no
-    arc but its top, every width is at least 1, and the cuts (the tops'
-    left ends mod the rank) are at least one, distinct and tile the rank,
-    each span reaching the next cut.  So no arc is longer than the rank.
-    The record's fields must have the types ``cli._record`` checks.  A value
-    quoted in a message is abbreviated past dozens of characters (``_ECHO``).
+    and the ``compose`` command, and the one walk over their pairs and arcs.
+    The record must hold an integer ``rank`` >= 1 and a list ``pairs``
+    (``cli._record`` checks them).  Each field is type-checked where the
+    walk reads it: a pair must be an object whose ``top`` is an arc and
+    whose ``arcs`` is a list of arcs, an arc being a pair of integers.  When
+    the walk fails, :func:`_check_wing_fields` first names the first field
+    of the wrong type in record order, as TypeError.  Otherwise it raises
+    ValueError unless the record is a wing decomposition: every pair of
+    width >= 2 lists its top arc, every other arc lies inside its span with
+    length >= 2, a unit span lists no arc but its top, every width is at
+    least 1, and the cuts (the tops' left ends mod the rank) are at least
+    one, distinct and tile the rank, each span reaching the next cut.  So no
+    arc is longer than the rank.  A value quoted in a message is
+    abbreviated past dozens of characters (``_ECHO``).
     """
     n = data["rank"]
     spans = []
-    for i, pair in enumerate(data["pairs"]):
-        (c, d), arcs = pair["top"], pair["arcs"]
-        g = d - c
-        if g >= 2:
-            if [c, d] not in arcs:
-                raise ValueError(f"pairs[{i}] omits its top arc "
-                                 f"[{_ECHO.repr(c)}, {_ECHO.repr(d)}] from 'arcs'")
-            for a, b in arcs:
-                if a < c or b > d or b - a < 2:  # no diagonal of the span
-                    _check_diagonals(c, d, arcs)  # raises
-        elif g < 1:
-            raise ValueError(f"size must be >= 1, got {_ECHO.repr(g)}")
-        elif arcs:  # only the top arc may be listed
-            _check_diagonals(c, d, arcs)
-            arcs = []
-        spans.append((c, d, arcs))
+    try:
+        for i, pair in enumerate(data["pairs"]):
+            (c, d), arcs = pair["top"], pair["arcs"]
+            if not (type(c) is int is type(d) and type(arcs) is list):
+                raise TypeError(f"pairs[{i}] has a field of the wrong type")
+            g = d - c
+            if g >= 2:
+                if [c, d] not in arcs:
+                    raise ValueError(f"pairs[{i}] omits its top arc "
+                                     f"[{_ECHO.repr(c)}, {_ECHO.repr(d)}] from 'arcs'")
+                for a, b in arcs:  # each a diagonal of the span, or the top arc
+                    if not (type(a) is int is type(b)) or a < c or b > d or b - a < 2:
+                        _check_diagonals(c, d, arcs)  # raises
+            elif g < 1:
+                raise ValueError(f"size must be >= 1, got {_ECHO.repr(g)}")
+            elif arcs:  # only the top arc may be listed
+                _check_diagonals(c, d, arcs)
+                arcs = []
+            spans.append((c, d, arcs))
+    except (KeyError, TypeError, ValueError):
+        _check_wing_fields(data)  # a field of the wrong type outranks the fault found
+        raise
     if not spans:
         raise ValueError("at least one cut is required")
+    # The fast test: spans as wings_json writes them, from a cut in [0, n),
+    # each starting where the last ended and the last ending one turn after
+    # the first began, are in cut order and tile the rank.
+    first = end = spans[0][0]
+    for c, d, _ in spans:
+        if c != end:
+            break
+        end = d
+    else:
+        if 0 <= first and c < n and end == first + n:
+            return spans
     spans.sort(key=lambda span: span[0] % n)
     cuts = [c % n for c, _, _ in spans]
     if any(cut == after for cut, after in zip(cuts, cuts[1:])):
@@ -294,10 +331,30 @@ def _wing_spans(data: dict) -> list[tuple[int, int, list]]:
     return spans
 
 
+def _check_wing_fields(data: dict) -> None:
+    """Raise TypeError for the first field of a wing record's pairs, in
+    record order, of the wrong type: a pair must be an object with an arc
+    ``top`` and a list ``arcs``, and each entry of ``arcs`` an arc, a pair of
+    integers (:func:`~clustertubes.arcs.is_int_pair`).  The message names
+    the field's path (``pairs[1]``, ``pairs[1].arcs[0]``) and quotes a bad
+    arc abbreviated (``_ECHO``)."""
+    for i, pair in enumerate(data["pairs"]):
+        if not (type(pair) is dict and is_int_pair(pair.get("top"))
+                and type(pair.get("arcs")) is list):
+            raise TypeError(f"pairs[{i}] must be an object with an arc 'top' and a list 'arcs'")
+        for j, arc in enumerate(pair["arcs"]):
+            if not is_int_pair(arc):
+                raise TypeError(f"pairs[{i}].arcs[{j}] must be a pair of integers, "
+                                f"got {_ECHO.repr(arc)}")
+
+
 def _check_diagonals(c: int, d: int, arcs: list[list[int]]) -> None:
     """Raise for the first arc of the span ``(c, d)`` other than its top, in
     sorted order relative to ``c``, that lies outside the span or is
-    shorter than 2; the messages of :class:`PolygonDiagram`."""
+    shorter than 2; the messages of :class:`PolygonDiagram`.  An arc that
+    is no pair of integers raises TypeError first, for the caller to name."""
+    if not all(map(is_int_pair, arcs)):
+        raise TypeError("an arc is not a pair of integers")
     for a, b in sorted({(a - c, b - c) for a, b in arcs if a != c or b != d}):
         if not 0 <= a < b <= d - c:
             raise ValueError(f"diagonal {_ECHO.repr((a, b))} out of range "
@@ -323,7 +380,7 @@ def _lay(n: int, placed: Iterable[tuple[int, PolygonDiagram]]) -> PeriodicDiagra
     return PeriodicDiagram._canonical(n, frozenset(arcs))
 
 
-def _cut_spans(n: int, orbits: frozenset[Arc]) -> Iterator[tuple[int, int, list[Arc]]]:
+def _cut_spans(n: int, orbits: AbstractSet[Arc]) -> Iterator[tuple[int, int, list[Arc]]]:
     """The spans of the rank-n finite half with these canonical orbits, in
     cut order, as ``(c, d, arcs)``: consecutive cuts ``c < d`` (the last
     wraps to the first plus n) and the span's arcs, sorted, top arc

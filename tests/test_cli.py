@@ -12,7 +12,7 @@ import pytest
 
 from clustertubes.cli import main
 from clustertubes.config import BRUTE_RANK, COUNT_RANK, PERP_ORBITS, RECORD_RANK
-from clustertubes.config import REFINED_RANK, SERIES_ORDER, STRUCTURED_RANK
+from clustertubes.config import REFINED_RANK, SERIES_ORDER, STRUCTURED_RANK, TEXT_ENTRIES
 from clustertubes.counting import torsion_count
 from clustertubes.polygons import polygon_diagrams
 from clustertubes.torsion import TorsionPair, WingDecomposition, decompose, iter_structured
@@ -231,18 +231,20 @@ def test_record_commands_match_the_object_api(capsys, monkeypatch):
 
 
 def test_record_commands_build_no_half(capsys, monkeypatch):
-    # Both record commands stream text from one walk each: no piece, wing
-    # decomposition or torsion pair is constructed on the way.
-    from clustertubes import polygons, torsion
+    # Both record commands stream text from one walk each: no diagram,
+    # piece, wing decomposition or torsion pair is constructed on the way.
+    from clustertubes import arcs, polygons, torsion
 
     def refuse(*args, **kwargs):
         raise AssertionError("a record command built an object")
 
     code, enumerated, _ = run(capsys, "enumerate", "--n", "5")
     assert code == 0
-    for cls in (polygons.PolygonDiagram, torsion.WingDecomposition, torsion.TorsionPair):
+    for cls in (arcs.PeriodicDiagram, polygons.PolygonDiagram, torsion.WingDecomposition,
+                torsion.TorsionPair):
         monkeypatch.setattr(cls, "__init__", refuse)
         monkeypatch.setattr(cls, "_canonical", refuse, raising=False)
+    monkeypatch.setattr(arcs.PeriodicDiagram, "from_arcs", refuse)
     monkeypatch.setattr("sys.stdin", io.StringIO(enumerated))
     code, wings, err = run(capsys, "decompose")
     assert (code, err) == (0, "")
@@ -250,6 +252,34 @@ def test_record_commands_build_no_half(capsys, monkeypatch):
     code, rebuilt, err = run(capsys, "compose")
     assert (code, err) == (0, "")
     assert rebuilt == enumerated
+
+
+def test_text_tables_stay_within_their_bound(capsys, monkeypatch):
+    # Records at the rank limit whose arcs are all distinct: the fans of
+    # every length from one vertex, a different vertex s each, so the only
+    # cut is s.  Every text table the commands keep across records stops
+    # growing at its bound, and the texts past it are still right.
+    from clustertubes import arcs
+
+    tables = [t for t in vars(arcs).values() if isinstance(t, arcs._Texts)]
+    assert {id(t) for t in tables} == {id(arcs.ARC_TEXTS), id(arcs.ORBIT_TEXTS)}
+    n = RECORD_RANK
+    starts = range(TEXT_ENTRIES // (n - 1) + 2)
+    fans = [[[s, s + k] for k in range(2, n + 1)] for s in starts]
+    records = [json.dumps({"rank": n, "finite_side": "left",
+                           "orbits": sorted(fan, key=lambda arc: (arc[1] - arc[0], arc[0]))},
+                          separators=(",", ":")) for fan in fans]
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(records)))
+    code, wings, _ = run(capsys, "decompose")
+    assert code == 0
+    assert wings.splitlines() == [
+        json.dumps({"rank": n, "finite_side": "left", "pairs": [{"top": [s, s + n], "arcs": fan}]},
+                   separators=(",", ":")) for s, fan in zip(starts, fans)]
+    monkeypatch.setattr("sys.stdin", io.StringIO(wings))
+    code, rebuilt, _ = run(capsys, "compose")
+    assert code == 0
+    assert rebuilt.splitlines() == records
+    assert [len(t) for t in tables] == [TEXT_ENTRIES] * len(tables)
 
 
 def test_decompose_single_diagram(capsys):
@@ -674,13 +704,46 @@ def test_malformed_input_exit_code(capsys):
          "pairs[0] omits its top arc [0, 2]"),
         (["decompose", "--diagram", f'{{"rank": {RECORD_RANK + 1}, "orbits": [[0]]}}'],
          "orbits[0]"),
+        # Several faults: a top-level fault, an entry of the wrong type, a bad
+        # finite_side, the rank cap (exit 3), and last a fault of the arcs.
+        (["decompose", "--diagram", '{"rank":3,"orbits":[[0,1],[0]]}'],
+         "error: orbits[1] must be a pair of integers, got [0]\n"),
+        (["decompose", "--diagram", '{"rank":501,"orbits":[[0,1]]}'],
+         "error: record rank capped at 500, got 501\n"),
+        (["decompose", "--diagram", '{"rank":3,"finite_side":"up","orbits":[[0]]}'],
+         "error: orbits[0] must be a pair of integers, got [0]\n"),
+        (["decompose", "--diagram", '{"rank":501,"finite_side":"up","orbits":[[0,1]]}'],
+         "error: key 'finite_side' must be 'left' or 'right', got 'up'\n"),
+        (["decompose", "--n", "4", "--diagram", '{"rank":3,"orbits":[[0,1]]}'],
+         "error: not an arc (length 1 < 2): (0, 1)\n"),
+        (["compose", "--wings",
+          '{"rank":4,"pairs":[{"top":[0,4],"arcs":[[0,4],[5,9]]},{"top":[4,5],"arcs":[5]}]}'],
+         "error: pairs[1].arcs[0] must be a pair of integers, got 5\n"),
+        (["compose", "--wings",
+          '{"rank":4,"pairs":[{"top":[0,4],"arcs":[[1,3]]},{"top":[4,5],"arcs":[[0,true]]}]}'],
+         "error: pairs[1].arcs[0] must be a pair of integers, got [0, True]\n"),
+        (["compose", "--wings", '{"rank":501,"pairs":[{"top":[0,1],"arcs":[[0]]}]}'],
+         "error: pairs[0].arcs[0] must be a pair of integers, got [0]\n"),
+        (["compose", "--wings", '{"rank":501,"finite_side":"up","pairs":[]}'],
+         "error: key 'finite_side' must be 'left' or 'right', got 'up'\n"),
+        (["compose", "--wings", '{"rank":501,"pairs":[]}'],
+         "error: record rank capped at 500, got 501\n"),
+        (["perp", "--arc", "0", "2", "--diagram", '{"rank":3,"orbits":[[0,1],[0]]}'],
+         "error: orbits[1] must be a pair of integers, got [0]\n"),
+        (["perp", "--arc", "0", "2", "--diagram", '{"rank":501,"orbits":[[0,1]]}'],
+         "error: record rank capped at 500, got 501\n"),
+        (["perp", "--n", "4", "--arc", "0", "2", "--diagram", '{"rank":3,"orbits":[[0,1]]}'],
+         "error: not an arc (length 1 < 2): (0, 1)\n"),
     ],
 )
 def test_malformed_record_names_the_key(capsys, argv, message):
     code, out, err = run(capsys, *argv)
-    assert code == 2
+    assert code == (3 if "error: record rank capped" in message else 2)
     assert out == ""
-    assert err.startswith("error: ") and message in err
+    if message.startswith("error: "):  # the whole error line
+        assert err == message
+    else:
+        assert err.startswith("error: ") and message in err
 
 
 @pytest.mark.parametrize(
@@ -691,14 +754,28 @@ def test_malformed_record_names_the_key(capsys, argv, message):
         ('{"rank": 2, "finite_side": "left"}', "missing key 'orbits'"),
         ("[2]", "object"),
         ('{"rank": 0, "finite_side": "left", "orbits": [[0, 2]]}', "'rank' must be >= 1"),
+        # Several faults, in the order of test_malformed_record_names_the_key;
+        # a rank-3 record reaches --n 4 only past the checks of its arcs.
+        ('{"rank":3,"finite_side":"left","orbits":[[0,1],[0]]}',
+         "error: orbits[1] must be a pair of integers, got [0]\n"),
+        ('{"rank":501,"finite_side":"left","orbits":[[0,1]]}',
+         "error: record rank capped at 500, got 501\n"),
+        ('{"rank":3,"finite_side":"up","orbits":[[0,1]]}',
+         "error: key 'finite_side' must be 'left' or 'right', got 'up'\n"),
+        ('{"rank":3,"finite_side":"left","orbits":[[0,1]]}',
+         "error: not an arc (length 1 < 2): (0, 1)\n"),
     ],
 )
 def test_render_malformed_record_names_the_key(capsys, tmp_path, record, message):
     src = tmp_path / "pair.json"
     src.write_text(record)
-    code, _, err = run(capsys, "render", "--pair", str(src), "--out", "-")
-    assert code == 2
-    assert err.startswith("error: ") and message in err
+    code, out, err = run(capsys, "render", "--n", "4", "--pair", str(src), "--out", "-")
+    assert code == (3 if "error: record rank capped" in message else 2)
+    assert out == ""
+    if message.startswith("error: "):  # the whole error line
+        assert err == message
+    else:
+        assert err.startswith("error: ") and message in err
 
 
 NESTED_RECORD = '{"rank":4,"orbits":' + "[" * 3000 + "]" * 3000 + "}"
@@ -854,6 +931,20 @@ def test_duplicate_wing_arcs_are_written_once(capsys):
     assert out == '{"rank":4,"orbits":[[1,3],[0,4]]}\n'
     assert WingDecomposition.from_json(wings).to_json() == (
         '{"rank":4,"pairs":[{"top":[0,4],"arcs":[[0,4],[1,3]]}]}')
+
+
+@pytest.mark.parametrize("wings", [
+    '{"rank":4,"pairs":[{"top":[1,3],"arcs":[[1,3]]},{"top":[3,5],"arcs":[[3,5]]}]}',
+    '{"rank":4,"pairs":[{"top":[3,5],"arcs":[[3,5]]},{"top":[1,3],"arcs":[[1,3]]}]}',
+    '{"rank":4,"pairs":[{"top":[1,3],"arcs":[[1,3]]},{"top":[-1,1],"arcs":[[-1,1]]}]}',
+    '{"rank":4,"pairs":[{"top":[5,7],"arcs":[[5,7]]},{"top":[7,9],"arcs":[[7,9]]}]}',
+], ids=["cut-order", "reversed", "shifted-down", "shifted-up"])
+def test_wing_pairs_read_alike_in_any_order_and_shift(capsys, wings):
+    # The reader's fast test takes the pairs in cut order from a cut in
+    # [0, rank); any other order or shift is sorted by cut as before.
+    code, out, err = run(capsys, "compose", "--wings", wings)
+    assert (code, out, err) == (0, '{"rank":4,"orbits":[[1,3],[3,5]]}\n', "")
+    assert WingDecomposition.from_json(wings).cuts == (1, 3)
 
 
 @pytest.mark.parametrize("wings", [
