@@ -25,7 +25,7 @@ All values are immutable and all operations are pure functions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NoReturn, Sequence
+from typing import Iterable, Iterator, NoReturn
 
 from .config import _ECHO, RECORD_RANK, TEXT_ENTRIES
 
@@ -51,18 +51,22 @@ def _not_an_arc() -> NoReturn:
     raise ValueError("not an arc")
 
 
-def normalize_orbits(rank: int, arcs: Sequence) -> set[Arc]:
+def normalize_orbits(rank: int, arcs: Iterable) -> set[Arc]:
     """The canonical orbits (:func:`normalize_orbit`) of ``arcs`` at rank
-    ``rank >= 1``, each a pair of integers at any shift.
+    ``rank >= 1``, each a pair of integers at any shift: the reader of a
+    record's ``orbits`` list for the ``decompose``, ``perp`` and ``render``
+    commands.
 
     One pass type-checks each arc, checks its length and normalizes it.
     When an arc fails, the arcs are checked again in order to name the
     first fault: the first entry that is no pair of integers
     (:func:`is_int_pair`) raises TypeError, named ``orbits[t]`` as in a
     record; else the first arc shorter than 2 raises :func:`check_arc`'s
-    ValueError.  The ``decompose``, ``perp`` and ``render`` commands read
-    their records' ``orbits`` through it.
+    ValueError.  :meth:`PeriodicDiagram.from_arcs`, the library's
+    constructor, checks lengths alone and takes integer-like ends too.
     """
+    if type(arcs) is not list:  # the second pass must see every arc
+        arcs = list(arcs)
     try:
         # An entry that does not unpack into two raises here; one whose ends
         # are not both ints, or that is shorter than 2, raises in the test.
@@ -78,33 +82,41 @@ def normalize_orbits(rank: int, arcs: Sequence) -> set[Arc]:
         raise
 
 
-# Text tables.  An arc's text ``[i,j]`` does not depend on the rank, so one
-# table kept across records serves every rank.  Each table keeps at most
-# TEXT_ENTRIES texts, whatever the input; a key it no longer takes is
-# formatted on every use.
-class _Texts(dict):
-    """The compact JSON text ``[i,j]`` of arcs by key, where ``arc(key)`` is
-    the arc ``(i, j)``; each text is made on first use, and kept while the
-    table holds fewer than ``TEXT_ENTRIES``."""
+class _OrbitTexts(dict):
+    """The compact JSON text ``[i,j]`` of a canonical orbit ``(i, j)`` by its
+    key ``(j - i) RECORD_RANK + i`` (:func:`half_orbits_json`).  A text is
+    made on first use and kept while the table holds fewer than
+    ``TEXT_ENTRIES``, so the table stays bounded whatever the input; a key
+    it no longer takes is formatted on every use."""
 
-    def __init__(self, arc: Callable[[object], Arc]) -> None:
-        super().__init__()
-        self.arc = arc
-
-    def __missing__(self, key: object) -> str:
-        i, j = self.arc(key)
-        text = f"[{i},{j}]"
+    def __missing__(self, key: int) -> str:
+        i = key % RECORD_RANK
+        text = f"[{i},{i + key // RECORD_RANK}]"
         if len(self) < TEXT_ENTRIES:
             self[key] = text
         return text
 
 
-# By the arc (i, j) itself: the arcs of wing records.
-ARC_TEXTS = _Texts(lambda arc: arc)
-# By the orbit key (j - i) RECORD_RANK + i of a canonical orbit (i, j) at a
-# rank n <= RECORD_RANK, whose left end i < n is below the base: the orbits
-# the ``compose`` command writes.
-ORBIT_TEXTS = _Texts(lambda key: ((i := key % RECORD_RANK), i + key // RECORD_RANK))
+# An orbit's text does not depend on the rank, so one table kept across
+# records serves every record.
+_ORBIT_TEXTS = _OrbitTexts()
+
+
+def half_orbits_json(n: int, arc_lists: Iterable[Iterable[Arc]]) -> str:
+    """The orbits of the arcs in ``arc_lists``, arcs of a rank-n finite half
+    with ``n <= RECORD_RANK``, deduplicated and sorted, as compact JSON
+    text: byte-identical to :func:`orbit_keys_json` of their keys.
+
+    Each arc ``(a, b)`` is laid as its orbit's key ``(b - a) RECORD_RANK +
+    a mod n``, whose left end is below the base whatever the rank, so one
+    set dedups the arcs, a plain int sort orders the orbits, and each text
+    comes from the one bounded table :data:`_ORBIT_TEXTS`.  An arc longer
+    than n, which no finite half has, raises ValueError.
+    """
+    keys = sorted({(b - a) * RECORD_RANK + a % n for arcs in arc_lists for a, b in arcs})
+    if keys and keys[-1] >= (n + 1) * RECORD_RANK:
+        raise ValueError("a finite half has arcs of length at most the rank")
+    return "[" + ",".join(map(_ORBIT_TEXTS.__getitem__, keys)) + "]"
 
 
 def orbit_keys_json(n: int, keys: Iterable[int]) -> str:
@@ -113,13 +125,14 @@ def orbit_keys_json(n: int, keys: Iterable[int]) -> str:
 
     The key of a canonical orbit ``(i, j)`` is ``(j - i) n + i``, so ascending
     keys are :meth:`PeriodicDiagram.sorted_orbits` order (length, then left
-    endpoint) and a plain int sort orders them.  The writer of ``orbits``
-    lists at any rank: :meth:`PeriodicDiagram.orbits_json` and
-    :func:`~clustertubes.torsion.iter_orbits_json` write through it; the
-    ``compose`` command lays its keys to the base ``RECORD_RANK`` and joins
-    the same texts from :data:`ORBIT_TEXTS`.  The text is byte-identical to
-    compact ``json.dumps`` of the list of ``[i, j]`` pairs, built with
-    f-strings, which costs a fraction of ``json.dumps``.
+    endpoint) and a plain int sort orders them.  One of the two writers of
+    ``orbits`` lists: :meth:`PeriodicDiagram.orbits_json` and
+    :func:`~clustertubes.torsion.iter_orbits_json` write through it, and
+    the ``compose`` command, whose records come at many ranks, writes
+    through :func:`half_orbits_json`, which lays its keys to the fixed base
+    ``RECORD_RANK`` for a table shared by every rank.  The text is
+    byte-identical to compact ``json.dumps`` of the list of ``[i, j]``
+    pairs, built with f-strings, which costs a fraction of ``json.dumps``.
     """
     return "[" + ",".join([f"[{(i := k % n)},{i + k // n}]" for k in keys]) + "]"
 
@@ -229,15 +242,18 @@ class PeriodicDiagram:
                 raise ValueError(f"orbit {(i, j)!r} not in canonical form at rank {self.rank}")
 
     @classmethod
-    def from_arcs(cls, rank: int, arcs: Sequence[tuple[int, int]]) -> "PeriodicDiagram":
+    def from_arcs(cls, rank: int, arcs: Iterable[tuple[int, int]]) -> "PeriodicDiagram":
         """The diagram of the orbits of ``arcs``, each a pair ``(i, j)`` of
-        integers at any shift, checked and normalized once by
-        :func:`normalize_orbits`, which names the first fault."""
+        integers at any shift.  Each arc is checked and normalized once, in
+        input order: the first one shorter than 2 raises :func:`check_arc`'s
+        error."""
         if rank < 1:
             raise ValueError(f"rank must be positive, got {rank}")
+        orbits = frozenset([((r := i % rank), r + (j - i)) for i, j in arcs
+                            if j - i >= 2 or check_arc((i, j))])
         # Canonical as built: rank >= 1, each left endpoint taken mod rank,
         # and each length checked >= 2.
-        return cls._canonical(rank, frozenset(normalize_orbits(rank, arcs)))
+        return cls._canonical(rank, orbits)
 
     @classmethod
     def _canonical(cls, rank: int, orbits: frozenset[Arc]) -> "PeriodicDiagram":

@@ -17,8 +17,9 @@ one walk, building no diagram, half, piece or pair: the walk that reads
 each arc also type-checks it (:func:`clustertubes.arcs.normalize_orbits`
 for ``orbits``, :func:`clustertubes.torsion._wing_spans` for wing
 ``pairs``), and :func:`_read` keeps the order in which a record's faults
-are named.  Arc and orbit texts are joined from text tables kept across
-records, each bounded by ``TEXT_ENTRIES`` entries whatever the input.
+are named.  ``compose`` joins its orbit texts from one table kept across
+records (:func:`clustertubes.arcs.half_orbits_json`), bounded by
+``TEXT_ENTRIES`` entries whatever the input.
 
 A command loads only the modules it runs: this module imports the standard
 library and :mod:`clustertubes.config` alone, and each ``cmd_*`` imports its
@@ -198,21 +199,13 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_compose(args: argparse.Namespace) -> int:
     from . import torsion
-    from .arcs import ORBIT_TEXTS, diagram_json
+    from .arcs import diagram_json, half_orbits_json
 
-    # Each arc is laid as its orbit's integer key (j - i) RECORD_RANK + i,
-    # which holds the left end i < n <= RECORD_RANK below the base: one set
-    # dedups the arcs, a plain int sort orders the orbits, and each orbit's
-    # text comes from one table for every rank.
-    text = ORBIT_TEXTS.__getitem__
     for line in _input_lines(args.wings):
         data = _record(line, "pairs")
         n = data["rank"]
         spans = _read(data, torsion._wing_spans, data)
-        keys = sorted({(b - a) * RECORD_RANK + a % n for _, _, arcs in spans for a, b in arcs})
-        if keys and keys[-1] >= (n + 1) * RECORD_RANK:
-            raise ValueError("a finite half has arcs of length at most the rank")
-        orbits = "[" + ",".join(map(text, keys)) + "]"
+        orbits = half_orbits_json(n, (arcs for _, _, arcs in spans))
         if "finite_side" in data:
             record = torsion.pair_json(n, data["finite_side"], orbits)
         else:
@@ -223,13 +216,14 @@ def cmd_compose(args: argparse.Namespace) -> int:
 
 def cmd_perp(args: argparse.Namespace) -> int:
     from . import torsion
-    from .arcs import PeriodicDiagram
+    from .arcs import PeriodicDiagram, normalize_orbits
 
     line = next(_input_lines(args.diagram), None)
     if line is None:
         raise ValueError("missing diagram record on stdin")
     data = _record(line, "orbits")
-    diagram = _read(data, PeriodicDiagram.from_arcs, data["rank"], data["orbits"])
+    n = data["rank"]
+    diagram = PeriodicDiagram.from_arcs(n, _read(data, normalize_orbits, n, data["orbits"]))
     if args.n is not None and diagram.rank != args.n:
         raise ValueError(f"diagram rank {diagram.rank} does not match --n {args.n}")
     if args.arc is not None:
@@ -312,7 +306,7 @@ def cmd_orbits(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     from . import torsion
-    from .arcs import PeriodicDiagram
+    from .arcs import PeriodicDiagram, normalize_orbits
     from .render import render_torsion_pair
 
     if args.pair == "-":
@@ -321,7 +315,8 @@ def cmd_render(args: argparse.Namespace) -> int:
         with open(args.pair, "r", encoding="utf-8") as fh:
             text = fh.read()
     data = _record(text, "orbits", "finite_side")
-    diagram = _read(data, PeriodicDiagram.from_arcs, data["rank"], data["orbits"])
+    n = data["rank"]
+    diagram = PeriodicDiagram.from_arcs(n, _read(data, normalize_orbits, n, data["orbits"]))
     pair = torsion.TorsionPair(data["rank"], diagram, data["finite_side"])
     if args.n is not None and pair.rank != args.n:
         raise ValueError(f"pair rank {pair.rank} does not match --n {args.n}")

@@ -19,7 +19,7 @@ COUNT_RANK = 20_000  # cli.cmd_count, cmd_orbits: the closed-form counts (likewi
 REFINED_RANK = 150  # cli.cmd_count/cmd_orbits --refined, cmd_verify: the (k, l, m) table
 PERP_ORBITS = 40_000  # cli.cmd_perp --max-length: the rank x (max_length - 1) orbits it tests
 RECORD_RANK = 500  # cli._check_side_and_cap: the rank of decompose, compose, perp and render
-TEXT_ENTRIES = 4_096  # arcs._Texts: the texts each table kept across records holds
+TEXT_ENTRIES = 4_096  # arcs.half_orbits_json: the texts its table kept across records holds
 
 # Error lines echo a malformed value through this: a short one prints as its
 # repr, a long or deeply nested one (or an integer of more than 40 digits) as

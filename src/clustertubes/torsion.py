@@ -30,25 +30,23 @@ The structure theory implemented here:
   straight from its spans, as sorted integer orbit keys.
 * *Records*.  Diagram, torsion-pair and wing records are compact JSON text,
   byte-identical to ``json.dumps(..., separators=(",", ":"))`` but built
-  with f-strings and text tables.  Orbit lists are written from the orbits
-  as sorted integer keys ``(j - i) b + i``, for a base b above every left
-  end i: by :func:`~clustertubes.arcs.orbit_keys_json` at the base n, and
-  by the ``compose`` command at the base ``RECORD_RANK``, joined from the
-  bounded table :data:`~clustertubes.arcs.ORBIT_TEXTS`.  Wing records have
-  one writer, :func:`wings_json`, which joins each arc's text from the
-  bounded table :data:`~clustertubes.arcs.ARC_TEXTS`.  The three record
-  streams build no half, piece or pair.  ``enumerate`` takes each half's
-  ``orbits`` text from :func:`iter_orbits_json`, whose per-rank table of
-  orbit texts is cut from the orbit writer, and writes it as two records,
-  ``left`` and then ``right``, through :func:`pair_json`.  ``decompose``
-  reads each record's orbits through
-  :func:`~clustertubes.arcs.normalize_orbits`, which type-checks, checks
-  and canonicalizes each arc in one pass, and writes the wing record from
-  the spans of :func:`_cut_spans`, the walk :func:`decompose` reads.
-  ``compose`` checks each wing record, field types included, in the one
-  walk of :func:`_wing_spans`, the reader
-  :meth:`WingDecomposition.from_data` builds through, lays its arcs as
-  integer keys, and writes them deduplicated and sorted.
+  with f-strings.  Orbit lists are written from the orbits as sorted
+  integer keys, by :func:`~clustertubes.arcs.orbit_keys_json` (keys
+  ``(j - i) n + i``) and, for the ``compose`` command, by
+  :func:`~clustertubes.arcs.half_orbits_json` (keys ``(j - i) RECORD_RANK
+  + i``, texts from one bounded table for every rank); wing records have
+  one writer, :func:`wings_json`.  The three record streams build no half,
+  piece or pair.  ``enumerate`` takes each half's ``orbits`` text from
+  :func:`iter_orbits_json`, whose per-rank table of orbit texts is cut
+  from the orbit writer, and writes it as two records, ``left`` and then
+  ``right``, through :func:`pair_json`.  ``decompose`` reads each record's
+  orbits through :func:`~clustertubes.arcs.normalize_orbits`, which
+  type-checks, checks and canonicalizes each arc in one pass, and writes
+  the wing record from the spans of :func:`_cut_spans`, the walk
+  :func:`decompose` reads.  ``compose`` checks each wing record, field
+  types included, in the one walk of :func:`_wing_spans`, the reader
+  :meth:`WingDecomposition.from_data` builds through, and writes its arcs'
+  orbits through :func:`~clustertubes.arcs.half_orbits_json`.
 * *Symmetry*.  The translation ``tau`` acts on halves; a half is fixed by
   ``tau^d`` (d | n) iff it is d-periodic, i.e. iff it is a rank-d half in
   disguise, which is what makes the orbit counts and the sieving identities
@@ -67,7 +65,6 @@ from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .arcs import (
-    ARC_TEXTS,
     Arc,
     PeriodicDiagram,
     check_arc,
@@ -248,19 +245,14 @@ def wings_json(rank: int, spans: Iterable[tuple[int, int, Sequence[Arc]]],
 
     The one writer of wing records, for :meth:`WingDecomposition.to_json`
     and the ``decompose`` command (through :func:`_cut_spans`); the text is
-    byte-identical to compact ``json.dumps`` of the record.  Each arc's text,
-    top arcs included, is joined from the bounded table
-    :data:`~clustertubes.arcs.ARC_TEXTS`, so the arcs must be tuples.
+    byte-identical to compact ``json.dumps`` of the record.
     """
     if finite_side not in (None, "left", "right"):
         raise ValueError(f"finite_side must be 'left' or 'right', got {finite_side!r}")
-    text = ARC_TEXTS.__getitem__
-    # The separator opens every pair but the first, which opens in the frame
-    # around the join: a half has at least one span.
-    pairs = '},{"top":'.join([f'{text((c, d))},"arcs":[{",".join(map(text, arcs))}]'
-                              for c, d, arcs in spans])
+    pairs = ",".join([f'{{"top":[{c},{d}],"arcs":[{",".join([f"[{a},{b}]" for a, b in arcs])}]}}'
+                      for c, d, arcs in spans])
     side = "" if finite_side is None else f'"finite_side":"{finite_side}",'
-    return f'{{"rank":{rank},{side}"pairs":[{{"top":{pairs}}}]}}'
+    return f'{{"rank":{rank},{side}"pairs":[{pairs}]}}'
 
 
 def _wing_spans(data: dict) -> list[tuple[int, int, list]]:
@@ -290,7 +282,7 @@ def _wing_spans(data: dict) -> list[tuple[int, int, list]]:
         for i, pair in enumerate(data["pairs"]):
             (c, d), arcs = pair["top"], pair["arcs"]
             if not (type(c) is int is type(d) and type(arcs) is list):
-                raise TypeError(f"pairs[{i}] has a field of the wrong type")
+                raise TypeError  # named by _check_wing_fields
             g = d - c
             if g >= 2:
                 if [c, d] not in arcs:
@@ -310,17 +302,6 @@ def _wing_spans(data: dict) -> list[tuple[int, int, list]]:
         raise
     if not spans:
         raise ValueError("at least one cut is required")
-    # The fast test: spans as wings_json writes them, from a cut in [0, n),
-    # each starting where the last ended and the last ending one turn after
-    # the first began, are in cut order and tile the rank.
-    first = end = spans[0][0]
-    for c, d, _ in spans:
-        if c != end:
-            break
-        end = d
-    else:
-        if 0 <= first and c < n and end == first + n:
-            return spans
     spans.sort(key=lambda span: span[0] % n)
     cuts = [c % n for c, _, _ in spans]
     if any(cut == after for cut, after in zip(cuts, cuts[1:])):

@@ -15,6 +15,7 @@ from clustertubes.arcs import (
     nc_contains,
     nc_enumerate,
     normalize_orbit,
+    normalize_orbits,
     orbits_cross,
     ptolemy_completions,
 )
@@ -245,6 +246,30 @@ def test_public_constructors_still_validate():
         PeriodicDiagram(3, frozenset({(3, 5)}))
     expected = PeriodicDiagram(3, frozenset({(2, 7)}))
     assert PeriodicDiagram.from_arcs(3, [[-1, 4], (2, 7)]) == expected
+
+    class Int(int):
+        pass
+
+    # The library constructor takes integer-like ends; a record's reader
+    # (normalize_orbits) does not.
+    assert PeriodicDiagram.from_arcs(3, [(Int(-1), Int(4))]) == expected
+    with pytest.raises(TypeError, match=r"orbits\[0\] must be a pair of integers"):
+        normalize_orbits(3, [(Int(-1), Int(4))])
+
+
+@pytest.mark.parametrize("read", [PeriodicDiagram.from_arcs, normalize_orbits],
+                         ids=["from_arcs", "normalize_orbits"])
+def test_arc_readers_name_the_first_fault_of_an_iterator(read):
+    # A one-shot iterator is read whole: after the fast pass fails, the
+    # ordered checks still see every arc and name the first fault.
+    arcs = [(0, 2), (4, 5), (7, 7)]
+    with pytest.raises(ValueError, match=r"^not an arc \(length 1 < 2\): \(4, 5\)$"):
+        read(3, (arc for arc in arcs))
+
+
+def test_orbits_reader_names_the_first_entry_of_the_wrong_type():
+    with pytest.raises(TypeError, match=r"^orbits\[1\] must be a pair of integers, got \[4\]$"):
+        normalize_orbits(3, iter([[0, 2], [4], [1, 0], True]))
 
 
 @settings(max_examples=50, deadline=None)

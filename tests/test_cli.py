@@ -259,10 +259,11 @@ def test_text_tables_stay_within_their_bound(capsys, monkeypatch):
     # every length from one vertex, a different vertex s each, so the only
     # cut is s.  Every text table the commands keep across records stops
     # growing at its bound, and the texts past it are still right.
-    from clustertubes import arcs
+    from clustertubes import arcs, torsion
 
-    tables = [t for t in vars(arcs).values() if isinstance(t, arcs._Texts)]
-    assert {id(t) for t in tables} == {id(arcs.ARC_TEXTS), id(arcs.ORBIT_TEXTS)}
+    tables = [t for module in (arcs, torsion) for t in vars(module).values()
+              if isinstance(t, dict) and type(t) is not dict]
+    assert [id(t) for t in tables] == [id(arcs._ORBIT_TEXTS)]
     n = RECORD_RANK
     starts = range(TEXT_ENTRIES // (n - 1) + 2)
     fans = [[[s, s + k] for k in range(2, n + 1)] for s in starts]
@@ -940,8 +941,8 @@ def test_duplicate_wing_arcs_are_written_once(capsys):
     '{"rank":4,"pairs":[{"top":[5,7],"arcs":[[5,7]]},{"top":[7,9],"arcs":[[7,9]]}]}',
 ], ids=["cut-order", "reversed", "shifted-down", "shifted-up"])
 def test_wing_pairs_read_alike_in_any_order_and_shift(capsys, wings):
-    # The reader's fast test takes the pairs in cut order from a cut in
-    # [0, rank); any other order or shift is sorted by cut as before.
+    # The reader sorts the pairs by cut, so any order or shift of them reads
+    # alike.
     code, out, err = run(capsys, "compose", "--wings", wings)
     assert (code, out, err) == (0, '{"rank":4,"orbits":[[1,3],[3,5]]}\n', "")
     assert WingDecomposition.from_json(wings).cuts == (1, 3)
