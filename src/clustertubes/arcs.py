@@ -105,7 +105,8 @@ _ORBIT_TEXTS = _OrbitTexts()
 def half_orbits_json(n: int, arc_lists: Iterable[Iterable[Arc]]) -> str:
     """The orbits of the arcs in ``arc_lists``, arcs of a rank-n finite half
     with ``n <= RECORD_RANK``, deduplicated and sorted, as compact JSON
-    text: byte-identical to :func:`orbit_keys_json` of their keys.
+    text: byte-identical to :meth:`PeriodicDiagram.orbits_json` of the
+    diagram of their orbits.
 
     Each arc ``(a, b)`` is laid as its orbit's key ``(b - a) RECORD_RANK +
     a mod n``, whose left end is below the base whatever the rank, so one
@@ -119,27 +120,9 @@ def half_orbits_json(n: int, arc_lists: Iterable[Iterable[Arc]]) -> str:
     return "[" + ",".join(map(_ORBIT_TEXTS.__getitem__, keys)) + "]"
 
 
-def orbit_keys_json(n: int, keys: Iterable[int]) -> str:
-    """The rank-n orbits with these integer keys as compact JSON text, in the
-    given order.
-
-    The key of a canonical orbit ``(i, j)`` is ``(j - i) n + i``, so ascending
-    keys are :meth:`PeriodicDiagram.sorted_orbits` order (length, then left
-    endpoint) and a plain int sort orders them.  One of the two writers of
-    ``orbits`` lists: :meth:`PeriodicDiagram.orbits_json` and
-    :func:`~clustertubes.torsion.iter_orbits_json` write through it, and
-    the ``compose`` command, whose records come at many ranks, writes
-    through :func:`half_orbits_json`, which lays its keys to the fixed base
-    ``RECORD_RANK`` for a table shared by every rank.  The text is
-    byte-identical to compact ``json.dumps`` of the list of ``[i, j]``
-    pairs, built with f-strings, which costs a fraction of ``json.dumps``.
-    """
-    return "[" + ",".join([f"[{(i := k % n)},{i + k // n}]" for k in keys]) + "]"
-
-
 def diagram_json(rank: int, orbits_text: str) -> str:
     """The diagram record of a rank-``rank`` diagram whose ``orbits`` text is
-    ``orbits_text`` (:func:`orbit_keys_json`)."""
+    ``orbits_text`` (:meth:`PeriodicDiagram.orbits_json`)."""
     return f'{{"rank":{rank},"orbits":{orbits_text}}}'
 
 
@@ -286,11 +269,12 @@ class PeriodicDiagram:
         )
 
     def orbits_json(self) -> str:
-        """:meth:`sorted_orbits` as compact JSON text, sorted and written as
-        integer keys (see :func:`orbit_keys_json`): the ``orbits`` field of
-        every record that carries this diagram."""
-        n = self.rank
-        return orbit_keys_json(n, sorted([(j - i) * n + i for i, j in self.orbits]))
+        """:meth:`sorted_orbits` as compact JSON text, byte-identical to
+        compact ``json.dumps`` of the list of ``[i, j]`` pairs: the
+        ``orbits`` field of every record that carries this diagram.  The
+        record streams write through their own writers, and the tests check
+        them against this one, which shares no code with them."""
+        return "[" + ",".join([f"[{i},{j}]" for i, j in self.sorted_orbits()]) + "]"
 
     def to_json(self) -> str:
         return diagram_json(self.rank, self.orbits_json())

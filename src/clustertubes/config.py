@@ -12,7 +12,7 @@ value an error message quotes.
 import reprlib
 
 BRUTE_RANK = 7  # torsion.enumerate_brute: subsets of the n(n-1) arc orbits
-STRUCTURED_RANK = 9  # torsion._check_rank: every walk of the cut/wing grammar
+STRUCTURED_RANK = 9  # torsion._check_rank: every grammar walk (tau^s fixed points walk rank s)
 POLYGON_BRUTE = 8  # polygons.enumerate_polygon: subsets of diagonals
 SERIES_ORDER = 24  # cli.cmd_series: the truncation order (the library is uncapped)
 COUNT_RANK = 20_000  # cli.cmd_count, cmd_orbits: the closed-form counts (likewise)

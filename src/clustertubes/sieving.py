@@ -15,8 +15,8 @@ evaluated at a primitive d-th root of unity (d | n) must equal both
   around the rank-n tube.
 
 The fixed-point side is :func:`~clustertubes.torsion.fixed_histograms`: the
-refined generating function for d = 1, and for d > 1 a tau^(n/d) test of only
-the halves whose cut mask is (n/d)-periodic.
+refined generating function for d = 1, and for d > 1 the rank-(n/d) halves,
+each with its statistics multiplied by d.
 
 :func:`csp_verify` checks all of this exactly (integer arithmetic only)
 and returns one record per (d, k, l, m); any mismatch is reported, never

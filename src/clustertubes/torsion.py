@@ -30,15 +30,16 @@ The structure theory implemented here:
   straight from its spans, as sorted integer orbit keys.
 * *Records*.  Diagram, torsion-pair and wing records are compact JSON text,
   byte-identical to ``json.dumps(..., separators=(",", ":"))`` but built
-  with f-strings.  Orbit lists are written from the orbits as sorted
-  integer keys, by :func:`~clustertubes.arcs.orbit_keys_json` (keys
-  ``(j - i) n + i``) and, for the ``compose`` command, by
+  with f-strings.  Orbit lists have three writers: the plain
+  :meth:`~clustertubes.arcs.PeriodicDiagram.orbits_json` of a diagram,
+  which the other two are tested against; :func:`iter_orbits_json`, which
+  sorts each half's orbits as integer keys ``(j - i) n + i`` and joins a
+  per-rank table of their texts; and, for the ``compose`` command,
   :func:`~clustertubes.arcs.half_orbits_json` (keys ``(j - i) RECORD_RANK
-  + i``, texts from one bounded table for every rank); wing records have
+  + i``, texts from one bounded table for every rank).  Wing records have
   one writer, :func:`wings_json`.  The three record streams build no half,
   piece or pair.  ``enumerate`` takes each half's ``orbits`` text from
-  :func:`iter_orbits_json`, whose per-rank table of orbit texts is cut
-  from the orbit writer, and writes it as two records, ``left`` and then
+  :func:`iter_orbits_json` and writes it as two records, ``left`` and then
   ``right``, through :func:`pair_json`.  ``decompose`` reads each record's
   orbits through :func:`~clustertubes.arcs.normalize_orbits`, which
   type-checks, checks and canonicalizes each arc in one pass, and writes
@@ -50,7 +51,9 @@ The structure theory implemented here:
 * *Symmetry*.  The translation ``tau`` acts on halves; a half is fixed by
   ``tau^d`` (d | n) iff it is d-periodic, i.e. iff it is a rank-d half in
   disguise, which is what makes the orbit counts and the sieving identities
-  come out.
+  come out.  So :func:`fixed_histograms` takes the fixed points from the
+  rank-d halves, with their statistics multiplied by n/d, and applies no
+  ``tau``.
 """
 
 from __future__ import annotations
@@ -74,11 +77,9 @@ from .arcs import (
     nc_contains,
     nc_enumerate,
     normalize_orbit,
-    orbit_keys_json,
     ptolemy_completions,
 )
 from .config import _ECHO, BRUTE_RANK, STRUCTURED_RANK, CapExceeded
-from .counting import torsion_count, torsion_count_refined, refined_support
 from .polygons import (
     DEGENERATE,
     PolygonDiagram,
@@ -88,7 +89,6 @@ from .polygons import (
     random_polygon,
     statistics_polygon,
 )
-from .series import series_torsion
 
 
 def is_finite_half(diagram: PeriodicDiagram) -> bool:
@@ -552,14 +552,15 @@ def _check_rank(n: int) -> None:
         raise ValueError(f"rank must be >= 1, got {n}")
 
 
-def _walk(n: int, masks: Iterable[int]) -> Iterator[tuple[list[int], tuple[PolygonDiagram, ...]]]:
-    """The cut/wing grammar over the given cut masks, as ``(cuts, pieces)``.
+def _walk(n: int) -> Iterator[tuple[list[int], tuple[PolygonDiagram, ...]]]:
+    """The cut/wing grammar at rank n, as ``(cuts, pieces)``.
 
-    A mask has bit v set iff v is a cut; ``cuts`` lists the cuts ascending
-    and ``pieces`` holds one diagram of :func:`polygon_diagrams` per span, in
-    cut order; nothing is laid.  :func:`iter_structured` documents the order.
+    It runs over every nonempty cut mask (bit v set iff v is a cut); ``cuts``
+    lists the cuts ascending and ``pieces`` holds one diagram of
+    :func:`polygon_diagrams` per span, in cut order; nothing is laid.
+    :func:`iter_structured` documents the order.
     """
-    for mask in masks:
+    for mask in range(1, 1 << n):
         cuts = [v for v in range(n) if mask >> v & 1]
         ends = cuts[1:] + [cuts[0] + n]
         spans = [polygon_diagrams(d - c) for c, d in zip(cuts, ends)]
@@ -584,7 +585,7 @@ def iter_structured(n: int) -> Iterator[PeriodicDiagram]:
     starting at the largest cut varying fastest.
     """
     _check_rank(n)  # before 1 << n, which fails below 0
-    for cuts, pieces in _walk(n, range(1, 1 << n)):
+    for cuts, pieces in _walk(n):
         yield _lay(n, zip(cuts, pieces))
 
 
@@ -602,8 +603,8 @@ def iter_orbits_json(n: int) -> Iterator[str]:
     :class:`TorsionPair` would make.
     """
     _check_rank(n)
-    texts = [orbit_keys_json(n, [k])[1:-1] for k in range(n * (n + 1))]
-    for cuts, pieces in _walk(n, range(1, 1 << n)):
+    texts = [f"[{(i := k % n)},{i + k // n}]" for k in range(n * (n + 1))]
+    for cuts, pieces in _walk(n):
         keys = []
         for c, piece in zip(cuts, pieces):
             if piece.size >= 2:
@@ -676,20 +677,21 @@ def fixed_histograms(n: int) -> dict[int, Counter]:
 
     tau^n fixes every pair, so ``hists[n]`` is the z^n coefficient of
     :func:`~clustertubes.series.series_torsion`, and nothing is built.  For
-    s < n, tau^s moves the cuts of a half (the vertices no arc overarches) by
-    s, so only halves on cut masks that repeat an s-bit pattern are laid, with
-    spans at most s <= n/2 wide; :meth:`~clustertubes.arcs.PeriodicDiagram.tau`
-    decides each, and a fixed half's statistics are the cells of its pieces.
+    s < n, a half fixed by tau^s is s-periodic: it is a rank-s half repeated
+    n/s times around the tube, and every rank-s half repeats to one.  So the
+    rank-s grammar is walked, nothing is laid, and each rank-s half counts
+    with the cells of its pieces times n/s.
     """
+    from .series import series_torsion
+
     _check_rank(n)
     hists: dict[int, Counter] = {}
     for s in _divisors(n)[:-1]:
         hists[s] = Counter()
-        repeat = sum(1 << (s * t) for t in range(n // s))
-        for cuts, pieces in _walk(n, (pattern * repeat for pattern in range(1, 1 << s))):
-            half = _lay(n, zip(cuts, pieces))
-            if half.tau(s) == half:
-                hists[s][_total_statistics(pieces)] += 2
+        r = n // s
+        for _, pieces in _walk(s):
+            k, l, m = _total_statistics(pieces)
+            hists[s][k * r, l * r, m * r] += 2
     hists[n] = Counter(dict(series_torsion(n).coeffs[n].terms))
     return hists
 
@@ -708,6 +710,8 @@ def orbit_count(n: int) -> int:
     ``tau^b`` fixes as many pairs as there are pairs at rank gcd(b, n), so
     the orbit count is ``(1/n) * sum_{d | n} phi(n/d) T(d)``.
     """
+    from .counting import torsion_count
+
     if n < 1:
         raise ValueError(f"rank must be >= 1, got {n}")
     total = sum(_totient(n // d) * torsion_count(d) for d in _divisors(n))
@@ -723,6 +727,8 @@ def orbit_count_direct(n: int) -> int:
 
 def orbit_count_refined(n: int) -> dict[tuple[int, int, int], int]:
     """tau-orbit counts refined by (triangles, cliques, empty cells)."""
+    from .counting import refined_support, torsion_count_refined
+
     if n < 1:
         raise ValueError(f"rank must be >= 1, got {n}")
     out: dict[tuple[int, int, int], int] = {}

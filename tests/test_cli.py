@@ -105,7 +105,7 @@ def test_enumerate_checks_every_half(capsys, monkeypatch):
     from clustertubes import torsion
     from clustertubes.polygons import PolygonDiagram
 
-    def grammar_with_a_long_arc(n, masks):
+    def grammar_with_a_long_arc(n):
         yield [0], (PolygonDiagram(n + 2),)  # its top arc is longer than the rank
 
     monkeypatch.setattr(torsion, "_walk", grammar_with_a_long_arc)
@@ -379,6 +379,27 @@ def test_sieve_output_is_byte_stable(capsys, n, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def test_fixed_points_lay_no_half_and_apply_no_tau(capsys, monkeypatch):
+    from clustertubes import torsion
+    from clustertubes.arcs import PeriodicDiagram
+
+    commands = [("sieve", "--n", "6"), ("orbits", "--n", "8", "--refined")]
+
+    def outputs():
+        return ([torsion.fixed_histograms(n) for n in range(1, 10)],
+                [run(capsys, *argv) for argv in commands])
+
+    expected = outputs()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fixed point was laid or translated")
+
+    monkeypatch.setattr(torsion, "_lay", refuse)
+    for name in ("tau", "__init__", "_canonical"):
+        monkeypatch.setattr(PeriodicDiagram, name, refuse)
+    assert outputs() == expected
+
+
 @pytest.mark.parametrize("argv, message", [
     (("count", "--n", "0", "--refined"), "error: rank must be >= 1, got 0\n"),
     (("sieve", "--n", "-2"), "error: rank must be >= 1, got -2\n"),
@@ -537,8 +558,8 @@ def test_perp_listing_limit_exits_3_before_computing(capsys, monkeypatch):
 
 def test_verify_builds_no_polygon_list(capsys):
     # The sampled round trips draw pieces through random_polygon, so only
-    # fixed_histograms(9) fills this cache: the widths 1..3 of the cut masks
-    # that tau^1 and tau^3 can fix.
+    # fixed_histograms(9) fills this cache: the widths 1..3 of the rank-1 and
+    # rank-3 halves that give the fixed points of tau^1 and tau^3.
     polygon_diagrams.cache_clear()
     code, out, _ = run(capsys, "verify", "--n", "9")
     assert code == 0

@@ -81,18 +81,20 @@ print(*sorted(m for m in sys.modules if m.split(".")[0] == "clustertubes"), file
 """
 
 
-# The record commands read through torsion, which loads what it imports.
-RECORD_MODULES = ["arcs", "cli", "config", "counting", "polygons", "series", "torsion"]
+# enumerate and the record commands read through torsion, which loads
+# counting and series only in the functions that read them.
+RECORD_MODULES = ["arcs", "cli", "config", "polygons", "torsion"]
 
 
 @pytest.mark.parametrize("argv, loaded", [
     ([], []),
     (["count", "--n", "1"], ["cli", "config", "counting"]),
     (["series", "--order", "3"], ["cli", "config", "series"]),
+    (["enumerate", "--n", "1"], RECORD_MODULES),
     (["decompose", "--diagram", '{"rank":4,"orbits":[[1,3]]}'], RECORD_MODULES),
     (["compose", "--wings", '{"rank":2,"pairs":[{"top":[0,2],"arcs":[[0,2]]}]}'],
      RECORD_MODULES),
-], ids=["import", "count", "series", "decompose", "compose"])
+], ids=["import", "count", "series", "enumerate", "decompose", "compose"])
 def test_a_command_loads_only_the_modules_it_runs(argv, loaded):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(

@@ -98,9 +98,9 @@ def test_fixed_totals_agree_with_fixed_under(n):
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_fixed_counts_equal_statistics_and_tau_oracle(n):
-    # the series coefficient (s = n) and the s-periodic cut masks (s < n)
-    # against decompose + cells (``statistics``) and ``PeriodicDiagram.tau``
-    # on every half
+    # the series coefficient (s = n) and the rank-s halves (s < n) against
+    # decompose + cells (``statistics``) and ``PeriodicDiagram.tau`` on every
+    # half
     from collections import Counter
 
     from clustertubes.torsion import (
@@ -139,23 +139,23 @@ def full_walk_fixed_histograms(n):
     hists = {s: Counter() for s in shifts}
     table = {}
     full = (1 << n) - 1
-    for mask in range(1, 1 << n):
-        for cuts, pieces in _walk(n, [mask]):
-            k = l = m = 0
-            for piece in pieces:
-                if piece not in table:
-                    table[piece] = statistics_polygon(piece)
-                a, b, c = table[piece]
-                k, l, m = k + a, l + b, m + c
-            hists[n][(k, l, m)] += 2
-            X = None
-            for s in shifts[:-1]:
-                if (mask >> s | mask << (n - s)) & full != mask:
-                    continue
-                if X is None:
-                    X = _lay(n, zip(cuts, pieces))
-                if X.tau(s) == X:
-                    hists[s][(k, l, m)] += 2
+    for cuts, pieces in _walk(n):
+        mask = sum(1 << c for c in cuts)
+        k = l = m = 0
+        for piece in pieces:
+            if piece not in table:
+                table[piece] = statistics_polygon(piece)
+            a, b, c = table[piece]
+            k, l, m = k + a, l + b, m + c
+        hists[n][(k, l, m)] += 2
+        X = None
+        for s in shifts[:-1]:
+            if (mask >> s | mask << (n - s)) & full != mask:
+                continue
+            if X is None:
+                X = _lay(n, zip(cuts, pieces))
+            if X.tau(s) == X:
+                hists[s][(k, l, m)] += 2
     return hists
 
 

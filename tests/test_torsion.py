@@ -551,7 +551,8 @@ def test_count_structured_builds_nothing():
 
 
 def test_fixed_histograms_build_only_short_pieces():
-    # s = n is counted, and the spans of an s-periodic cut mask are <= n/2 wide
+    # s = n is counted, and s < n walks the rank-s halves, whose spans are
+    # at most s <= n/2 wide
     polygon_diagrams.cache_clear()
     fixed_histograms(9)
     assert polygon_diagrams.cache_info().currsize <= 3
