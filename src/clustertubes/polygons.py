@@ -20,12 +20,15 @@ Ptolemy, for every set up to size 6.
 
 Two enumerators are provided.  :func:`enumerate_polygon` is the brute-force
 oracle: the pruned backtracking search :func:`constrained_subsets` finds its
-Ptolemy subsets of diagonals.  :func:`polygon_diagrams` generates the same
-sets recursively through the cell-at-the-base grammar and is the one used
-for large sizes; agreement of the two is part of the test suite.
+Ptolemy subsets of diagonals.  :func:`_diagonal_table` generates the same
+sets recursively through the cell-at-the-base grammar, as plain tuples of
+diagonal pairs; it is the one place the grammar is generated, and the
+``enumerate`` stream reads it directly.  :func:`polygon_diagrams` is the
+same table as :class:`PolygonDiagram` objects, for the callers that need
+them.  Agreement of the two enumerators is part of the test suite.
 :func:`polygon_counts` counts the same grammar by recursion over
 compositions, without building a diagram, and :func:`random_polygon`
-draws one diagram from it; builders assemble through :func:`compose_base`.
+draws one diagram from it, assembled through :func:`compose_base`.
 """
 
 from __future__ import annotations
@@ -198,28 +201,55 @@ def enumerate_polygon(m: int) -> list[PolygonDiagram]:
 
 
 @functools.cache
-def polygon_diagrams(m: int) -> tuple[PolygonDiagram, ...]:
-    """All Ptolemy diagrams of size m, generated through the base-cell grammar.
+def _diagonal_table(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The diagonals of every Ptolemy diagram of size m, generated through
+    the base-cell grammar: each diagram's sorted diagonal pairs, the diagrams
+    in ascending order of those tuples.
 
     A non-degenerate diagram is a cell sitting on the base edge -- a triangle,
     a clique or an empty cell -- with smaller diagrams glued along their own
-    base edges onto the cell's other edges; :func:`compose_base` assembles
-    each one.
+    base edges onto the cell's other edges.  A glued piece of size >= 2 adds
+    its base edge and its diagonals shifted to the edge's first corner, and a
+    clique adds its internal connectors.  Every pair is taken from one grid
+    per size, so the diagrams of a size share their pair objects.  This is
+    the only place the grammar is generated; nothing is validated or built
+    but the tuples.
     """
     if m < 1:
         raise ValueError(f"size must be >= 1, got {m}")
     if m == 1:
-        return (DEGENERATE,)
-    out: list[PolygonDiagram] = []
+        return ((),)
+    pair = [[(a, b) for b in range(m + 1)] for a in range(m + 1)]
+    out = []
     for t in range(1, m):
         for inner in itertools.combinations(range(1, m), t):
             corners = (0,) + inner + (m,)
-            sub_choices = [polygon_diagrams(d - c) for c, d in zip(corners, corners[1:])]
-            for kind in _base_kinds(t):
-                cell = Cell(corners, kind)
-                out.extend(compose_base(cell, combo) for combo in itertools.product(*sub_choices))
-    out.sort(key=lambda P: P.diagonals)
+            glued = []  # per edge, what each piece glued on it adds
+            for c, d in zip(corners, corners[1:]):
+                pieces = _diagonal_table(d - c)
+                if d - c >= 2:
+                    pieces = [(pair[c][d], *[pair[c + a][c + b] for a, b in diagonals])
+                              for diagonals in pieces]
+                glued.append(pieces)
+            # a triangle (t == 1) or an empty cell adds nothing, a clique its
+            # internal connectors
+            clique = [pair[a][b] for a, b in _connectors(corners)] if t >= 2 else []
+            for combo in itertools.product(*glued):
+                diagonals = [p for piece in combo for p in piece]
+                if clique:
+                    out.append(tuple(sorted(clique + diagonals)))
+                diagonals.sort()
+                out.append(tuple(diagonals))
+    out.sort()
     return tuple(out)
+
+
+@functools.cache
+def polygon_diagrams(m: int) -> tuple[PolygonDiagram, ...]:
+    """All Ptolemy diagrams of size m, in the order of
+    :func:`_diagonal_table`, as objects: one :class:`PolygonDiagram` per
+    entry of that table, for the callers that need them."""
+    return tuple(PolygonDiagram._canonical(m, diagonals) for diagonals in _diagonal_table(m))
 
 
 def _base_kinds(inner: int) -> tuple[CellKind, ...]:
@@ -249,7 +279,7 @@ def polygon_counts(m: int) -> list[int]:
     The base cell splits a size into a composition of s >= 2 parts, each
     carrying an independent smaller diagram: one cell kind (a triangle) for
     s = 2, two kinds (a clique or an empty cell) for s >= 3, exactly as in
-    :func:`polygon_diagrams`.  Peeling off the first part, the compositions
+    :func:`_diagonal_table`.  Peeling off the first part, the compositions
     of h into exactly two parts sum to ``sum_a p(a) p(h-a)`` and those into
     three or more to ``sum_a p(a) at_least_2[h-a]``, where ``at_least_2``
     tallies the compositions into two or more parts; the table costs O(m^2)
@@ -274,27 +304,43 @@ def _faces(diagram: PolygonDiagram) -> Iterator[tuple[tuple[int, ...], CellKind]
     The chords are the polygon sides, the base edge and the diagonals
     crossed by no other diagonal.  The face inside a chord ``(a, b)`` is
     walked from ``a`` by the longest chord at each corner that ends at or
-    before ``b``, ``(a, b)`` itself excepted.  Raises
+    before ``b``, ``(a, b)`` itself excepted, read off each corner's chord
+    list, which is built once per diagram.  Raises
     :class:`MixedFaceError` when a face has some but not all of its
     internal connectors.
     """
     ds = diagram.diagonals
     have = set(ds)
-    crossed = {x for c, d in itertools.combinations(ds, 2) if cross(c, d) for x in (c, d)}
-    edges = {(a, a + 1) for a in range(diagram.size)} | (have - crossed)
+    crossed = set()
+    for t, (a, b) in enumerate(ds):
+        for d in ds[t + 1:]:  # sorted: d starts at or after a
+            if d[0] >= b:
+                break
+            if a < d[0] and b < d[1]:
+                crossed.add((a, b))
+                crossed.add(d)
+    # far[u]: the ends v > u of the chords at u, descending; the side
+    # (u, u + 1) comes last
+    far: list[list[int]] = [[] for _ in range(diagram.size)]
+    for u, v in reversed(ds):
+        if (u, v) not in crossed:
+            far[u].append(v)
+    for u in range(diagram.size):
+        far[u].append(u + 1)
     stack = [(0, diagram.size)] if diagram.size >= 2 else []
     while stack:
         a, b = stack.pop()
-        corners = [a]
-        while corners[-1] != b:
-            u = corners[-1]
-            corners.append(max(v for v in range(u + 1, b + 1)
-                               if (u, v) in edges and (u, v) != (a, b)))
+        u = next(v for v in far[a] if v < b)
+        corners = [a, u]
+        while u != b:
+            # a chord from inside the face that passed b would cross (a, b)
+            u = far[u][0]
+            corners.append(u)
         if len(corners) == 3:
             kind = CellKind.TRIANGLE
         else:
             internal = _connectors(corners)
-            present = sum(1 for c in internal if c in have)
+            present = len(have.intersection(internal))
             if present == len(internal):
                 kind = CellKind.CLIQUE
             elif present == 0:
@@ -361,8 +407,6 @@ def compose_base(cell: Cell | None, subs: Sequence[PolygonDiagram]) -> PolygonDi
             raise ValueError(f"piece of size {sub.size} glued on an edge of span {d - c}")
         if sub.size >= 2:
             diags.append((c, d))
-            # A piece glued at corner 0 keeps its coordinates, so share its
-            # tuples: the polygon_diagrams cache then holds fewer objects.
-            diags.extend(sub.diagonals if c == 0 else ((c + a, c + b) for a, b in sub.diagonals))
+            diags.extend((c + a, c + b) for a, b in sub.diagonals)
     return PolygonDiagram(corners[-1], tuple(diags))
 

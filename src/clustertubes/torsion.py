@@ -26,7 +26,8 @@ The structure theory implemented here:
   path); both must produce the same sets.  The grammar yields each half
   exactly once, so the ``enumerate`` stream walks it unsorted: grammar order
   is the canonical order of that stream.  ``iter_orbits_json`` walks the
-  same grammar but builds no half: it writes each one's ``orbits`` text
+  same grammar but builds no half and no polygon diagram: it reads each
+  span's pieces as diagonal tuples and writes each half's ``orbits`` text
   straight from its spans, as sorted integer orbit keys.
 * *Records*.  Diagram, torsion-pair and wing records are compact JSON text,
   byte-identical to ``json.dumps(..., separators=(",", ":"))`` but built
@@ -65,7 +66,7 @@ import random
 from bisect import bisect_left, insort
 from collections import Counter
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Iterator, Sequence
+from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
 from .arcs import (
     Arc,
@@ -83,6 +84,7 @@ from .config import _ECHO, BRUTE_RANK, STRUCTURED_RANK, CapExceeded
 from .polygons import (
     DEGENERATE,
     PolygonDiagram,
+    _diagonal_table,
     constrained_subsets,
     polygon_counts,
     polygon_diagrams,
@@ -552,20 +554,24 @@ def _check_rank(n: int) -> None:
         raise ValueError(f"rank must be >= 1, got {n}")
 
 
-def _walk(n: int) -> Iterator[tuple[list[int], tuple[PolygonDiagram, ...]]]:
-    """The cut/wing grammar at rank n, as ``(cuts, pieces)``.
+def _walk(n: int, table: Callable[[int], Sequence]) -> Iterator[tuple[list[int], list[int], tuple]]:
+    """The cut/wing grammar at rank n, as ``(cuts, ends, pieces)``.
 
     It runs over every nonempty cut mask (bit v set iff v is a cut); ``cuts``
-    lists the cuts ascending and ``pieces`` holds one diagram of
-    :func:`polygon_diagrams` per span, in cut order; nothing is laid.
+    lists the cuts ascending, ``ends`` the next cut after each (the last
+    wraps to the first plus n), and ``pieces`` holds one entry of
+    ``table(d - c)`` per span ``(c, d)``, in cut order; nothing is laid.
+    ``table`` is :func:`~clustertubes.polygons.polygon_diagrams` for the
+    callers that read diagrams, or the diagonal tuples of
+    :func:`~clustertubes.polygons._diagonal_table` in the same order.
     :func:`iter_structured` documents the order.
     """
     for mask in range(1, 1 << n):
         cuts = [v for v in range(n) if mask >> v & 1]
         ends = cuts[1:] + [cuts[0] + n]
-        spans = [polygon_diagrams(d - c) for c, d in zip(cuts, ends)]
+        spans = [table(d - c) for c, d in zip(cuts, ends)]
         for pieces in itertools.product(*spans):
-            yield cuts, pieces
+            yield cuts, ends, pieces
 
 
 def iter_structured(n: int) -> Iterator[PeriodicDiagram]:
@@ -585,7 +591,7 @@ def iter_structured(n: int) -> Iterator[PeriodicDiagram]:
     starting at the largest cut varying fastest.
     """
     _check_rank(n)  # before 1 << n, which fails below 0
-    for cuts, pieces in _walk(n):
+    for cuts, _, pieces in _walk(n, polygon_diagrams):
         yield _lay(n, zip(cuts, pieces))
 
 
@@ -594,22 +600,25 @@ def iter_orbits_json(n: int) -> Iterator[str]:
     of every finite half at rank n, in the grammar order of
     :func:`iter_structured`, without building the halves.
 
-    A canonical orbit ``(i, j)`` is laid as the integer key ``(j - i) n + i``,
-    so ascending keys are ``sorted_orbits()`` order (length, then left
-    endpoint).  Each span's keys are those of :func:`_lay`'s arcs; a plain
-    int sort orders them, and the text is joined from a table of the
+    Each span ``(c, d)`` reads its pieces as the diagonal tuples of
+    :func:`~clustertubes.polygons._diagonal_table` of width ``d - c``, so no
+    polygon diagram is built.  A canonical orbit ``(i, j)`` is laid as the
+    integer key ``(j - i) n + i``, so ascending keys are ``sorted_orbits()``
+    order (length, then left endpoint).  Each span's keys are those of
+    :func:`_lay`'s arcs, its top arc and its shifted diagonals; a plain int
+    sort orders them, and the text is joined from a table of the
     ``n (n + 1)`` orbits of length at most n.  A larger key is an arc longer
     than the rank, which no finite half has: it raises ValueError, the check
     :class:`TorsionPair` would make.
     """
     _check_rank(n)
     texts = [f"[{(i := k % n)},{i + k // n}]" for k in range(n * (n + 1))]
-    for cuts, pieces in _walk(n):
+    for cuts, ends, pieces in _walk(n, _diagonal_table):
         keys = []
-        for c, piece in zip(cuts, pieces):
-            if piece.size >= 2:
-                keys.append(piece.size * n + c)
-                for a, b in piece.diagonals:
+        for c, d, diagonals in zip(cuts, ends, pieces):
+            if d - c >= 2:
+                keys.append((d - c) * n + c)
+                for a, b in diagonals:
                     keys.append((b - a) * n + (c + a) % n)
         keys.sort()
         if keys and keys[-1] >= len(texts):
@@ -689,7 +698,7 @@ def fixed_histograms(n: int) -> dict[int, Counter]:
     for s in _divisors(n)[:-1]:
         hists[s] = Counter()
         r = n // s
-        for _, pieces in _walk(s):
+        for _, _, pieces in _walk(s, polygon_diagrams):
             k, l, m = _total_statistics(pieces)
             hists[s][k * r, l * r, m * r] += 2
     hists[n] = Counter(dict(series_torsion(n).coeffs[n].terms))

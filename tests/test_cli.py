@@ -14,7 +14,7 @@ from clustertubes.cli import main
 from clustertubes.config import BRUTE_RANK, COUNT_RANK, PERP_ORBITS, RECORD_RANK
 from clustertubes.config import REFINED_RANK, SERIES_ORDER, STRUCTURED_RANK, TEXT_ENTRIES
 from clustertubes.counting import torsion_count
-from clustertubes.polygons import polygon_diagrams
+from clustertubes.polygons import _diagonal_table, polygon_diagrams
 from clustertubes.torsion import TorsionPair, WingDecomposition, decompose, iter_structured
 from clustertubes.torsion import sample_halves
 
@@ -101,12 +101,34 @@ def test_enumerate_stream_is_byte_stable_at_rank_six(capsys):
     assert digest == "0e95e331256bb70e13dedb5c733b021281b74a3f7ab62c3c8cadeb34c63c8fb8"
 
 
+def test_enumerate_stream_builds_no_diagram(capsys, monkeypatch):
+    from clustertubes import polygons, torsion
+
+    def outputs():
+        _diagonal_table.cache_clear()
+        polygon_diagrams.cache_clear()
+        streams = [hashlib.sha256("\n".join(torsion.iter_orbits_json(n)).encode()).hexdigest()
+                   for n in range(1, 9)]
+        return streams, run(capsys, "enumerate", "--n", "6")
+
+    expected = outputs()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the stream built a polygon diagram or a cell")
+
+    for name in ("__init__", "_canonical"):
+        monkeypatch.setattr(polygons.PolygonDiagram, name, refuse)
+    monkeypatch.setattr(polygons.Cell, "__init__", refuse)
+    monkeypatch.setattr(polygons, "compose_base", refuse)
+    assert outputs() == expected
+
+
 def test_enumerate_checks_every_half(capsys, monkeypatch):
     from clustertubes import torsion
-    from clustertubes.polygons import PolygonDiagram
 
-    def grammar_with_a_long_arc(n):
-        yield [0], (PolygonDiagram(n + 2),)  # its top arc is longer than the rank
+    def grammar_with_a_long_arc(n, table):
+        # one span, the empty diagram on it, whose top arc is longer than the rank
+        yield [0], [n + 2], (table(n + 2)[0],)
 
     monkeypatch.setattr(torsion, "_walk", grammar_with_a_long_arc)
     code, _, err = run(capsys, "enumerate", "--n", "3")
@@ -561,10 +583,12 @@ def test_verify_builds_no_polygon_list(capsys):
     # fixed_histograms(9) fills this cache: the widths 1..3 of the rank-1 and
     # rank-3 halves that give the fixed points of tau^1 and tau^3.
     polygon_diagrams.cache_clear()
+    _diagonal_table.cache_clear()
     code, out, _ = run(capsys, "verify", "--n", "9")
     assert code == 0
     assert "FAIL" not in out
     assert polygon_diagrams.cache_info().currsize <= 3
+    assert _diagonal_table.cache_info().currsize <= 3
 
 
 # verify's rows in order, each with the limit that gates it (None: ungated)

@@ -3,13 +3,14 @@ import random
 
 import pytest
 
-from clustertubes.config import CapExceeded
+from clustertubes.config import POLYGON_BRUTE, CapExceeded
 from clustertubes.polygons import (
     DEGENERATE,
     Cell,
     CellKind,
     MixedFaceError,
     PolygonDiagram,
+    _diagonal_table,
     cells,
     compose_base,
     decompose_base,
@@ -53,6 +54,41 @@ def test_enumerate_polygon_cap():
 @pytest.mark.parametrize("m", range(1, 9))
 def test_brute_force_equals_grammar(m):
     assert set(enumerate_polygon(m)) == set(polygon_diagrams(m))
+
+
+@pytest.mark.parametrize("m", range(1, POLYGON_BRUTE + 1))
+def test_diagonal_table_equals_brute_force(m):
+    table = _diagonal_table(m)
+    assert list(table) == sorted(table)  # grammar order
+    assert table == tuple(P.diagonals for P in enumerate_polygon(m))
+    pairs = [p for diagonals in table for p in diagonals]
+    assert len({id(p) for p in pairs}) == len(set(pairs))  # one object per pair
+    assert tuple(P.diagonals for P in polygon_diagrams(m)) == table
+
+
+def test_diagonal_table_lengths_equal_the_counts():
+    try:
+        assert [len(_diagonal_table(m)) for m in range(1, 11)] == polygon_counts(10)[1:]
+    finally:
+        _diagonal_table.cache_clear()  # the width-10 table holds 46 MB
+    with pytest.raises(ValueError):
+        _diagonal_table(0)
+
+
+def test_diagonal_tables_stay_small():
+    # The tables of widths 1..8 peak at 1.5 MB under tracemalloc, the
+    # PolygonDiagram objects of polygon_diagrams(1..8) at 6.5 MB.
+    import tracemalloc
+
+    _diagonal_table.cache_clear()
+    tracemalloc.start()
+    try:
+        for m in range(1, 9):
+            _diagonal_table(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 def test_brute_force_equals_grammar_count_size_seven():

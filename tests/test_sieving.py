@@ -132,14 +132,14 @@ def full_walk_fixed_histograms(n):
     whose cut mask is invariant under the rotation."""
     from collections import Counter
 
-    from clustertubes.polygons import statistics_polygon
+    from clustertubes.polygons import polygon_diagrams, statistics_polygon
     from clustertubes.torsion import _divisors, _lay, _walk
 
     shifts = _divisors(n)
     hists = {s: Counter() for s in shifts}
     table = {}
     full = (1 << n) - 1
-    for cuts, pieces in _walk(n):
+    for cuts, _, pieces in _walk(n, polygon_diagrams):
         mask = sum(1 << c for c in cuts)
         k = l = m = 0
         for piece in pieces:

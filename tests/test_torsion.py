@@ -11,7 +11,7 @@ from clustertubes.arcs import PeriodicDiagram, nc_enumerate
 from clustertubes.cli import _record
 from clustertubes.config import CapExceeded
 from clustertubes.counting import refined_table, torsion_count
-from clustertubes.polygons import DEGENERATE, PolygonDiagram, polygon_diagrams
+from clustertubes.polygons import DEGENERATE, PolygonDiagram, _diagonal_table, polygon_diagrams
 from clustertubes.torsion import (
     PointedCycle,
     TorsionPair,
@@ -546,16 +546,20 @@ def test_count_structured_guards():
 
 def test_count_structured_builds_nothing():
     polygon_diagrams.cache_clear()
+    _diagonal_table.cache_clear()
     count_structured(9)
     assert polygon_diagrams.cache_info().currsize == 0
+    assert _diagonal_table.cache_info().currsize == 0
 
 
 def test_fixed_histograms_build_only_short_pieces():
     # s = n is counted, and s < n walks the rank-s halves, whose spans are
     # at most s <= n/2 wide
     polygon_diagrams.cache_clear()
+    _diagonal_table.cache_clear()
     fixed_histograms(9)
     assert polygon_diagrams.cache_info().currsize <= 3
+    assert _diagonal_table.cache_info().currsize <= 3
 
 
 # ---- translation symmetry ------------------------------------------------------------
