@@ -370,11 +370,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checks.append((label, all(round_trips_hold(X) for X in pool)))
 
     skipped = _skipped(n, "STRUCTURED_RANK", STRUCTURED_RANK)
-    histogram: bool | str = skipped
+    histogram: bool | str = _skipped(n, "SERIES_ORDER", SERIES_ORDER)
     burnside: bool | str = skipped
     readings = [f"translation-invariance readings: {skipped}"]
     if n <= STRUCTURED_RANK:
-        fixed = torsion.fixed_histograms(n)  # one call for the three readings
+        fixed = torsion.fixed_histograms(n)  # fixed[n] is series_torsion(n)'s z^n coefficient
         histogram = dict(fixed[n]) == refined
         burnside = torsion.orbit_count(n) == sum(torsion.orbits_from_fixed(fixed).values())
         readings = ["translation-invariance readings (count of tau^d-invariant pairs):",
@@ -383,6 +383,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             enumerated = sum(fixed[d].values())
             readings.append(f"{d},{enumerated},{counting.torsion_count(d)},"
                             f"{counting.torsion_count(n // d)}")
+    elif n <= SERIES_ORDER:
+        histogram = dict(series_torsion(n).coeffs[n].terms) == refined
     checks.append(("refined series coefficients == refined formula", histogram))
     checks.append(("Burnside orbit count == direct partition", burnside))
 

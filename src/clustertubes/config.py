@@ -14,7 +14,7 @@ import reprlib
 BRUTE_RANK = 7  # torsion.enumerate_brute: subsets of the n(n-1) arc orbits
 STRUCTURED_RANK = 9  # torsion._check_rank: every grammar walk (tau^s fixed points walk rank s)
 POLYGON_BRUTE = 8  # polygons.enumerate_polygon: subsets of diagonals
-SERIES_ORDER = 24  # cli.cmd_series: the truncation order (the library is uncapped)
+SERIES_ORDER = 24  # cli.cmd_series, and cmd_verify's refined series row (the library is uncapped)
 COUNT_RANK = 20_000  # cli.cmd_count, cmd_orbits: the closed-form counts (likewise)
 REFINED_RANK = 150  # cli.cmd_count/cmd_orbits --refined, cmd_verify: the (k, l, m) table
 PERP_ORBITS = 40_000  # cli.cmd_perp --max-length: the rank x (max_length - 1) orbits it tests

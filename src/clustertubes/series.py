@@ -4,8 +4,7 @@ Coefficients live in ``Z[x, y1, y2]`` (class :class:`Poly3`, arbitrary
 precision throughout); a :class:`PowerSeries` is a list of such coefficients
 indexed by the degree in the main variable ``z``, exact up to a fixed
 truncation order.  Plain Python ints are accepted anywhere a coefficient is,
-so specializing ``x = y1 = y2 = 1`` just means running the same code with
-integer coefficients.
+and integer arguments give integer coefficients.
 
 The two series of interest:
 
@@ -18,9 +17,21 @@ The two series of interest:
   Its coefficients are read off ``T (1-P) = 2 z P'`` one degree at a time.
 
 The equation for P sees y1 and y2 only through ``s = y1 + y2``, so both
-series are solved over ``Z[x, s]``, with s carried as one variable, and s is
-expanded into ``Z[x, y1, y2]`` only in the coefficients returned.  At z^24
-the torsion coefficient has 156 terms in (x, s) against 728 in (x, y1, y2).
+series are solved in x and s, and s is expanded into ``Z[x, y1, y2]`` only
+in the coefficients returned.  At z^24 the torsion coefficient has 156 terms
+in (x, s) against 728 in (x, y1, y2).
+
+The solve runs on plain Python ints.  Integer x and s are solved for
+directly.  Otherwise x and s are formal, packed into one integer each by
+Kronecker substitution, ``x = 2^w`` and ``s = 2^(w * order)``, so a product
+of two coefficients is a single integer product.  Every coefficient of P and
+T is a non-negative count, at most its series' value at ``x = s = 1``, so a
+slot of ``w`` bits (one more than the largest of those values needs) never
+carries into the next; a z^m coefficient has x-degree below ``m <= order``,
+so the stride of ``order`` slots keeps two powers of s apart.  Each packed
+coefficient is unpacked once and the caller's x and s substituted with
+:class:`Poly3` arithmetic.  At ``order = 28`` the torsion series at
+``x = s = 1`` reaches 67 bits, so its slots are 68 bits wide.
 
 Both recursions divide only by a series with unit constant term, so
 everything stays over the integers; the cycle-with-pointing operator
@@ -152,51 +163,87 @@ class PowerSeries:
             raise ValueError("coefficient list does not match truncation order")
 
 
-# The formal variable that stands for s = y1 + y2 while the series is solved.
-# It borrows the y1 slot.  That cannot clash with a y1 inside x, because a
-# symbolic x is replaced by the formal X too until :func:`_expand`.
-_S = Y1
+def _solve(order: int, x: int, s: int) -> list[int]:
+    """Coefficients of P at the integers x and ``s = y1 + y2``.
 
-
-def _solve(order: int, x: Coefficient, s: Coefficient) -> list[Coefficient]:
-    """Coefficients of P over ``Z[x, s]``, for ``s = y1 + y2``.
-
-    A symbolic x or s is replaced by the formal ``X`` or ``_S``; integers
-    are kept, so integer inputs give plain integer coefficients.  Clearing
-    the denominator gives ``P = z - z P + (1+x) P^2 + (s-x) P^3``, whose
-    degree-m coefficient only involves lower degrees.
+    Clearing the denominator gives ``P = z - z P + (1+x) P^2 + (s-x) P^3``,
+    whose degree-m coefficient only involves lower degrees.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    x = x if isinstance(x, int) else X
-    s = s if isinstance(s, int) else _S
     quad = 1 + x
     cub = s - x
-    a: list[Coefficient] = [0] * (order + 1)
-    sq: list[Coefficient] = [0] * (order + 1)  # coefficients of P^2
-    cb: list[Coefficient] = [0] * (order + 1)  # coefficients of P^3
+    a = [0] * (order + 1)
+    sq = [0] * (order + 1)  # coefficients of P^2
+    cb = [0] * (order + 1)  # coefficients of P^3
     for m in range(1, order + 1):
         sq[m] = sum(a[i] * a[m - i] for i in range(1, m))
         cb[m] = sum(a[i] * sq[m - i] for i in range(1, m - 1))
-        base = 1 if m == 1 else 0
-        a[m] = base - a[m - 1] + quad * sq[m] + cub * cb[m]
+        a[m] = int(m == 1) - a[m - 1] + quad * sq[m] + cub * cb[m]
     return a
 
 
-def _expand(coeffs: list[Coefficient], x: Coefficient, s: Coefficient) -> PowerSeries:
-    """Substitute the given x and s for the formal ``X`` and ``_S`` of :func:`_solve`.
+def _torsion(a: list[int]) -> list[int]:
+    """``T_k = 2k a_k + sum_{0<i<k} a_i T_{k-i}``, read off ``T (1-P) = 2 z P'``."""
+    T = [0] * len(a)
+    for k in range(1, len(a)):
+        T[k] = 2 * k * a[k] + sum(a[i] * T[k - i] for i in range(1, k))
+    return T
 
-    Each term ``c X^a _S^b`` becomes ``c x^a s^b``, with the powers built
+
+def _series(order: int, x: Coefficient, s: Coefficient, torsion: bool) -> PowerSeries:
+    """P (or T) to the given order, solved over plain integers.
+
+    A symbolic x or s makes both formal: the solve runs at ``X = 2^w``,
+    ``S = 2^(w * order)``, with ``w`` one bit more than the largest of the
+    series' values at ``X = S = 1`` needs (see the module docstring), and
+    :func:`_expand` substitutes x and s for X and S.
+    """
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+
+    def solve(x: int, s: int) -> list[int]:
+        a = _solve(order, x, s)
+        return _torsion(a) if torsion else a
+
+    if isinstance(x, int) and isinstance(s, int):
+        return PowerSeries(order, tuple(solve(x, s)))
+    w = max(v.bit_length() for v in solve(1, 1)) + 1
+    packed = solve(1 << w, 1 << (w * order))
+    return _expand([_unpack(v, w, order) for v in packed], x, s)
+
+
+def _unpack(v: int, w: int, order: int) -> list[tuple[int, int, int]]:
+    """The terms ``(a, b, c)``, for ``c X^a S^b``, of a packed coefficient."""
+    xmask = (1 << w) - 1
+    stride = w * order
+    smask = (1 << stride) - 1
+    terms = []
+    b = 0
+    while v:
+        row, v = v & smask, v >> stride
+        a = 0
+        while row:
+            c = row & xmask
+            if c:
+                terms.append((a, b, c))
+            row >>= w
+            a += 1
+        b += 1
+    return terms
+
+
+def _expand(
+    coeffs: list[list[tuple[int, int, int]]], x: Coefficient, s: Coefficient
+) -> PowerSeries:
+    """Substitute the given x and s for the formal X and S of :func:`_series`.
+
+    Each term ``c X^a S^b`` becomes ``c x^a s^b``, with the powers built
     once and the products summed into one dictionary per coefficient.
     """
-    order = len(coeffs) - 1
-    if isinstance(x, int) and isinstance(s, int):
-        return PowerSeries(order, tuple(coeffs))
     xpow, spow = [ONE], [ONE]
     out: list[Coefficient] = []
-    for c in coeffs:
+    for terms in coeffs:
         d: dict[Exponent, int] = {}
-        for (a, b, _), co in _as_poly(c).terms:
+        for a, b, co in terms:
             while len(xpow) <= a:
                 xpow.append(xpow[-1] * x)
             while len(spow) <= b:
@@ -206,7 +253,7 @@ def _expand(coeffs: list[Coefficient], x: Coefficient, s: Coefficient) -> PowerS
                     e = (a1 + a2, b1 + b2, c1 + c2)
                     d[e] = d.get(e, 0) + co * u * v
         out.append(Poly3.from_dict(d))
-    return PowerSeries(order, tuple(out))
+    return PowerSeries(len(coeffs) - 1, tuple(out))
 
 
 def series_P(
@@ -221,8 +268,7 @@ def series_P(
     solved over ``Z[x, s]`` and s is expanded only in the result.
     Pass integers for x, y1, y2 to work with plain integer coefficients.
     """
-    s = y1 + y2
-    return _expand(_solve(order, x, s), x, s)
+    return _series(order, x, y1 + y2, torsion=False)
 
 
 def series_torsion(
@@ -238,9 +284,4 @@ def series_torsion(
     Reading coefficients off ``T (1 - P) = 2 z P'`` gives
     ``T_k = 2k a_k + sum_{0<i<k} a_i T_{k-i}``, solved over ``Z[x, s]`` like P.
     """
-    s = y1 + y2
-    a = _solve(order, x, s)
-    T: list[Coefficient] = [0] * (order + 1)
-    for k in range(1, order + 1):
-        T[k] = 2 * k * a[k] + sum(a[i] * T[k - i] for i in range(1, k))
-    return _expand(T, x, s)
+    return _series(order, x, y1 + y2, torsion=True)

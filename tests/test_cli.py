@@ -598,12 +598,12 @@ VERIFY_ROWS = [
     ("series coefficient == closed formula", None),
     ("refined formula sums to total", None),
     ("decompose/compose and pointed-cycle round trips", None),
-    ("refined series coefficients == refined formula", ("STRUCTURED_RANK", STRUCTURED_RANK)),
+    ("refined series coefficients == refined formula", ("SERIES_ORDER", SERIES_ORDER)),
     ("Burnside orbit count == direct partition", ("STRUCTURED_RANK", STRUCTURED_RANK)),
 ]
 
 
-@pytest.mark.parametrize("n", [1, 6, 7, 8, 9, 10, 12])
+@pytest.mark.parametrize("n", [1, 6, 7, 8, 9, 10, 12, 24, 25])
 def test_verify_and_orbits_name_every_check_they_skip(capsys, n):
     code, out, _ = run(capsys, "verify", "--n", str(n))
     assert code == 0

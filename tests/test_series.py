@@ -2,7 +2,7 @@ import pytest
 
 from clustertubes.config import REFINED_RANK, SERIES_ORDER
 from clustertubes.counting import refined_table, torsion_count
-from clustertubes.series import ONE, PowerSeries, X, Y1, Y2, ZERO, series_P, series_torsion
+from clustertubes.series import ONE, Poly3, PowerSeries, X, Y1, Y2, ZERO, series_P, series_torsion
 
 
 def test_poly3_arithmetic():
@@ -85,6 +85,11 @@ def _oracle_torsion(order, x, y1, y2):
     (2, Y1, Y2),
     (X, 3, 4),
     (Y1, Y1, Y2),  # x shares a variable with y1 + y2
+    # integers substituted after the packed solve, zero and negative ones too
+    (0, Y1, Y2),
+    (-2, Y1, Y2),
+    (X, -1, 2),
+    (X, Y1, -3),
 ])
 def test_series_match_the_three_variable_recursion(args):
     order = 10
@@ -104,11 +109,34 @@ def test_torsion_series_matches_formula_at_ones():
 
 
 def test_torsion_series_matches_refined_coefficientwise():
-    T = series_torsion(SERIES_ORDER)
-    for n in range(1, SERIES_ORDER + 1):
+    # Past SERIES_ORDER on purpose: from order 30 on the largest (x, s)
+    # coefficient takes more than 64 bits (73 at 32), so a fixed 64-bit
+    # packing slot would fail here.
+    order = 32
+    T = series_torsion(order)
+    for n in range(1, order + 1):
         coeff = T.coeffs[n]
         table = {exp: c for exp, c in coeff.terms}
         assert table == refined_table(n)
+
+
+def test_the_solve_multiplies_no_poly3(monkeypatch):
+    # The solve runs on packed integers; Poly3 products are left only to
+    # the powers x^a and s^b that the substitution builds, a and b below
+    # the order.
+    calls = 0
+    mul = Poly3.__mul__
+
+    def counted(self, other):
+        nonlocal calls
+        calls += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Poly3, "__mul__", counted)
+    monkeypatch.setattr(Poly3, "__rmul__", counted)
+    T = series_torsion(SERIES_ORDER)
+    assert calls <= 2 * SERIES_ORDER
+    assert dict(T.coeffs[SERIES_ORDER].terms) == refined_table(SERIES_ORDER)
 
 
 def test_order_cap():
