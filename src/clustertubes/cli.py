@@ -223,7 +223,9 @@ def cmd_perp(args: argparse.Namespace) -> int:
         raise ValueError("missing diagram record on stdin")
     data = _record(line, "orbits")
     n = data["rank"]
-    diagram = PeriodicDiagram.from_arcs(n, _read(data, normalize_orbits, n, data["orbits"]))
+    orbits = _read(data, normalize_orbits, n, data["orbits"])
+    # Canonical as read: _record checked rank >= 1, and each orbit is normalized.
+    diagram = PeriodicDiagram._canonical(n, frozenset(orbits))
     if args.n is not None and diagram.rank != args.n:
         raise ValueError(f"diagram rank {diagram.rank} does not match --n {args.n}")
     if args.arc is not None:
@@ -316,7 +318,9 @@ def cmd_render(args: argparse.Namespace) -> int:
             text = fh.read()
     data = _record(text, "orbits", "finite_side")
     n = data["rank"]
-    diagram = PeriodicDiagram.from_arcs(n, _read(data, normalize_orbits, n, data["orbits"]))
+    orbits = _read(data, normalize_orbits, n, data["orbits"])
+    # Canonical as read: _record checked rank >= 1, and each orbit is normalized.
+    diagram = PeriodicDiagram._canonical(n, frozenset(orbits))
     pair = torsion.TorsionPair(data["rank"], diagram, data["finite_side"])
     if args.n is not None and pair.rank != args.n:
         raise ValueError(f"pair rank {pair.rank} does not match --n {args.n}")

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .arcs import cross, ptolemy_completions
-from .config import POLYGON_BRUTE, CapExceeded
+from .config import _ECHO, POLYGON_BRUTE, CapExceeded
 
 
 class MixedFaceError(ValueError):
@@ -79,14 +79,17 @@ class PolygonDiagram:
     diagonals: tuple[tuple[int, int], ...] = field(default=())
 
     def __post_init__(self) -> None:
+        """The one statement of the piece rule, which wing records are read
+        through: messages quote their values abbreviated (``_ECHO``)."""
         if self.size < 1:
             raise ValueError(f"size must be >= 1, got {self.size}")
         canon = tuple(sorted(set(tuple(d) for d in self.diagonals)))
         for a, b in canon:
             if not (0 <= a < b <= self.size):
-                raise ValueError(f"diagonal {(a, b)!r} out of range for size {self.size}")
+                raise ValueError(f"diagonal {_ECHO.repr((a, b))} out of range "
+                                 f"for size {_ECHO.repr(self.size)}")
             if b - a < 2:
-                raise ValueError(f"diagonal {(a, b)!r} has length < 2")
+                raise ValueError(f"diagonal {_ECHO.repr((a, b))} has length < 2")
             if (a, b) == (0, self.size):
                 raise ValueError("the base edge is implicit and never stored as a diagonal")
         object.__setattr__(self, "diagonals", canon)

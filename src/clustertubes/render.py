@@ -14,7 +14,7 @@ order is canonical and every coordinate is formatted with one decimal.
 
 from __future__ import annotations
 
-from .torsion import TorsionPair, decompose
+from .torsion import TorsionPair, _cut_spans
 
 _CELL = 44.0  # horizontal half-step and vertical step, in px
 _MARGIN = 30.0
@@ -46,15 +46,10 @@ def render_torsion_pair(pair: TorsionPair) -> str:
         f'<rect width="{_fmt(width)}" height="{_fmt(height)}" fill="white"/>',
     ]
 
-    # dotted wing boundaries, one per non-degenerate span, drawn for every
-    # representative whose lines can intersect the viewport
-    wings = []
-    if half.orbits:
-        decomposition = decompose(half)
-        for (c, d), piece in zip(decomposition.spans(), decomposition.pieces):
-            if piece.size >= 2:
-                wings.append((c, d))
-    for c, d in sorted(wings):
+    # dotted wing boundaries, one per non-degenerate span in cut order, drawn
+    # for every representative whose lines can intersect the viewport
+    wings = [(c, d) for c, d, _ in _cut_spans(n, half.orbits) if d - c >= 2]
+    for c, d in wings:
         for shift in (-n, 0, n):
             cc, dd = c + shift, d + shift
             top_x, top_y = xy(cc, dd)

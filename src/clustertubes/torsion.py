@@ -46,9 +46,11 @@ The structure theory implemented here:
   type-checks, checks and canonicalizes each arc in one pass, and writes
   the wing record from the spans of :func:`_cut_spans`, the walk
   :func:`decompose` reads.  ``compose`` checks each wing record, field
-  types included, in the one walk of :func:`_wing_spans`, the reader
-  :meth:`WingDecomposition.from_data` builds through, and writes its arcs'
-  orbits through :func:`~clustertubes.arcs.half_orbits_json`.
+  types included, in the one walk of :func:`_wing_spans`, and writes its
+  arcs' orbits through :func:`~clustertubes.arcs.half_orbits_json`.
+  :meth:`WingDecomposition.from_json` reads a record through the same walk
+  and returns :func:`decompose` of the half its arcs lay, so
+  :func:`decompose` is the one builder of a decomposition.
 * *Symmetry*.  The translation ``tau`` acts on halves; a half is fixed by
   ``tau^d`` (d | n) iff it is d-periodic, i.e. iff it is a rank-d half in
   disguise, which is what makes the orbit counts and the sieving identities
@@ -215,27 +217,14 @@ class WingDecomposition:
 
     @classmethod
     def from_json(cls, text: str) -> "WingDecomposition":
-        return cls.from_data(json.loads(text))
-
-    @classmethod
-    def from_data(cls, data: dict) -> "WingDecomposition":
-        """Build from a decoded wing record (the object :meth:`to_json` writes),
-        whose arcs are JSON lists, through the checks of :func:`_wing_spans`.
-        Duplicate arcs are kept once."""
-        n = data["rank"]
-        cuts, pieces = [], []
-        for c, d, arcs in _wing_spans(data):
-            cuts.append(c % n)
-            if d - c == 1:
-                pieces.append(DEGENERATE)
-                continue
-            diagonals = sorted({(a - c, b - c) for a, b in arcs if a != c or b != d})
-            # Canonical as checked: the diagonals lie inside the span, have
-            # length >= 2 and leave out the top arc; the set makes them distinct.
-            pieces.append(PolygonDiagram._canonical(d - c, tuple(diagonals)))
-        # Valid as checked: at least one cut, distinct cuts in cut order, and
-        # each piece as wide as its span.
-        return cls._canonical(n, tuple(cuts), tuple(pieces))
+        """The decomposition of a wing record (the text :meth:`to_json`
+        writes): once :func:`_wing_spans` has checked the record,
+        :func:`decompose` of the half its arcs lay.  The checked spans tile
+        the rank, each with its top arc, so the half's cuts are the
+        record's cuts mod the rank.  Duplicate arcs are kept once."""
+        data = json.loads(text)
+        arcs = [arc for _, _, span_arcs in _wing_spans(data) for arc in span_arcs]
+        return decompose(PeriodicDiagram.from_arcs(data["rank"], arcs))
 
 
 def wings_json(rank: int, spans: Iterable[tuple[int, int, Sequence[Arc]]],
@@ -262,7 +251,7 @@ def _wing_spans(data: dict) -> list[tuple[int, int, list]]:
     the pair's top arc ``[c, d]`` as written, and its ``arcs`` list as
     written (top arc included, duplicates kept), empty on a unit span.
 
-    The one reader of wing records, for :meth:`WingDecomposition.from_data`
+    The one reader of wing records, for :meth:`WingDecomposition.from_json`
     and the ``compose`` command, and the one walk over their pairs and arcs.
     The record must hold an integer ``rank`` >= 1 and a list ``pairs``
     (``cli._record`` checks them).  Each field is type-checked where the
@@ -334,16 +323,12 @@ def _check_wing_fields(data: dict) -> None:
 def _check_diagonals(c: int, d: int, arcs: list[list[int]]) -> None:
     """Raise for the first arc of the span ``(c, d)`` other than its top, in
     sorted order relative to ``c``, that lies outside the span or is
-    shorter than 2; the messages of :class:`PolygonDiagram`.  An arc that
-    is no pair of integers raises TypeError first, for the caller to name."""
+    shorter than 2: :class:`PolygonDiagram` checks the arcs shifted by
+    ``-c`` as the diagonals of a piece of size ``d - c``.  An arc that is no
+    pair of integers raises TypeError first, for the caller to name."""
     if not all(map(is_int_pair, arcs)):
         raise TypeError("an arc is not a pair of integers")
-    for a, b in sorted({(a - c, b - c) for a, b in arcs if a != c or b != d}):
-        if not 0 <= a < b <= d - c:
-            raise ValueError(f"diagonal {_ECHO.repr((a, b))} out of range "
-                             f"for size {_ECHO.repr(d - c)}")
-        if b - a < 2:
-            raise ValueError(f"diagonal {_ECHO.repr((a, b))} has length < 2")
+    PolygonDiagram(d - c, [(a - c, b - c) for a, b in arcs if a != c or b != d])
 
 
 def _lay(n: int, placed: Iterable[tuple[int, PolygonDiagram]]) -> PeriodicDiagram:
@@ -442,13 +427,7 @@ def statistics(diagram: PeriodicDiagram) -> tuple[int, int, int]:
     reference the tau fixed points of :func:`fixed_histograms` are tested
     against.
     """
-    return _total_statistics(decompose(diagram).pieces)
-
-
-def _total_statistics(pieces: Iterable[PolygonDiagram]) -> tuple[int, int, int]:
-    """The sum of :func:`~clustertubes.polygons.statistics_polygon` over a
-    nonempty run of pieces."""
-    k, l, m = zip(*map(statistics_polygon, pieces))
+    k, l, m = zip(*map(statistics_polygon, decompose(diagram).pieces))
     return sum(k), sum(l), sum(m)
 
 
@@ -562,8 +541,9 @@ def _walk(n: int, table: Callable[[int], Sequence]) -> Iterator[tuple[list[int],
     wraps to the first plus n), and ``pieces`` holds one entry of
     ``table(d - c)`` per span ``(c, d)``, in cut order; nothing is laid.
     ``table`` is :func:`~clustertubes.polygons.polygon_diagrams` for the
-    callers that read diagrams, or the diagonal tuples of
-    :func:`~clustertubes.polygons._diagonal_table` in the same order.
+    callers that read diagrams, the diagonal tuples of
+    :func:`~clustertubes.polygons._diagonal_table` in the same order, or
+    the diagrams' statistics for :func:`fixed_histograms`.
     :func:`iter_structured` documents the order.
     """
     for mask in range(1, 1 << n):
@@ -689,17 +669,20 @@ def fixed_histograms(n: int) -> dict[int, Counter]:
     s < n, a half fixed by tau^s is s-periodic: it is a rank-s half repeated
     n/s times around the tube, and every rank-s half repeats to one.  So the
     rank-s grammar is walked, nothing is laid, and each rank-s half counts
-    with the cells of its pieces times n/s.
+    with the cells of its pieces times n/s.  The walk reads a table of
+    :func:`~clustertubes.polygons.statistics_polygon` values per width, so
+    each diagram of width at most s is face-walked once.
     """
     from .series import series_torsion
 
     _check_rank(n)
     hists: dict[int, Counter] = {}
     for s in _divisors(n)[:-1]:
+        cells = {g: [statistics_polygon(p) for p in polygon_diagrams(g)] for g in range(1, s + 1)}
         hists[s] = Counter()
         r = n // s
-        for _, _, pieces in _walk(s, polygon_diagrams):
-            k, l, m = _total_statistics(pieces)
+        for _, _, pieces in _walk(s, cells.__getitem__):
+            k, l, m = map(sum, zip(*pieces))
             hists[s][k * r, l * r, m * r] += 2
     hists[n] = Counter(dict(series_torsion(n).coeffs[n].terms))
     return hists

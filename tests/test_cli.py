@@ -751,7 +751,8 @@ def test_malformed_input_exit_code(capsys):
         (["decompose", "--diagram", f'{{"rank": {RECORD_RANK + 1}, "orbits": [[0]]}}'],
          "orbits[0]"),
         # Several faults: a top-level fault, an entry of the wrong type, a bad
-        # finite_side, the rank cap (exit 3), and last a fault of the arcs.
+        # finite_side, the rank cap (exit 3), a fault of the arcs, and last a
+        # rank other than --n.
         (["decompose", "--diagram", '{"rank":3,"orbits":[[0,1],[0]]}'],
          "error: orbits[1] must be a pair of integers, got [0]\n"),
         (["decompose", "--diagram", '{"rank":501,"orbits":[[0,1]]}'],
@@ -780,6 +781,10 @@ def test_malformed_input_exit_code(capsys):
          "error: record rank capped at 500, got 501\n"),
         (["perp", "--n", "4", "--arc", "0", "2", "--diagram", '{"rank":3,"orbits":[[0,1]]}'],
          "error: not an arc (length 1 < 2): (0, 1)\n"),
+        (["decompose", "--n", "4", "--diagram", '{"rank":3,"orbits":[[0,2]]}'],
+         "error: diagram rank 3 does not match --n 4\n"),
+        (["perp", "--n", "4", "--arc", "0", "2", "--diagram", '{"rank":3,"orbits":[[0,2]]}'],
+         "error: diagram rank 3 does not match --n 4\n"),
     ],
 )
 def test_malformed_record_names_the_key(capsys, argv, message):
@@ -810,6 +815,8 @@ def test_malformed_record_names_the_key(capsys, argv, message):
          "error: key 'finite_side' must be 'left' or 'right', got 'up'\n"),
         ('{"rank":3,"finite_side":"left","orbits":[[0,1]]}',
          "error: not an arc (length 1 < 2): (0, 1)\n"),
+        ('{"rank":3,"finite_side":"left","orbits":[[0,2]]}',
+         "error: pair rank 3 does not match --n 4\n"),
     ],
 )
 def test_render_malformed_record_names_the_key(capsys, tmp_path, record, message):

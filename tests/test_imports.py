@@ -71,6 +71,7 @@ def test_independent_routes_share_no_code(module, forbidden):
 
 # Imports the package, runs ``cli.main`` on the command given (if any), then
 # lists the package's modules then loaded on stderr, as main prints to stdout.
+# The command's stdin is PAIR, which render reads.
 LOADED = """
 import sys
 import clustertubes
@@ -82,8 +83,10 @@ print(*sorted(m for m in sys.modules if m.split(".")[0] == "clustertubes"), file
 
 
 # enumerate and the record commands read through torsion, which loads
-# counting and series only in the functions that read them.
+# counting and series only in the functions that read them; render reads
+# its wing spans there too.
 RECORD_MODULES = ["arcs", "cli", "config", "polygons", "torsion"]
+PAIR = '{"rank":4,"finite_side":"left","orbits":[[1,3],[0,4]]}'
 
 
 @pytest.mark.parametrize("argv, loaded", [
@@ -94,11 +97,13 @@ RECORD_MODULES = ["arcs", "cli", "config", "polygons", "torsion"]
     (["decompose", "--diagram", '{"rank":4,"orbits":[[1,3]]}'], RECORD_MODULES),
     (["compose", "--wings", '{"rank":2,"pairs":[{"top":[0,2],"arcs":[[0,2]]}]}'],
      RECORD_MODULES),
-], ids=["import", "count", "series", "enumerate", "decompose", "compose"])
+    (["perp", "--diagram", '{"rank":4,"orbits":[[1,3]]}', "--max-length", "3"], RECORD_MODULES),
+    (["render", "--pair", "-", "--out", "-"], sorted([*RECORD_MODULES, "render"])),
+], ids=["import", "count", "series", "enumerate", "decompose", "compose", "perp", "render"])
 def test_a_command_loads_only_the_modules_it_runs(argv, loaded):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", LOADED, *argv],
+        [sys.executable, "-c", LOADED, *argv], input=PAIR,
         capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
     )
     assert result.returncode == 0, result.stderr

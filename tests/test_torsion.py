@@ -288,18 +288,22 @@ def compact(obj):
     return json.dumps(obj, separators=(",", ":"))
 
 
+def laid_half(rng, n):
+    """A random rank-n half: spans of width at most 6, each carrying a random
+    diagram of its width."""
+    widths = []
+    while sum(widths) < n:
+        widths.append(rng.randint(1, min(6, n - sum(widths))))
+    starts = itertools.accumulate(widths[:-1], initial=rng.randrange(n))
+    pieces = [rng.choice(polygon_diagrams(g)) for g in widths]
+    return _lay(n, zip(starts, pieces))
+
+
 def laid_halves(count, seed):
-    """Seeded halves at ranks 10-60, so endpoints have two digits: spans of
-    width at most 6, each carrying a random diagram of its width."""
+    """Seeded halves at ranks 10-60, so endpoints have two digits."""
     rng = random.Random(seed)
     for _ in range(count):
-        n = rng.randint(10, 60)
-        widths = []
-        while sum(widths) < n:
-            widths.append(rng.randint(1, min(6, n - sum(widths))))
-        starts = itertools.accumulate(widths[:-1], initial=rng.randrange(n))
-        pieces = [rng.choice(polygon_diagrams(g)) for g in widths]
-        yield _lay(n, zip(starts, pieces))
+        yield laid_half(rng, rng.randint(10, 60))
 
 
 def record_halves():
@@ -343,12 +347,13 @@ def test_records_are_compact_json_dumps():
 
 
 def test_built_values_equal_the_validating_constructors():
-    # _lay, decompose and from_data build their values without __post_init__.
+    # _lay and decompose build their values without __post_init__, and
+    # from_json builds through decompose.
     for X in record_halves():
         assert X == PeriodicDiagram(X.rank, X.orbits)
         wings = decompose(X)
         assert wings == WingDecomposition(wings.rank, wings.cuts, wings.pieces)
-        assert WingDecomposition.from_json(wings.to_json()) == wings  # from_data too
+        assert WingDecomposition.from_json(wings.to_json()) == wings
         for p in wings.pieces:
             assert p == PolygonDiagram(p.size, p.diagonals)
 
@@ -385,6 +390,38 @@ def test_decompose_skips_the_wing_checks_and_from_json_keeps_them(monkeypatch):
     duplicate_cut = '{"rank":2,"pairs":[{"top":[0,1],"arcs":[]},{"top":[2,3],"arcs":[]}]}'
     with pytest.raises(ValueError, match=r"^cuts must be strictly increasing within \[0, 2\)$"):
         WingDecomposition.from_json(duplicate_cut)
+
+
+def scrambled_wing_records(X, rng):
+    """Wing records of the half X that read alike: each pair shifted by a
+    multiple of the rank, the pairs and each pair's arcs reordered, and some
+    arcs listed twice."""
+    n = X.rank
+    record = json.loads(decompose(X).to_json())
+    for _ in range(3):
+        pairs = []
+        for pair in record["pairs"]:
+            shift = n * rng.randint(-2, 2)
+            arcs = [[a + shift, b + shift] for a, b in pair["arcs"]]
+            arcs += rng.sample(arcs, rng.randint(0, len(arcs)))
+            rng.shuffle(arcs)
+            c, d = pair["top"]
+            pairs.append({"top": [c + shift, d + shift], "arcs": arcs})
+        rng.shuffle(pairs)
+        yield compact({"rank": n, "pairs": pairs})
+
+
+def test_from_json_decomposes_the_half_it_reads():
+    # Ranks 600 and 1000 lie above RECORD_RANK: the library reader has no cap.
+    rng = random.Random(25)
+    halves = [X for n in range(1, 6) for X in iter_structured(n)]
+    halves += [laid_half(rng, n) for n in (600, 1000) for _ in range(5)]
+    for X in halves:
+        for text in scrambled_wing_records(X, rng):
+            wings = WingDecomposition.from_json(text)
+            assert wings == decompose(X) == decompose(compose(wings))
+            tops = [pair["top"][0] for pair in json.loads(text)["pairs"]]
+            assert wings.cuts == tuple(sorted(c % X.rank for c in tops))
 
 
 def test_decompose_and_compose_check_each_piece_once(monkeypatch):
@@ -560,6 +597,25 @@ def test_fixed_histograms_build_only_short_pieces():
     fixed_histograms(9)
     assert polygon_diagrams.cache_info().currsize <= 3
     assert _diagonal_table.cache_info().currsize <= 3
+
+
+@pytest.mark.parametrize("n, walks", [(8, 1 + 2 + 23), (9, 1 + 6)])
+def test_fixed_histograms_walk_each_short_diagram_once(monkeypatch, n, walks):
+    # For each s < n dividing n, statistics_polygon runs once per diagram of
+    # width <= s (1, 1, 4 and 17 diagrams of widths 1..4), not once per piece
+    # of every rank-s half.
+    from clustertubes import torsion
+    from clustertubes.polygons import statistics_polygon
+
+    walked = []
+
+    def counted(diagram):
+        walked.append(diagram)
+        return statistics_polygon(diagram)
+
+    monkeypatch.setattr(torsion, "statistics_polygon", counted)
+    fixed_histograms(n)
+    assert len(walked) == walks
 
 
 # ---- translation symmetry ------------------------------------------------------------
