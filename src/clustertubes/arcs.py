@@ -24,10 +24,9 @@ All values are immutable and all operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NoReturn
 
-from .config import _ECHO, RECORD_RANK, TEXT_ENTRIES
+from .config import _ECHO, RECORD_RANK, TEXT_ENTRIES, Frozen
 
 Arc = tuple[int, int]
 
@@ -45,6 +44,40 @@ def is_int_pair(value: object) -> bool:
     bools out."""
     return (type(value) in (list, tuple) and len(value) == 2
             and type(value[0]) is int is type(value[1]))
+
+
+def read_record(line: str, arcs: str, *required: str) -> dict:
+    """Decode one JSON input record and check its top level.
+
+    The record must be an object holding ``rank``, the arc field ``arcs``
+    (``"orbits"`` or ``"pairs"``) and every key in ``required``.  ``rank``
+    must be an integer and not a bool, and at least 1, as every reader
+    divides by it; the arc field must be a list.  Every failure is a
+    ValueError (malformed JSON raises json's JSONDecodeError, which is
+    one), and a fault of a key names the key.  A value quoted in a message
+    is abbreviated past a few levels or dozens of characters (``_ECHO``).
+    The reader of the arc field checks its entries: for the CLI's records
+    ``cli._read``, for wing records
+    :meth:`~clustertubes.torsion.WingDecomposition.from_json`.
+    """
+    import json
+
+    try:
+        data = json.loads(line)
+    except RecursionError:  # json's C decoder recurses once per nesting level
+        raise ValueError("record nested too deeply to decode") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    for key in ("rank", arcs, *required):
+        if key not in data:
+            raise ValueError(f"missing key {key!r}")
+    if not isinstance(data["rank"], int) or isinstance(data["rank"], bool):
+        raise ValueError(f"key 'rank' must be an integer, got {type(data['rank']).__name__}")
+    if data["rank"] < 1:
+        raise ValueError(f"key 'rank' must be >= 1, got {_ECHO.repr(data['rank'])}")
+    if not isinstance(data[arcs], list):
+        raise ValueError(f"key {arcs!r} must be a list, got {type(data[arcs]).__name__}")
+    return data
 
 
 def _not_an_arc() -> NoReturn:
@@ -203,8 +236,7 @@ def ptolemy_completions(u: Arc, v: Arc) -> list[Arc]:
     return out
 
 
-@dataclass(frozen=True)
-class PeriodicDiagram:
+class PeriodicDiagram(Frozen):
     """A finite set of arc orbits at a fixed rank, i.e. an n-periodic
     collection of arcs of the ∞-gon.
 
@@ -212,8 +244,12 @@ class PeriodicDiagram:
     ``[0, rank)``); use :meth:`from_arcs` to build from arbitrary shifts.
     """
 
-    rank: int
-    orbits: frozenset[Arc]
+    __slots__ = ("rank", "orbits")
+
+    def __init__(self, rank: int, orbits: frozenset[Arc]) -> None:
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "orbits", orbits)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.rank < 1:

@@ -21,11 +21,18 @@ are named.  ``compose`` joins its orbit texts from one table kept across
 records (:func:`clustertubes.arcs.half_orbits_json`), bounded by
 ``TEXT_ENTRIES`` entries whatever the input.
 
-A command loads only the modules it runs: this module imports the standard
-library and :mod:`clustertubes.config` alone, and each ``cmd_*`` imports its
-own modules once, at its top, never per record.  So ``count`` loads
-:mod:`clustertubes.counting` and nothing else of the package, and ``series``
-:mod:`clustertubes.series`.  No ``.pyc`` need be cached for this to pay:
+A command loads only the modules it runs, of the package and of the
+standard library.  This module imports :mod:`clustertubes.config` and a few
+standard modules alone, and each ``cmd_*`` imports its own package modules
+once, at its top, never per record.  So ``count`` loads
+:mod:`clustertubes.counting` and nothing else of the package, and
+``series`` :mod:`clustertubes.series`.  ``json`` loads only where JSON
+input is decoded (the record commands) and in the branches that print JSON
+through it (``count``, ``series`` and ``sieve`` with ``--format json``,
+``perp --arc``); ``fractions`` loads only in root isolation, which no
+command runs.  The value classes are slotted classes on
+:class:`clustertubes.config.Frozen`, so no module loads ``inspect`` or
+generates methods at import.  No ``.pyc`` need be cached for this to pay:
 where bytecode is not written, every run compiles each module it loads.
 
 A command that reads stdin exits 2 when the process started with stdin
@@ -36,7 +43,6 @@ closed, and every command does so when it started with stdout closed; the
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Callable, Iterator, Sequence
@@ -61,36 +67,6 @@ def _input_lines(arg: str | None) -> Iterator[str]:
         yield arg
 
 
-def _record(line: str, arcs: str, *required: str) -> dict:
-    """Decode one JSON input record and check its top level.
-
-    The record must be an object holding ``rank``, the arc field ``arcs``
-    (``"orbits"`` or ``"pairs"``) and every key in ``required``.  ``rank``
-    must be an integer and not a bool, and at least 1, as every command
-    divides by it; the arc field must be a list.  Every failure is a
-    ValueError naming the key, so ``main`` exits 2.  A value quoted in a
-    message is abbreviated past a few levels or dozens of characters
-    (``_ECHO``).  The arc field's entries are checked by the one walk that
-    reads them, through :func:`_read`, which also checks the rest.
-    """
-    try:
-        data = json.loads(line)
-    except RecursionError:  # json's C decoder recurses once per nesting level
-        raise ValueError("record nested too deeply to decode") from None
-    if not isinstance(data, dict):
-        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
-    for key in ("rank", arcs, *required):
-        if key not in data:
-            raise ValueError(f"missing key {key!r}")
-    if not isinstance(data["rank"], int) or isinstance(data["rank"], bool):
-        raise ValueError(f"key 'rank' must be an integer, got {type(data['rank']).__name__}")
-    if data["rank"] < 1:
-        raise ValueError(f"key 'rank' must be >= 1, got {_ECHO.repr(data['rank'])}")
-    if not isinstance(data[arcs], list):
-        raise ValueError(f"key {arcs!r} must be a list, got {type(data[arcs]).__name__}")
-    return data
-
-
 def _check_side_and_cap(data: dict) -> None:
     """``finite_side``, when present, must be ``"left"`` or ``"right"``
     (ValueError, exit 2), and the rank at most ``RECORD_RANK``, as the
@@ -104,8 +80,8 @@ def _check_side_and_cap(data: dict) -> None:
 
 def _read(data: dict, walk: Callable, *args: object) -> object:
     """``walk(*args)``, the one walk that checks and reads the arc field of
-    a record from :func:`_record`, then the record's last checks
-    (:func:`_check_side_and_cap`).
+    a record from :func:`~clustertubes.arcs.read_record`, then the record's
+    last checks (:func:`_check_side_and_cap`).
 
     The walk type-checks each entry as it reads it, and raises TypeError for
     the first entry, in record order, that has the wrong type: an arc (an
@@ -136,6 +112,8 @@ def cmd_count(args: argparse.Namespace) -> int:
     if args.refined:
         table = counting.refined_table(n)
         if args.format == "json":
+            import json
+
             print(json.dumps(
                 [{"n": n, "k": k, "l": l, "m": m, "count": c} for (k, l, m), c in table.items()],
                 separators=(",", ":"),
@@ -147,6 +125,8 @@ def cmd_count(args: argparse.Namespace) -> int:
     else:
         total = counting.torsion_count(n)
         if args.format == "json":
+            import json
+
             print(json.dumps({"n": n, "count": total}, separators=(",", ":")))
         elif args.format == "csv":
             print("n,count")
@@ -183,10 +163,10 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     from . import torsion
-    from .arcs import normalize_orbits
+    from .arcs import normalize_orbits, read_record
 
     for line in _input_lines(args.diagram):
-        data = _record(line, "orbits")
+        data = read_record(line, "orbits")
         n = data["rank"]
         orbits = _read(data, normalize_orbits, n, data["orbits"])
         if args.n is not None and n != args.n:
@@ -199,10 +179,10 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_compose(args: argparse.Namespace) -> int:
     from . import torsion
-    from .arcs import diagram_json, half_orbits_json
+    from .arcs import diagram_json, half_orbits_json, read_record
 
     for line in _input_lines(args.wings):
-        data = _record(line, "pairs")
+        data = read_record(line, "pairs")
         n = data["rank"]
         spans = _read(data, torsion._wing_spans, data)
         orbits = half_orbits_json(n, (arcs for _, _, arcs in spans))
@@ -216,19 +196,21 @@ def cmd_compose(args: argparse.Namespace) -> int:
 
 def cmd_perp(args: argparse.Namespace) -> int:
     from . import torsion
-    from .arcs import PeriodicDiagram, normalize_orbits
+    from .arcs import PeriodicDiagram, normalize_orbits, read_record
 
     line = next(_input_lines(args.diagram), None)
     if line is None:
         raise ValueError("missing diagram record on stdin")
-    data = _record(line, "orbits")
+    data = read_record(line, "orbits")
     n = data["rank"]
     orbits = _read(data, normalize_orbits, n, data["orbits"])
-    # Canonical as read: _record checked rank >= 1, and each orbit is normalized.
+    # Canonical as read: read_record checked rank >= 1, and each orbit is normalized.
     diagram = PeriodicDiagram._canonical(n, frozenset(orbits))
     if args.n is not None and diagram.rank != args.n:
         raise ValueError(f"diagram rank {diagram.rank} does not match --n {args.n}")
     if args.arc is not None:
+        import json
+
         arc = (args.arc[0], args.arc[1])
         verdict = torsion.perp_contains(diagram, arc)
         print(json.dumps({"arc": list(arc), "in_perp": verdict}, separators=(",", ":")))
@@ -248,6 +230,8 @@ def cmd_series(args: argparse.Namespace) -> int:
         raise CapExceeded(f"series order capped at {SERIES_ORDER}, got {args.order}")
     series = (series_P if args.kind == "P" else series_torsion)(args.order)
     if args.format == "json":
+        import json
+
         rows = [
             {"degree": k, "coefficient": str(series.coeffs[k])}
             for k in range(series.order + 1)
@@ -308,7 +292,7 @@ def cmd_orbits(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     from . import torsion
-    from .arcs import PeriodicDiagram, normalize_orbits
+    from .arcs import PeriodicDiagram, normalize_orbits, read_record
     from .render import render_torsion_pair
 
     if args.pair == "-":
@@ -316,10 +300,10 @@ def cmd_render(args: argparse.Namespace) -> int:
     else:
         with open(args.pair, "r", encoding="utf-8") as fh:
             text = fh.read()
-    data = _record(text, "orbits", "finite_side")
+    data = read_record(text, "orbits", "finite_side")
     n = data["rank"]
     orbits = _read(data, normalize_orbits, n, data["orbits"])
-    # Canonical as read: _record checked rank >= 1, and each orbit is normalized.
+    # Canonical as read: read_record checked rank >= 1, and each orbit is normalized.
     diagram = PeriodicDiagram._canonical(n, frozenset(orbits))
     pair = torsion.TorsionPair(data["rank"], diagram, data["finite_side"])
     if args.n is not None and pair.rank != args.n:
@@ -488,7 +472,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, TypeError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, OSError) as exc:  # JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -6,10 +6,12 @@ them.  Going past one raises :class:`CapExceeded` instead of silently
 grinding; the CLI maps it to exit code 3.  ``TEXT_ENTRIES`` bounds memory
 and refuses nothing: a text table kept across records stops growing there.
 ``_ECHO`` bounds the other side of outside input: how much of a malformed
-value an error message quotes.
+value an error message quotes.  :class:`Frozen` is the base of the
+package's value classes.
 """
 
 import reprlib
+from operator import attrgetter
 
 BRUTE_RANK = 7  # torsion.enumerate_brute: subsets of the n(n-1) arc orbits
 STRUCTURED_RANK = 9  # torsion._check_rank: every grammar walk (tau^s fixed points walk rank s)
@@ -30,3 +32,50 @@ _ECHO.maxlevel, _ECHO.maxstring, _ECHO.maxlist = 3, 40, 4
 
 class CapExceeded(RuntimeError):
     """A rank or order was requested beyond its limit."""
+
+
+class Frozen:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields in ``__slots__`` and sets them in its own
+    ``__init__`` through ``object.__setattr__``, then runs its checks.
+    Instances of one class compare equal when their fields are equal, hash
+    by their fields and print as ``Name(field=value, ...)``; assigning or
+    deleting a field raises AttributeError.  The standard library's
+    generator of such classes loads ``inspect`` and writes each class's
+    methods when its module loads, about 20 ms of every command's start-up,
+    which this class saves.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        get = attrgetter(*cls.__slots__)
+        # attrgetter of one name returns the value itself, not a 1-tuple
+        cls._fields = staticmethod(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+        cls.__match_args__ = cls.__slots__
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            fields = self._fields
+            return fields(self) == fields(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self.__slots__, self._fields(self)))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through __init__: the default would set
+        # each slot with setattr, which the class refuses
+        return type(self), self._fields(self)

@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
-from typing import Iterable, Literal, Sequence
+from typing import TYPE_CHECKING, Iterable, Literal, Sequence
+
+if TYPE_CHECKING:  # root isolation imports it where it runs, so a count never loads it
+    from fractions import Fraction
 
 # coefficient lists are low degree -> high degree
 RHO_POLYNOMIAL: tuple[int, ...] = (4, -47, -48, 8)
@@ -108,6 +110,8 @@ def refined_table(n: int) -> dict[tuple[int, int, int], int]:
 
 
 def _poly_eval(coeffs: Sequence[Fraction | int], x: Fraction) -> Fraction:
+    from fractions import Fraction
+
     acc = Fraction(0)
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -117,6 +121,8 @@ def _poly_eval(coeffs: Sequence[Fraction | int], x: Fraction) -> Fraction:
 def _poly_divmod(a: list[Fraction], b: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
     """Quotient and remainder of ``a`` by ``b`` (low degree first, ``b``'s
     leading coefficient nonzero); the remainder has no trailing zeros."""
+    from fractions import Fraction
+
     a = list(a)
     quot = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
     for shift in range(len(a) - len(b), -1, -1):
@@ -136,6 +142,8 @@ def _sturm_sequence(coeffs: tuple[int, ...]) -> list[list[Fraction]]:
     are the distinct roots of the polynomial, all simple.  The sequence is
     q, q' and the negated remainders of Euclid's algorithm.
     """
+    from fractions import Fraction
+
     p = [Fraction(c) for c in coeffs]
     g, r = p, [k * c for k, c in enumerate(p)][1:]
     while r:
@@ -159,16 +167,21 @@ def _sign_changes(seq: list[list[Fraction]], x: Fraction) -> int:
 def real_root(
     coeffs: tuple[int, ...],
     which: Literal["largest", "smallest"] = "largest",
-    tolerance: Fraction = Fraction(1, 10**14),
+    tolerance: Fraction | None = None,
 ) -> Fraction:
     """Isolate the largest or smallest positive real root by Sturm bisection.
 
     The interval ``(0, B]``, B the Cauchy bound, holds every positive root.
     Each step halves it and keeps the half holding the wanted root, which a
     Sturm count of the distinct roots in each half decides, until it is no
-    wider than ``tolerance``.  Everything is exact rational arithmetic, so
-    roots however close, or of any multiplicity, are told apart.
+    wider than ``tolerance`` (default ``1/10^14``).  Everything is exact
+    rational arithmetic, so roots however close, or of any multiplicity,
+    are told apart.
     """
+    from fractions import Fraction
+
+    if tolerance is None:
+        tolerance = Fraction(1, 10**14)
     if not coeffs or coeffs[-1] == 0:
         raise ValueError("leading coefficient must be nonzero")
     seq = _sturm_sequence(coeffs)

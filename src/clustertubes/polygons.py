@@ -37,11 +37,10 @@ import enum
 import functools
 import itertools
 import random
-from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .arcs import cross, ptolemy_completions
-from .config import _ECHO, POLYGON_BRUTE, CapExceeded
+from .config import _ECHO, POLYGON_BRUTE, CapExceeded, Frozen
 
 
 class MixedFaceError(ValueError):
@@ -56,12 +55,15 @@ class CellKind(enum.Enum):
     EMPTY_CELL = "empty_cell"
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(Frozen):
     """One face of the unique cell decomposition, with its polygon labels."""
 
-    vertices: tuple[int, ...]
-    kind: CellKind
+    __slots__ = ("vertices", "kind")
+
+    def __init__(self, vertices: tuple[int, ...], kind: CellKind) -> None:
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "kind", kind)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.kind is CellKind.TRIANGLE:
@@ -71,12 +73,15 @@ class Cell:
             raise ValueError(f"{self.kind.value} needs >= 4 vertices, got {len(self.vertices)}")
 
 
-@dataclass(frozen=True)
-class PolygonDiagram:
+class PolygonDiagram(Frozen):
     """Diagonal set of an ``(size+1)``-gon with base edge ``(0, size)``."""
 
-    size: int
-    diagonals: tuple[tuple[int, int], ...] = field(default=())
+    __slots__ = ("size", "diagonals")
+
+    def __init__(self, size: int, diagonals: tuple[tuple[int, int], ...] = ()) -> None:
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "diagonals", diagonals)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         """The one statement of the piece rule, which wing records are read

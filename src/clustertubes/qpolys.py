@@ -13,18 +13,22 @@ raises.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Iterable
 
+from .config import Frozen
 
-@dataclass(frozen=True)
-class QPoly:
+
+class QPoly(Frozen):
     """Polynomial in q over the integers; ``coeffs[k]`` is the q^k coefficient.
 
     Normalized: no trailing zero coefficients (the zero polynomial is ``()``).
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        object.__setattr__(self, "coeffs", coeffs)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         cs = self.coeffs

@@ -43,23 +43,26 @@ are checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Union
+
+from .config import Frozen
 
 
 Exponent = tuple[int, int, int]
 Coefficient = Union[int, "Poly3"]
 
 
-@dataclass(frozen=True)
-class Poly3:
+class Poly3(Frozen):
     """Polynomial in x, y1, y2 with integer coefficients.
 
     ``terms`` maps exponent triples ``(a, b, c)`` (for ``x^a y1^b y2^c``) to
     nonzero coefficients; stored sorted for hashing and canonical printing.
     """
 
-    terms: tuple[tuple[Exponent, int], ...]
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: tuple[tuple[Exponent, int], ...]) -> None:
+        object.__setattr__(self, "terms", terms)
 
     @classmethod
     def from_dict(cls, d: Mapping[Exponent, int]) -> "Poly3":
@@ -145,8 +148,7 @@ Y1 = Poly3.from_dict({(0, 1, 0): 1})
 Y2 = Poly3.from_dict({(0, 0, 1): 1})
 
 
-@dataclass(frozen=True)
-class PowerSeries:
+class PowerSeries(Frozen):
     """Truncated series in z; ``coeffs[k]`` is the z^k coefficient (int or Poly3).
 
     The value that :func:`series_P` and :func:`series_torsion` return.  It
@@ -155,8 +157,12 @@ class PowerSeries:
     checked against.
     """
 
-    order: int
-    coeffs: tuple[Coefficient, ...]
+    __slots__ = ("order", "coeffs")
+
+    def __init__(self, order: int, coeffs: tuple[Coefficient, ...]) -> None:
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "coeffs", coeffs)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(self.coeffs) != self.order + 1:

@@ -25,9 +25,7 @@ raised, so the caller can render the full table.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-
+from .config import Frozen
 from .counting import refined_support, torsion_count_refined
 from .qpolys import QPoly, eval_at_primitive_root, qbinomial, qmultinomial
 from .torsion import _divisors, fixed_histograms
@@ -40,19 +38,22 @@ def q_torsion_count_refined(n: int, k: int, l: int, m: int) -> QPoly:
     )
 
 
-@dataclass(frozen=True)
-class SieveRecord:
+class SieveRecord(Frozen):
     """One root-of-unity check: polynomial value vs. enumerated fixed count
     vs. the smaller-rank count."""
 
-    n: int
-    d: int
-    k: int
-    l: int
-    m: int
-    poly_value: int
-    fixed_count: int
-    match: bool
+    __slots__ = ("n", "d", "k", "l", "m", "poly_value", "fixed_count", "match")
+
+    def __init__(self, n: int, d: int, k: int, l: int, m: int,
+                 poly_value: int, fixed_count: int, match: bool) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "poly_value", poly_value)
+        object.__setattr__(self, "fixed_count", fixed_count)
+        object.__setattr__(self, "match", match)
 
     def to_dict(self) -> dict:
         return {
@@ -99,4 +100,6 @@ def csp_verify(n: int) -> list[SieveRecord]:
 
 
 def csp_report_json(records: list[SieveRecord]) -> str:
+    import json
+
     return json.dumps([r.to_dict() for r in records], separators=(",", ":"))

@@ -48,9 +48,11 @@ The structure theory implemented here:
   :func:`decompose` reads.  ``compose`` checks each wing record, field
   types included, in the one walk of :func:`_wing_spans`, and writes its
   arcs' orbits through :func:`~clustertubes.arcs.half_orbits_json`.
-  :meth:`WingDecomposition.from_json` reads a record through the same walk
-  and returns :func:`decompose` of the half its arcs lay, so
-  :func:`decompose` is the one builder of a decomposition.
+  :meth:`WingDecomposition.from_json` reads a record as ``compose`` does,
+  its top level through :func:`~clustertubes.arcs.read_record` and its
+  pairs through the same walk, and returns :func:`decompose` of the half
+  its arcs lay, so :func:`decompose` is the one builder of a
+  decomposition.
 * *Symmetry*.  The translation ``tau`` acts on halves; a half is fixed by
   ``tau^d`` (d | n) iff it is d-periodic, i.e. iff it is a rank-d half in
   disguise, which is what makes the orbit counts and the sieving identities
@@ -62,12 +64,10 @@ The structure theory implemented here:
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
 from bisect import bisect_left, insort
 from collections import Counter
-from dataclasses import dataclass
 from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
 
 from .arcs import (
@@ -81,8 +81,9 @@ from .arcs import (
     nc_enumerate,
     normalize_orbit,
     ptolemy_completions,
+    read_record,
 )
-from .config import _ECHO, BRUTE_RANK, STRUCTURED_RANK, CapExceeded
+from .config import _ECHO, BRUTE_RANK, STRUCTURED_RANK, CapExceeded, Frozen
 from .polygons import (
     DEGENERATE,
     PolygonDiagram,
@@ -119,13 +120,17 @@ def perp_enumerate(diagram: PeriodicDiagram, max_length: int) -> PeriodicDiagram
     return nc_enumerate(diagram, max_length).tau(1)
 
 
-@dataclass(frozen=True)
-class TorsionPair:
-    """A torsion pair, stored as its finite half plus which side is finite."""
+class TorsionPair(Frozen):
+    """A torsion pair, stored as its finite half plus which side is finite:
+    ``finite_side`` is ``"left"`` (X finite) or ``"right"`` (the perp finite)."""
 
-    rank: int
-    finite_half: PeriodicDiagram
-    finite_side: str  # "left" (X finite) or "right" (the perp finite)
+    __slots__ = ("rank", "finite_half", "finite_side")
+
+    def __init__(self, rank: int, finite_half: PeriodicDiagram, finite_side: str) -> None:
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "finite_half", finite_half)
+        object.__setattr__(self, "finite_side", finite_side)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.finite_side not in ("left", "right"):
@@ -151,14 +156,18 @@ def pair_json(rank: int, side: str, orbits_text: str) -> str:
 # wing decomposition
 
 
-@dataclass(frozen=True)
-class WingDecomposition:
+class WingDecomposition(Frozen):
     """Cut vertices of a finite half together with the polygon diagram carried
     by each span between consecutive cuts (degenerate for unit spans)."""
 
-    rank: int
-    cuts: tuple[int, ...]
-    pieces: tuple[PolygonDiagram, ...]
+    __slots__ = ("rank", "cuts", "pieces")
+
+    def __init__(self, rank: int, cuts: tuple[int, ...],
+                 pieces: tuple[PolygonDiagram, ...]) -> None:
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "cuts", cuts)
+        object.__setattr__(self, "pieces", pieces)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         n = self.rank
@@ -218,11 +227,12 @@ class WingDecomposition:
     @classmethod
     def from_json(cls, text: str) -> "WingDecomposition":
         """The decomposition of a wing record (the text :meth:`to_json`
-        writes): once :func:`_wing_spans` has checked the record,
-        :func:`decompose` of the half its arcs lay.  The checked spans tile
-        the rank, each with its top arc, so the half's cuts are the
-        record's cuts mod the rank.  Duplicate arcs are kept once."""
-        data = json.loads(text)
+        writes): once :func:`~clustertubes.arcs.read_record` has checked
+        its top level and :func:`_wing_spans` its pairs, :func:`decompose`
+        of the half its arcs lay.  The checked spans tile the rank, each
+        with its top arc, so the half's cuts are the record's cuts mod the
+        rank.  Duplicate arcs are kept once."""
+        data = read_record(text, "pairs")
         arcs = [arc for _, _, span_arcs in _wing_spans(data) for arc in span_arcs]
         return decompose(PeriodicDiagram.from_arcs(data["rank"], arcs))
 
@@ -254,18 +264,19 @@ def _wing_spans(data: dict) -> list[tuple[int, int, list]]:
     The one reader of wing records, for :meth:`WingDecomposition.from_json`
     and the ``compose`` command, and the one walk over their pairs and arcs.
     The record must hold an integer ``rank`` >= 1 and a list ``pairs``
-    (``cli._record`` checks them).  Each field is type-checked where the
-    walk reads it: a pair must be an object whose ``top`` is an arc and
-    whose ``arcs`` is a list of arcs, an arc being a pair of integers.  When
-    the walk fails, :func:`_check_wing_fields` first names the first field
-    of the wrong type in record order, as TypeError.  Otherwise it raises
-    ValueError unless the record is a wing decomposition: every pair of
-    width >= 2 lists its top arc, every other arc lies inside its span with
-    length >= 2, a unit span lists no arc but its top, every width is at
-    least 1, and the cuts (the tops' left ends mod the rank) are at least
-    one, distinct and tile the rank, each span reaching the next cut.  So no
-    arc is longer than the rank.  A value quoted in a message is
-    abbreviated past dozens of characters (``_ECHO``).
+    (:func:`~clustertubes.arcs.read_record` checks them).  Each field is
+    type-checked where the walk reads it: a pair must be an object whose
+    ``top`` is an arc and whose ``arcs`` is a list of arcs, an arc being a
+    pair of integers.  When the walk fails, :func:`_check_wing_fields`
+    first names the first field of the wrong type in record order, as
+    TypeError.  Otherwise it raises ValueError unless the record is a wing
+    decomposition: every pair of width >= 2 lists its top arc, every other
+    arc lies inside its span with length >= 2, a unit span lists no arc but
+    its top, every width is at least 1, and the cuts (the tops' left ends
+    mod the rank) are at least one, distinct and tile the rank, each span
+    reaching the next cut.  So no arc is longer than the rank.  A value
+    quoted in a message is abbreviated past dozens of characters
+    (``_ECHO``).
     """
     n = data["rank"]
     spans = []
@@ -435,17 +446,20 @@ def statistics(diagram: PeriodicDiagram) -> tuple[int, int, int]:
 # pointed cycles
 
 
-@dataclass(frozen=True)
-class PointedCycle:
+class PointedCycle(Frozen):
     """A cyclic sequence of polygon diagrams with one marked non-base vertex.
 
     ``vertex`` is 1-based: the marked label sits on the ``vertex``-th vertex
     of piece ``piece_index`` counted clockwise after that piece's base vertex.
     """
 
-    pieces: tuple[PolygonDiagram, ...]
-    piece_index: int
-    vertex: int
+    __slots__ = ("pieces", "piece_index", "vertex")
+
+    def __init__(self, pieces: tuple[PolygonDiagram, ...], piece_index: int, vertex: int) -> None:
+        object.__setattr__(self, "pieces", pieces)
+        object.__setattr__(self, "piece_index", piece_index)
+        object.__setattr__(self, "vertex", vertex)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not self.pieces:

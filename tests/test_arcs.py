@@ -18,8 +18,8 @@ from clustertubes.arcs import (
     normalize_orbits,
     orbits_cross,
     ptolemy_completions,
+    read_record,
 )
-from clustertubes.cli import _record
 
 arcs = st.builds(lambda i, length: (i, i + length), st.integers(-30, 30), st.integers(2, 12))
 
@@ -276,7 +276,7 @@ def test_orbits_reader_names_the_first_entry_of_the_wrong_type():
 @given(st.integers(1, 5).flatmap(lambda n: diagram_strategy(n, 2 * n)))
 def test_json_round_trip_is_bit_exact(X):
     text = X.to_json()
-    data = _record(text, "orbits")
+    data = read_record(text, "orbits")
     decoded = PeriodicDiagram.from_arcs(data["rank"], data["orbits"])
     assert decoded == X
     assert decoded.to_json() == text

@@ -927,7 +927,8 @@ def test_compose_echoes_a_huge_integer_in_bounded_form(capsys, restore_int_digit
 
 
 # Wing records that are no wing decomposition, each with the message both
-# the compose command and WingDecomposition.from_json give.
+# the compose command and WingDecomposition.from_json give; the library
+# reader checks the top level as the command does (arcs.read_record).
 MALFORMED_WINGS = [
     ('{"rank":3,"pairs":[]}', "at least one cut is required"),
     ('{"rank":3,"pairs":[{"top":[0,3],"arcs":[[0,3]]},{"top":[3,6],"arcs":[[3,6]]}]}',
@@ -951,10 +952,19 @@ MALFORMED_WINGS = [
     # per-pair checks come first, in pair order; within a pair, sorted order
     ('{"rank":3,"pairs":[{"top":[0,1],"arcs":[]},{"top":[1,3],"arcs":[[1,3],[2,9],[1,2]]}]}',
      "diagonal (0, 1) has length < 2"),
+    ('{"rank":0,"pairs":[{"top":[0,1],"arcs":[]}]}', "key 'rank' must be >= 1, got 0"),
+    ('{"rank":"3","pairs":[{"top":[0,3],"arcs":[[0,3]]}]}',
+     "key 'rank' must be an integer, got str"),
+    ('{"pairs":[{"top":[0,1],"arcs":[]}]}', "missing key 'rank'"),
+    ('{"rank":3,"pairs":5}', "key 'pairs' must be a list, got int"),
+    ('{"rank":true,"pairs":[{"top":[0,1],"arcs":[]}]}', "key 'rank' must be an integer, got bool"),
+    ('[{"rank":1}]', "expected a JSON object, got list"),
+    ("[" * 100_000 + "]" * 100_000, "record nested too deeply to decode"),
 ]
 MALFORMED_IDS = ["no-pairs", "duplicate-cut", "gap", "overlap", "top-reversed", "top-empty",
                  "unit-span-with-arcs", "outside-span", "reversed-diagonal", "short-diagonal",
-                 "missing-top", "first-in-sorted-order"]
+                 "missing-top", "first-in-sorted-order", "rank-zero", "rank-string",
+                 "rank-missing", "pairs-int", "rank-bool", "not-an-object", "nested"]
 
 
 @pytest.mark.parametrize("wings, message", MALFORMED_WINGS, ids=MALFORMED_IDS)

@@ -1,5 +1,6 @@
 """Every name a module imports is used in that module, the cross-checking
-routes import none of each other, and a command loads only what it runs.
+routes import none of each other, and a command loads only what it runs,
+of the package and of the standard library.
 
 No linter ships with the project; this catches the stale imports a deletion
 leaves behind.
@@ -70,22 +71,38 @@ def test_independent_routes_share_no_code(module, forbidden):
 
 
 # Imports the package, runs ``cli.main`` on the command given (if any), then
-# lists the package's modules then loaded on stderr, as main prints to stdout.
-# The command's stdin is PAIR, which render reads.
+# lists every module then loaded on stderr, as main prints to stdout.  The
+# command's stdin is PAIR, which render reads.
 LOADED = """
 import sys
 import clustertubes
 if sys.argv[1:]:
     from clustertubes.cli import main
     main(sys.argv[1:])
-print(*sorted(m for m in sys.modules if m.split(".")[0] == "clustertubes"), file=sys.stderr)
+print(*sys.modules, file=sys.stderr)
 """
+BARE = "import sys; print(*sys.modules, file=sys.stderr)"
+
+
+def loaded_modules(script, *argv):
+    """The modules ``script`` lists, run in a fresh interpreter that finds
+    the package, with PAIR on stdin; it must exit 0."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script, *argv], input=PAIR,
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert result.returncode == 0, result.stderr
+    return set(result.stderr.split())
 
 
 # enumerate and the record commands read through torsion, which loads
 # counting and series only in the functions that read them; render reads
-# its wing spans there too.
+# its wing spans there too.  The counting commands load both: sieve for the
+# q-analogues and the fixed-point histograms, orbits for the closed form
+# and the direct partition, verify for every route it checks.
 RECORD_MODULES = ["arcs", "cli", "config", "polygons", "torsion"]
+COUNTING_MODULES = sorted([*RECORD_MODULES, "counting", "series"])
 PAIR = '{"rank":4,"finite_side":"left","orbits":[[1,3],[0,4]]}'
 
 
@@ -99,15 +116,32 @@ PAIR = '{"rank":4,"finite_side":"left","orbits":[[1,3],[0,4]]}'
      RECORD_MODULES),
     (["perp", "--diagram", '{"rank":4,"orbits":[[1,3]]}', "--max-length", "3"], RECORD_MODULES),
     (["render", "--pair", "-", "--out", "-"], sorted([*RECORD_MODULES, "render"])),
-], ids=["import", "count", "series", "enumerate", "decompose", "compose", "perp", "render"])
+    (["sieve", "--n", "4"], sorted([*COUNTING_MODULES, "qpolys", "sieving"])),
+    (["orbits", "--n", "4", "--refined"], COUNTING_MODULES),
+    (["verify", "--n", "4"], COUNTING_MODULES),
+], ids=["import", "count", "series", "enumerate", "decompose", "compose", "perp", "render",
+        "sieve", "orbits", "verify"])
 def test_a_command_loads_only_the_modules_it_runs(argv, loaded):
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    result = subprocess.run(
-        [sys.executable, "-c", LOADED, *argv], input=PAIR,
-        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stderr.split() == ["clustertubes", *(f"clustertubes.{m}" for m in loaded)]
+    package = sorted(m for m in loaded_modules(LOADED, *argv) if m.split(".")[0] == "clustertubes")
+    assert package == ["clustertubes", *(f"clustertubes.{m}" for m in loaded)]
+
+
+def test_start_up_loads_no_heavy_standard_module():
+    # Importing dataclasses (and through it inspect) cost about 11 ms of every
+    # start that loaded the package, and generating the methods of its ten
+    # value classes about 9 ms more; fractions, which only root isolation
+    # uses, cost count 3 ms and json 2 ms.  The value classes build on
+    # config.Frozen, and fractions and json load where they are used.
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names}
+        modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "dataclasses" not in modules, path.name
+    # Against a bare interpreter, whose site hooks may load some of them.
+    heavy = {"dataclasses", "inspect", "fractions", "json"} - loaded_modules(BARE)
+    for argv in (["count", "--n", "1"], ["sieve", "--n", "4"]):
+        assert loaded_modules(LOADED, *argv) & heavy == set(), argv
 
 
 def test_every_export_is_its_home_module_object():

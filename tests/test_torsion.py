@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clustertubes.arcs import PeriodicDiagram, nc_enumerate
-from clustertubes.cli import _record
+from clustertubes.arcs import PeriodicDiagram, nc_enumerate, read_record
 from clustertubes.config import CapExceeded
 from clustertubes.counting import refined_table, torsion_count
 from clustertubes.polygons import DEGENERATE, PolygonDiagram, _diagonal_table, polygon_diagrams
@@ -683,7 +682,7 @@ def test_orbit_refined_sums_to_total():
 def test_torsion_pair_json_round_trip():
     pair = TorsionPair(10, RANK_TEN_HALF, "right")
     text = pair.to_json()
-    data = _record(text, "orbits", "finite_side")
+    data = read_record(text, "orbits", "finite_side")
     diagram = PeriodicDiagram.from_arcs(data["rank"], data["orbits"])
     decoded = TorsionPair(data["rank"], diagram, data["finite_side"])
     assert decoded == pair
