@@ -24,6 +24,7 @@ All values are immutable and all operations are pure functions.
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Iterator, NoReturn
 
 from .config import _ECHO, RECORD_RANK, TEXT_ENTRIES, Frozen
@@ -54,8 +55,10 @@ def read_record(line: str, arcs: str, *required: str) -> dict:
     must be an integer and not a bool, and at least 1, as every reader
     divides by it; the arc field must be a list.  Every failure is a
     ValueError (malformed JSON raises json's JSONDecodeError, which is
-    one), and a fault of a key names the key.  A value quoted in a message
-    is abbreviated past a few levels or dozens of characters (``_ECHO``).
+    one; an integer longer than the interpreter's int/str digit limit
+    raises one that names the limit), and a fault of a key names the key.
+    A value quoted in a message is abbreviated past a few levels or dozens
+    of characters (``_ECHO``).
     The reader of the arc field checks its entries: for the CLI's records
     ``cli._read``, for wing records
     :meth:`~clustertubes.torsion.WingDecomposition.from_json`.
@@ -66,6 +69,11 @@ def read_record(line: str, arcs: str, *required: str) -> dict:
         data = json.loads(line)
     except RecursionError:  # json's C decoder recurses once per nesting level
         raise ValueError("record nested too deeply to decode") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError:  # an integer literal past the interpreter's digit limit
+        raise ValueError(f"record holds an integer of more than "
+                         f"{sys.get_int_max_str_digits()} digits") from None
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object, got {type(data).__name__}")
     for key in ("rank", arcs, *required):
@@ -242,23 +250,21 @@ class PeriodicDiagram(Frozen):
 
     ``orbits`` holds canonical representatives only (left endpoint in
     ``[0, rank)``); use :meth:`from_arcs` to build from arbitrary shifts.
+    Valid: ``rank >= 1``, and every orbit ``(i, j)`` with ``0 <= i < rank``
+    and ``j - i >= 2``.
     """
 
     __slots__ = ("rank", "orbits")
 
     def __init__(self, rank: int, orbits: frozenset[Arc]) -> None:
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "orbits", orbits)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError(f"rank must be positive, got {self.rank}")
-        for i, j in self.orbits:
+        if rank < 1:
+            raise ValueError(f"rank must be positive, got {rank}")
+        for i, j in orbits:
             if j - i < 2:
                 raise ValueError(f"not an arc: {(i, j)!r}")
-            if not 0 <= i < self.rank:
-                raise ValueError(f"orbit {(i, j)!r} not in canonical form at rank {self.rank}")
+            if not 0 <= i < rank:
+                raise ValueError(f"orbit {(i, j)!r} not in canonical form at rank {rank}")
+        super().__init__(rank, orbits)
 
     @classmethod
     def from_arcs(cls, rank: int, arcs: Iterable[tuple[int, int]]) -> "PeriodicDiagram":
@@ -273,16 +279,6 @@ class PeriodicDiagram(Frozen):
         # Canonical as built: rank >= 1, each left endpoint taken mod rank,
         # and each length checked >= 2.
         return cls._canonical(rank, orbits)
-
-    @classmethod
-    def _canonical(cls, rank: int, orbits: frozenset[Arc]) -> "PeriodicDiagram":
-        """The diagram with these fields, built without ``__post_init__``.
-        Only for values canonical by construction: ``rank >= 1``, and every
-        orbit ``(i, j)`` with ``0 <= i < rank`` and ``j - i >= 2``."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "orbits", orbits)
-        return self
 
     def sorted_orbits(self) -> list[Arc]:
         """Serialization order: by (length, left endpoint)."""

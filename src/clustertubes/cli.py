@@ -101,9 +101,20 @@ def _read(data: dict, walk: Callable, *args: object) -> object:
     return value
 
 
+def _lift_int_digit_limit() -> None:
+    """Let ``count`` and ``orbits`` print their exact counts, which outgrow
+    CPython's 4,300-digit int/str limit (``T(5200)`` has 4,343 digits).
+    Every other command keeps the limit, so a record holding a longer
+    integer fails at once instead of parsing in quadratic time.  The
+    function exists from Python 3.10.7 on."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+
+
 def cmd_count(args: argparse.Namespace) -> int:
     from . import counting
 
+    _lift_int_digit_limit()
     n = args.n
     limit = REFINED_RANK if args.refined else COUNT_RANK
     if n > limit:
@@ -268,6 +279,7 @@ def _skipped(n: int, name: str, limit: int) -> str:
 def cmd_orbits(args: argparse.Namespace) -> int:
     from . import torsion
 
+    _lift_int_digit_limit()
     n = args.n
     limit = REFINED_RANK if args.refined else COUNT_RANK
     if n > limit:
@@ -452,10 +464,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    # Exact counts outgrow CPython's 4,300-digit int/str limit (T(5200) has
-    # more digits); the function exists from Python 3.10.7 on.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -11,6 +11,7 @@ package's value classes.
 """
 
 import reprlib
+import sys
 from operator import attrgetter
 
 BRUTE_RANK = 7  # torsion.enumerate_brute: subsets of the n(n-1) arc orbits
@@ -23,10 +24,20 @@ PERP_ORBITS = 40_000  # cli.cmd_perp --max-length: the rank x (max_length - 1) o
 RECORD_RANK = 500  # cli._check_side_and_cap: the rank of decompose, compose, perp and render
 TEXT_ENTRIES = 4_096  # arcs.half_orbits_json: the texts its table kept across records holds
 
+
 # Error lines echo a malformed value through this: a short one prints as its
 # repr, a long or deeply nested one (or an integer of more than 40 digits) as
-# a bounded abbreviation of it.
-_ECHO = reprlib.Repr()
+# a bounded abbreviation of it, and an integer past the int/str digit limit
+# (as j - i of two ends read from a record can be) by its size.
+class _Echo(reprlib.Repr):
+    def repr_int(self, x: int, level: int) -> str:
+        try:
+            return super().repr_int(x, level)
+        except ValueError:
+            return f"<int of more than {sys.get_int_max_str_digits()} digits>"
+
+
+_ECHO = _Echo()
 _ECHO.maxlevel, _ECHO.maxstring, _ECHO.maxlist = 3, 40, 4
 
 
@@ -37,8 +48,10 @@ class CapExceeded(RuntimeError):
 class Frozen:
     """Base of the package's immutable value classes.
 
-    A subclass names its fields in ``__slots__`` and sets them in its own
-    ``__init__`` through ``object.__setattr__``, then runs its checks.
+    A subclass names its fields in ``__slots__``.  Its own ``__init__``
+    checks its arguments, then hands the field values, in slot order, to
+    ``Frozen.__init__``, the one writer of fields.  :meth:`_canonical` builds
+    a value with no checks at all, only for values valid by construction.
     Instances of one class compare equal when their fields are equal, hash
     by their fields and print as ``Name(field=value, ...)``; assigning or
     deleting a field raises AttributeError.  The standard library's
@@ -53,7 +66,23 @@ class Frozen:
         get = attrgetter(*cls.__slots__)
         # attrgetter of one name returns the value itself, not a 1-tuple
         cls._fields = staticmethod(get if len(cls.__slots__) > 1 else lambda self: (get(self),))
+        # Each slot's own setter writes past the refusing __setattr__.
+        cls._setters = tuple(vars(cls)[name].__set__ for name in cls.__slots__)
         cls.__match_args__ = cls.__slots__
+
+    def __init__(self, *values: object) -> None:
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+
+    @classmethod
+    def _canonical(cls, *values: object) -> "Frozen":
+        """The value with these fields, in slot order, built without the
+        class's checks.  Only for values valid by construction; the
+        docstring of each class built this way states what that takes."""
+        self = object.__new__(cls)
+        for set_field, value in zip(cls._setters, values):  # Frozen.__init__ inlined: a call less
+            set_field(self, value)
+        return self
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:

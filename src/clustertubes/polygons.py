@@ -61,54 +61,38 @@ class Cell(Frozen):
     __slots__ = ("vertices", "kind")
 
     def __init__(self, vertices: tuple[int, ...], kind: CellKind) -> None:
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "kind", kind)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.kind is CellKind.TRIANGLE:
-            if len(self.vertices) != 3:
-                raise ValueError(f"triangle with {len(self.vertices)} vertices")
-        elif len(self.vertices) < 4:
-            raise ValueError(f"{self.kind.value} needs >= 4 vertices, got {len(self.vertices)}")
+        if kind is CellKind.TRIANGLE:
+            if len(vertices) != 3:
+                raise ValueError(f"triangle with {len(vertices)} vertices")
+        elif len(vertices) < 4:
+            raise ValueError(f"{kind.value} needs >= 4 vertices, got {len(vertices)}")
+        super().__init__(vertices, kind)
 
 
 class PolygonDiagram(Frozen):
-    """Diagonal set of an ``(size+1)``-gon with base edge ``(0, size)``."""
+    """Diagonal set of an ``(size+1)``-gon with base edge ``(0, size)``.
+
+    Valid: ``size >= 1``, and the diagonals sorted, distinct, of length
+    >= 2, inside ``[0, size]`` and without the base edge.
+    """
 
     __slots__ = ("size", "diagonals")
 
     def __init__(self, size: int, diagonals: tuple[tuple[int, int], ...] = ()) -> None:
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "diagonals", diagonals)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
         """The one statement of the piece rule, which wing records are read
         through: messages quote their values abbreviated (``_ECHO``)."""
-        if self.size < 1:
-            raise ValueError(f"size must be >= 1, got {self.size}")
-        canon = tuple(sorted(set(tuple(d) for d in self.diagonals)))
+        if size < 1:
+            raise ValueError(f"size must be >= 1, got {size}")
+        canon = tuple(sorted(set(tuple(d) for d in diagonals)))
         for a, b in canon:
-            if not (0 <= a < b <= self.size):
+            if not (0 <= a < b <= size):
                 raise ValueError(f"diagonal {_ECHO.repr((a, b))} out of range "
-                                 f"for size {_ECHO.repr(self.size)}")
+                                 f"for size {_ECHO.repr(size)}")
             if b - a < 2:
                 raise ValueError(f"diagonal {_ECHO.repr((a, b))} has length < 2")
-            if (a, b) == (0, self.size):
+            if (a, b) == (0, size):
                 raise ValueError("the base edge is implicit and never stored as a diagonal")
-        object.__setattr__(self, "diagonals", canon)
-
-    @classmethod
-    def _canonical(cls, size: int, diagonals: tuple[tuple[int, int], ...]) -> "PolygonDiagram":
-        """The diagram with these fields, built without ``__post_init__``.
-        Only for values canonical by construction: ``size >= 1``, and the
-        diagonals sorted, distinct, of length >= 2, inside ``[0, size]`` and
-        without the base edge."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "diagonals", diagonals)
-        return self
+        super().__init__(size, canon)
 
 
 DEGENERATE = PolygonDiagram(1)

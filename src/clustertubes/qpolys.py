@@ -27,16 +27,10 @@ class QPoly(Frozen):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: tuple[int, ...]) -> None:
-        object.__setattr__(self, "coeffs", coeffs)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        cs = self.coeffs
-        end = len(cs)
-        while end > 0 and cs[end - 1] == 0:
+        end = len(coeffs)
+        while end > 0 and coeffs[end - 1] == 0:
             end -= 1
-        if end != len(cs):
-            object.__setattr__(self, "coeffs", cs[:end])
+        super().__init__(coeffs[:end])
 
     @property
     def degree(self) -> int:

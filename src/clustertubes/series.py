@@ -62,7 +62,7 @@ class Poly3(Frozen):
     __slots__ = ("terms",)
 
     def __init__(self, terms: tuple[tuple[Exponent, int], ...]) -> None:
-        object.__setattr__(self, "terms", terms)
+        super().__init__(terms)
 
     @classmethod
     def from_dict(cls, d: Mapping[Exponent, int]) -> "Poly3":
@@ -160,13 +160,9 @@ class PowerSeries(Frozen):
     __slots__ = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: tuple[Coefficient, ...]) -> None:
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "coeffs", coeffs)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != self.order + 1:
+        if len(coeffs) != order + 1:
             raise ValueError("coefficient list does not match truncation order")
+        super().__init__(order, coeffs)
 
 
 def _solve(order: int, x: int, s: int) -> list[int]:

@@ -46,14 +46,7 @@ class SieveRecord(Frozen):
 
     def __init__(self, n: int, d: int, k: int, l: int, m: int,
                  poly_value: int, fixed_count: int, match: bool) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "poly_value", poly_value)
-        object.__setattr__(self, "fixed_count", fixed_count)
-        object.__setattr__(self, "match", match)
+        super().__init__(n, d, k, l, m, poly_value, fixed_count, match)
 
     def to_dict(self) -> dict:
         return {

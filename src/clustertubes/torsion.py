@@ -127,18 +127,13 @@ class TorsionPair(Frozen):
     __slots__ = ("rank", "finite_half", "finite_side")
 
     def __init__(self, rank: int, finite_half: PeriodicDiagram, finite_side: str) -> None:
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "finite_half", finite_half)
-        object.__setattr__(self, "finite_side", finite_side)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.finite_side not in ("left", "right"):
-            raise ValueError(f"finite_side must be 'left' or 'right', got {self.finite_side!r}")
-        if self.finite_half.rank != self.rank:
+        if finite_side not in ("left", "right"):
+            raise ValueError(f"finite_side must be 'left' or 'right', got {finite_side!r}")
+        if finite_half.rank != rank:
             raise ValueError("rank of the half disagrees with the pair rank")
-        if self.finite_half.max_length() > self.rank:
+        if finite_half.max_length() > rank:
             raise ValueError("a finite half has arcs of length at most the rank")
+        super().__init__(rank, finite_half, finite_side)
 
     def to_json(self) -> str:
         return pair_json(self.rank, self.finite_side, self.finite_half.orbits_json())
@@ -158,41 +153,26 @@ def pair_json(rank: int, side: str, orbits_text: str) -> str:
 
 class WingDecomposition(Frozen):
     """Cut vertices of a finite half together with the polygon diagram carried
-    by each span between consecutive cuts (degenerate for unit spans)."""
+    by each span between consecutive cuts (degenerate for unit spans).
+
+    Valid: cuts strictly increasing within ``[0, rank)``, and one piece per
+    cut whose size is its span's width.
+    """
 
     __slots__ = ("rank", "cuts", "pieces")
 
     def __init__(self, rank: int, cuts: tuple[int, ...],
                  pieces: tuple[PolygonDiagram, ...]) -> None:
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "cuts", cuts)
-        object.__setattr__(self, "pieces", pieces)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        n = self.rank
-        cuts = self.cuts
         if not cuts:
             raise ValueError("at least one cut is required")
-        if list(cuts) != sorted(set(cuts)) or cuts[0] < 0 or cuts[-1] >= n:
-            raise ValueError(f"cuts must be strictly increasing within [0, {n})")
-        if len(self.pieces) != len(cuts):
+        if list(cuts) != sorted(set(cuts)) or cuts[0] < 0 or cuts[-1] >= rank:
+            raise ValueError(f"cuts must be strictly increasing within [0, {rank})")
+        if len(pieces) != len(cuts):
             raise ValueError("one piece per cut is required")
-        for (c, d), piece in zip(self.spans(), self.pieces):
+        super().__init__(rank, cuts, pieces)  # spans() reads the fields
+        for (c, d), piece in zip(self.spans(), pieces):
             if piece.size != d - c:
                 raise ValueError(f"piece of size {piece.size} on a span of width {d - c}")
-
-    @classmethod
-    def _canonical(cls, rank: int, cuts: tuple[int, ...],
-                   pieces: tuple[PolygonDiagram, ...]) -> "WingDecomposition":
-        """The decomposition with these fields, built without ``__post_init__``.
-        Only for values valid by construction: cuts strictly increasing within
-        ``[0, rank)``, and one piece per cut whose size is its span's width."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "cuts", cuts)
-        object.__setattr__(self, "pieces", pieces)
-        return self
 
     def spans(self) -> list[tuple[int, int]]:
         """Absolute spans (c, d) between consecutive cuts; the last wraps to
@@ -456,18 +436,13 @@ class PointedCycle(Frozen):
     __slots__ = ("pieces", "piece_index", "vertex")
 
     def __init__(self, pieces: tuple[PolygonDiagram, ...], piece_index: int, vertex: int) -> None:
-        object.__setattr__(self, "pieces", pieces)
-        object.__setattr__(self, "piece_index", piece_index)
-        object.__setattr__(self, "vertex", vertex)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if not self.pieces:
+        if not pieces:
             raise ValueError("a pointed cycle needs at least one piece")
-        if not 0 <= self.piece_index < len(self.pieces):
+        if not 0 <= piece_index < len(pieces):
             raise ValueError("piece_index out of range")
-        if not 1 <= self.vertex <= self.pieces[self.piece_index].size:
+        if not 1 <= vertex <= pieces[piece_index].size:
             raise ValueError("pointed vertex out of range for its piece")
+        super().__init__(pieces, piece_index, vertex)
 
     def total_size(self) -> int:
         return sum(p.size for p in self.pieces)

@@ -236,8 +236,8 @@ def test_normalize_and_validation():
 
 
 def test_public_constructors_still_validate():
-    # from_arcs builds its value without __post_init__, so it keeps the
-    # checks that __post_init__ made for it.
+    # from_arcs builds its value with Frozen._canonical, past __init__, so it
+    # keeps the checks that __init__ would make for it.
     with pytest.raises(ValueError, match="rank must be positive"):
         PeriodicDiagram.from_arcs(0, [])
     with pytest.raises(ValueError, match=r"not an arc \(length 1 < 2\)"):

@@ -47,7 +47,8 @@ def test_count_json(capsys):
 
 @pytest.fixture
 def restore_int_digit_limit():
-    """``main`` lifts the int/str digit limit process-wide; put it back."""
+    """``count`` and ``orbits`` lift the int/str digit limit process-wide
+    (``cli._lift_int_digit_limit``); put it back."""
     if not hasattr(sys, "get_int_max_str_digits"):  # no limit before 3.10.7
         yield
         return
@@ -56,8 +57,15 @@ def restore_int_digit_limit():
     sys.set_int_max_str_digits(limit)
 
 
+@pytest.fixture
+def default_int_digit_limit(restore_int_digit_limit):
+    """The interpreter's default int/str digit limit in force, where it has one."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_count_beyond_the_int_digit_limit(capsys, restore_int_digit_limit, fmt):
+def test_count_beyond_the_int_digit_limit(capsys, default_int_digit_limit, fmt):
     # T(5200) has more than the 4,300 digits CPython converts by default
     code, out, err = run(capsys, "count", "--n", "5200", "--format", fmt)
     assert code == 0, err
@@ -66,6 +74,55 @@ def test_count_beyond_the_int_digit_limit(capsys, restore_int_digit_limit, fmt):
         assert json.loads(out) == {"n": 5200, "count": expected}
     else:
         assert out == f"{expected}\n"
+
+
+def test_orbits_beyond_the_int_digit_limit(capsys, default_int_digit_limit):
+    # orbit_count(5200) has 4,339 digits
+    from clustertubes.torsion import orbit_count
+
+    code, out, err = run(capsys, "orbits", "--n", "5200")
+    assert code == 0, err
+    assert out.splitlines()[0] == f"orbit count (Burnside formula): {orbit_count(5200)}"
+
+
+LONG = "9" * 10_000
+no_digit_limit = pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                    reason="no int/str digit limit before Python 3.10.7")
+
+
+@no_digit_limit
+@pytest.mark.parametrize("record", [
+    '{"rank":%s,"finite_side":"left","orbits":[],"pairs":[]}' % LONG,
+    '{"rank":3,"finite_side":"left","orbits":[[0,%s]],"pairs":[{"top":[0,%s],"arcs":[]}]}'
+    % (LONG, LONG),
+], ids=["rank", "endpoint"])
+@pytest.mark.parametrize("command", ["decompose", "compose", "perp", "render"])
+def test_a_record_integer_past_the_digit_limit_exits_2(capsys, monkeypatch, default_int_digit_limit,
+                                                        command, record):
+    # Record commands keep the limit, so the decoder refuses the literal at
+    # once instead of parsing it in quadratic time.
+    monkeypatch.setattr("sys.stdin", io.StringIO(record))
+    argv = {"decompose": [], "compose": [], "perp": ["--arc", "0", "2"],
+            "render": ["--pair", "-", "--out", "-"]}[command]
+    code, out, err = run(capsys, command, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "error: record holds an integer of more than 4300 digits\n"
+
+
+@no_digit_limit
+def test_digit_limit_errors_stay_plain(capsys, default_int_digit_limit):
+    # Two ends within the limit can differ by an integer past it; the echo
+    # names its size instead of failing.  A --n past it is a usage error.
+    wide = "9" * 4300
+    diagram = '{"rank":3,"orbits":[[%s,-%s]]}' % (wide, wide)
+    code, out, err = run(capsys, "decompose", "--diagram", diagram)
+    assert code == 2
+    assert err.startswith("error: not an arc (length <int of more than 4300 digits> < 2): (999")
+    assert err.count("\n") == 1 and len(err.encode()) < 200
+    with pytest.raises(SystemExit) as info:
+        main(["count", "--n", LONG])
+    assert info.value.code == 2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -907,7 +964,7 @@ def test_short_arc_with_a_huge_endpoint_is_echoed_in_bounded_form(capsys):
     assert len(err.encode()) < 200
 
 
-HUGE = "9" * 5000
+HUGE = "9" * 4000  # within the int/str digit limit that record commands keep
 
 
 @pytest.mark.parametrize("wings, start", [
@@ -918,7 +975,7 @@ HUGE = "9" * 5000
      "error: piece of size 999"),
     ('{"rank":2,"pairs":[{"top":[0,%s],"arcs":[]}]}' % HUGE, "error: pairs[0] omits its top arc [0, 999"),
 ], ids=["diagonal", "top-reversed", "top-too-wide", "top-missing"])
-def test_compose_echoes_a_huge_integer_in_bounded_form(capsys, restore_int_digit_limit, wings, start):
+def test_compose_echoes_a_huge_integer_in_bounded_form(capsys, default_int_digit_limit, wings, start):
     code, out, err = run(capsys, "compose", "--wings", wings)
     assert code == 2
     assert out == ""

@@ -144,6 +144,24 @@ def test_start_up_loads_no_heavy_standard_module():
         assert loaded_modules(LOADED, *argv) & heavy == set(), argv
 
 
+def test_only_frozen_writes_the_fields_of_a_value_class():
+    # config.Frozen writes every field (Frozen.__init__, after the checks of
+    # the class's own __init__) and owns the one builder that skips the
+    # checks (Frozen._canonical); no class adds a hook or a builder of its own.
+    writers, hooks = set(), []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                    and isinstance(node.value, ast.Name) and node.value.id == "object"):
+                writers.add(path.name)
+            elif isinstance(node, ast.ClassDef):
+                hooks += [f"{path.name}:{node.name}.{item.name}" for item in node.body
+                          if isinstance(item, ast.FunctionDef)
+                          and item.name in ("__post_init__", "_canonical")]
+    assert writers <= {"config.py"}
+    assert hooks == ["config.py:Frozen._canonical"]
+
+
 def test_every_export_is_its_home_module_object():
     from clustertubes import TorsionPair, series_P
 

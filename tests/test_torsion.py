@@ -346,8 +346,8 @@ def test_records_are_compact_json_dumps():
 
 
 def test_built_values_equal_the_validating_constructors():
-    # _lay and decompose build their values without __post_init__, and
-    # from_json builds through decompose.
+    # _lay and decompose build their values with Frozen._canonical, past the
+    # checks of each class's __init__, and from_json builds through decompose.
     for X in record_halves():
         assert X == PeriodicDiagram(X.rank, X.orbits)
         wings = decompose(X)
@@ -357,7 +357,7 @@ def test_built_values_equal_the_validating_constructors():
             assert p == PolygonDiagram(p.size, p.diagonals)
 
 
-def refuse(self):
+def refuse(self, *args):
     raise AssertionError("a validating constructor ran")
 
 
@@ -379,7 +379,7 @@ def test_decompose_skips_the_wing_checks_and_from_json_keeps_them(monkeypatch):
     # decompose builds its decomposition canonical; from_json checks each
     # record once, through _wing_spans, and still rejects a bad one.
     halves = list(laid_halves(100, seed=8))
-    monkeypatch.setattr(WingDecomposition, "__post_init__", refuse)
+    monkeypatch.setattr(WingDecomposition, "__init__", refuse)
     checked = counting_wing_spans(monkeypatch)
     records = [decompose(X).to_json() for X in halves]
     assert checked == []
@@ -427,7 +427,7 @@ def test_decompose_and_compose_check_each_piece_once(monkeypatch):
     # decompose builds its pieces canonical; compose's input is checked one
     # span per piece in _wing_spans, and no piece is re-checked on the way.
     halves = list(laid_halves(300, seed=8))
-    monkeypatch.setattr(PolygonDiagram, "__post_init__", refuse)
+    monkeypatch.setattr(PolygonDiagram, "__init__", refuse)
     checked = counting_wing_spans(monkeypatch)
     records = [decompose(X).to_json() for X in halves]
     assert checked == []

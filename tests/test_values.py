@@ -12,6 +12,7 @@ import pickle
 import pytest
 
 from clustertubes.arcs import PeriodicDiagram
+from clustertubes.config import Frozen
 from clustertubes.polygons import Cell, CellKind, PolygonDiagram
 from clustertubes.qpolys import QPoly
 from clustertubes.series import Poly3, PowerSeries
@@ -54,6 +55,9 @@ def test_value_class_behaves_as_a_frozen_dataclass(value):
     assert list(inspect.signature(cls).parameters) == list(cls.__slots__)
     same = cls(*fields(value))
     assert same == value and hash(same) == hash(value)
+    # The one unchecked builder is Frozen's, and builds the same value.
+    assert (cls._canonical(*fields(value)) == value
+            and cls._canonical.__func__ is Frozen._canonical.__func__)
     assert value != reference  # another class compares unequal
     for name in cls.__slots__:
         with pytest.raises(AttributeError, match=f"^cannot assign to field '{name}'$"):
