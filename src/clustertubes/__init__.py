@@ -33,12 +33,14 @@ _EXPORTS = {
     ),
     "qpolys": ("QPoly", "cyclotomic", "eval_at_primitive_root", "qbinomial", "qmultinomial"),
     "series": ("Poly3", "PowerSeries", "series_P", "series_torsion"),
-    "sieving": ("SieveRecord", "csp_verify", "q_torsion_count_refined"),
+    "sieving": (
+        "SieveRecord", "csp_verify", "fixed_histograms", "orbit_count", "orbit_count_direct",
+        "orbit_count_refined", "q_torsion_count_refined",
+    ),
     "torsion": (
         "PointedCycle", "TorsionPair", "WingDecomposition", "compose", "count_structured",
-        "decompose", "enumerate_brute", "enumerate_structured", "fixed_histograms",
-        "from_pointed_cycle", "is_finite_half", "iter_orbits_json", "iter_structured",
-        "orbit_count", "orbit_count_direct", "orbit_count_refined", "perp_contains",
+        "decompose", "enumerate_brute", "enumerate_structured", "from_pointed_cycle",
+        "is_finite_half", "iter_orbits_json", "iter_structured", "perp_contains",
         "perp_enumerate", "statistics", "to_pointed_cycle",
     ),
 }

@@ -332,7 +332,7 @@ def nc_enumerate(diagram: PeriodicDiagram, max_length: int) -> PeriodicDiagram:
     candidate in O(1); :func:`nc_contains` is the oracle it is tested against.
     """
     if max_length < 2:
-        raise ValueError(f"max_length must be >= 2, got {max_length}")
+        raise ValueError(f"max_length must be >= 2, got {_ECHO.repr(max_length)}")
     n = diagram.rank
     out = [0] * n  # longest arc leaving each vertex class
     into = [0] * n  # longest arc entering it

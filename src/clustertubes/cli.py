@@ -26,7 +26,11 @@ standard library.  This module imports :mod:`clustertubes.config` and a few
 standard modules alone, and each ``cmd_*`` imports its own package modules
 once, at its top, never per record.  So ``count`` loads
 :mod:`clustertubes.counting` and nothing else of the package, and
-``series`` :mod:`clustertubes.series`.  ``json`` loads only where JSON
+``series`` :mod:`clustertubes.series`.  ``sieve`` and ``orbits`` read
+:mod:`clustertubes.sieving`, which walks the grammar through
+:mod:`clustertubes.polygons` and loads neither the halves
+(:mod:`clustertubes.torsion`) nor the arc calculus; ``sieve`` alone adds
+the q-polynomials.  ``json`` loads only where JSON
 input is decoded (the record commands) and in the branches that print JSON
 through it (``count``, ``series`` and ``sieve`` with ``--format json``,
 ``perp --arc``); ``fractions`` loads only in root isolation, which no
@@ -37,7 +41,8 @@ where bytecode is not written, every run compiles each module it loads.
 
 A command that reads stdin exits 2 when the process started with stdin
 closed, and every command does so when it started with stdout closed; the
-``error:`` line names the stream.
+``error:`` line names the stream.  An error line quotes an integer option
+of more than 40 digits abbreviated (:func:`_int_arg`, ``_ECHO``).
 """
 
 from __future__ import annotations
@@ -119,7 +124,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     limit = REFINED_RANK if args.refined else COUNT_RANK
     if n > limit:
         kind = "refined count table" if args.refined else "count"
-        raise CapExceeded(f"{kind} capped at rank {limit}, got {n}")
+        raise CapExceeded(f"{kind} capped at rank {limit}, got {_ECHO.repr(n)}")
     if args.refined:
         table = counting.refined_table(n)
         if args.format == "json":
@@ -181,7 +186,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         n = data["rank"]
         orbits = _read(data, normalize_orbits, n, data["orbits"])
         if args.n is not None and n != args.n:
-            raise ValueError(f"diagram rank {n} does not match --n {args.n}")
+            raise ValueError(f"diagram rank {n} does not match --n {_ECHO.repr(args.n)}")
         record = torsion.wings_json(n, torsion._cut_spans(n, orbits), data.get("finite_side"))
         # One write per record: print makes two when stdout is unbuffered.
         sys.stdout.write(record + "\n")
@@ -218,7 +223,7 @@ def cmd_perp(args: argparse.Namespace) -> int:
     # Canonical as read: read_record checked rank >= 1, and each orbit is normalized.
     diagram = PeriodicDiagram._canonical(n, frozenset(orbits))
     if args.n is not None and diagram.rank != args.n:
-        raise ValueError(f"diagram rank {diagram.rank} does not match --n {args.n}")
+        raise ValueError(f"diagram rank {diagram.rank} does not match --n {_ECHO.repr(args.n)}")
     if args.arc is not None:
         import json
 
@@ -229,7 +234,7 @@ def cmd_perp(args: argparse.Namespace) -> int:
         orbits = diagram.rank * (args.max_length - 1)
         if orbits > PERP_ORBITS:
             raise CapExceeded(f"perp listing capped at {PERP_ORBITS} orbits "
-                              f"(rank x (max length - 1)), got {orbits}")
+                              f"(rank x (max length - 1)), got {_ECHO.repr(orbits)}")
         print(torsion.perp_enumerate(diagram, args.max_length).to_json())
     return 0
 
@@ -238,7 +243,7 @@ def cmd_series(args: argparse.Namespace) -> int:
     from .series import series_P, series_torsion
 
     if args.order > SERIES_ORDER:
-        raise CapExceeded(f"series order capped at {SERIES_ORDER}, got {args.order}")
+        raise CapExceeded(f"series order capped at {SERIES_ORDER}, got {_ECHO.repr(args.order)}")
     series = (series_P if args.kind == "P" else series_torsion)(args.order)
     if args.format == "json":
         import json
@@ -277,24 +282,24 @@ def _skipped(n: int, name: str, limit: int) -> str:
 
 
 def cmd_orbits(args: argparse.Namespace) -> int:
-    from . import torsion
+    from . import sieving
 
     _lift_int_digit_limit()
     n = args.n
     limit = REFINED_RANK if args.refined else COUNT_RANK
     if n > limit:
-        raise CapExceeded(f"orbit count capped at rank {limit}, got {n}")
-    formula = torsion.orbit_count(n)
+        raise CapExceeded(f"orbit count capped at rank {limit}, got {_ECHO.repr(n)}")
+    formula = sieving.orbit_count(n)
     direct: int | str = _skipped(n, "STRUCTURED_RANK", STRUCTURED_RANK)
     ok = True
     if n <= STRUCTURED_RANK:
-        direct = torsion.orbit_count_direct(n)
+        direct = sieving.orbit_count_direct(n)
         ok = formula == direct
     print(f"orbit count (Burnside formula): {formula}")
     print(f"orbit count (direct partition): {direct}")
     if args.refined:
         print("k,l,m,orbits")
-        for (k, l, m), c in torsion.orbit_count_refined(n).items():
+        for (k, l, m), c in sieving.orbit_count_refined(n).items():
             print(f"{k},{l},{m},{c}")
     if not ok:
         print("orbits: formula and direct partition disagree", file=sys.stderr)
@@ -319,7 +324,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     diagram = PeriodicDiagram._canonical(n, frozenset(orbits))
     pair = torsion.TorsionPair(data["rank"], diagram, data["finite_side"])
     if args.n is not None and pair.rank != args.n:
-        raise ValueError(f"pair rank {pair.rank} does not match --n {args.n}")
+        raise ValueError(f"pair rank {pair.rank} does not match --n {_ECHO.repr(args.n)}")
     if not torsion.is_finite_half(pair.finite_half):
         raise ValueError("the given half is not a finite torsion half")
     svg = render_torsion_pair(pair)
@@ -334,13 +339,13 @@ def cmd_render(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from collections import Counter
 
-    from . import counting, torsion
+    from . import counting, sieving, torsion
     from .arcs import PeriodicDiagram
     from .series import series_torsion
 
     n = args.n
     if n > REFINED_RANK:  # it builds refined_table(n)
-        raise CapExceeded(f"verify capped at rank {REFINED_RANK}, got {n}")
+        raise CapExceeded(f"verify capped at rank {REFINED_RANK}, got {_ECHO.repr(n)}")
     # A verdict is True (pass), False (FAIL) or the reason a check was skipped.
     checks: list[tuple[str, bool | str]] = []
     formula = counting.torsion_count(n)
@@ -374,12 +379,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     burnside: bool | str = skipped
     readings = [f"translation-invariance readings: {skipped}"]
     if n <= STRUCTURED_RANK:
-        fixed = torsion.fixed_histograms(n)  # fixed[n] is series_torsion(n)'s z^n coefficient
+        fixed = sieving.fixed_histograms(n)  # fixed[n] is series_torsion(n)'s z^n coefficient
         histogram = dict(fixed[n]) == refined
-        burnside = torsion.orbit_count(n) == sum(torsion.orbits_from_fixed(fixed).values())
+        burnside = sieving.orbit_count(n) == sum(sieving.orbits_from_fixed(fixed).values())
         readings = ["translation-invariance readings (count of tau^d-invariant pairs):",
                     "d,enumerated,count_at_rank_d,count_at_rank_n/d"]
-        for d in torsion._divisors(n):
+        for d in sieving._divisors(n):
             enumerated = sum(fixed[d].values())
             readings.append(f"{d},{enumerated},{counting.torsion_count(d)},"
                             f"{counting.torsion_count(n // d)}")
@@ -398,6 +403,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if any(verdict is False for _, verdict in checks) else 0
 
 
+def _int_arg(text: str) -> int:
+    """The ``type`` of every integer option: ``int(text)``, and for text
+    that is no integer the message argparse writes for ``type=int``, with
+    the text abbreviated (``_ECHO``)."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_ECHO.repr(text)}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="clustertubes",
@@ -406,17 +421,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", help="closed-form torsion pair counts")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--refined", action="store_true", help="full (k,l,m) table")
     p.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("enumerate", help="stream every torsion pair as JSON lines")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("decompose", help="wing decomposition of finite halves")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_int_arg, default=None)
     p.add_argument("--diagram", default=None,
                    help="diagram JSON (default: read JSON lines from stdin)")
     p.set_defaults(func=cmd_decompose)
@@ -427,35 +442,35 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compose)
 
     p = sub.add_parser("perp", help="perpendicular membership / bounded listing")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_int_arg, default=None)
     p.add_argument("--diagram", default=None, help="diagram JSON (default: stdin)")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--arc", type=int, nargs=2, metavar=("I", "J"))
-    group.add_argument("--max-length", type=int)
+    group.add_argument("--arc", type=_int_arg, nargs=2, metavar=("I", "J"))
+    group.add_argument("--max-length", type=_int_arg)
     p.set_defaults(func=cmd_perp)
 
     p = sub.add_parser("series", help="print generating function coefficients")
-    p.add_argument("--order", type=int, default=8)
+    p.add_argument("--order", type=_int_arg, default=8)
     p.add_argument("--kind", choices=("P", "torsion"), default="P")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_series)
 
     p = sub.add_parser("sieve", help="verify the cyclic sieving identities")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_sieve)
 
     p = sub.add_parser("orbits", help="count translation orbits of torsion pairs")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.add_argument("--refined", action="store_true")
     p.set_defaults(func=cmd_orbits)
 
     p = sub.add_parser("verify", help="cross-check enumeration, formulas and bijections")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_arg, required=True)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("render", help="render a torsion pair to SVG")
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--n", type=_int_arg, default=None)
     p.add_argument("--pair", required=True, help="path to a torsion-pair JSON file, or -")
     p.add_argument("--out", required=True, help="output SVG path, or -")
     p.set_defaults(func=cmd_render)

@@ -15,7 +15,7 @@ import sys
 from operator import attrgetter
 
 BRUTE_RANK = 7  # torsion.enumerate_brute: subsets of the n(n-1) arc orbits
-STRUCTURED_RANK = 9  # torsion._check_rank: every grammar walk (tau^s fixed points walk rank s)
+STRUCTURED_RANK = 9  # polygons._check_rank: every grammar walk (tau^s fixed points walk rank s)
 POLYGON_BRUTE = 8  # polygons.enumerate_polygon: subsets of diagonals
 SERIES_ORDER = 24  # cli.cmd_series, and cmd_verify's refined series row (the library is uncapped)
 COUNT_RANK = 20_000  # cli.cmd_count, cmd_orbits: the closed-form counts (likewise)

@@ -26,6 +26,8 @@ import functools
 import math
 from typing import TYPE_CHECKING, Iterable, Literal, Sequence
 
+from .config import _ECHO
+
 if TYPE_CHECKING:  # root isolation imports it where it runs, so a count never loads it
     from fractions import Fraction
 
@@ -56,33 +58,43 @@ def multinomial(parts: Iterable[int]) -> int:
 def torsion_count(n: int) -> int:
     """Number of torsion pairs in the rank-n cluster tube.
 
-    The terms of the sum in the module docstring are built one from the last
-    by their exact ratio
+    The terms of the sum in the module docstring follow one from the last by
+    the exact ratio
 
-        term(l+1) / term(l) = 2 (n+l)(n-1-2l)(n-2-2l) / ((l+1)(n+2l+1)(n+2l+2)),
+        term(l+1) / term(l) = p(l) / q(l)
+                            = 2 (n+l)(n-1-2l)(n-2-2l) / ((l+1)(n+2l+1)(n+2l+2)),
 
-    starting from term(0) = 2 C(2n-1, n-1), so each term costs a few
-    small-integer products and one exact division instead of two big binomials.
-    The ratio reaches zero exactly after the last term, l = (n-1) // 2.
+    from term(0) = 2 C(2n-1, n-1) to the last, l = (n-1) // 2.  The sum is
+    taken by binary splitting (:func:`_split`): halves of the range of l are
+    summed as fractions over the products of q and merged, so the big
+    integers meet in balanced products, and one exact division ends it.
     """
     if n < 1:
-        raise ValueError(f"rank must be >= 1, got {n}")
-    term = 2 * math.comb(2 * n - 1, n - 1)
-    total = 0
-    l = 0
-    while term:
-        total += term
-        term = term * 2 * (n + l) * (n - 1 - 2 * l) * (n - 2 - 2 * l) // (
-            (l + 1) * (n + 2 * l + 1) * (n + 2 * l + 2)
-        )
-        l += 1
-    return total
+        raise ValueError(f"rank must be >= 1, got {_ECHO.repr(n)}")
+    _, q, t = _split(n, 0, (n - 1) // 2 + 1)
+    return 2 * math.comb(2 * n - 1, n - 1) * t // q
+
+
+def _split(n: int, a: int, b: int) -> tuple[int, int, int]:
+    """``(P, Q, T)`` for the terms ``a <= l < b`` (``a < b``) of
+    :func:`torsion_count`'s sum: ``P`` and ``Q`` the products of p(l) and
+    q(l) over the range, and ``T / Q`` the sum, over ``a <= k < b``, of the
+    ratio products ``p(a) ... p(k-1) / (q(a) ... q(k-1))``, which is
+    ``term(k) / term(a)``.  Two adjacent ranges merge as
+    ``T = T1 Q2 + P1 T2``."""
+    if b - a == 1:
+        q = (a + 1) * (n + 2 * a + 1) * (n + 2 * a + 2)
+        return 2 * (n + a) * (n - 1 - 2 * a) * (n - 2 - 2 * a), q, q
+    m = (a + b) // 2
+    p1, q1, t1 = _split(n, a, m)
+    p2, q2, t2 = _split(n, m, b)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
 def torsion_count_refined(n: int, k: int, l: int, m: int) -> int:
     """Torsion pairs at rank n with k triangles, l cliques, m empty cells."""
     if n < 1:
-        raise ValueError(f"rank must be >= 1, got {n}")
+        raise ValueError(f"rank must be >= 1, got {_ECHO.repr(n)}")
     if min(k, l, m) < 0:
         raise ValueError("statistics must be nonnegative")
     return 2 * multinomial((n - 1, k, l, m)) * binomial(n - 1 - k - l - m, l + m)
@@ -96,7 +108,7 @@ def refined_support(n: int) -> list[tuple[int, int, int]]:
     binomial vanishes.  The loops produce them in sorted order.
     """
     if n < 1:
-        raise ValueError(f"rank must be >= 1, got {n}")
+        raise ValueError(f"rank must be >= 1, got {_ECHO.repr(n)}")
     return [
         (k, l, m)
         for k in range(n)

@@ -29,6 +29,12 @@ them.  Agreement of the two enumerators is part of the test suite.
 :func:`polygon_counts` counts the same grammar by recursion over
 compositions, without building a diagram, and :func:`random_polygon`
 draws one diagram from it, assembled through :func:`compose_base`.
+
+:func:`_walk`, next to the tables it reads, walks the cut/wing grammar of
+the rank-n halves for :mod:`clustertubes.torsion` and the tau fixed points
+of :mod:`clustertubes.sieving`, behind the ``STRUCTURED_RANK`` gate
+:func:`_check_rank`.  Only the brute-force oracle and
+:func:`is_ptolemy_polygon` load :mod:`clustertubes.arcs`, inside themselves.
 """
 
 from __future__ import annotations
@@ -37,10 +43,9 @@ import enum
 import functools
 import itertools
 import random
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .arcs import cross, ptolemy_completions
-from .config import _ECHO, POLYGON_BRUTE, CapExceeded, Frozen
+from .config import _ECHO, POLYGON_BRUTE, STRUCTURED_RANK, CapExceeded, Frozen
 
 
 class MixedFaceError(ValueError):
@@ -113,6 +118,8 @@ def is_ptolemy_polygon(diagram: PolygonDiagram) -> bool:
     Connectors of length 1 are polygon sides and the pair ``(0, size)`` is
     the base edge; both count as present.
     """
+    from .arcs import cross, ptolemy_completions
+
     have = set(diagram.diagonals)
     return all(
         p == (0, diagram.size) or p in have
@@ -171,6 +178,8 @@ def enumerate_polygon(m: int) -> list[PolygonDiagram]:
     :func:`constrained_subsets` finds the subsets meeting them all by a
     pruned backtracking search.  Counts for m = 1..5 are 1, 1, 4, 17, 82.
     """
+    from .arcs import cross, ptolemy_completions
+
     if m < 1:
         raise ValueError(f"size must be >= 1, got {m}")
     if m > POLYGON_BRUTE:
@@ -242,6 +251,37 @@ def polygon_diagrams(m: int) -> tuple[PolygonDiagram, ...]:
     :func:`_diagonal_table`, as objects: one :class:`PolygonDiagram` per
     entry of that table, for the callers that need them."""
     return tuple(PolygonDiagram._canonical(m, diagonals) for diagonals in _diagonal_table(m))
+
+
+def _check_rank(n: int) -> None:
+    """Reject a rank above ``STRUCTURED_RANK`` or below 1, before a walk of
+    :func:`_walk`; a rank quoted in a message is abbreviated (``_ECHO``)."""
+    if n > STRUCTURED_RANK:
+        raise CapExceeded(f"structured enumeration capped at rank {STRUCTURED_RANK}, "
+                          f"got {_ECHO.repr(n)}")
+    if n < 1:
+        raise ValueError(f"rank must be >= 1, got {_ECHO.repr(n)}")
+
+
+def _walk(n: int, table: Callable[[int], Sequence]) -> Iterator[tuple[list[int], list[int], tuple]]:
+    """The cut/wing grammar at rank n, as ``(cuts, ends, pieces)``.
+
+    It runs over every nonempty cut mask (bit v set iff v is a cut); ``cuts``
+    lists the cuts ascending, ``ends`` the next cut after each (the last
+    wraps to the first plus n), and ``pieces`` holds one entry of
+    ``table(d - c)`` per span ``(c, d)``, in cut order; nothing is laid.
+    ``table`` is :func:`polygon_diagrams` for the callers that read
+    diagrams, the diagonal tuples of :func:`_diagonal_table` in the same
+    order, or the diagrams' statistics for
+    :func:`~clustertubes.sieving.fixed_histograms`.
+    :func:`~clustertubes.torsion.iter_structured` documents the order.
+    """
+    for mask in range(1, 1 << n):
+        cuts = [v for v in range(n) if mask >> v & 1]
+        ends = cuts[1:] + [cuts[0] + n]
+        spans = [table(d - c) for c, d in zip(cuts, ends)]
+        for pieces in itertools.product(*spans):
+            yield cuts, ends, pieces
 
 
 def _base_kinds(inner: int) -> tuple[CellKind, ...]:

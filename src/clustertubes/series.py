@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from typing import Mapping, Union
 
-from .config import Frozen
+from .config import _ECHO, Frozen
 
 
 Exponent = tuple[int, int, int]
@@ -200,7 +200,7 @@ def _series(order: int, x: Coefficient, s: Coefficient, torsion: bool) -> PowerS
     :func:`_expand` substitutes x and s for X and S.
     """
     if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+        raise ValueError(f"order must be >= 1, got {_ECHO.repr(order)}")
 
     def solve(x: int, s: int) -> list[int]:
         a = _solve(order, x, s)

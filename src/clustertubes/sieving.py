@@ -1,4 +1,12 @@
-"""Cyclic sieving verification for torsion pairs under the translation action.
+"""Sieving and orbits: the translation symmetry of torsion pairs.
+
+The translation ``tau`` acts on halves; a half is fixed by ``tau^d``
+(d | n) iff it is d-periodic, i.e. iff it is a rank-d half in disguise,
+which is what makes the orbit counts and the sieving identities come out.
+So :func:`fixed_histograms` takes the fixed points from the rank-d halves,
+walked by :func:`~clustertubes.polygons._walk`, with their statistics
+multiplied by n/d, and applies no ``tau``: the module loads neither the
+halves (:mod:`clustertubes.torsion`) nor the arc calculus.
 
 For each rank n the q-analogue of the refined count,
 
@@ -14,9 +22,9 @@ evaluated at a primitive d-th root of unity (d | n) must equal both
   k, l, m, because an (n/d)-periodic half repeats its statistics d times
   around the rank-n tube.
 
-The fixed-point side is :func:`~clustertubes.torsion.fixed_histograms`: the
-refined generating function for d = 1, and for d > 1 the rank-(n/d) halves,
-each with its statistics multiplied by d.
+The fixed-point side is :func:`fixed_histograms`: the refined generating
+function for d = 1, and for d > 1 the rank-(n/d) halves, each with its
+statistics multiplied by d.
 
 :func:`csp_verify` checks all of this exactly (integer arithmetic only)
 and returns one record per (d, k, l, m); any mismatch is reported, never
@@ -25,14 +33,114 @@ raised, so the caller can render the full table.
 
 from __future__ import annotations
 
-from .config import Frozen
-from .counting import refined_support, torsion_count_refined
-from .qpolys import QPoly, eval_at_primitive_root, qbinomial, qmultinomial
-from .torsion import _divisors, fixed_histograms
+import math
+from collections import Counter
+from typing import TYPE_CHECKING
+
+from .config import _ECHO, Frozen
+from .counting import refined_support, torsion_count, torsion_count_refined
+from .polygons import _check_rank, _walk, polygon_diagrams, statistics_polygon
+
+if TYPE_CHECKING:  # the sieving check imports qpolys where it runs, so orbits never loads it
+    from .qpolys import QPoly
+
+
+def fixed_histograms(n: int) -> dict[int, Counter]:
+    """For each s dividing n, the (k, l, m) histogram of the pairs at rank n
+    fixed by tau^s (each fixed half counts twice: once per side).
+
+    tau^n fixes every pair, so ``hists[n]`` is the z^n coefficient of
+    :func:`~clustertubes.series.series_torsion`, and nothing is built.  For
+    s < n, a half fixed by tau^s is s-periodic: it is a rank-s half repeated
+    n/s times around the tube, and every rank-s half repeats to one.  So the
+    rank-s grammar is walked, nothing is laid, and each rank-s half counts
+    with the cells of its pieces times n/s.  The walk reads a table of
+    :func:`~clustertubes.polygons.statistics_polygon` values per width, so
+    each diagram of width at most s is face-walked once.
+    """
+    from .series import series_torsion
+
+    _check_rank(n)
+    hists: dict[int, Counter] = {}
+    for s in _divisors(n)[:-1]:
+        cells = {g: [statistics_polygon(p) for p in polygon_diagrams(g)] for g in range(1, s + 1)}
+        hists[s] = Counter()
+        r = n // s
+        for _, _, pieces in _walk(s, cells.__getitem__):
+            k, l, m = map(sum, zip(*pieces))
+            hists[s][k * r, l * r, m * r] += 2
+    hists[n] = Counter(dict(series_torsion(n).coeffs[n].terms))
+    return hists
+
+
+def _totient(n: int) -> int:
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+def _divisors(n: int) -> list[int]:
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def orbit_count(n: int) -> int:
+    """Number of tau-orbits of torsion pairs at rank n (Burnside average).
+
+    ``tau^b`` fixes as many pairs as there are pairs at rank gcd(b, n), so
+    the orbit count is ``(1/n) * sum_{d | n} phi(n/d) T(d)``.
+    """
+    if n < 1:
+        raise ValueError(f"rank must be >= 1, got {_ECHO.repr(n)}")
+    total = sum(_totient(n // d) * torsion_count(d) for d in _divisors(n))
+    if total % n:
+        raise ArithmeticError("Burnside sum is not divisible by the group order")
+    return total // n
+
+
+def orbit_count_direct(n: int) -> int:
+    """Orbit count from the pairs each tau^s fixes (:func:`orbits_from_fixed`)."""
+    return sum(orbits_from_fixed(fixed_histograms(n)).values())
+
+
+def orbit_count_refined(n: int) -> dict[tuple[int, int, int], int]:
+    """tau-orbit counts refined by (triangles, cliques, empty cells)."""
+    if n < 1:
+        raise ValueError(f"rank must be >= 1, got {_ECHO.repr(n)}")
+    out: dict[tuple[int, int, int], int] = {}
+    for k, l, m in refined_support(n):
+        total = 0
+        for d in _divisors(math.gcd(n, k, l, m)):
+            total += _totient(d) * torsion_count_refined(n // d, k // d, l // d, m // d)
+        if total % n:
+            raise ArithmeticError("refined Burnside sum is not divisible by the group order")
+        out[(k, l, m)] = total // n
+    return out
+
+
+def orbits_from_fixed(fixed: dict[int, Counter]) -> dict[tuple[int, int, int], int]:
+    """Refined tau-orbit counts from the histograms of :func:`fixed_histograms`.
+
+    tau^s fixes a pair of least period t iff t divides s, so the pairs of
+    least period s are those tau^s fixes minus those of least period t for
+    each proper divisor t of s; they form orbits of s members.  No totient or
+    closed form enters, so this stays independent of :func:`orbit_count`.
+    """
+    least: dict[int, Counter] = {}
+    orbits: Counter = Counter()
+    for s in sorted(fixed):
+        least[s] = Counter(fixed[s])
+        for t in least:
+            if t < s and s % t == 0:
+                least[s].subtract(least[t])
+        for stats, pairs in least[s].items():
+            if pairs % s:
+                raise ArithmeticError(f"{pairs} pairs of least period {s} fill no whole orbits")
+            orbits[stats] += pairs // s
+    return dict(sorted(orbits.items()))
 
 
 def q_torsion_count_refined(n: int, k: int, l: int, m: int) -> QPoly:
     """The sieving polynomial for statistics (k, l, m) at rank n."""
+    from .qpolys import qbinomial, qmultinomial
+
     return 2 * (
         qmultinomial((n - 1, k, l, m)) * qbinomial(n - 1 - k - l - m, l + m)
     )
@@ -70,6 +178,8 @@ def csp_verify(n: int) -> list[SieveRecord]:
 
     The fixed-point counts of tau^(n/d) come from :func:`fixed_histograms`.
     """
+    from .qpolys import eval_at_primitive_root
+
     fixed = fixed_histograms(n)
     checked = set(refined_support(n))
     for hist in fixed.values():

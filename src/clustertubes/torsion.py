@@ -53,22 +53,14 @@ The structure theory implemented here:
   pairs through the same walk, and returns :func:`decompose` of the half
   its arcs lay, so :func:`decompose` is the one builder of a
   decomposition.
-* *Symmetry*.  The translation ``tau`` acts on halves; a half is fixed by
-  ``tau^d`` (d | n) iff it is d-periodic, i.e. iff it is a rank-d half in
-  disguise, which is what makes the orbit counts and the sieving identities
-  come out.  So :func:`fixed_histograms` takes the fixed points from the
-  rank-d halves, with their statistics multiplied by n/d, and applies no
-  ``tau``.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from bisect import bisect_left, insort
-from collections import Counter
-from typing import AbstractSet, Callable, Iterable, Iterator, Sequence
+from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .arcs import (
     Arc,
@@ -83,11 +75,13 @@ from .arcs import (
     ptolemy_completions,
     read_record,
 )
-from .config import _ECHO, BRUTE_RANK, STRUCTURED_RANK, CapExceeded, Frozen
+from .config import _ECHO, BRUTE_RANK, CapExceeded, Frozen
 from .polygons import (
     DEGENERATE,
     PolygonDiagram,
+    _check_rank,
     _diagonal_table,
+    _walk,
     constrained_subsets,
     polygon_counts,
     polygon_diagrams,
@@ -202,7 +196,10 @@ class WingDecomposition(Frozen):
         (equivalently n) always lands in the last piece, ``n - cuts[-1]``
         steps after its base vertex.
         """
-        return PointedCycle(self.pieces, len(self.pieces) - 1, self.rank - self.cuts[-1])
+        # Valid as built: a decomposition has a piece per cut, at least one,
+        # and the last piece's size is its span's width, rank - cuts[-1].
+        return PointedCycle._canonical(self.pieces, len(self.pieces) - 1,
+                                       self.rank - self.cuts[-1])
 
     @classmethod
     def from_json(cls, text: str) -> "WingDecomposition":
@@ -415,8 +412,8 @@ def statistics(diagram: PeriodicDiagram) -> tuple[int, int, int]:
     empty cells, summed over the pieces of its wing decomposition.
 
     This decomposes the half and walks the faces of every piece; it is the
-    reference the tau fixed points of :func:`fixed_histograms` are tested
-    against.
+    reference the tau fixed points of
+    :func:`~clustertubes.sieving.fixed_histograms` are tested against.
     """
     k, l, m = zip(*map(statistics_polygon, decompose(diagram).pieces))
     return sum(k), sum(l), sum(m)
@@ -431,6 +428,9 @@ class PointedCycle(Frozen):
 
     ``vertex`` is 1-based: the marked label sits on the ``vertex``-th vertex
     of piece ``piece_index`` counted clockwise after that piece's base vertex.
+
+    Valid: at least one piece, ``piece_index`` indexing one, and ``vertex``
+    within ``[1, size]`` of that piece.
     """
 
     __slots__ = ("pieces", "piece_index", "vertex")
@@ -450,7 +450,9 @@ class PointedCycle(Frozen):
     def rotate(self, steps: int) -> "PointedCycle":
         r = len(self.pieces)
         steps %= r
-        return PointedCycle(
+        # Valid as built: the marked piece moves with its index, so the
+        # vertex stays within its size.
+        return PointedCycle._canonical(
             self.pieces[steps:] + self.pieces[:steps],
             (self.piece_index - steps) % r,
             self.vertex,
@@ -512,35 +514,6 @@ def enumerate_brute(n: int) -> list[PeriodicDiagram]:
     ]
     halves.sort(key=lambda X: X.sorted_orbits())
     return halves
-
-
-def _check_rank(n: int) -> None:
-    """Reject a rank above ``STRUCTURED_RANK`` or below 1."""
-    if n > STRUCTURED_RANK:
-        raise CapExceeded(f"structured enumeration capped at rank {STRUCTURED_RANK}, got {n}")
-    if n < 1:
-        raise ValueError(f"rank must be >= 1, got {n}")
-
-
-def _walk(n: int, table: Callable[[int], Sequence]) -> Iterator[tuple[list[int], list[int], tuple]]:
-    """The cut/wing grammar at rank n, as ``(cuts, ends, pieces)``.
-
-    It runs over every nonempty cut mask (bit v set iff v is a cut); ``cuts``
-    lists the cuts ascending, ``ends`` the next cut after each (the last
-    wraps to the first plus n), and ``pieces`` holds one entry of
-    ``table(d - c)`` per span ``(c, d)``, in cut order; nothing is laid.
-    ``table`` is :func:`~clustertubes.polygons.polygon_diagrams` for the
-    callers that read diagrams, the diagonal tuples of
-    :func:`~clustertubes.polygons._diagonal_table` in the same order, or
-    the diagrams' statistics for :func:`fixed_histograms`.
-    :func:`iter_structured` documents the order.
-    """
-    for mask in range(1, 1 << n):
-        cuts = [v for v in range(n) if mask >> v & 1]
-        ends = cuts[1:] + [cuts[0] + n]
-        spans = [table(d - c) for c, d in zip(cuts, ends)]
-        for pieces in itertools.product(*spans):
-            yield cuts, ends, pieces
 
 
 def iter_structured(n: int) -> Iterator[PeriodicDiagram]:
@@ -613,7 +586,7 @@ def count_structured(n: int) -> int:
     nothing, no rank limit applies.
     """
     if n < 1:
-        raise ValueError(f"rank must be >= 1, got {n}")
+        raise ValueError(f"rank must be >= 1, got {_ECHO.repr(n)}")
     p = polygon_counts(n)
     sequences = [1]
     for h in range(1, n):
@@ -643,103 +616,3 @@ def sample_halves(n: int, count: int, seed: int = 0) -> list[PeriodicDiagram]:
         ends = cuts[1:] + [cuts[0] + n]
         out.append(_lay(n, ((c, random_polygon(rng, d - c)) for c, d in zip(cuts, ends))))
     return out
-
-
-# ---------------------------------------------------------------------------
-# translation symmetry
-
-
-def fixed_histograms(n: int) -> dict[int, Counter]:
-    """For each s dividing n, the (k, l, m) histogram of the pairs at rank n
-    fixed by tau^s (each fixed half counts twice: once per side).
-
-    tau^n fixes every pair, so ``hists[n]`` is the z^n coefficient of
-    :func:`~clustertubes.series.series_torsion`, and nothing is built.  For
-    s < n, a half fixed by tau^s is s-periodic: it is a rank-s half repeated
-    n/s times around the tube, and every rank-s half repeats to one.  So the
-    rank-s grammar is walked, nothing is laid, and each rank-s half counts
-    with the cells of its pieces times n/s.  The walk reads a table of
-    :func:`~clustertubes.polygons.statistics_polygon` values per width, so
-    each diagram of width at most s is face-walked once.
-    """
-    from .series import series_torsion
-
-    _check_rank(n)
-    hists: dict[int, Counter] = {}
-    for s in _divisors(n)[:-1]:
-        cells = {g: [statistics_polygon(p) for p in polygon_diagrams(g)] for g in range(1, s + 1)}
-        hists[s] = Counter()
-        r = n // s
-        for _, _, pieces in _walk(s, cells.__getitem__):
-            k, l, m = map(sum, zip(*pieces))
-            hists[s][k * r, l * r, m * r] += 2
-    hists[n] = Counter(dict(series_torsion(n).coeffs[n].terms))
-    return hists
-
-
-def _totient(n: int) -> int:
-    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
-
-
-def _divisors(n: int) -> list[int]:
-    return [d for d in range(1, n + 1) if n % d == 0]
-
-
-def orbit_count(n: int) -> int:
-    """Number of tau-orbits of torsion pairs at rank n (Burnside average).
-
-    ``tau^b`` fixes as many pairs as there are pairs at rank gcd(b, n), so
-    the orbit count is ``(1/n) * sum_{d | n} phi(n/d) T(d)``.
-    """
-    from .counting import torsion_count
-
-    if n < 1:
-        raise ValueError(f"rank must be >= 1, got {n}")
-    total = sum(_totient(n // d) * torsion_count(d) for d in _divisors(n))
-    if total % n:
-        raise ArithmeticError("Burnside sum is not divisible by the group order")
-    return total // n
-
-
-def orbit_count_direct(n: int) -> int:
-    """Orbit count from the pairs each tau^s fixes (:func:`orbits_from_fixed`)."""
-    return sum(orbits_from_fixed(fixed_histograms(n)).values())
-
-
-def orbit_count_refined(n: int) -> dict[tuple[int, int, int], int]:
-    """tau-orbit counts refined by (triangles, cliques, empty cells)."""
-    from .counting import refined_support, torsion_count_refined
-
-    if n < 1:
-        raise ValueError(f"rank must be >= 1, got {n}")
-    out: dict[tuple[int, int, int], int] = {}
-    for k, l, m in refined_support(n):
-        total = 0
-        for d in _divisors(math.gcd(n, k, l, m)):
-            total += _totient(d) * torsion_count_refined(n // d, k // d, l // d, m // d)
-        if total % n:
-            raise ArithmeticError("refined Burnside sum is not divisible by the group order")
-        out[(k, l, m)] = total // n
-    return out
-
-
-def orbits_from_fixed(fixed: dict[int, Counter]) -> dict[tuple[int, int, int], int]:
-    """Refined tau-orbit counts from the histograms of :func:`fixed_histograms`.
-
-    tau^s fixes a pair of least period t iff t divides s, so the pairs of
-    least period s are those tau^s fixes minus those of least period t for
-    each proper divisor t of s; they form orbits of s members.  No totient or
-    closed form enters, so this stays independent of :func:`orbit_count`.
-    """
-    least: dict[int, Counter] = {}
-    orbits: Counter = Counter()
-    for s in sorted(fixed):
-        least[s] = Counter(fixed[s])
-        for t in least:
-            if t < s and s % t == 0:
-                least[s].subtract(least[t])
-        for stats, pairs in least[s].items():
-            if pairs % s:
-                raise ArithmeticError(f"{pairs} pairs of least period {s} fill no whole orbits")
-            orbits[stats] += pairs // s
-    return dict(sorted(orbits.items()))

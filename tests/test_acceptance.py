@@ -32,17 +32,14 @@ from clustertubes.polygons import (
     polygon_diagrams,
 )
 from clustertubes.series import X, Y1, Y2, series_P, series_torsion
-from clustertubes.sieving import csp_verify
+from clustertubes.sieving import csp_verify, fixed_histograms, orbit_count, orbit_count_direct
 from clustertubes.torsion import (
     compose,
     decompose,
     enumerate_brute,
     enumerate_structured,
-    fixed_histograms,
     from_pointed_cycle,
     iter_structured,
-    orbit_count,
-    orbit_count_direct,
     sample_halves,
     statistics,
     to_pointed_cycle,

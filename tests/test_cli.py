@@ -78,7 +78,7 @@ def test_count_beyond_the_int_digit_limit(capsys, default_int_digit_limit, fmt):
 
 def test_orbits_beyond_the_int_digit_limit(capsys, default_int_digit_limit):
     # orbit_count(5200) has 4,339 digits
-    from clustertubes.torsion import orbit_count
+    from clustertubes.sieving import orbit_count
 
     code, out, err = run(capsys, "orbits", "--n", "5200")
     assert code == 0, err
@@ -459,13 +459,13 @@ def test_sieve_output_is_byte_stable(capsys, n, digest):
 
 
 def test_fixed_points_lay_no_half_and_apply_no_tau(capsys, monkeypatch):
-    from clustertubes import torsion
+    from clustertubes import sieving, torsion
     from clustertubes.arcs import PeriodicDiagram
 
     commands = [("sieve", "--n", "6"), ("orbits", "--n", "8", "--refined")]
 
     def outputs():
-        return ([torsion.fixed_histograms(n) for n in range(1, 10)],
+        return ([sieving.fixed_histograms(n) for n in range(1, 10)],
                 [run(capsys, *argv) for argv in commands])
 
     expected = outputs()
@@ -585,8 +585,8 @@ def test_orbits_and_verify_rank_limits_exit_3_before_computing(
     fakes = {
         "clustertubes.counting.torsion_count": lambda n: 0,
         "clustertubes.counting.refined_table": lambda n: {},
-        "clustertubes.torsion.orbit_count": lambda n: 0,
-        "clustertubes.torsion.orbit_count_refined": lambda n: {},
+        "clustertubes.sieving.orbit_count": lambda n: 0,
+        "clustertubes.sieving.orbit_count_refined": lambda n: {},
         "clustertubes.torsion.count_structured": lambda n: 0,
         "clustertubes.torsion.sample_halves": lambda n, count, seed: [],
         "clustertubes.series.series_torsion": lambda order, *_: SimpleNamespace(coeffs=[0] * (order + 1)),
@@ -981,6 +981,36 @@ def test_compose_echoes_a_huge_integer_in_bounded_form(capsys, default_int_digit
     assert out == ""
     assert err.startswith(start) and err.count("\n") == 1
     assert len(err.encode()) < 200
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["count", "--n", LONG], 2),  # past the int/str digit limit: argparse refuses it
+    (["count", "--n", HUGE], 3),
+    (["sieve", "--n", HUGE], 3),
+    (["enumerate", "--n", "-" + HUGE], 2),
+    (["perp", "--diagram", '{"rank":4,"orbits":[]}', "--max-length", HUGE], 3),
+    (["perp", "--diagram", '{"rank":4,"orbits":[]}', "--max-length", "-" + HUGE], 2),
+], ids=["count-past-limit", "count", "sieve", "enumerate", "perp", "perp-negative"])
+def test_a_huge_integer_argument_is_echoed_in_bounded_form(capsys, default_int_digit_limit,
+                                                          argv, code):
+    try:
+        exit_code = main(argv)
+    except SystemExit as exc:  # argparse's usage error
+        exit_code = exc.code
+    captured = capsys.readouterr()
+    assert exit_code == code
+    assert captured.out == ""
+    assert len(captured.err.encode()) <= 300
+
+
+def test_integer_arguments_keep_their_short_messages(capsys):
+    with pytest.raises(SystemExit):
+        main(["count", "--n", "abc"])
+    assert capsys.readouterr().err.endswith(
+        "clustertubes count: error: argument --n: invalid int value: 'abc'\n")
+    code, _, err = run(capsys, "count", "--n", str(COUNT_RANK + 1))
+    assert code == 3
+    assert err == f"error: count capped at rank {COUNT_RANK}, got {COUNT_RANK + 1}\n"
 
 
 # Wing records that are no wing decomposition, each with the message both

@@ -52,6 +52,25 @@ def test_torsion_count_matches_per_term_binomials():
         assert torsion_count(n) == reference_torsion_count(n)
 
 
+def term_by_term_torsion_count(n):
+    """The defining sum, each term built from the last by its exact ratio."""
+    term = 2 * math.comb(2 * n - 1, n - 1)
+    total = 0
+    l = 0
+    while term:
+        total += term
+        term = term * 2 * (n + l) * (n - 1 - 2 * l) * (n - 2 - 2 * l) // (
+            (l + 1) * (n + 2 * l + 1) * (n + 2 * l + 2)
+        )
+        l += 1
+    return total
+
+
+def test_binary_splitting_matches_the_term_by_term_sum():
+    for n in [*range(1, 301), 999, 1000]:
+        assert torsion_count(n) == term_by_term_torsion_count(n)
+
+
 def test_refined_values():
     assert torsion_count_refined(2, 0, 0, 0) == 2
     assert torsion_count_refined(2, 1, 0, 0) == 4

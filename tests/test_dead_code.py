@@ -8,7 +8,7 @@ so something in the package must call it.  A method is held to the same
 rule whether or not its class is exported: a command or another part of the
 package must call it, and a reference the tests alone need lives in the
 tests.  A reference is any name or attribute equal to it
-(``torsion._divisors`` counts) outside the function's own definition.
+(``sieving._divisors`` counts) outside the function's own definition.
 Dunder methods are called by the language, not by name, so they are not
 checked.
 """

@@ -97,12 +97,13 @@ def loaded_modules(script, *argv):
 
 
 # enumerate and the record commands read through torsion, which loads
-# counting and series only in the functions that read them; render reads
-# its wing spans there too.  The counting commands load both: sieve for the
-# q-analogues and the fixed-point histograms, orbits for the closed form
-# and the direct partition, verify for every route it checks.
+# neither counting nor series; render reads its wing spans there too.  The
+# symmetry commands read sieving, which walks the grammar through polygons
+# and loads neither torsion nor arcs: orbits for the closed form and the
+# direct partition, sieve for those histograms and the q-analogues.  verify
+# loads both layers, for every route it checks.
 RECORD_MODULES = ["arcs", "cli", "config", "polygons", "torsion"]
-COUNTING_MODULES = sorted([*RECORD_MODULES, "counting", "series"])
+SYMMETRY_MODULES = ["cli", "config", "counting", "polygons", "series", "sieving"]
 PAIR = '{"rank":4,"finite_side":"left","orbits":[[1,3],[0,4]]}'
 
 
@@ -116,14 +117,46 @@ PAIR = '{"rank":4,"finite_side":"left","orbits":[[1,3],[0,4]]}'
      RECORD_MODULES),
     (["perp", "--diagram", '{"rank":4,"orbits":[[1,3]]}', "--max-length", "3"], RECORD_MODULES),
     (["render", "--pair", "-", "--out", "-"], sorted([*RECORD_MODULES, "render"])),
-    (["sieve", "--n", "4"], sorted([*COUNTING_MODULES, "qpolys", "sieving"])),
-    (["orbits", "--n", "4", "--refined"], COUNTING_MODULES),
-    (["verify", "--n", "4"], COUNTING_MODULES),
+    (["sieve", "--n", "4"], sorted([*SYMMETRY_MODULES, "qpolys"])),
+    (["orbits", "--n", "4", "--refined"], SYMMETRY_MODULES),
+    (["verify", "--n", "4"], sorted({*RECORD_MODULES, *SYMMETRY_MODULES})),
 ], ids=["import", "count", "series", "enumerate", "decompose", "compose", "perp", "render",
         "sieve", "orbits", "verify"])
 def test_a_command_loads_only_the_modules_it_runs(argv, loaded):
     package = sorted(m for m in loaded_modules(LOADED, *argv) if m.split(".")[0] == "clustertubes")
     assert package == ["clustertubes", *(f"clustertubes.{m}" for m in loaded)]
+
+
+def test_the_grammar_loads_no_arc_calculus():
+    # polygons holds the grammar walk that sieving reads; only its
+    # brute-force oracle and Ptolemy check load arcs, inside themselves
+    loaded = loaded_modules("import sys, clustertubes.polygons; "
+                            "print(*sys.modules, file=sys.stderr)")
+    assert "clustertubes.polygons" in loaded
+    assert "clustertubes.arcs" not in loaded
+
+
+def module_level_imports(tree):
+    """The import statements that run when the module loads: every one
+    outside a function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+# The half layer (torsion) and the arc calculus (arcs) load only inside the
+# functions of these modules that run them, so that sieve and orbits start
+# without them.
+@pytest.mark.parametrize("module", ["polygons", "sieving"])
+def test_the_symmetry_layer_imports_no_half_at_module_level(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    offending = [f"{module}.py:{node.lineno}" for node in module_level_imports(tree)
+                 if set(package_imports(node)) & {"arcs", "torsion"}]
+    assert offending == [], f"module-level imports of arcs or torsion: {offending}"
 
 
 def test_start_up_loads_no_heavy_standard_module():

@@ -64,7 +64,7 @@ def test_identity_with_smaller_rank(n):
 
 @pytest.mark.parametrize("n", range(2, 7))
 def test_vanishing_when_d_does_not_divide_stats(n):
-    from clustertubes.torsion import _divisors
+    from clustertubes.sieving import _divisors
 
     for d in _divisors(n):
         if d == 1:
@@ -88,7 +88,7 @@ def test_fixed_totals_agree_with_fixed_under(n):
     # summing a divisor's records over (k,l,m) recovers the tau^(n/d)-invariant
     # pair count, which is the rank-n/d total
     from clustertubes.counting import torsion_count
-    from clustertubes.torsion import _divisors
+    from clustertubes.sieving import _divisors
 
     records = csp_verify(n)
     for d in _divisors(n):
@@ -103,12 +103,8 @@ def test_fixed_counts_equal_statistics_and_tau_oracle(n):
     # half
     from collections import Counter
 
-    from clustertubes.torsion import (
-        _divisors,
-        fixed_histograms,
-        iter_structured,
-        statistics,
-    )
+    from clustertubes.sieving import _divisors, fixed_histograms
+    from clustertubes.torsion import iter_structured, statistics
 
     halves = list(iter_structured(n))
     records = csp_verify(n)
@@ -132,8 +128,9 @@ def full_walk_fixed_histograms(n):
     whose cut mask is invariant under the rotation."""
     from collections import Counter
 
-    from clustertubes.polygons import polygon_diagrams, statistics_polygon
-    from clustertubes.torsion import _divisors, _lay, _walk
+    from clustertubes.polygons import _walk, polygon_diagrams, statistics_polygon
+    from clustertubes.sieving import _divisors
+    from clustertubes.torsion import _lay
 
     shifts = _divisors(n)
     hists = {s: Counter() for s in shifts}
@@ -161,6 +158,6 @@ def full_walk_fixed_histograms(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_fixed_histograms_equal_full_walk_oracle(n):
-    from clustertubes.torsion import fixed_histograms
+    from clustertubes.sieving import fixed_histograms
 
     assert fixed_histograms(n) == full_walk_fixed_histograms(n)

@@ -11,6 +11,13 @@ from clustertubes.arcs import PeriodicDiagram, nc_enumerate, read_record
 from clustertubes.config import CapExceeded
 from clustertubes.counting import refined_table, torsion_count
 from clustertubes.polygons import DEGENERATE, PolygonDiagram, _diagonal_table, polygon_diagrams
+from clustertubes.sieving import (
+    fixed_histograms,
+    orbit_count,
+    orbit_count_direct,
+    orbit_count_refined,
+    orbits_from_fixed,
+)
 from clustertubes.torsion import (
     PointedCycle,
     TorsionPair,
@@ -21,15 +28,10 @@ from clustertubes.torsion import (
     decompose,
     enumerate_brute,
     enumerate_structured,
-    fixed_histograms,
     from_pointed_cycle,
     is_finite_half,
     iter_orbits_json,
     iter_structured,
-    orbit_count,
-    orbit_count_direct,
-    orbit_count_refined,
-    orbits_from_fixed,
     perp_contains,
     perp_enumerate,
     sample_halves,
@@ -467,6 +469,15 @@ def test_pointed_cycle_round_trip_exhaustive(n):
         assert from_pointed_cycle(to_pointed_cycle(X), n) == X
 
 
+def test_pointed_cycles_are_built_without_the_checks(monkeypatch):
+    # pointed_cycle and rotate build valid cycles, so neither runs
+    # PointedCycle.__init__
+    monkeypatch.setattr(PointedCycle, "__init__", refuse)
+    for n in range(1, 6):
+        for X in iter_structured(n):
+            assert from_pointed_cycle(decompose(X).pointed_cycle(), n) == X
+
+
 def test_pointed_cycle_rotation_round_trip():
     cycle = to_pointed_cycle(RANK_TEN_HALF)
     for steps in range(len(cycle.pieces)):
@@ -603,7 +614,7 @@ def test_fixed_histograms_walk_each_short_diagram_once(monkeypatch, n, walks):
     # For each s < n dividing n, statistics_polygon runs once per diagram of
     # width <= s (1, 1, 4 and 17 diagrams of widths 1..4), not once per piece
     # of every rank-s half.
-    from clustertubes import torsion
+    from clustertubes import sieving
     from clustertubes.polygons import statistics_polygon
 
     walked = []
@@ -612,7 +623,7 @@ def test_fixed_histograms_walk_each_short_diagram_once(monkeypatch, n, walks):
         walked.append(diagram)
         return statistics_polygon(diagram)
 
-    monkeypatch.setattr(torsion, "statistics_polygon", counted)
+    monkeypatch.setattr(sieving, "statistics_polygon", counted)
     fixed_histograms(n)
     assert len(walked) == walks
 
