@@ -13,13 +13,17 @@ each half's text from the grammar without building the half
 (:func:`clustertubes.torsion.iter_orbits_json`), so
 ``enumerate --n 9 | head`` prints its first lines at once.  ``decompose``
 and ``compose`` likewise take each record from decoded JSON to its text in
-one walk, building no diagram, half, piece or pair: the walk that reads
-each arc also type-checks it (:func:`clustertubes.arcs.normalize_orbits`
-for ``orbits``, :func:`clustertubes.torsion._wing_spans` for wing
-``pairs``), and :func:`_read` keeps the order in which a record's faults
-are named.  ``compose`` joins its orbit texts from one table kept across
-records (:func:`clustertubes.arcs.half_orbits_json`), bounded by
-``TEXT_ENTRIES`` entries whatever the input.
+one walk, building no diagram, half, piece or pair: the pass that reads
+each arc also type-checks it and lays it as a plain-int key
+(:func:`clustertubes.arcs.arc_keys` for ``orbits``,
+:func:`clustertubes.torsion._wing_spans` for wing ``pairs``), the keys
+are sorted and split as ints, and :func:`_read` keeps the order in which a
+record's faults are named.  Each joins its arc texts from one table kept
+across records (:func:`clustertubes.torsion.wings_json`,
+:func:`clustertubes.arcs.half_orbits_json`), each bounded by
+``TEXT_ENTRIES`` entries whatever the input.  Both read stdin one record
+per line (:func:`_records`), and a JSON error there names the line of the
+stream it is on.
 
 A command loads only the modules it runs, of the package and of the
 standard library.  This module imports :mod:`clustertubes.config` and a few
@@ -63,13 +67,34 @@ def _stdin():
     return sys.stdin
 
 
-def _input_lines(arg: str | None) -> Iterator[str]:
+def _input_lines(arg: str | None) -> Iterator[tuple[int, str]]:
+    """The record ``arg``, numbered 1, or with ``arg`` None or ``-`` each
+    non-blank line of stdin with its line number (1-based, blank lines
+    counted)."""
     if arg is None or arg == "-":
-        for line in _stdin():
+        for number, line in enumerate(_stdin(), 1):
             if line.strip():
-                yield line
+                yield number, line
     else:
-        yield arg
+        yield 1, arg
+
+
+def _records(arg: str | None, arcs: str) -> Iterator[dict]:
+    """Each record of :func:`_input_lines`, decoded and checked by
+    :func:`~clustertubes.arcs.read_record`.  A JSON error names the line of
+    the stream the fault is on, where json names the line within the
+    record; a record given by ``arg`` is all of the stream."""
+    from json import JSONDecodeError
+
+    from .arcs import read_record
+
+    for number, line in _input_lines(arg):
+        try:
+            data = read_record(line, arcs)
+        except JSONDecodeError as exc:
+            raise ValueError(f"{exc.msg}: line {number + exc.lineno - 1} "
+                             f"column {exc.colno} (char {exc.pos})") from None
+        yield data
 
 
 def _check_side_and_cap(data: dict) -> None:
@@ -179,15 +204,14 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     from . import torsion
-    from .arcs import normalize_orbits, read_record
+    from .arcs import arc_keys
 
-    for line in _input_lines(args.diagram):
-        data = read_record(line, "orbits")
+    for data in _records(args.diagram, "orbits"):
         n = data["rank"]
-        orbits = _read(data, normalize_orbits, n, data["orbits"])
+        keys = _read(data, arc_keys, n, data["orbits"])
         if args.n is not None and n != args.n:
             raise ValueError(f"diagram rank {n} does not match --n {_ECHO.repr(args.n)}")
-        record = torsion.wings_json(n, torsion._cut_spans(n, orbits), data.get("finite_side"))
+        record = torsion.wings_json(n, *torsion._cut_spans(n, keys), data.get("finite_side"))
         # One write per record: print makes two when stdout is unbuffered.
         sys.stdout.write(record + "\n")
     return 0
@@ -195,13 +219,11 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 def cmd_compose(args: argparse.Namespace) -> int:
     from . import torsion
-    from .arcs import diagram_json, half_orbits_json, read_record
+    from .arcs import diagram_json, half_orbits_json
 
-    for line in _input_lines(args.wings):
-        data = read_record(line, "pairs")
+    for data in _records(args.wings, "pairs"):
         n = data["rank"]
-        spans = _read(data, torsion._wing_spans, data)
-        orbits = half_orbits_json(n, (arcs for _, _, arcs in spans))
+        orbits = half_orbits_json(n, _read(data, torsion._wing_spans, data))
         if "finite_side" in data:
             record = torsion.pair_json(n, data["finite_side"], orbits)
         else:
@@ -214,7 +236,7 @@ def cmd_perp(args: argparse.Namespace) -> int:
     from . import torsion
     from .arcs import PeriodicDiagram, normalize_orbits, read_record
 
-    line = next(_input_lines(args.diagram), None)
+    _, line = next(_input_lines(args.diagram), (None, None))
     if line is None:
         raise ValueError("missing diagram record on stdin")
     data = read_record(line, "orbits")

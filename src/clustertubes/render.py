@@ -14,7 +14,7 @@ order is canonical and every coordinate is formatted with one decimal.
 
 from __future__ import annotations
 
-from .torsion import TorsionPair, _cut_spans
+from .torsion import TorsionPair, decompose
 
 _CELL = 44.0  # horizontal half-step and vertical step, in px
 _MARGIN = 30.0
@@ -48,7 +48,7 @@ def render_torsion_pair(pair: TorsionPair) -> str:
 
     # dotted wing boundaries, one per non-degenerate span in cut order, drawn
     # for every representative whose lines can intersect the viewport
-    wings = [(c, d) for c, d, _ in _cut_spans(n, half.orbits) if d - c >= 2]
+    wings = [(c, d) for c, d in decompose(half).spans() if d - c >= 2]
     for c, d in wings:
         for shift in (-n, 0, n):
             cc, dd = c + shift, d + shift

@@ -36,23 +36,29 @@ The structure theory implemented here:
   which the other two are tested against; :func:`iter_orbits_json`, which
   sorts each half's orbits as integer keys ``(j - i) n + i`` and joins a
   per-rank table of their texts; and, for the ``compose`` command,
-  :func:`~clustertubes.arcs.half_orbits_json` (keys ``(j - i) RECORD_RANK
-  + i``, texts from one bounded table for every rank).  Wing records have
-  one writer, :func:`wings_json`.  The three record streams build no half,
-  piece or pair.  ``enumerate`` takes each half's ``orbits`` text from
-  :func:`iter_orbits_json` and writes it as two records, ``left`` and then
-  ``right``, through :func:`pair_json`.  ``decompose`` reads each record's
-  orbits through :func:`~clustertubes.arcs.normalize_orbits`, which
-  type-checks, checks and canonicalizes each arc in one pass, and writes
-  the wing record from the spans of :func:`_cut_spans`, the walk
-  :func:`decompose` reads.  ``compose`` checks each wing record, field
-  types included, in the one walk of :func:`_wing_spans`, and writes its
-  arcs' orbits through :func:`~clustertubes.arcs.half_orbits_json`.
+  :func:`~clustertubes.arcs.half_orbits_json` (orbit keys ``(j - i) << w |
+  i``).  Wing records have one writer, :func:`wings_json`, which reads arc
+  keys ``i << w | j``.  The width w of both layouts grows with the rank
+  and is the same for every rank up to ``RECORD_RANK``
+  (:func:`~clustertubes.arcs.key_width`), so each writer joins its texts
+  from one bounded table kept across records.  The three record streams
+  build no half, piece or pair.  ``enumerate`` takes each half's
+  ``orbits`` text from :func:`iter_orbits_json` and writes it as two
+  records, ``left`` and then ``right``, through :func:`pair_json`.
+  ``decompose`` lays each record's orbits as arc keys through
+  :func:`~clustertubes.arcs.arc_keys`, which type-checks and checks each
+  arc in the same pass, and writes the wing record from the spans of
+  :func:`_cut_spans`, the walk :func:`decompose` reads: it sorts the keys
+  as plain ints, sweeps them for the cuts, shifts the arcs left of the
+  first cut and splits the keys at the cuts.  ``compose`` checks each wing
+  record, field types included, in the one walk of :func:`_wing_spans`,
+  which lays each arc's orbit key as it checks the arc, and writes the
+  keys through :func:`~clustertubes.arcs.half_orbits_json`.
   :meth:`WingDecomposition.from_json` reads a record as ``compose`` does,
   its top level through :func:`~clustertubes.arcs.read_record` and its
   pairs through the same walk, and returns :func:`decompose` of the half
-  its arcs lay, so :func:`decompose` is the one builder of a
-  decomposition.
+  of the orbits those keys hold, so :func:`decompose` is the one builder
+  of a decomposition.
 """
 
 from __future__ import annotations
@@ -63,19 +69,20 @@ from bisect import bisect_left, insort
 from typing import AbstractSet, Iterable, Iterator, Sequence
 
 from .arcs import (
-    Arc,
     PeriodicDiagram,
+    _ArcTexts,
     check_arc,
     crossing_shifts,
     is_int_pair,
     is_ptolemy,
+    key_width,
     nc_contains,
     nc_enumerate,
     normalize_orbit,
     ptolemy_completions,
     read_record,
 )
-from .config import _ECHO, BRUTE_RANK, CapExceeded, Frozen
+from .config import _ECHO, BRUTE_RANK, RECORD_RANK, CapExceeded, Frozen
 from .polygons import (
     DEGENERATE,
     PolygonDiagram,
@@ -179,14 +186,15 @@ class WingDecomposition(Frozen):
 
         The text is byte-identical to compact ``json.dumps`` of the record.
         """
-        spans = []
+        w = key_width(self.rank)
+        arcs, bounds = [], [0]
         for (c, d), piece in zip(self.spans(), self.pieces):
-            arcs = []
             if piece.size >= 2:  # the diagonals are sorted, and so are their shifts
-                arcs = [(c + a, c + b) for a, b in piece.diagonals]
-                insort(arcs, (c, d))
-            spans.append((c, d, arcs))
-        return wings_json(self.rank, spans, finite_side)
+                keys = [(c + a) << w | c + b for a, b in piece.diagonals]
+                insort(keys, c << w | d)
+                arcs += keys
+            bounds.append(len(arcs))
+        return wings_json(self.rank, self.cuts, arcs, bounds, finite_side)
 
     def pointed_cycle(self) -> "PointedCycle":
         """The pointed cycle of the decomposed half; the mark tracks which
@@ -206,37 +214,52 @@ class WingDecomposition(Frozen):
         """The decomposition of a wing record (the text :meth:`to_json`
         writes): once :func:`~clustertubes.arcs.read_record` has checked
         its top level and :func:`_wing_spans` its pairs, :func:`decompose`
-        of the half its arcs lay.  The checked spans tile the rank, each
-        with its top arc, so the half's cuts are the record's cuts mod the
-        rank.  Duplicate arcs are kept once."""
+        of the half whose orbits have the keys the walk laid.  The checked
+        spans tile the rank, each with its top arc, so the half's cuts are
+        the record's cuts mod the rank.  Duplicate arcs are kept once."""
         data = read_record(text, "pairs")
-        arcs = [arc for _, _, span_arcs in _wing_spans(data) for arc in span_arcs]
-        return decompose(PeriodicDiagram.from_arcs(data["rank"], arcs))
+        n = data["rank"]
+        w = key_width(n)
+        low = (1 << w) - 1
+        arcs = [((i := k & low), i + (k >> w)) for k in _wing_spans(data)]
+        return decompose(PeriodicDiagram.from_arcs(n, arcs))
 
 
-def wings_json(rank: int, spans: Iterable[tuple[int, int, Sequence[Arc]]],
+# An arc's text does not depend on the rank, so one table kept across
+# records serves every record: the keys of every rank up to RECORD_RANK have
+# the same width.
+_ARC_TEXTS = _ArcTexts(key_width(RECORD_RANK))
+
+
+def wings_json(rank: int, cuts: Sequence[int], arcs: list[int], bounds: list[int],
                finite_side: str | None = None) -> str:
-    """The wing record of a rank-``rank`` half from its spans in cut order,
-    each ``(c, d, arcs)`` with ``arcs`` the span's arcs in absolute
-    coordinates, sorted, top arc included (none on a unit span).
+    """The wing record of a rank-``rank`` half from its spans in cut order:
+    the span at ``cuts[t]`` reaches the next cut (the last wraps to the
+    first plus the rank), and its arcs, in absolute coordinates, top arc
+    included (none on a unit span), have the sorted arc keys
+    (:func:`~clustertubes.arcs.key_width`) ``arcs[bounds[t]:bounds[t + 1]]``.
     ``finite_side``, when given, follows ``rank``.
 
     The one writer of wing records, for :meth:`WingDecomposition.to_json`
     and the ``decompose`` command (through :func:`_cut_spans`); the text is
-    byte-identical to compact ``json.dumps`` of the record.
+    byte-identical to compact ``json.dumps`` of the record.  The texts of
+    all the arcs come at once from the bounded table :data:`_ARC_TEXTS`,
+    kept across records, and each span joins its share of them.
     """
     if finite_side not in (None, "left", "right"):
         raise ValueError(f"finite_side must be 'left' or 'right', got {finite_side!r}")
-    pairs = ",".join([f'{{"top":[{c},{d}],"arcs":[{",".join([f"[{a},{b}]" for a, b in arcs])}]}}'
-                      for c, d, arcs in spans])
+    texts = list(map(_ARC_TEXTS.at(key_width(rank)).__getitem__, arcs))
+    ends = [*cuts[1:], cuts[0] + rank]
+    pairs = ",".join([f'{{"top":[{c},{d}],"arcs":[{",".join(texts[a:b])}]}}'
+                      for c, d, a, b in zip(cuts, ends, bounds, bounds[1:])])
     side = "" if finite_side is None else f'"finite_side":"{finite_side}",'
     return f'{{"rank":{rank},{side}"pairs":[{pairs}]}}'
 
 
-def _wing_spans(data: dict) -> list[tuple[int, int, list]]:
-    """The spans of a decoded wing record, sorted by cut, as ``(c, d, arcs)``:
-    the pair's top arc ``[c, d]`` as written, and its ``arcs`` list as
-    written (top arc included, duplicates kept), empty on a unit span.
+def _wing_spans(data: dict) -> list[int]:
+    """The orbit keys (:func:`~clustertubes.arcs.key_width`) of the arcs of
+    a decoded wing record, top arcs included and duplicates kept, pair by
+    pair in the order written; a unit span contributes none.
 
     The one reader of wing records, for :meth:`WingDecomposition.from_json`
     and the ``compose`` command, and the one walk over their pairs and arcs.
@@ -253,42 +276,51 @@ def _wing_spans(data: dict) -> list[tuple[int, int, list]]:
     mod the rank) are at least one, distinct and tile the rank, each span
     reaching the next cut.  So no arc is longer than the rank.  A value
     quoted in a message is abbreviated past dozens of characters
-    (``_ECHO``).
+    (``_ECHO``).  The pairs are walked first, then every arc of the wider
+    spans in one pass that checks it against its span and lays its key; a
+    fault is still named in record order.
     """
     n = data["rank"]
-    spans = []
+    w = key_width(n)
+    spans, wide = [], []
     try:
-        for i, pair in enumerate(data["pairs"]):
-            (c, d), arcs = pair["top"], pair["arcs"]
-            if not (type(c) is int is type(d) and type(arcs) is list):
-                raise TypeError  # named by _check_wing_fields
-            g = d - c
-            if g >= 2:
-                if [c, d] not in arcs:
-                    raise ValueError(f"pairs[{i}] omits its top arc "
-                                     f"[{_ECHO.repr(c)}, {_ECHO.repr(d)}] from 'arcs'")
-                for a, b in arcs:  # each a diagonal of the span, or the top arc
-                    if not (type(a) is int is type(b)) or a < c or b > d or b - a < 2:
-                        _check_diagonals(c, d, arcs)  # raises
-            elif g < 1:
-                raise ValueError(f"size must be >= 1, got {_ECHO.repr(g)}")
-            elif arcs:  # only the top arc may be listed
-                _check_diagonals(c, d, arcs)
-                arcs = []
-            spans.append((c, d, arcs))
+        try:
+            for pair in data["pairs"]:
+                top, arcs = pair["top"], pair["arcs"]
+                c, d = top
+                if not (type(c) is int is type(d) and type(arcs) is list):
+                    raise TypeError  # named by _check_wing_fields
+                g = d - c
+                if g >= 2:
+                    if top not in arcs:  # an equal pair before this one failed first
+                        raise ValueError(f"pairs[{data['pairs'].index(pair)}] omits its top arc "
+                                         f"[{_ECHO.repr(c)}, {_ECHO.repr(d)}] from 'arcs'")
+                    wide.append((c, d, arcs))
+                elif g < 1:
+                    raise ValueError(f"size must be >= 1, got {_ECHO.repr(g)}")
+                elif arcs:  # only the top arc may be listed
+                    _check_diagonals(c, d, arcs)
+                spans.append((c % n, g))
+        finally:  # so a bad arc of a pair walked outranks a later pair's fault
+            # each arc a diagonal of its span or the top arc, else the check raises
+            keys = [(b - a) << w | a % n for c, d, arcs in wide for a, b in arcs
+                    if type(a) is int is type(b) and c <= a <= b - 2 and b <= d
+                    or _check_diagonals(c, d, arcs)]
     except (KeyError, TypeError, ValueError):
         _check_wing_fields(data)  # a field of the wrong type outranks the fault found
         raise
     if not spans:
         raise ValueError("at least one cut is required")
-    spans.sort(key=lambda span: span[0] % n)
-    cuts = [c % n for c, _, _ in spans]
-    if any(cut == after for cut, after in zip(cuts, cuts[1:])):
+    spans.sort()  # by cut; equal cuts are refused next
+    cuts = [cut for cut, _ in spans]
+    if len(set(cuts)) < len(cuts):
         raise ValueError(f"cuts must be strictly increasing within [0, {n})")
-    for cut, after, (c, d, _) in zip(cuts, cuts[1:] + [cuts[0] + n], spans):
-        if d - c != after - cut:
-            raise ValueError(f"piece of size {_ECHO.repr(d - c)} on a span of width {after - cut}")
-    return spans
+    afters = [*cuts[1:], cuts[0] + n]
+    if [cut + g for cut, g in spans] != afters:
+        for (cut, g), after in zip(spans, afters):
+            if g != after - cut:
+                raise ValueError(f"piece of size {_ECHO.repr(g)} on a span of width {after - cut}")
+    return keys
 
 
 def _check_wing_fields(data: dict) -> None:
@@ -313,7 +345,8 @@ def _check_diagonals(c: int, d: int, arcs: list[list[int]]) -> None:
     sorted order relative to ``c``, that lies outside the span or is
     shorter than 2: :class:`PolygonDiagram` checks the arcs shifted by
     ``-c`` as the diagonals of a piece of size ``d - c``.  An arc that is no
-    pair of integers raises TypeError first, for the caller to name."""
+    pair of integers raises TypeError first, for the caller to name.
+    Returns None when every arc is fine."""
     if not all(map(is_int_pair, arcs)):
         raise TypeError("an arc is not a pair of integers")
     PolygonDiagram(d - c, [(a - c, b - c) for a, b in arcs if a != c or b != d])
@@ -336,70 +369,90 @@ def _lay(n: int, placed: Iterable[tuple[int, PolygonDiagram]]) -> PeriodicDiagra
     return PeriodicDiagram._canonical(n, frozenset(arcs))
 
 
-def _cut_spans(n: int, orbits: AbstractSet[Arc]) -> Iterator[tuple[int, int, list[Arc]]]:
-    """The spans of the rank-n finite half with these canonical orbits, in
-    cut order, as ``(c, d, arcs)``: consecutive cuts ``c < d`` (the last
-    wraps to the first plus n) and the span's arcs, sorted, top arc
-    included, shifted into ``[c, d]``; a unit span has none.
+def _cut_spans(n: int, keys: AbstractSet[int]) -> tuple[list[int], list[int], list[int]]:
+    """The spans of the rank-n finite half whose canonical orbits have these
+    arc keys (:func:`~clustertubes.arcs.key_width`), as ``(cuts, arcs,
+    bounds)``: the cuts ascending, each span reaching the next cut (the
+    last wraps to the first plus n), and the arc keys of the span at
+    ``cuts[t]`` as ``arcs[bounds[t]:bounds[t + 1]]``, sorted, top arc
+    included, shifted into the span; a unit span has none.
 
     Cuts are the vertices of ``[0, n)`` not strictly overarched by any arc.
-    A sweep finds them: it walks the orbits sorted by left endpoint, carrying
-    the furthest right end ``reach`` seen so far (from the start, the
-    furthest ``j - n`` of the arcs shifted left by n), and the vertices from
-    ``reach`` up to the next left endpoint are cuts, one range at a time.
-    Time and memory grow with the arcs, not the rank.  Raises if there is no
-    cut or a multi-vertex span lacks its top arc: the input was not a finite
-    half.  No arc straddles a cut (an arc ``(a, b)`` with ``a < d < b`` would
+    A sweep finds them: it walks the keys sorted, that is by left endpoint,
+    carrying the furthest right end ``reach`` seen so far, and the vertices
+    from ``reach`` up to the next left endpoint are cuts, one range at a
+    time.  The vertices below the last ``reach - n`` lie under arcs shifted
+    left by n, so the ranges are cut there before any is listed.  Time and
+    memory grow with the arcs, not the rank.  Raises if there is no cut or
+    a multi-vertex span lacks its top arc: the input was not a finite half.
+    No arc straddles a cut (an arc ``(a, b)`` with ``a < d < b`` would
     overarch the cut ``d mod n``), so with the arcs left of the first cut
-    shifted by n and moved to the end, the sorted orbits split into the spans
-    at the cuts.  This is the one walk of :func:`decompose` and the
+    shifted by n and moved to the end, the sorted keys split into the spans
+    at the cuts, found by bisection.  Those arcs end by the first cut, so
+    their shifted ends stay below 2n and the shift adds ``n << w | n`` to
+    each key.  This is the one walk of :func:`decompose` and the
     ``decompose`` command, which writes its output through
     :func:`wings_json`.
     """
-    arcs = sorted(orbits)
-    reach = max(0, max([j for _, j in arcs], default=0) - n)  # shifts by -n end at j - n
-    cuts = []
-    for i, j in arcs:
-        if i >= reach:  # no arc starting left of i passes reach
-            cuts.extend(range(reach, i + 1))
-        if j > reach:
-            reach = j
-    cuts.extend(range(reach, n))
+    w = key_width(n)
+    low = (1 << w) - 1
+    arcs = sorted(keys)
+    reach = above = 0  # above: the least key of an arc starting at reach
+    ranges = []
+    for k in arcs:
+        if k >= above:  # no arc starting left of this one passes reach
+            ranges.append(range(reach, (k >> w) + 1))
+        if k & low > reach:
+            reach = k & low
+            above = reach << w
+    under = reach - n
+    if under > 0:
+        ranges = [range(max(r.start, under), r.stop) for r in ranges if r.stop > under]
+    ranges.append(range(reach, n))
+    cuts = list(itertools.chain.from_iterable(ranges))
     if not cuts:
         raise ValueError("no cut vertex: the diagram is not a finite half")
 
-    first = bisect_left(arcs, (cuts[0],))
-    arcs = arcs[first:] + [(i + n, j + n) for i, j in arcs[:first]]
-    start = 0
-    for c, d in zip(cuts, cuts[1:] + [cuts[0] + n]):
+    first = bisect_left(arcs, cuts[0] << w)
+    shifted = map((n << w | n).__add__, arcs[:first])
+    arcs = arcs[first:]
+    arcs += shifted
+    bounds = [0]
+    for c, d in zip(cuts, [*cuts[1:], cuts[0] + n]):
         if d - c == 1:  # no arc starts here: it would straddle d
-            yield c, d, []
-            continue
-        if (c, d) not in orbits:
+            bounds.append(bounds[-1])
+        elif c << w | d in keys:
+            bounds.append(bisect_left(arcs, d << w))
+        else:
             raise ValueError(f"span ({c}, {d}) is missing its top arc; input is not Ptolemy")
-        stop = bisect_left(arcs, (d,), start)
-        yield c, d, arcs[start:stop]
-        start = stop
+    return cuts, arcs, bounds
 
 
 def decompose(diagram: PeriodicDiagram) -> WingDecomposition:
     """Split a finite half into its cuts and per-span polygon diagrams, read
     off the spans of :func:`_cut_spans`.  Raises ValueError if the diagram
     has no cut or a multi-vertex span lacks its top arc."""
-    cuts, pieces = [], []
-    for c, d, arcs in _cut_spans(diagram.rank, diagram.orbits):
-        cuts.append(c)
+    n = diagram.rank
+    w = key_width(n)
+    low = (1 << w) - 1
+    # An orbit longer than n overarches every vertex, as one of length
+    # n + 1 does: it is laid at that length, which its key holds.
+    keys = {i << w | (j if j - i <= n else i + n + 1) for i, j in diagram.orbits}
+    cuts, arcs, bounds = _cut_spans(n, keys)
+    pieces = []
+    for c, d, a, b in zip(cuts, [*cuts[1:], cuts[0] + n], bounds, bounds[1:]):
         if d - c == 1:
             pieces.append(DEGENERATE)
             continue
         # Canonical as built: the diagonals come sorted and distinct from the
         # orbits, have length >= 2, lie in [0, d - c] as no arc straddles a
         # cut, and leave out the top arc.
-        diagonals = tuple([(a - c, b - c) for a, b in arcs if a != c or b != d])
+        top = c << w | d
+        diagonals = tuple([((k >> w) - c, (k & low) - c) for k in arcs[a:b] if k != top])
         pieces.append(PolygonDiagram._canonical(d - c, diagonals))
     # Valid as built: the sweep finds at least one cut, ascending and distinct
     # within [0, n), and each span's piece has the span's width.
-    return WingDecomposition._canonical(diagram.rank, tuple(cuts), tuple(pieces))
+    return WingDecomposition._canonical(n, tuple(cuts), tuple(pieces))
 
 
 def compose(wings: WingDecomposition) -> PeriodicDiagram:

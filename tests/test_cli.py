@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,8 +15,8 @@ from clustertubes.cli import main
 from clustertubes.config import BRUTE_RANK, COUNT_RANK, PERP_ORBITS, RECORD_RANK
 from clustertubes.config import REFINED_RANK, SERIES_ORDER, STRUCTURED_RANK, TEXT_ENTRIES
 from clustertubes.counting import torsion_count
-from clustertubes.polygons import _diagonal_table, polygon_diagrams
-from clustertubes.torsion import TorsionPair, WingDecomposition, decompose, iter_structured
+from clustertubes.polygons import _diagonal_table, polygon_diagrams, random_polygon
+from clustertubes.torsion import TorsionPair, WingDecomposition, _lay, decompose, iter_structured
 from clustertubes.torsion import sample_halves
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -294,6 +295,37 @@ def test_record_commands_match_the_object_api(capsys, monkeypatch):
     # line must equal what the objects write, with every side and none.
     halves = list(record_halves())
     assert max(X.rank for X in halves) == 60
+    assert_streams_match_the_objects(capsys, monkeypatch, halves)
+
+
+def layout_edge_halves():
+    """Halves at rank RECORD_RANK whose arc keys reach the edges of the
+    record layout: twenty whose first cut lies above 0, so the arcs left of
+    it wrap and shift, then two with a single cut and a top arc of length n,
+    the second from the last vertex, so an arc ends at 2n - 1."""
+    n = RECORD_RANK
+    rng = random.Random(29)
+    for _ in range(20):
+        cuts = sorted(rng.sample(range(1, n), rng.randint(1, 40)))
+        ends = [*cuts[1:], cuts[0] + n]
+        yield _lay(n, [(c, random_polygon(rng, d - c)) for c, d in zip(cuts, ends)])
+    for c in (0, n - 1):
+        yield _lay(n, [(c, random_polygon(rng, n))])
+
+
+def test_record_commands_match_the_object_api_at_the_layout_edges(capsys, monkeypatch):
+    halves = list(layout_edge_halves())
+    n = RECORD_RANK
+    assert all(decompose(X).cuts[0] > 0 for X in halves[:20])
+    assert any(j > n for X in halves[:20] for _, j in X.orbits)  # arcs that wrap
+    assert decompose(halves[-1]).cuts == (n - 1,)
+    assert (n - 1, 2 * n - 1) in halves[-1].orbits
+    assert_streams_match_the_objects(capsys, monkeypatch, halves)
+
+
+def assert_streams_match_the_objects(capsys, monkeypatch, halves):
+    """decompose of each half's records, with every side and none, writes
+    what its decomposition writes, and compose rebuilds the records."""
     records, wings = [], []
     for X in halves:
         for side in (None, "left", "right"):
@@ -307,6 +339,63 @@ def test_record_commands_match_the_object_api(capsys, monkeypatch):
     code, out, _ = run(capsys, "compose")
     assert code == 0
     assert out.splitlines() == records
+
+
+def golden_records(count, seed):
+    """``count`` seeded torsion-pair records, one line each as ``enumerate``
+    writes them, at ranks 10-60 and 500: a random cut set, and on every span
+    its top arc and a random polygon Ptolemy diagram grown cell by cell from
+    it.  Built from plain arcs, with no code of the package."""
+    rng = random.Random(seed)
+
+    def diagonals(size):  # of the (size + 1)-gon on the base edge (0, size)
+        inner = rng.sample(range(1, size), rng.randint(1, min(3, size - 1)))
+        corners = [0, *sorted(inner), size]
+        out = []
+        if len(corners) > 3 and rng.random() < 0.5:  # a clique cell
+            out += [(a, b) for t, a in enumerate(corners) for b in corners[t + 2:]
+                    if (a, b) != (0, size)]
+        for a, b in zip(corners, corners[1:]):  # a triangle or empty cell else
+            if b - a >= 2:
+                out += [(a, b), *((a + p, a + q) for p, q in diagonals(b - a))]
+        return out
+
+    lines = []
+    for _ in range(count):
+        n = rng.choice([*range(10, 61), 500])
+        density = rng.choice([0.02, 0.2, 0.5])
+        cuts = [v for v in range(n) if rng.random() < density] or [rng.randrange(n)]
+        orbits = set()
+        for c, d in zip(cuts, [*cuts[1:], cuts[0] + n]):
+            if d - c >= 2:
+                for a, b in [(0, d - c), *diagonals(d - c)]:
+                    i = (c + a) % n
+                    orbits.add((i, i + b - a))
+        record = {"rank": n, "finite_side": rng.choice(["left", "right"]),
+                  "orbits": sorted(orbits, key=lambda arc: (arc[1] - arc[0], arc[0]))}
+        lines.append(json.dumps(record, separators=(",", ":")) + "\n")
+    return "".join(lines)
+
+
+# decompose of golden_records(2000, seed=29), as the code wrote it when the
+# record kernels moved from arc tuples to integer keys
+GOLDEN_WINGS_SHA256 = "8d91875231bd9f5a19c61ea9d6ad2f8665a837fe42cbacfcd90a5818859e2384"
+
+
+def test_record_streams_match_their_golden_digest(capsys, monkeypatch):
+    # 2,000 halves through decompose then compose: the wing stream is
+    # pinned by its digest, and compose rebuilds the input byte for byte.
+    source = golden_records(2000, seed=29)
+    ranks = {json.loads(line)["rank"] for line in source.splitlines()}
+    assert {10, 60, 500} <= ranks <= {*range(10, 61), 500}
+    monkeypatch.setattr("sys.stdin", io.StringIO(source))
+    code, wings, err = run(capsys, "decompose")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(wings.encode()).hexdigest() == GOLDEN_WINGS_SHA256
+    monkeypatch.setattr("sys.stdin", io.StringIO(wings))
+    code, rebuilt, err = run(capsys, "compose")
+    assert (code, err) == (0, "")
+    assert rebuilt == source
 
 
 def test_record_commands_build_no_half(capsys, monkeypatch):
@@ -337,12 +426,13 @@ def test_text_tables_stay_within_their_bound(capsys, monkeypatch):
     # Records at the rank limit whose arcs are all distinct: the fans of
     # every length from one vertex, a different vertex s each, so the only
     # cut is s.  Every text table the commands keep across records stops
-    # growing at its bound, and the texts past it are still right.
+    # growing at its bound, and the texts past it are still right: the arc
+    # texts decompose writes and the orbit texts compose writes.
     from clustertubes import arcs, torsion
 
     tables = [t for module in (arcs, torsion) for t in vars(module).values()
               if isinstance(t, dict) and type(t) is not dict]
-    assert [id(t) for t in tables] == [id(arcs._ORBIT_TEXTS)]
+    assert [id(t) for t in tables] == [id(arcs._ORBIT_TEXTS), id(torsion._ARC_TEXTS)]
     n = RECORD_RANK
     starts = range(TEXT_ENTRIES // (n - 1) + 2)
     fans = [[[s, s + k] for k in range(2, n + 1)] for s in starts]
@@ -763,6 +853,36 @@ def test_malformed_input_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, stream, written, message", [
+    ("compose", '{"rank":3,"pairs":[{"top":[0,3],"arcs":[[0,3]]}]}\n\n{"rank":3 "pairs":[]}\n',
+     '{"rank":3,"orbits":[[0,3]]}\n', "Expecting ',' delimiter: line 3 column 11 (char 10)"),
+    # json places a fault past the record's own newline on the next line
+    ("decompose", '{"rank":1,"orbits":[]}\n\n\n{"rank":3,\n',
+     '{"rank":1,"pairs":[{"top":[0,1],"arcs":[]}]}\n',
+     "Expecting property name enclosed in double quotes: line 5 column 1 (char 11)"),
+    ("decompose", '\n{"rank":1,"orbits":[]} x\n', "", "Extra data: line 2 column 24 (char 23)"),
+])
+def test_json_errors_in_a_stream_name_the_stream_line(capsys, monkeypatch, command, stream,
+                                                      written, message):
+    # The line counts every line of stdin, blank ones too; the column and
+    # the char stay json's, within the record.
+    monkeypatch.setattr("sys.stdin", io.StringIO(stream))
+    assert run(capsys, command) == (2, written, f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, position", [
+    (["compose", "--wings", '{"rank":3 "pairs":[]}'], "line 1 column 11 (char 10)"),
+    (["decompose", "--diagram", '{"rank":3 "orbits":[]}'], "line 1 column 11 (char 10)"),
+    (["render", "--pair", "-", "--out", "-"], "line 3 column 11 (char 12)"),
+])
+def test_json_errors_in_one_record_keep_json_text(capsys, monkeypatch, argv, position):
+    # A record given as an argument, and render's one record, are the whole
+    # document json reads, so its position stands as json gives it.
+    record = '{"rank":3 "finite_side":"left","orbits":[]}'
+    monkeypatch.setattr("sys.stdin", io.StringIO("\n\n" + record))
+    assert run(capsys, *argv) == (2, "", f"error: Expecting ',' delimiter: {position}\n")
+
+
 @pytest.mark.parametrize(
     "argv,message",
     [
@@ -842,6 +962,18 @@ def test_malformed_input_exit_code(capsys):
          "error: diagram rank 3 does not match --n 4\n"),
         (["perp", "--n", "4", "--arc", "0", "2", "--diagram", '{"rank":3,"orbits":[[0,2]]}'],
          "error: diagram rank 3 does not match --n 4\n"),
+        # An arc longer than the rank overarches every vertex, so no cut is
+        # left: that fault comes after all the others, as for any half.
+        (["decompose", "--diagram", '{"rank":3,"orbits":[[0,9]]}'],
+         "error: no cut vertex: the diagram is not a finite half\n"),
+        (["decompose", "--diagram", '{"rank":3,"finite_side":"up","orbits":[[0,9]]}'],
+         "error: key 'finite_side' must be 'left' or 'right', got 'up'\n"),
+        (["decompose", "--diagram", '{"rank":501,"orbits":[[0,9999]]}'],
+         "error: record rank capped at 500, got 501\n"),
+        (["decompose", "--n", "4", "--diagram", '{"rank":3,"orbits":[[0,9]]}'],
+         "error: diagram rank 3 does not match --n 4\n"),
+        (["decompose", "--diagram", '{"rank":3,"orbits":[[0,9],[1,2]]}'],
+         "error: not an arc (length 1 < 2): (1, 2)\n"),
     ],
 )
 def test_malformed_record_names_the_key(capsys, argv, message):
@@ -1067,8 +1199,10 @@ def test_compose_checks_every_arc_length(capsys, monkeypatch):
     # The reader's checks already bound every arc by the rank; the key guard
     # holds if they ever stop doing so.
     from clustertubes import torsion
+    from clustertubes.arcs import key_width
 
-    monkeypatch.setattr(torsion, "_wing_spans", lambda data: [(0, 5, [[0, 5]])])
+    # the orbit key of the arc [0, 5], longer than the rank 3
+    monkeypatch.setattr(torsion, "_wing_spans", lambda data: [5 << key_width(3) | 0])
     code, out, err = run(capsys, "compose", "--wings", '{"rank":3,"pairs":[]}')
     assert (code, out) == (2, "")
     assert err == "error: a finite half has arcs of length at most the rank\n"

@@ -425,9 +425,28 @@ def test_from_json_decomposes_the_half_it_reads():
             assert wings.cuts == tuple(sorted(c % X.rank for c in tops))
 
 
+@pytest.mark.parametrize("n", [600, 1000, 2**40])
+def test_wing_records_round_trip_past_the_record_layout(n):
+    # Arc keys widen with the rank past RECORD_RANK, so the library's walk
+    # and writer hold at any rank: a key as wide as at RECORD_RANK would run
+    # the far end 2n - 1 of the first half's top arc into its left end.
+    # That half has two orbits, on one span from the last vertex.
+    rng = random.Random(n)
+    halves = [PeriodicDiagram(n, frozenset({(n - 1, 2 * n - 1), (n - 1, n + 1)}))]
+    halves += [laid_half(rng, n) for _ in range(5 if n < 2**40 else 0)]
+    assert decompose(halves[0]) == WingDecomposition(n, (n - 1,), (PolygonDiagram(n, ((0, 2),)),))
+    for X in halves:
+        wings = decompose(X)
+        text = wings.to_json()
+        assert text == compact({"rank": n, "pairs": expected_wing_pairs(X, wings)})
+        assert WingDecomposition.from_json(text) == wings
+        assert compose(wings) == X
+
+
 def test_decompose_and_compose_check_each_piece_once(monkeypatch):
-    # decompose builds its pieces canonical; compose's input is checked one
-    # span per piece in _wing_spans, and no piece is re-checked on the way.
+    # decompose builds its pieces canonical; compose's input is checked in
+    # _wing_spans, which lays one key per arc of the record (each orbit lies
+    # in one span), and no piece is re-checked on the way.
     halves = list(laid_halves(300, seed=8))
     monkeypatch.setattr(PolygonDiagram, "__init__", refuse)
     checked = counting_wing_spans(monkeypatch)
@@ -437,7 +456,7 @@ def test_decompose_and_compose_check_each_piece_once(monkeypatch):
     for X, text in zip(halves, records):
         wings = WingDecomposition.from_json(text)
         assert compose(wings) == X
-        assert len(checked[-1]) == len(wings.pieces)
+        assert len(checked[-1]) == len(X.orbits)
         wide += sum(p.size >= 2 for p in wings.pieces)
     assert len(checked) == len(records)
     assert wide > 300
