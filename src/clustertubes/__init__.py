@@ -32,6 +32,7 @@ _EXPORTS = {
         "polygon_diagrams", "statistics_polygon",
     ),
     "qpolys": ("QPoly", "cyclotomic", "eval_at_primitive_root", "qbinomial", "qmultinomial"),
+    "records": ("iter_orbits_json",),
     "series": ("Poly3", "PowerSeries", "series_P", "series_torsion"),
     "sieving": (
         "SieveRecord", "csp_verify", "fixed_histograms", "orbit_count", "orbit_count_direct",
@@ -40,8 +41,8 @@ _EXPORTS = {
     "torsion": (
         "PointedCycle", "TorsionPair", "WingDecomposition", "compose", "count_structured",
         "decompose", "enumerate_brute", "enumerate_structured", "from_pointed_cycle",
-        "is_finite_half", "iter_orbits_json", "iter_structured", "perp_contains",
-        "perp_enumerate", "statistics", "to_pointed_cycle",
+        "is_finite_half", "iter_structured", "perp_contains", "perp_enumerate",
+        "statistics", "to_pointed_cycle",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

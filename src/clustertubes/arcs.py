@@ -24,221 +24,12 @@ All values are immutable and all operations are pure functions.
 
 from __future__ import annotations
 
-import sys
-from typing import Iterable, Iterator, NoReturn
+from typing import Iterable, Iterator
 
-from .config import _ECHO, RECORD_RANK, TEXT_ENTRIES, Frozen
+from .config import _ECHO, Frozen
+from .records import check_arc, diagram_json
 
 Arc = tuple[int, int]
-
-
-def check_arc(pair: tuple[int, int]) -> Arc:
-    i, j = pair
-    if j - i < 2:
-        raise ValueError(f"not an arc (length {_ECHO.repr(j - i)} < 2): {_ECHO.repr(pair)}")
-    return (i, j)
-
-
-def is_int_pair(value: object) -> bool:
-    """Is ``value`` a pair (list or tuple) of integers?  JSON decodes to
-    exactly ``list`` and ``int``, so exact type checks cost little and keep
-    bools out."""
-    return (type(value) in (list, tuple) and len(value) == 2
-            and type(value[0]) is int is type(value[1]))
-
-
-def read_record(line: str, arcs: str, *required: str) -> dict:
-    """Decode one JSON input record and check its top level.
-
-    The record must be an object holding ``rank``, the arc field ``arcs``
-    (``"orbits"`` or ``"pairs"``) and every key in ``required``.  ``rank``
-    must be an integer and not a bool, and at least 1, as every reader
-    divides by it; the arc field must be a list.  Every failure is a
-    ValueError (malformed JSON raises json's JSONDecodeError, which is
-    one; an integer longer than the interpreter's int/str digit limit
-    raises one that names the limit), and a fault of a key names the key.
-    A value quoted in a message is abbreviated past a few levels or dozens
-    of characters (``_ECHO``).
-    The reader of the arc field checks its entries: for the CLI's records
-    ``cli._read``, for wing records
-    :meth:`~clustertubes.torsion.WingDecomposition.from_json`.
-    """
-    import json
-
-    try:
-        data = json.loads(line)
-    except RecursionError:  # json's C decoder recurses once per nesting level
-        raise ValueError("record nested too deeply to decode") from None
-    except json.JSONDecodeError:
-        raise
-    except ValueError:  # an integer literal past the interpreter's digit limit
-        raise ValueError(f"record holds an integer of more than "
-                         f"{sys.get_int_max_str_digits()} digits") from None
-    if not isinstance(data, dict):
-        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
-    for key in ("rank", arcs, *required):
-        if key not in data:
-            raise ValueError(f"missing key {key!r}")
-    if not isinstance(data["rank"], int) or isinstance(data["rank"], bool):
-        raise ValueError(f"key 'rank' must be an integer, got {type(data['rank']).__name__}")
-    if data["rank"] < 1:
-        raise ValueError(f"key 'rank' must be >= 1, got {_ECHO.repr(data['rank'])}")
-    if not isinstance(data[arcs], list):
-        raise ValueError(f"key {arcs!r} must be a list, got {type(data[arcs]).__name__}")
-    return data
-
-
-def _not_an_arc() -> NoReturn:
-    raise ValueError("not an arc")
-
-
-def _name_the_fault(arcs: list) -> None:
-    """Raise for the first faulty entry of a record's ``orbits`` list: the
-    first entry that is no pair of integers (:func:`is_int_pair`) raises
-    TypeError, named ``orbits[t]`` as in a record; else the first arc
-    shorter than 2 raises :func:`check_arc`'s ValueError."""
-    for t, arc in enumerate(arcs):
-        if not is_int_pair(arc):
-            raise TypeError(f"orbits[{t}] must be a pair of integers, "
-                            f"got {_ECHO.repr(arc)}") from None
-    for arc in arcs:
-        check_arc(tuple(arc))
-
-
-def normalize_orbits(rank: int, arcs: Iterable) -> set[Arc]:
-    """The canonical orbits (:func:`normalize_orbit`) of ``arcs`` at rank
-    ``rank >= 1``, each a pair of integers at any shift: the reader of a
-    record's ``orbits`` list for the ``perp`` and ``render`` commands.
-
-    One pass type-checks each arc, checks its length and normalizes it.
-    When an arc fails, the arcs are checked again in order to name the
-    first fault (:func:`_name_the_fault`).
-    :meth:`PeriodicDiagram.from_arcs`, the library's constructor, checks
-    lengths alone and takes integer-like ends too.
-    """
-    if type(arcs) is not list:  # the second pass must see every arc
-        arcs = list(arcs)
-    try:
-        # An entry that does not unpack into two raises here; one whose ends
-        # are not both ints, or that is shorter than 2, raises in the test.
-        return {((r := i % rank), r + (j - i)) for i, j in arcs
-                if type(i) is int is type(j) and j - i >= 2 or _not_an_arc()}
-    except (TypeError, ValueError):
-        _name_the_fault(arcs)
-        raise
-
-
-_RECORD_WIDTH = (2 * RECORD_RANK).bit_length()  # 10 bits: 2n <= 1000 < 1024
-
-
-def key_width(n: int) -> int:
-    """The width in bits of the low field of an integer arc or orbit key at
-    rank n: wide enough for 2n, and never narrower than at ``RECORD_RANK``,
-    so every record the commands take lays its keys alike.
-
-    Two layouts share it.  An *arc key* ``i << w | j`` sorts as ``(i, j)``:
-    the ``decompose`` walk (:func:`arc_keys`,
-    :func:`~clustertubes.torsion._cut_spans`) keeps arcs of length at most
-    n + 1 with ``0 <= i < 2n`` and ``j <= 2n``.  An *orbit key*
-    ``(j - i) << w | i``, with i canonical, sorts as
-    :meth:`PeriodicDiagram.sorted_orbits`: ``compose`` writes through it
-    (:func:`half_orbits_json`)."""
-    return _RECORD_WIDTH if n <= RECORD_RANK else (2 * n).bit_length()
-
-
-def arc_keys(rank: int, arcs: list) -> set[int]:
-    """The arc keys (:func:`key_width`) of the canonical orbits of the
-    ``arcs`` listed at rank ``rank >= 1``, each a pair of integers at any
-    shift: the reader of a record's ``orbits`` list for the ``decompose``
-    command.
-
-    One pass type-checks each arc, checks its length and lays it.  When an
-    arc fails, the arcs are checked again in order to name the first fault
-    (:func:`_name_the_fault`).  If none is found, some arc is longer than
-    the rank.  Such an arc overarches every vertex, as one of length
-    ``rank + 1`` does, so each is laid at that length: the key fits, and the
-    walk finds no cut and says so after the record's other checks.
-    """
-    w = key_width(rank)
-    try:
-        return {(r := i % rank) << w | r + (j - i) for i, j in arcs
-                if type(i) is int is type(j) and 2 <= j - i <= rank or _not_an_arc()}
-    except (TypeError, ValueError):
-        _name_the_fault(arcs)
-    return {(r := i % rank) << w | r + min(j - i, rank + 1) for i, j in arcs}
-
-
-class _Texts(dict):
-    """A table of the compact JSON texts ``[i,j]`` of arcs by their integer
-    keys of width ``width`` (:func:`key_width`).  A text is made on first
-    use and kept while the table holds fewer than ``TEXT_ENTRIES``, so the
-    table stays bounded whatever the input; a key it no longer takes is
-    formatted on every use.  A subclass reads the arc off its key."""
-
-    __slots__ = ("width",)
-
-    def __init__(self, width: int) -> None:
-        super().__init__()
-        self.width = width
-
-    def __missing__(self, key: int) -> str:
-        text = self.text(key)
-        if len(self) < TEXT_ENTRIES:
-            self[key] = text
-        return text
-
-    def at(self, width: int) -> "_Texts":
-        """This table if its keys are ``width`` bits wide, else a new one."""
-        return self if width == self.width else type(self)(width)
-
-
-class _ArcTexts(_Texts):
-    """The texts of arcs ``(i, j)`` by their arc keys ``i << width | j``."""
-
-    __slots__ = ()
-
-    def text(self, key: int) -> str:
-        return f"[{key >> self.width},{key & ((1 << self.width) - 1)}]"
-
-
-class _OrbitTexts(_Texts):
-    """The texts of canonical orbits ``(i, j)`` by their orbit keys
-    ``(j - i) << width | i``."""
-
-    __slots__ = ()
-
-    def text(self, key: int) -> str:
-        i = key & ((1 << self.width) - 1)
-        return f"[{i},{i + (key >> self.width)}]"
-
-
-# An orbit's text does not depend on the rank, so one table kept across
-# records serves every record: the keys of every rank up to RECORD_RANK have
-# the same width.
-_ORBIT_TEXTS = _OrbitTexts(key_width(RECORD_RANK))
-
-
-def half_orbits_json(n: int, keys: Iterable[int]) -> str:
-    """The orbits with these orbit keys (:func:`key_width`), orbits of a
-    rank-n finite half, deduplicated and sorted, as compact JSON
-    text: byte-identical to :meth:`PeriodicDiagram.orbits_json` of the
-    diagram of those orbits.
-
-    One set dedups the keys, a plain int sort orders the orbits, and each
-    text comes from the bounded table :data:`_ORBIT_TEXTS`.  An orbit longer
-    than n, which no finite half has, raises ValueError.
-    """
-    w = key_width(n)
-    keys = sorted(set(keys))
-    if keys and keys[-1] >= (n + 1) << w:
-        raise ValueError("a finite half has arcs of length at most the rank")
-    return "[" + ",".join(map(_ORBIT_TEXTS.at(w).__getitem__, keys)) + "]"
-
-
-def diagram_json(rank: int, orbits_text: str) -> str:
-    """The diagram record of a rank-``rank`` diagram whose ``orbits`` text is
-    ``orbits_text`` (:meth:`PeriodicDiagram.orbits_json`)."""
-    return f'{{"rank":{rank},"orbits":{orbits_text}}}'
 
 
 def cross(a: Arc, b: Arc) -> bool:
@@ -344,8 +135,8 @@ class PeriodicDiagram(Frozen):
     def from_arcs(cls, rank: int, arcs: Iterable[tuple[int, int]]) -> "PeriodicDiagram":
         """The diagram of the orbits of ``arcs``, each a pair ``(i, j)`` of
         integers at any shift.  Each arc is checked and normalized once, in
-        input order: the first one shorter than 2 raises :func:`check_arc`'s
-        error."""
+        input order: the first one shorter than 2 raises
+        :func:`~clustertubes.records.check_arc`'s error."""
         if rank < 1:
             raise ValueError(f"rank must be positive, got {rank}")
         orbits = frozenset([((r := i % rank), r + (j - i)) for i, j in arcs

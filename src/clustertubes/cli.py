@@ -7,23 +7,13 @@ rank limit never sets it), 2 usage or malformed input, 3 a rank or order
 limit exceeded, 141 stdout closed by its reader (128 + SIGPIPE, what a shell
 reports for ``yes | head -1``; nothing is printed to stderr).
 
-``enumerate`` streams the pairs in grammar order (see
-:func:`clustertubes.torsion.iter_structured`) in bounded memory, writing
-each half's text from the grammar without building the half
-(:func:`clustertubes.torsion.iter_orbits_json`), so
-``enumerate --n 9 | head`` prints its first lines at once.  ``decompose``
-and ``compose`` likewise take each record from decoded JSON to its text in
-one walk, building no diagram, half, piece or pair: the pass that reads
-each arc also type-checks it and lays it as a plain-int key
-(:func:`clustertubes.arcs.arc_keys` for ``orbits``,
-:func:`clustertubes.torsion._wing_spans` for wing ``pairs``), the keys
-are sorted and split as ints, and :func:`_read` keeps the order in which a
-record's faults are named.  Each joins its arc texts from one table kept
-across records (:func:`clustertubes.torsion.wings_json`,
-:func:`clustertubes.arcs.half_orbits_json`), each bounded by
-``TEXT_ENTRIES`` entries whatever the input.  Both read stdin one record
-per line (:func:`_records`), and a JSON error there names the line of the
-stream it is on.
+``enumerate``, ``decompose`` and ``compose`` stream records in bounded
+memory and build no diagram, half, piece or pair: :mod:`clustertubes.records`
+describes the records and writes each from plain-int keys, and :func:`_read`
+keeps the order in which a record's faults are named.  Those commands load
+no other package module, but ``enumerate`` reads the grammar walk of
+:mod:`clustertubes.polygons`.  ``decompose`` and ``compose`` read stdin one
+record per line (:func:`_records`), and a JSON error names its stream line.
 
 A command loads only the modules it runs, of the package and of the
 standard library.  This module imports :mod:`clustertubes.config` and a few
@@ -81,12 +71,12 @@ def _input_lines(arg: str | None) -> Iterator[tuple[int, str]]:
 
 def _records(arg: str | None, arcs: str) -> Iterator[dict]:
     """Each record of :func:`_input_lines`, decoded and checked by
-    :func:`~clustertubes.arcs.read_record`.  A JSON error names the line of
+    :func:`~clustertubes.records.read_record`.  A JSON error names the line of
     the stream the fault is on, where json names the line within the
     record; a record given by ``arg`` is all of the stream."""
     from json import JSONDecodeError
 
-    from .arcs import read_record
+    from .records import read_record
 
     for number, line in _input_lines(arg):
         try:
@@ -110,7 +100,7 @@ def _check_side_and_cap(data: dict) -> None:
 
 def _read(data: dict, walk: Callable, *args: object) -> object:
     """``walk(*args)``, the one walk that checks and reads the arc field of
-    a record from :func:`~clustertubes.arcs.read_record`, then the record's
+    a record from :func:`~clustertubes.records.read_record`, then the record's
     last checks (:func:`_check_side_and_cap`).
 
     The walk type-checks each entry as it reads it, and raises TypeError for
@@ -181,7 +171,7 @@ _WRITE_BLOCK = 4096  # PIPE_BUF on Linux: a pipe write this long is never split
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    from . import torsion
+    from . import records
 
     # Whole lines in blocks, not a print each: with PYTHONUNBUFFERED set a
     # print is two writes (540,000 at n = 8; blocks make 5,800).  Blocks stay
@@ -189,9 +179,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     # One string per half, both records around its orbits text; the record
     # prefixes are fixed per rank.
     n = args.n
-    left, right = (torsion.pair_json(n, side, "")[:-1] for side in ("left", "right"))
+    left, right = (records.pair_json(n, side, "")[:-1] for side in ("left", "right"))
     block, size = [], 0
-    for orbits in torsion.iter_orbits_json(n):  # arc lengths checked there
+    for orbits in records.iter_orbits_json(n):  # arc lengths checked there
         lines = f"{left}{orbits}}}\n{right}{orbits}}}\n"
         if size + len(lines) > _WRITE_BLOCK:
             sys.stdout.write("".join(block))
@@ -203,47 +193,54 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    from . import torsion
-    from .arcs import arc_keys
+    from . import records
 
     for data in _records(args.diagram, "orbits"):
         n = data["rank"]
-        keys = _read(data, arc_keys, n, data["orbits"])
+        keys = _read(data, records.arc_keys, n, data["orbits"])
         if args.n is not None and n != args.n:
             raise ValueError(f"diagram rank {n} does not match --n {_ECHO.repr(args.n)}")
-        record = torsion.wings_json(n, *torsion._cut_spans(n, keys), data.get("finite_side"))
+        record = records.wings_json(n, *records._cut_spans(n, keys), data.get("finite_side"))
         # One write per record: print makes two when stdout is unbuffered.
         sys.stdout.write(record + "\n")
     return 0
 
 
 def cmd_compose(args: argparse.Namespace) -> int:
-    from . import torsion
-    from .arcs import diagram_json, half_orbits_json
+    from . import records
 
     for data in _records(args.wings, "pairs"):
         n = data["rank"]
-        orbits = half_orbits_json(n, _read(data, torsion._wing_spans, data))
+        orbits = records.half_orbits_json(n, _read(data, records._wing_spans, data))
         if "finite_side" in data:
-            record = torsion.pair_json(n, data["finite_side"], orbits)
+            record = records.pair_json(n, data["finite_side"], orbits)
         else:
-            record = diagram_json(n, orbits)
+            record = records.diagram_json(n, orbits)
         sys.stdout.write(record + "\n")
     return 0
 
 
+def _read_diagram(text: str, *required: str) -> tuple[dict, PeriodicDiagram]:
+    """The record ``text``, holding ``orbits`` and the keys ``required``,
+    and the diagram of its orbits, read through :func:`_read`: the reader
+    of ``perp`` and ``render``."""
+    from .arcs import PeriodicDiagram
+    from .records import normalize_orbits, read_record
+
+    data = read_record(text, "orbits", *required)
+    n = data["rank"]
+    orbits = _read(data, normalize_orbits, n, data["orbits"])
+    # Canonical as read: read_record checked rank >= 1, and each orbit is normalized.
+    return data, PeriodicDiagram._canonical(n, frozenset(orbits))
+
+
 def cmd_perp(args: argparse.Namespace) -> int:
     from . import torsion
-    from .arcs import PeriodicDiagram, normalize_orbits, read_record
 
     _, line = next(_input_lines(args.diagram), (None, None))
     if line is None:
         raise ValueError("missing diagram record on stdin")
-    data = read_record(line, "orbits")
-    n = data["rank"]
-    orbits = _read(data, normalize_orbits, n, data["orbits"])
-    # Canonical as read: read_record checked rank >= 1, and each orbit is normalized.
-    diagram = PeriodicDiagram._canonical(n, frozenset(orbits))
+    _, diagram = _read_diagram(line)
     if args.n is not None and diagram.rank != args.n:
         raise ValueError(f"diagram rank {diagram.rank} does not match --n {_ECHO.repr(args.n)}")
     if args.arc is not None:
@@ -331,7 +328,6 @@ def cmd_orbits(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     from . import torsion
-    from .arcs import PeriodicDiagram, normalize_orbits, read_record
     from .render import render_torsion_pair
 
     if args.pair == "-":
@@ -339,11 +335,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     else:
         with open(args.pair, "r", encoding="utf-8") as fh:
             text = fh.read()
-    data = read_record(text, "orbits", "finite_side")
-    n = data["rank"]
-    orbits = _read(data, normalize_orbits, n, data["orbits"])
-    # Canonical as read: read_record checked rank >= 1, and each orbit is normalized.
-    diagram = PeriodicDiagram._canonical(n, frozenset(orbits))
+    data, diagram = _read_diagram(text, "finite_side")
     pair = torsion.TorsionPair(data["rank"], diagram, data["finite_side"])
     if args.n is not None and pair.rank != args.n:
         raise ValueError(f"pair rank {pair.rank} does not match --n {_ECHO.repr(args.n)}")

@@ -21,8 +21,8 @@ SERIES_ORDER = 24  # cli.cmd_series, and cmd_verify's refined series row (the li
 COUNT_RANK = 20_000  # cli.cmd_count, cmd_orbits: the closed-form counts (likewise)
 REFINED_RANK = 150  # cli.cmd_count/cmd_orbits --refined, cmd_verify: the (k, l, m) table
 PERP_ORBITS = 40_000  # cli.cmd_perp --max-length: the rank x (max_length - 1) orbits it tests
-RECORD_RANK = 500  # cli._check_side_and_cap: the rank of decompose, compose, perp and render
-TEXT_ENTRIES = 4_096  # torsion.wings_json, arcs.half_orbits_json: each one's table of texts
+RECORD_RANK = 500  # cli._check_side_and_cap: decompose, compose, perp, render; records.key_width
+TEXT_ENTRIES = 4_096  # records.wings_json, records.half_orbits_json: each one's table of texts
 
 
 # Error lines echo a malformed value through this: a short one prints as its

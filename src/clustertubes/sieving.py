@@ -54,16 +54,19 @@ def fixed_histograms(n: int) -> dict[int, Counter]:
     s < n, a half fixed by tau^s is s-periodic: it is a rank-s half repeated
     n/s times around the tube, and every rank-s half repeats to one.  So the
     rank-s grammar is walked, nothing is laid, and each rank-s half counts
-    with the cells of its pieces times n/s.  The walk reads a table of
-    :func:`~clustertubes.polygons.statistics_polygon` values per width, so
-    each diagram of width at most s is face-walked once.
+    with the cells of its pieces times n/s.  Every walk reads one table of
+    :func:`~clustertubes.polygons.statistics_polygon` values per width, built
+    once per call, so each diagram of width at most the largest proper
+    divisor of n is face-walked once.
     """
     from .series import series_torsion
 
     _check_rank(n)
     hists: dict[int, Counter] = {}
-    for s in _divisors(n)[:-1]:
-        cells = {g: [statistics_polygon(p) for p in polygon_diagrams(g)] for g in range(1, s + 1)}
+    shifts = _divisors(n)[:-1]
+    cells = {g: [statistics_polygon(p) for p in polygon_diagrams(g)]
+             for g in range(1, max(shifts, default=0) + 1)}
+    for s in shifts:
         hists[s] = Counter()
         r = n // s
         for _, _, pieces in _walk(s, cells.__getitem__):

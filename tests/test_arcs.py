@@ -15,11 +15,10 @@ from clustertubes.arcs import (
     nc_contains,
     nc_enumerate,
     normalize_orbit,
-    normalize_orbits,
     orbits_cross,
     ptolemy_completions,
-    read_record,
 )
+from clustertubes.records import normalize_orbits, read_record
 
 arcs = st.builds(lambda i, length: (i, i + length), st.integers(-30, 30), st.integers(2, 12))
 

@@ -160,12 +160,12 @@ def test_enumerate_stream_is_byte_stable_at_rank_six(capsys):
 
 
 def test_enumerate_stream_builds_no_diagram(capsys, monkeypatch):
-    from clustertubes import polygons, torsion
+    from clustertubes import polygons, records
 
     def outputs():
         _diagonal_table.cache_clear()
         polygon_diagrams.cache_clear()
-        streams = [hashlib.sha256("\n".join(torsion.iter_orbits_json(n)).encode()).hexdigest()
+        streams = [hashlib.sha256("\n".join(records.iter_orbits_json(n)).encode()).hexdigest()
                    for n in range(1, 9)]
         return streams, run(capsys, "enumerate", "--n", "6")
 
@@ -182,13 +182,13 @@ def test_enumerate_stream_builds_no_diagram(capsys, monkeypatch):
 
 
 def test_enumerate_checks_every_half(capsys, monkeypatch):
-    from clustertubes import torsion
+    from clustertubes import polygons
 
     def grammar_with_a_long_arc(n, table):
         # one span, the empty diagram on it, whose top arc is longer than the rank
         yield [0], [n + 2], (table(n + 2)[0],)
 
-    monkeypatch.setattr(torsion, "_walk", grammar_with_a_long_arc)
+    monkeypatch.setattr(polygons, "_walk", grammar_with_a_long_arc)
     code, _, err = run(capsys, "enumerate", "--n", "3")
     assert code == 2
     assert err == "error: a finite half has arcs of length at most the rank\n"
@@ -429,10 +429,11 @@ def test_text_tables_stay_within_their_bound(capsys, monkeypatch):
     # growing at its bound, and the texts past it are still right: the arc
     # texts decompose writes and the orbit texts compose writes.
     from clustertubes import arcs, torsion
+    from clustertubes import records as home
 
-    tables = [t for module in (arcs, torsion) for t in vars(module).values()
+    tables = [t for module in (arcs, home, torsion) for t in vars(module).values()
               if isinstance(t, dict) and type(t) is not dict]
-    assert [id(t) for t in tables] == [id(arcs._ORBIT_TEXTS), id(torsion._ARC_TEXTS)]
+    assert [id(t) for t in tables] == [id(home._ORBIT_TEXTS), id(home._ARC_TEXTS)]
     n = RECORD_RANK
     starts = range(TEXT_ENTRIES // (n - 1) + 2)
     fans = [[[s, s + k] for k in range(2, n + 1)] for s in starts]
@@ -1147,7 +1148,7 @@ def test_integer_arguments_keep_their_short_messages(capsys):
 
 # Wing records that are no wing decomposition, each with the message both
 # the compose command and WingDecomposition.from_json give; the library
-# reader checks the top level as the command does (arcs.read_record).
+# reader checks the top level as the command does (records.read_record).
 MALFORMED_WINGS = [
     ('{"rank":3,"pairs":[]}', "at least one cut is required"),
     ('{"rank":3,"pairs":[{"top":[0,3],"arcs":[[0,3]]},{"top":[3,6],"arcs":[[3,6]]}]}',
@@ -1198,11 +1199,11 @@ def test_malformed_wings_are_rejected_by_compose_and_from_json(capsys, wings, me
 def test_compose_checks_every_arc_length(capsys, monkeypatch):
     # The reader's checks already bound every arc by the rank; the key guard
     # holds if they ever stop doing so.
-    from clustertubes import torsion
-    from clustertubes.arcs import key_width
+    from clustertubes import records
+    from clustertubes.records import key_width
 
     # the orbit key of the arc [0, 5], longer than the rank 3
-    monkeypatch.setattr(torsion, "_wing_spans", lambda data: [5 << key_width(3) | 0])
+    monkeypatch.setattr(records, "_wing_spans", lambda data: [5 << key_width(3) | 0])
     code, out, err = run(capsys, "compose", "--wings", '{"rank":3,"pairs":[]}')
     assert (code, out) == (2, "")
     assert err == "error: a finite half has arcs of length at most the rank\n"

@@ -56,14 +56,17 @@ def package_imports(tree):
                     yield alias.name.split(".")[1]
 
 
-# The closed forms and the series check each other and the grammar, and the
-# cell statistics of the polygon grammar are checked against the series: none
-# may share code with the routes it is compared against.
+# The closed forms and the series check each other and the grammar, the
+# cell statistics of the polygon grammar are checked against the series, and
+# the record streams against PeriodicDiagram.orbits_json (arcs) and
+# enumerate_brute (torsion): none may share code with the routes it is
+# compared against.
 @pytest.mark.parametrize("module, forbidden", [
     ("counting", {"series", "torsion", "polygons", "qpolys", "sieving"}),
     ("series", {"counting", "torsion", "polygons"}),
     ("polygons", {"series", "counting", "qpolys", "sieving", "torsion"}),
-], ids=["counting", "series", "polygons"])
+    ("records", {"arcs", "torsion", "counting", "series", "qpolys", "sieving"}),
+], ids=["counting", "series", "polygons", "records"])
 def test_independent_routes_share_no_code(module, forbidden):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     shared = sorted(set(package_imports(tree)) & forbidden)
@@ -96,13 +99,16 @@ def loaded_modules(script, *argv):
     return set(result.stderr.split())
 
 
-# enumerate and the record commands read through torsion, which loads
-# neither counting nor series; render reads its wing spans there too.  The
-# symmetry commands read sieving, which walks the grammar through polygons
-# and loads neither torsion nor arcs: orbits for the closed form and the
-# direct partition, sieve for those histograms and the q-analogues.  verify
-# loads both layers, for every route it checks.
-RECORD_MODULES = ["arcs", "cli", "config", "polygons", "torsion"]
+# decompose and compose run the record kernels of records alone, and
+# enumerate adds the grammar walk of polygons; none loads the arc calculus
+# or the halves.  perp and render read a diagram record into a diagram and
+# run the halves (torsion) on it; render reads its wing spans there too.
+# The symmetry commands read sieving, which walks the grammar through
+# polygons and loads neither torsion nor arcs: orbits for the closed form
+# and the direct partition, sieve for those histograms and the q-analogues.
+# verify loads both layers, for every route it checks.
+RECORD_MODULES = ["cli", "config", "records"]
+HALF_MODULES = ["arcs", "cli", "config", "polygons", "records", "torsion"]
 SYMMETRY_MODULES = ["cli", "config", "counting", "polygons", "series", "sieving"]
 PAIR = '{"rank":4,"finite_side":"left","orbits":[[1,3],[0,4]]}'
 
@@ -111,15 +117,15 @@ PAIR = '{"rank":4,"finite_side":"left","orbits":[[1,3],[0,4]]}'
     ([], []),
     (["count", "--n", "1"], ["cli", "config", "counting"]),
     (["series", "--order", "3"], ["cli", "config", "series"]),
-    (["enumerate", "--n", "1"], RECORD_MODULES),
+    (["enumerate", "--n", "1"], sorted([*RECORD_MODULES, "polygons"])),
     (["decompose", "--diagram", '{"rank":4,"orbits":[[1,3]]}'], RECORD_MODULES),
     (["compose", "--wings", '{"rank":2,"pairs":[{"top":[0,2],"arcs":[[0,2]]}]}'],
      RECORD_MODULES),
-    (["perp", "--diagram", '{"rank":4,"orbits":[[1,3]]}', "--max-length", "3"], RECORD_MODULES),
-    (["render", "--pair", "-", "--out", "-"], sorted([*RECORD_MODULES, "render"])),
+    (["perp", "--diagram", '{"rank":4,"orbits":[[1,3]]}', "--max-length", "3"], HALF_MODULES),
+    (["render", "--pair", "-", "--out", "-"], sorted([*HALF_MODULES, "render"])),
     (["sieve", "--n", "4"], sorted([*SYMMETRY_MODULES, "qpolys"])),
     (["orbits", "--n", "4", "--refined"], SYMMETRY_MODULES),
-    (["verify", "--n", "4"], sorted({*RECORD_MODULES, *SYMMETRY_MODULES})),
+    (["verify", "--n", "4"], sorted({*HALF_MODULES, *SYMMETRY_MODULES})),
 ], ids=["import", "count", "series", "enumerate", "decompose", "compose", "perp", "render",
         "sieve", "orbits", "verify"])
 def test_a_command_loads_only_the_modules_it_runs(argv, loaded):
@@ -150,13 +156,18 @@ def module_level_imports(tree):
 
 # The half layer (torsion) and the arc calculus (arcs) load only inside the
 # functions of these modules that run them, so that sieve and orbits start
-# without them.
-@pytest.mark.parametrize("module", ["polygons", "sieving"])
-def test_the_symmetry_layer_imports_no_half_at_module_level(module):
+# without them, and decompose and compose without the grammar (polygons)
+# either.
+@pytest.mark.parametrize("module, forbidden", [
+    ("polygons", {"arcs", "torsion"}),
+    ("sieving", {"arcs", "torsion"}),
+    ("records", {"arcs", "torsion", "polygons"}),
+], ids=["polygons", "sieving", "records"])
+def test_the_symmetry_layer_imports_no_half_at_module_level(module, forbidden):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     offending = [f"{module}.py:{node.lineno}" for node in module_level_imports(tree)
-                 if set(package_imports(node)) & {"arcs", "torsion"}]
-    assert offending == [], f"module-level imports of arcs or torsion: {offending}"
+                 if set(package_imports(node)) & forbidden]
+    assert offending == [], f"module-level imports of {sorted(forbidden)}: {offending}"
 
 
 def test_start_up_loads_no_heavy_standard_module():

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clustertubes.arcs import PeriodicDiagram, nc_enumerate, read_record
+from clustertubes.arcs import PeriodicDiagram, nc_enumerate
 from clustertubes.config import CapExceeded
 from clustertubes.counting import refined_table, torsion_count
 from clustertubes.polygons import DEGENERATE, PolygonDiagram, _diagonal_table, polygon_diagrams
+from clustertubes.records import iter_orbits_json, read_record
 from clustertubes.sieving import (
     fixed_histograms,
     orbit_count,
@@ -30,7 +31,6 @@ from clustertubes.torsion import (
     enumerate_structured,
     from_pointed_cycle,
     is_finite_half,
-    iter_orbits_json,
     iter_structured,
     perp_contains,
     perp_enumerate,
@@ -364,16 +364,16 @@ def refuse(self, *args):
 
 
 def counting_wing_spans(monkeypatch):
-    """Patch ``torsion._wing_spans`` to record the spans of each call."""
-    from clustertubes import torsion
+    """Patch ``records._wing_spans`` to record the spans of each call."""
+    from clustertubes import records
 
-    read, calls = torsion._wing_spans, []
+    read, calls = records._wing_spans, []
 
     def counted(data):
         calls.append(read(data))
         return calls[-1]
 
-    monkeypatch.setattr(torsion, "_wing_spans", counted)
+    monkeypatch.setattr(records, "_wing_spans", counted)
     return calls
 
 
@@ -628,11 +628,11 @@ def test_fixed_histograms_build_only_short_pieces():
     assert _diagonal_table.cache_info().currsize <= 3
 
 
-@pytest.mark.parametrize("n, walks", [(8, 1 + 2 + 23), (9, 1 + 6)])
+@pytest.mark.parametrize("n, walks", [(8, 1 + 1 + 4 + 17), (9, 1 + 1 + 4)])
 def test_fixed_histograms_walk_each_short_diagram_once(monkeypatch, n, walks):
-    # For each s < n dividing n, statistics_polygon runs once per diagram of
-    # width <= s (1, 1, 4 and 17 diagrams of widths 1..4), not once per piece
-    # of every rank-s half.
+    # statistics_polygon runs once per diagram of width up to the largest
+    # proper divisor of n (1, 1, 4 and 17 diagrams of widths 1..4), not once
+    # per divisor, nor once per piece of every rank-s half.
     from clustertubes import sieving
     from clustertubes.polygons import statistics_polygon
 
