@@ -26,9 +26,8 @@ diagonal pairs; it is the one place the grammar is generated, and the
 ``enumerate`` stream reads it directly.  :func:`polygon_diagrams` is the
 same table as :class:`PolygonDiagram` objects, for the callers that need
 them.  Agreement of the two enumerators is part of the test suite.
-:func:`polygon_counts` counts the same grammar by recursion over
-compositions, without building a diagram, and :func:`random_polygon`
-draws one diagram from it, assembled through :func:`compose_base`.
+:func:`random_polygon` draws one diagram from the grammar, assembled
+through :func:`compose_base`.
 
 :func:`_walk`, next to the tables it reads, walks the cut/wing grammar of
 the rank-n halves for :mod:`clustertubes.torsion` and the tau fixed points
@@ -302,31 +301,6 @@ def random_polygon(rng: random.Random, m: int) -> PolygonDiagram:
     corners = (0, *(v for v in range(1, m) if mask >> (v - 1) & 1), m)
     cell = Cell(corners, rng.choice(_base_kinds(len(corners) - 2)))
     return compose_base(cell, [random_polygon(rng, d - c) for c, d in zip(corners, corners[1:])])
-
-
-def polygon_counts(m: int) -> list[int]:
-    """``[0, p(1), ..., p(m)]`` with p(size) the number of Ptolemy diagrams,
-    counted through the base-cell grammar without building any of them.
-
-    The base cell splits a size into a composition of s >= 2 parts, each
-    carrying an independent smaller diagram: one cell kind (a triangle) for
-    s = 2, two kinds (a clique or an empty cell) for s >= 3, exactly as in
-    :func:`_diagonal_table`.  Peeling off the first part, the compositions
-    of h into exactly two parts sum to ``sum_a p(a) p(h-a)`` and those into
-    three or more to ``sum_a p(a) at_least_2[h-a]``, where ``at_least_2``
-    tallies the compositions into two or more parts; the table costs O(m^2)
-    big-integer steps.
-    """
-    if m < 1:
-        raise ValueError(f"size must be >= 1, got {m}")
-    p = [0, 1]
-    at_least_2 = [0, 0]
-    for h in range(2, m + 1):
-        exactly_2 = sum(p[a] * p[h - a] for a in range(1, h))
-        at_least_3 = sum(p[a] * at_least_2[h - a] for a in range(1, h))
-        at_least_2.append(exactly_2 + at_least_3)
-        p.append(exactly_2 + 2 * at_least_3)
-    return p
 
 
 def _faces(diagram: PolygonDiagram) -> Iterator[tuple[tuple[int, ...], CellKind]]:

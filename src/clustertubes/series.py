@@ -39,6 +39,9 @@ everything stays over the integers; the cycle-with-pointing operator
 which would leave the coefficient ring.  The module has no general series
 product or inverse: the tests keep those as the reference that both series
 are checked against.
+
+The integer solve (:func:`_solve`, :func:`_torsion`) is the package's one
+grammar count: :func:`~clustertubes.torsion.count_structured` reads it too.
 """
 
 from __future__ import annotations

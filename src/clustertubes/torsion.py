@@ -56,7 +56,6 @@ from .polygons import (
     _check_rank,
     _walk,
     constrained_subsets,
-    polygon_counts,
     polygon_diagrams,
     random_polygon,
     statistics_polygon,
@@ -341,27 +340,19 @@ def iter_structured(n: int) -> Iterator[PeriodicDiagram]:
 def count_structured(n: int) -> int:
     """Number of finite halves at rank n, counted through the cut/wing grammar.
 
-    Nothing is built.  The grammar is counted by recursion over compositions:
-    with p(g) the polygon count of :func:`polygon_counts` (the span contents
-    of width g) and S(h) the number of ordered piece sequences of total width
-    h, ``S(0) = 1`` and ``S(h) = sum_a p(a) S(h-a)``.  A half is its span
-    around vertex 0 -- width g, placed in one of g ways so that 0 lies in
-    ``(c, c+g]`` -- followed clockwise by a piece sequence of width n-g, so
-    the count is ``sum_g g p(g) S(n-g)``.
-
-    This route uses grammar counts only, no binomial and no series, so it
-    stays an independent check on :func:`~clustertubes.counting.torsion_count`
-    and the generating functions.  Agreement with walking
-    :func:`iter_structured` is part of the test suite.  As it builds
-    nothing, no rank limit applies.
+    Nothing is built: the count is half the z^n coefficient of the torsion
+    series ``2 z P'/(1-P)`` at ``x = y1 = y2 = 1``, the pointed cycle of the
+    base-cell grammar ``P`` (:func:`~clustertubes.series.series_torsion`,
+    the package's one grammar count).  It uses no binomial, so it stays an
+    independent check on :func:`~clustertubes.counting.torsion_count`.
+    Agreement with walking :func:`iter_structured` is part of the test
+    suite.  As it builds nothing, no rank limit applies.
     """
+    from .series import series_torsion
+
     if n < 1:
         raise ValueError(f"rank must be >= 1, got {_ECHO.repr(n)}")
-    p = polygon_counts(n)
-    sequences = [1]
-    for h in range(1, n):
-        sequences.append(sum(p[a] * sequences[h - a] for a in range(1, h + 1)))
-    return sum(g * p[g] * sequences[n - g] for g in range(1, n + 1))
+    return series_torsion(n, 1, 1, 1).coeffs[n] // 2
 
 
 def enumerate_structured(n: int) -> list[PeriodicDiagram]:
@@ -371,18 +362,17 @@ def enumerate_structured(n: int) -> list[PeriodicDiagram]:
     return sorted(iter_structured(n), key=lambda X: X.sorted_orbits())
 
 
-def sample_halves(n: int, count: int, seed: int = 0) -> list[PeriodicDiagram]:
-    """Random finite halves at rank n: a random cut set, and on each span a
-    diagram drawn by :func:`~clustertubes.polygons.random_polygon`.
+def sample_halves(n: int, count: int, seed: int = 0) -> Iterator[PeriodicDiagram]:
+    """Random finite halves at rank n, one at a time: a random cut set, and
+    on each span a diagram drawn by
+    :func:`~clustertubes.polygons.random_polygon`.
 
     Deterministic for a fixed seed; not uniform over halves, which is fine
     for round-trip testing.  No list of diagrams is built, so any rank works.
     """
     rng = random.Random(seed)
-    out = []
     for _ in range(count):
         mask = rng.randrange(1, 1 << n)
         cuts = [v for v in range(n) if mask >> v & 1]
         ends = cuts[1:] + [cuts[0] + n]
-        out.append(_lay(n, ((c, random_polygon(rng, d - c)) for c, d in zip(cuts, ends))))
-    return out
+        yield _lay(n, ((c, random_polygon(rng, d - c)) for c, d in zip(cuts, ends)))

@@ -604,9 +604,9 @@ def test_verify_passes(capsys, n):
 
 
 @pytest.mark.parametrize("n, digest", [
-    (4, "6000e2c0790f0a4e1884ce87439e1019f512ef3b2c84750219af518f7ff194b2"),
-    (5, "56684249a441e4bc32dadd3eebbbc672532578421de22994e8945435b5c690a7"),
-    (6, "d0cbe90c4df46f101e57a2f39eb536da6be4f2ddab1fe0525f1ab15c5c90a3f8"),
+    (4, "619544c3d974fdbb38a905b4600136c45c2e3f03e792d4fdb2545cb756ff8b13"),
+    (5, "eb57d68b6ce97a02423e9ed1e7af1ea08440b52821e4c47c9cb8548b78a8232e"),
+    (6, "3f71b8b28f50703492e2ee2e051a8bc989ef806842cc1f097dc28387cecfca01"),
 ])
 def test_verify_output_is_byte_stable(capsys, n, digest):
     code, out, _ = run(capsys, "verify", "--n", str(n))
@@ -743,7 +743,6 @@ def test_verify_builds_no_polygon_list(capsys):
 VERIFY_ROWS = [
     ("2 * |structured| == closed formula", None),
     ("brute == structured (as sets)", ("BRUTE_RANK", BRUTE_RANK)),
-    ("series coefficient == closed formula", None),
     ("refined formula sums to total", None),
     ("decompose/compose and pointed-cycle round trips", None),
     ("refined series coefficients == refined formula", ("SERIES_ORDER", SERIES_ORDER)),

@@ -3,7 +3,7 @@ import re
 from pathlib import Path
 
 from clustertubes import config
-from clustertubes.cli import build_parser
+from clustertubes.cli import build_parser, main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -15,6 +15,13 @@ def test_readme_states_every_limit_with_its_value():
     for name, value in limits.items():
         assert f"`{name} = {value:_}`" in README, name
 
+
+def test_readme_states_how_many_checks_verify_prints(capsys):
+    assert main(["verify", "--n", "1"]) == 0
+    rows = capsys.readouterr().out.split("\n\n")[0].splitlines()
+    words = ["zero", "one", "two", "three", "four", "five", "six", "seven", "eight", "nine", "ten"]
+    stated = re.findall(r"(?:verify --n 5 +# |prints the same\s+)(\w+) checks", README)
+    assert stated == [words[len(rows)]] * 2  # the usage comment and the paragraph
 
 
 def test_readme_shows_every_subcommand():

@@ -16,7 +16,6 @@ from clustertubes.polygons import (
     decompose_base,
     enumerate_polygon,
     is_ptolemy_polygon,
-    polygon_counts,
     polygon_diagrams,
     random_polygon,
     statistics_polygon,
@@ -67,8 +66,9 @@ def test_diagonal_table_equals_brute_force(m):
 
 
 def test_diagonal_table_lengths_equal_the_counts():
+    counts = series_P(10, 1, 1, 1).coeffs
     try:
-        assert [len(_diagonal_table(m)) for m in range(1, 11)] == polygon_counts(10)[1:]
+        assert [len(_diagonal_table(m)) for m in range(1, 11)] == list(counts[1:])
     finally:
         _diagonal_table.cache_clear()  # the width-10 table holds 46 MB
     with pytest.raises(ValueError):
@@ -104,11 +104,9 @@ def test_grammar_output_is_valid_and_duplicate_free(m):
 
 
 def test_polygon_counts_match_grammar_and_brute_force():
-    counts = polygon_counts(9)
-    assert counts[1:] == [len(polygon_diagrams(m)) for m in range(1, 10)]
-    assert counts[1:7] == [len(enumerate_polygon(m)) for m in range(1, 7)]
-    with pytest.raises(ValueError):
-        polygon_counts(0)
+    counts = series_P(9, 1, 1, 1).coeffs
+    assert list(counts[1:]) == [len(polygon_diagrams(m)) for m in range(1, 10)]
+    assert list(counts[1:7]) == [len(enumerate_polygon(m)) for m in range(1, 7)]
 
 
 @pytest.mark.parametrize("m", range(1, 8))

@@ -519,6 +519,12 @@ def test_pointed_cycle_round_trip_sampled(n):
         assert compose(decompose(X)) == X
 
 
+def test_sample_halves_draws_one_half_at_a_time():
+    samples = sample_halves(150, 1000, seed=150)
+    assert iter(samples) is samples and not isinstance(samples, list)
+    assert next(samples).rank == 150
+
+
 # ---- statistics --------------------------------------------------------------------
 
 
