@@ -17,14 +17,17 @@ the module provides the dimension of ``Ext^1`` between two orbits,
 rigidity, the non-crossing operator ``nc`` (as a membership oracle plus a
 bounded enumerator, since ``nc`` of a finite collection is infinite), the
 Ptolemy closure condition, and the Auslander-Reiten translation
-``tau: (i, j) -> (i - 1, j - 1)``.
+``tau: (i, j) -> (i - 1, j - 1)``.  The Ptolemy check :func:`is_ptolemy`
+and the closed-subset search :func:`ptolemy_subsets` are the oracles' one
+statement of the Ptolemy rule; a polygon diagram is their one-span case.
 
 All values are immutable and all operations are pure functions.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import itertools
+from typing import Iterable, Iterator, Sequence
 
 from .config import _ECHO, Frozen
 from .records import check_arc, diagram_json
@@ -123,7 +126,7 @@ class PeriodicDiagram(Frozen):
 
     def __init__(self, rank: int, orbits: frozenset[Arc]) -> None:
         if rank < 1:
-            raise ValueError(f"rank must be positive, got {rank}")
+            raise ValueError(f"rank must be positive, got {_ECHO.repr(rank)}")
         for i, j in orbits:
             if j - i < 2:
                 raise ValueError(f"not an arc: {(i, j)!r}")
@@ -138,7 +141,7 @@ class PeriodicDiagram(Frozen):
         input order: the first one shorter than 2 raises
         :func:`~clustertubes.records.check_arc`'s error."""
         if rank < 1:
-            raise ValueError(f"rank must be positive, got {rank}")
+            raise ValueError(f"rank must be positive, got {_ECHO.repr(rank)}")
         orbits = frozenset([((r := i % rank), r + (j - i)) for i, j in arcs
                             if j - i >= 2 or check_arc((i, j))])
         # Canonical as built: rank >= 1, each left endpoint taken mod rank,
@@ -239,3 +242,67 @@ def is_ptolemy(diagram: PeriodicDiagram) -> bool:
     return all(diagram.contains_arc(p)
                for a, b in iter_crossing_pairs(diagram)
                for p in ptolemy_completions(a, b))
+
+
+def constrained_subsets(
+    k: int, constraints: Sequence[tuple[int, int, int | None]]
+) -> list[int]:
+    """Every subset of items ``0..k-1``, as a bitmask, meeting all constraints.
+
+    A constraint ``(p, q, req)`` (p == q allowed) says that if p and q are
+    both chosen, so is every item in the bitmask ``req``; ``req is None``
+    forbids the pair.  Backtracking (Knuth, TAOCP 4B, section 7.2.2) decides
+    the items in index order, in before out, keeping ``need``, the union of
+    ``req`` over the chosen pairs.  A branch dies when it excludes a needed
+    item or chooses a pair that is forbidden or needs an excluded item.
+    :func:`ptolemy_subsets` runs on this search.
+    """
+    closing: list[list[tuple[int, int | None]]] = [[] for _ in range(k)]
+    for p, q, req in constraints:
+        closing[max(p, q)].append((1 << min(p, q), req))
+    found: list[int] = []
+
+    def search(t: int, chosen: int, excluded: int, need: int) -> None:
+        if t == k:
+            found.append(chosen)
+            return
+        bit = 1 << t
+        grown = chosen | bit
+        grown_need = need
+        for other, req in closing[t]:
+            if grown & other:
+                if req is None or req & excluded:
+                    break
+                grown_need |= req
+        else:
+            search(t + 1, grown, excluded, grown_need)
+        if not need & bit:
+            search(t + 1, chosen, excluded | bit, need)
+
+    search(0, 0, 0, 0)
+    return found
+
+
+def ptolemy_subsets(n: int, pool: Sequence[Arc]) -> list[int]:
+    """The subsets of ``pool``, distinct canonical orbits at rank n, closed
+    under the Ptolemy rule: bitmasks over pool indices, found by
+    :func:`constrained_subsets`.
+
+    If shifts of two orbits cross, the connectors of every crossing are
+    required, and a connector whose orbit is not in the pool forbids the
+    pair.  The halves take all orbits of lengths 2..n; a polygon takes its
+    diagonals and top arc ``(0, n)``, which cross only unshifted, so the
+    constraints are the polygon's own.
+    """
+    index = {a: t for t, a in enumerate(pool)}
+    constraints: list[tuple[int, int, int | None]] = []
+    for p, q in itertools.combinations_with_replacement(range(len(pool)), 2):
+        a, b = pool[p], pool[q]
+        forced = [normalize_orbit(n, c)
+                  for m in crossing_shifts(n, a, b)
+                  for c in ptolemy_completions(a, (b[0] + m * n, b[1] + m * n))]
+        if any(c not in index for c in forced):
+            constraints.append((p, q, None))
+        elif forced:
+            constraints.append((p, q, sum(1 << index[c] for c in set(forced))))
+    return constrained_subsets(len(pool), constraints)

@@ -233,7 +233,7 @@ def asymptotic_check(n: int) -> tuple[float, float]:
     log space, so huge n cannot overflow).
     """
     if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
+        raise ValueError(f"need n >= 2, got {_ECHO.repr(n)}")
     tn, tn1 = torsion_count(n), torsion_count(n + 1)
     ratio = tn1 / tn  # correctly rounded for arbitrary-size ints
     alpha_est = math.exp(

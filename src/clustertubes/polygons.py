@@ -19,13 +19,14 @@ suite checks that this happens exactly on the diagonal sets that are not
 Ptolemy, for every set up to size 6.
 
 Two enumerators are provided.  :func:`enumerate_polygon` is the brute-force
-oracle: the pruned backtracking search :func:`constrained_subsets` finds its
-Ptolemy subsets of diagonals.  :func:`_diagonal_table` generates the same
-sets recursively through the cell-at-the-base grammar, as plain tuples of
-diagonal pairs; it is the one place the grammar is generated, and the
-``enumerate`` stream reads it directly.  :func:`polygon_diagrams` is the
-same table as :class:`PolygonDiagram` objects, for the callers that need
-them.  Agreement of the two enumerators is part of the test suite.
+oracle: a diagram of size m is the one-span case of the closed-subset
+search of :mod:`clustertubes.arcs`, its diagonals and top arc at rank m.
+:func:`_diagonal_table` generates the same sets recursively through the
+cell-at-the-base grammar, as plain tuples of diagonal pairs; it is the one
+place the grammar is generated, and the ``enumerate`` stream reads it
+directly.  :func:`polygon_diagrams` is the same table as
+:class:`PolygonDiagram` objects, for the callers that need them.
+Agreement of the two enumerators is part of the test suite.
 :func:`random_polygon` draws one diagram from the grammar, assembled
 through :func:`compose_base`.
 
@@ -86,7 +87,7 @@ class PolygonDiagram(Frozen):
         """The one statement of the piece rule, which wing records are read
         through: messages quote their values abbreviated (``_ECHO``)."""
         if size < 1:
-            raise ValueError(f"size must be >= 1, got {size}")
+            raise ValueError(f"size must be >= 1, got {_ECHO.repr(size)}")
         canon = tuple(sorted(set(tuple(d) for d in diagonals)))
         for a, b in canon:
             if not (0 <= a < b <= size):
@@ -115,87 +116,36 @@ def is_ptolemy_polygon(diagram: PolygonDiagram) -> bool:
     """Every crossing pair of diagonals forces its four connectors.
 
     Connectors of length 1 are polygon sides and the pair ``(0, size)`` is
-    the base edge; both count as present.
+    the base edge; both count as present.  This is
+    :func:`~clustertubes.arcs.is_ptolemy` of the one-span half: the
+    diagonals and the base edge as its top arc, at the size as rank.
     """
-    from .arcs import cross, ptolemy_completions
+    from .arcs import PeriodicDiagram, is_ptolemy
 
-    have = set(diagram.diagonals)
-    return all(
-        p == (0, diagram.size) or p in have
-        for c, d in itertools.combinations(diagram.diagonals, 2)
-        if cross(c, d)
-        for p in ptolemy_completions(c, d)
-    )
-
-
-def constrained_subsets(
-    k: int, constraints: Sequence[tuple[int, int, int | None]]
-) -> list[int]:
-    """Every subset of items ``0..k-1``, as a bitmask, meeting all constraints.
-
-    A constraint ``(p, q, req)`` (p == q allowed) says that if p and q are
-    both chosen, so is every item in the bitmask ``req``; ``req is None``
-    forbids the pair.  Backtracking (Knuth, TAOCP 4B, section 7.2.2) decides
-    the items in index order, in before out, keeping ``need``, the union of
-    ``req`` over the chosen pairs.  A branch dies when it excludes a needed
-    item or chooses a pair that is forbidden or needs an excluded item.
-    Both brute-force oracles, :func:`enumerate_polygon` and
-    :func:`clustertubes.torsion.enumerate_brute`, run on this search.
-    """
-    closing: list[list[tuple[int, int | None]]] = [[] for _ in range(k)]
-    for p, q, req in constraints:
-        closing[max(p, q)].append((1 << min(p, q), req))
-    found: list[int] = []
-
-    def search(t: int, chosen: int, excluded: int, need: int) -> None:
-        if t == k:
-            found.append(chosen)
-            return
-        bit = 1 << t
-        grown = chosen | bit
-        grown_need = need
-        for other, req in closing[t]:
-            if grown & other:
-                if req is None or req & excluded:
-                    break
-                grown_need |= req
-        else:
-            search(t + 1, grown, excluded, grown_need)
-        if not need & bit:
-            search(t + 1, chosen, excluded | bit, need)
-
-    search(0, 0, 0, 0)
-    return found
+    m = diagram.size
+    return m == 1 or is_ptolemy(PeriodicDiagram(m, frozenset({(0, m), *diagram.diagonals})))
 
 
 def enumerate_polygon(m: int) -> list[PolygonDiagram]:
     """Brute-force oracle: every diagonal subset with the Ptolemy property.
 
-    Each crossing pair of diagonals contributes one constraint "if both are
-    chosen, the connectors are chosen too" (a connector is never too long
-    on the polygon, so no pair is forbidden outright), and
-    :func:`constrained_subsets` finds the subsets meeting them all by a
-    pruned backtracking search.  Counts for m = 1..5 are 1, 1, 4, 17, 82.
+    The diagonals and the top arc ``(0, m)`` are the pool of
+    :func:`~clustertubes.arcs.ptolemy_subsets` at rank m; the subsets
+    holding the top arc, without it, are the diagrams.  (At size 1 the top
+    arc is a side, which crosses nothing.)  Counts for m = 1..5 are 1, 1,
+    4, 17, 82.
     """
-    from .arcs import cross, ptolemy_completions
+    from .arcs import ptolemy_subsets
 
     if m < 1:
-        raise ValueError(f"size must be >= 1, got {m}")
+        raise ValueError(f"size must be >= 1, got {_ECHO.repr(m)}")
     if m > POLYGON_BRUTE:
-        raise CapExceeded(f"polygon brute force capped at size {POLYGON_BRUTE}, got {m}")
+        raise CapExceeded(f"polygon brute force capped at size {POLYGON_BRUTE}, "
+                          f"got {_ECHO.repr(m)}")
     diags = _connectors(range(m + 1))
-    k = len(diags)
-    index = {d: t for t, d in enumerate(diags)}
-    constraints: list[tuple[int, int, int]] = []
-    for p, q in itertools.combinations(range(k), 2):
-        if cross(diags[p], diags[q]):
-            forced = [c for c in ptolemy_completions(diags[p], diags[q]) if c != (0, m)]
-            constraints.append((p, q, sum(1 << index[c] for c in forced)))
-
-    out = []
-    for mask in constrained_subsets(k, constraints):
-        chosen = tuple(diags[t] for t in range(k) if mask >> t & 1)
-        out.append(PolygonDiagram(m, chosen))
+    top = 1 << len(diags)
+    out = [PolygonDiagram(m, tuple(d for t, d in enumerate(diags) if mask >> t & 1))
+           for mask in ptolemy_subsets(m, diags + [(0, m)]) if mask & top]
     out.sort(key=lambda P: P.diagonals)
     return out
 
@@ -216,7 +166,7 @@ def _diagonal_table(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     but the tuples.
     """
     if m < 1:
-        raise ValueError(f"size must be >= 1, got {m}")
+        raise ValueError(f"size must be >= 1, got {_ECHO.repr(m)}")
     if m == 1:
         return ((),)
     pair = [[(a, b) for b in range(m + 1)] for a in range(m + 1)]
@@ -294,7 +244,7 @@ def random_polygon(rng: random.Random, m: int) -> PolygonDiagram:
     same way glued on, assembled by :func:`compose_base`.  Every diagram of
     size m can occur, though not uniformly."""
     if m < 1:
-        raise ValueError(f"size must be >= 1, got {m}")
+        raise ValueError(f"size must be >= 1, got {_ECHO.repr(m)}")
     if m == 1:
         return DEGENERATE
     mask = rng.randrange(1, 1 << (m - 1))

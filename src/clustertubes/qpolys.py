@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 from typing import Iterable
 
-from .config import Frozen
+from .config import _ECHO, Frozen
 
 
 class QPoly(Frozen):
@@ -126,7 +126,7 @@ def qmultinomial(parts: Iterable[int]) -> QPoly:
 def cyclotomic(d: int) -> QPoly:
     """The d-th cyclotomic polynomial, by exact division of q^d - 1."""
     if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
+        raise ValueError(f"need d >= 1, got {_ECHO.repr(d)}")
     num = QPoly((-1,) + (0,) * (d - 1) + (1,))
     for e in range(1, d):
         if d % e == 0:

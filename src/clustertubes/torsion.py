@@ -21,7 +21,7 @@ The structure theory implemented here:
   non-base vertex; ``to_pointed_cycle`` / ``from_pointed_cycle`` realize the
   bijection with cycles-of-diagrams pointed at a label.
 * *Enumeration*.  ``enumerate_brute`` searches the orbit subsets for the
-  Ptolemy property by pruned backtracking (the oracle, sharing no code with
+  Ptolemy property by the search in ``arcs`` (the oracle, sharing no code with
   the grammar), ``iter_structured`` runs the cut/wing grammar (the fast
   path); both must produce the same sets.  The grammar yields each half
   exactly once, so the ``enumerate`` stream walks it unsorted: grammar order
@@ -40,22 +40,13 @@ import itertools
 import random
 from typing import Iterable, Iterator
 
-from .arcs import (
-    PeriodicDiagram,
-    crossing_shifts,
-    is_ptolemy,
-    nc_contains,
-    nc_enumerate,
-    normalize_orbit,
-    ptolemy_completions,
-)
+from .arcs import PeriodicDiagram, is_ptolemy, nc_contains, nc_enumerate, ptolemy_subsets
 from .config import _ECHO, BRUTE_RANK, CapExceeded, Frozen
 from .polygons import (
     DEGENERATE,
     PolygonDiagram,
     _check_rank,
     _walk,
-    constrained_subsets,
     polygon_diagrams,
     random_polygon,
     statistics_polygon,
@@ -283,34 +274,19 @@ def from_pointed_cycle(cycle: PointedCycle, rank: int) -> PeriodicDiagram:
 
 
 def enumerate_brute(n: int) -> list[PeriodicDiagram]:
-    """All finite halves at rank n by brute force over orbit subsets.
-
-    Every pair of orbits contributes a bitmask constraint: if two orbits
-    cross (in some shift), the connectors of every crossing must be present,
-    and a connector longer than n outlaws the pair altogether.  The pruned
-    backtracking search :func:`~clustertubes.polygons.constrained_subsets`
-    finds the orbit subsets meeting them all.  This is the oracle the
+    """All finite halves at rank n by brute force over orbit subsets: the
+    subsets of the orbits of lengths 2..n that
+    :func:`~clustertubes.arcs.ptolemy_subsets` finds closed under the
+    Ptolemy rule, sorted by ``sorted_orbits()``.  This is the oracle the
     grammar enumeration is checked against.
     """
     if n > BRUTE_RANK:
-        raise CapExceeded(f"brute-force enumeration capped at rank {BRUTE_RANK}, got {n}")
+        raise CapExceeded(f"brute-force enumeration capped at rank {BRUTE_RANK}, "
+                          f"got {_ECHO.repr(n)}")
     pool = [(i, i + length) for length in range(2, n + 1) for i in range(n)]
-    k = len(pool)
-    index = {a: t for t, a in enumerate(pool)}
-    constraints: list[tuple[int, int, int | None]] = []
-    for p, q in itertools.combinations_with_replacement(range(k), 2):
-        a, b = pool[p], pool[q]
-        shifts = [(b[0] + m * n, b[1] + m * n) for m in crossing_shifts(n, a, b)]
-        forced = [c for s in shifts for c in ptolemy_completions(a, s)]
-        if any(c[1] - c[0] > n for c in forced):
-            constraints.append((p, q, None))
-        elif forced:
-            items = {index[normalize_orbit(n, c)] for c in forced}
-            constraints.append((p, q, sum(1 << t for t in items)))
-
     halves = [
-        PeriodicDiagram(n, frozenset(pool[t] for t in range(k) if mask >> t & 1))
-        for mask in constrained_subsets(k, constraints)
+        PeriodicDiagram(n, frozenset(a for t, a in enumerate(pool) if mask >> t & 1))
+        for mask in ptolemy_subsets(n, pool)
     ]
     halves.sort(key=lambda X: X.sorted_orbits())
     return halves

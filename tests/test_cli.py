@@ -11,8 +11,9 @@ from types import SimpleNamespace
 
 import pytest
 
+import clustertubes
 from clustertubes.cli import main
-from clustertubes.config import BRUTE_RANK, COUNT_RANK, PERP_ORBITS, RECORD_RANK
+from clustertubes.config import BRUTE_RANK, COUNT_RANK, PERP_ORBITS, RECORD_RANK, CapExceeded
 from clustertubes.config import REFINED_RANK, SERIES_ORDER, STRUCTURED_RANK, TEXT_ENTRIES
 from clustertubes.counting import torsion_count
 from clustertubes.polygons import _diagonal_table, polygon_diagrams, random_polygon
@@ -1113,6 +1114,37 @@ def test_compose_echoes_a_huge_integer_in_bounded_form(capsys, default_int_digit
     assert out == ""
     assert err.startswith(start) and err.count("\n") == 1
     assert len(err.encode()) < 200
+
+
+BIG = 10**5000  # past the default int/str digit limit
+
+
+# The library's own limits quote the value as the commands do (``_ECHO``):
+# in bounded form whether or not a command lifted the digit limit, and as
+# their own error rather than the int/str conversion's ValueError.
+@pytest.mark.parametrize("call, error, start", [
+    (lambda: clustertubes.enumerate_polygon(BIG), CapExceeded,
+     "polygon brute force capped at size 8, got "),
+    (lambda: clustertubes.enumerate_brute(BIG), CapExceeded,
+     "brute-force enumeration capped at rank 7, got "),
+    (lambda: clustertubes.PolygonDiagram(-BIG), ValueError, "size must be >= 1, got "),
+    (lambda: clustertubes.enumerate_polygon(-BIG), ValueError, "size must be >= 1, got "),
+    (lambda: _diagonal_table(-BIG), ValueError, "size must be >= 1, got "),
+    (lambda: random_polygon(random.Random(0), -BIG), ValueError, "size must be >= 1, got "),
+    (lambda: clustertubes.PeriodicDiagram(-BIG, frozenset()), ValueError,
+     "rank must be positive, got "),
+    (lambda: clustertubes.PeriodicDiagram.from_arcs(-BIG, []), ValueError,
+     "rank must be positive, got "),
+    (lambda: clustertubes.cyclotomic(-BIG), ValueError, "need d >= 1, got "),
+    (lambda: clustertubes.asymptotic_check(-BIG), ValueError, "need n >= 2, got "),
+], ids=["enumerate_polygon-cap", "enumerate_brute-cap", "PolygonDiagram",
+        "enumerate_polygon-size", "_diagonal_table", "random_polygon", "PeriodicDiagram",
+        "from_arcs", "cyclotomic", "asymptotic_check"])
+def test_library_limits_quote_a_huge_value_in_bounded_form(call, error, start):
+    with pytest.raises(error) as raised:
+        call()
+    message = str(raised.value)
+    assert message.startswith(start) and len(message) < 200, message[:200]
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -57,16 +57,18 @@ def package_imports(tree):
 
 
 # The closed forms and the series check each other and the grammar, the
-# cell statistics of the polygon grammar are checked against the series, and
+# cell statistics of the polygon grammar are checked against the series,
 # the record streams against PeriodicDiagram.orbits_json (arcs) and
-# enumerate_brute (torsion): none may share code with the routes it is
-# compared against.
+# enumerate_brute (torsion), and the grammar against the Ptolemy check and
+# search of arcs: none may share code with the routes it is compared
+# against.
 @pytest.mark.parametrize("module, forbidden", [
     ("counting", {"series", "torsion", "polygons", "qpolys", "sieving"}),
     ("series", {"counting", "torsion", "polygons"}),
     ("polygons", {"series", "counting", "qpolys", "sieving", "torsion"}),
     ("records", {"arcs", "torsion", "counting", "series", "qpolys", "sieving"}),
-], ids=["counting", "series", "polygons", "records"])
+    ("arcs", {"polygons", "torsion", "counting", "series", "qpolys", "sieving"}),
+], ids=["counting", "series", "polygons", "records", "arcs"])
 def test_independent_routes_share_no_code(module, forbidden):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     shared = sorted(set(package_imports(tree)) & forbidden)

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from clustertubes.arcs import PeriodicDiagram, nc_enumerate
 from clustertubes.config import CapExceeded
 from clustertubes.counting import refined_table, torsion_count
-from clustertubes.polygons import DEGENERATE, PolygonDiagram, _diagonal_table, polygon_diagrams
+from clustertubes.polygons import (
+    DEGENERATE,
+    PolygonDiagram,
+    _diagonal_table,
+    enumerate_polygon,
+    polygon_diagrams,
+)
 from clustertubes.records import iter_orbits_json, read_record
 from clustertubes.sieving import (
     fixed_histograms,
@@ -579,6 +585,15 @@ def test_brute_equals_structured(n):
     b, s = enumerate_brute(n), enumerate_structured(n)
     assert b == s
     assert [x.to_json() for x in b] == [x.to_json() for x in s]
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_one_span_halves_are_the_polygon_diagrams(m):
+    # A polygon diagram of size m is a rank-m half whose only cut is 0: the
+    # two brute-force oracles agree on that case, each diagram once.  The
+    # halves come sorted by their orbits, the diagrams by their diagonals.
+    one_span = [W.pieces[0] for W in map(decompose, enumerate_brute(m)) if W.cuts == (0,)]
+    assert sorted(one_span, key=lambda P: P.diagonals) == enumerate_polygon(m)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
