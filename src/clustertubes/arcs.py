@@ -129,9 +129,10 @@ class PeriodicDiagram(Frozen):
             raise ValueError(f"rank must be positive, got {_ECHO.repr(rank)}")
         for i, j in orbits:
             if j - i < 2:
-                raise ValueError(f"not an arc: {(i, j)!r}")
+                raise ValueError(f"not an arc: {_ECHO.repr((i, j))}")
             if not 0 <= i < rank:
-                raise ValueError(f"orbit {(i, j)!r} not in canonical form at rank {rank}")
+                raise ValueError(f"orbit {_ECHO.repr((i, j))} not in canonical form "
+                                 f"at rank {_ECHO.repr(rank)}")
         super().__init__(rank, orbits)
 
     @classmethod

@@ -30,9 +30,12 @@ Agreement of the two enumerators is part of the test suite.
 :func:`random_polygon` draws one diagram from the grammar, assembled
 through :func:`compose_base`.
 
-:func:`_walk`, next to the tables it reads, walks the cut/wing grammar of
-the rank-n halves for :mod:`clustertubes.torsion` and the tau fixed points
-of :mod:`clustertubes.sieving`, behind the ``STRUCTURED_RANK`` gate
+:func:`_cut_masks` is the one loop over the cut masks of the rank-n
+halves.  :func:`_walk`, next to the tables it reads, runs the cut/wing
+grammar over it for :mod:`clustertubes.torsion` and the tau fixed points
+of :mod:`clustertubes.sieving`, and the ``enumerate`` stream of
+:mod:`clustertubes.records` reads the masks and the diagonal tables
+itself; every walk is behind the ``STRUCTURED_RANK`` gate
 :func:`_check_rank`.  Only the brute-force oracle and
 :func:`is_ptolemy_polygon` load :mod:`clustertubes.arcs`, inside themselves.
 """
@@ -204,7 +207,7 @@ def polygon_diagrams(m: int) -> tuple[PolygonDiagram, ...]:
 
 def _check_rank(n: int) -> None:
     """Reject a rank above ``STRUCTURED_RANK`` or below 1, before a walk of
-    :func:`_walk`; a rank quoted in a message is abbreviated (``_ECHO``)."""
+    :func:`_cut_masks`; a rank quoted in a message is abbreviated (``_ECHO``)."""
     if n > STRUCTURED_RANK:
         raise CapExceeded(f"structured enumeration capped at rank {STRUCTURED_RANK}, "
                           f"got {_ECHO.repr(n)}")
@@ -212,22 +215,29 @@ def _check_rank(n: int) -> None:
         raise ValueError(f"rank must be >= 1, got {_ECHO.repr(n)}")
 
 
+def _cut_masks(n: int) -> Iterator[tuple[list[int], list[int]]]:
+    """Every nonempty cut mask at rank n (bit v set iff v is a cut),
+    ascending, as ``(cuts, ends)``: ``cuts`` lists the cuts ascending and
+    ``ends`` the next cut after each (the last wraps to the first plus n), so
+    the spans are ``zip(cuts, ends)``.  The one loop over the masks, for
+    :func:`_walk` and :func:`~clustertubes.records.iter_orbits_json`."""
+    for mask in range(1, 1 << n):
+        cuts = [v for v in range(n) if mask >> v & 1]
+        yield cuts, cuts[1:] + [cuts[0] + n]
+
+
 def _walk(n: int, table: Callable[[int], Sequence]) -> Iterator[tuple[list[int], list[int], tuple]]:
     """The cut/wing grammar at rank n, as ``(cuts, ends, pieces)``.
 
-    It runs over every nonempty cut mask (bit v set iff v is a cut); ``cuts``
-    lists the cuts ascending, ``ends`` the next cut after each (the last
-    wraps to the first plus n), and ``pieces`` holds one entry of
-    ``table(d - c)`` per span ``(c, d)``, in cut order; nothing is laid.
+    For each mask of :func:`_cut_masks`, ``pieces`` runs through the product
+    of one entry of ``table(d - c)`` per span ``(c, d)``, in cut order, the
+    last span varying fastest; nothing is laid.
     ``table`` is :func:`polygon_diagrams` for the callers that read
-    diagrams, the diagonal tuples of :func:`_diagonal_table` in the same
-    order, or the diagrams' statistics for
+    diagrams, or the diagrams' statistics for
     :func:`~clustertubes.sieving.fixed_histograms`.
     :func:`~clustertubes.torsion.iter_structured` documents the order.
     """
-    for mask in range(1, 1 << n):
-        cuts = [v for v in range(n) if mask >> v & 1]
-        ends = cuts[1:] + [cuts[0] + n]
+    for cuts, ends in _cut_masks(n):
         spans = [table(d - c) for c, d in zip(cuts, ends)]
         for pieces in itertools.product(*spans):
             yield cuts, ends, pieces

@@ -27,7 +27,8 @@ as plain ints, in two layouts of the low-field width w of
 w is the same for every rank up to ``RECORD_RANK``, so each writer joins
 its texts from one table kept across records, bounded by ``TEXT_ENTRIES``.
 The ``enumerate`` stream (:func:`iter_orbits_json`) keys its orbits per rank
-instead, as ``(j - i) n + i``.  The writers share no code with
+instead, as ``(j - i) n + i``, through one dict per cut, and writes one cut
+mask at a time with no Python loop per arc.  The writers share no code with
 :meth:`~clustertubes.arcs.PeriodicDiagram.orbits_json` or
 :func:`~clustertubes.torsion.enumerate_brute`, which the tests check them
 against, so this module loads neither :mod:`clustertubes.arcs` nor
@@ -279,36 +280,61 @@ def spans_json(rank: int, cuts: Sequence[int], spans: Sequence[tuple],
     return wings_json(rank, cuts, arcs, bounds, finite_side)
 
 
+_CHUNK = 256  # the halves of a mask whose texts one list holds at a time
+
+
 def iter_orbits_json(n: int) -> Iterator[str]:
     """The ``orbits`` text of every finite half at rank n, in the grammar
     order of :func:`~clustertubes.torsion.iter_structured`.
 
-    Each span ``(c, d)`` reads its pieces as the diagonal tuples of
+    The stream walks the cut masks of
+    :func:`~clustertubes.polygons._cut_masks` and reads each span ``(c,
+    d)``'s pieces as the diagonal tuples of
     :func:`~clustertubes.polygons._diagonal_table` of width ``d - c``, so no
     polygon diagram is built.  A canonical orbit ``(i, j)`` is laid as the
     integer key ``(j - i) n + i``, so ascending keys are ``sorted_orbits()``
-    order (length, then left endpoint).  Each span's keys are those of its
-    top arc and its shifted diagonals; a plain int sort orders them, and the
-    text is joined from a table of the ``n (n + 1)`` orbits of length at
-    most n.  A larger key is an arc longer than the rank, which no finite
-    half has: it raises ValueError, the check
+    order (length, then left endpoint), and a half's text is joined from a
+    table of the ``n (n + 1)`` orbits of length at most n.  One dict per cut
+    c, built once per rank, maps a diagonal ``(a, b)`` of the span at c to
+    its key ``(b - a) n + (c + a) mod n``.
+
+    A mask with one span of width >= 2 (a wide span) maps each piece
+    through its cut's dict, sorts the keys and appends the top arc, the
+    half's longest orbit, last.  A mask with more wide spans, each at most
+    ``n - 2`` wide and so with a short table, shifts each wide span's pieces
+    into key tuples once, top key first, and sorts each product element's
+    keys.  Either walks its
+    pieces in chunks of ``_CHUNK`` halves, so no table is copied and no more
+    than a chunk of texts is held.  A span wider than the rank would lay an
+    arc longer than the rank, which no finite half has: the mask raises
+    ValueError before its first text, the check
     :class:`~clustertubes.torsion.TorsionPair` would make.
     """
-    from .polygons import _check_rank, _diagonal_table, _walk
+    from .polygons import _check_rank, _cut_masks, _diagonal_table
 
     _check_rank(n)
-    texts = [f"[{(i := k % n)},{i + k // n}]" for k in range(n * (n + 1))]
-    for cuts, ends, pieces in _walk(n, _diagonal_table):
-        keys = []
-        for c, d, diagonals in zip(cuts, ends, pieces):
-            if d - c >= 2:
-                keys.append((d - c) * n + c)
-                for a, b in diagonals:
-                    keys.append((b - a) * n + (c + a) % n)
-        keys.sort()
-        if keys and keys[-1] >= len(texts):
+    text = [f"[{(i := k % n)},{i + k // n}]" for k in range(n * (n + 1))].__getitem__
+    rot = [{(a, b): (b - a) * n + (c + a) % n for b in range(n + 1) for a in range(b - 1)}
+           for c in range(n)]
+    flat = itertools.chain.from_iterable
+    for cuts, ends in _cut_masks(n):
+        wide = [(c, d) for c, d in zip(cuts, ends) if d - c >= 2]
+        if any(d - c > n for c, d in wide):
             raise ValueError("a finite half has arcs of length at most the rank")
-        yield "[" + ",".join([texts[k] for k in keys]) + "]"
+        if len(wide) == 1:
+            (c, d), = wide
+            key, top = rot[c].__getitem__, text((d - c) * n + c)
+            pieces = iter(_diagonal_table(d - c))
+            while texts := [f"[{','.join(map(text, sorted(map(key, D))))},{top}]" if D
+                            else f"[{top}]" for D in itertools.islice(pieces, _CHUNK)]:
+                yield from texts
+        else:
+            halves = itertools.product(*[
+                [((d - c) * n + c, *map(rot[c].__getitem__, D)) for D in _diagonal_table(d - c)]
+                for c, d in wide])
+            while texts := ["[" + ",".join(map(text, sorted(flat(p)))) + "]"
+                            for p in itertools.islice(halves, _CHUNK)]:
+                yield from texts
 
 
 def read_wings(text: str) -> tuple[int, list[tuple[int, int]]]:

@@ -116,13 +116,14 @@ class WingDecomposition(Frozen):
         if not cuts:
             raise ValueError("at least one cut is required")
         if list(cuts) != sorted(set(cuts)) or cuts[0] < 0 or cuts[-1] >= rank:
-            raise ValueError(f"cuts must be strictly increasing within [0, {rank})")
+            raise ValueError(f"cuts must be strictly increasing within [0, {_ECHO.repr(rank)})")
         if len(pieces) != len(cuts):
             raise ValueError("one piece per cut is required")
         super().__init__(rank, cuts, pieces)  # spans() reads the fields
         for (c, d), piece in zip(self.spans(), pieces):
             if piece.size != d - c:
-                raise ValueError(f"piece of size {piece.size} on a span of width {d - c}")
+                raise ValueError(f"piece of size {_ECHO.repr(piece.size)} "
+                                 f"on a span of width {_ECHO.repr(d - c)}")
 
     def spans(self) -> list[tuple[int, int]]:
         """Absolute spans (c, d) between consecutive cuts; the last wraps to
@@ -263,7 +264,8 @@ def from_pointed_cycle(cycle: PointedCycle, rank: int) -> PeriodicDiagram:
     each base vertex reusing the previous piece's last vertex.
     """
     if cycle.total_size() != rank:
-        raise ValueError(f"piece sizes sum to {cycle.total_size()}, expected rank {rank}")
+        raise ValueError(f"piece sizes sum to {_ECHO.repr(cycle.total_size())}, "
+                         f"expected rank {_ECHO.repr(rank)}")
     pieces = cycle.rotate(cycle.piece_index).pieces
     offsets = itertools.accumulate((p.size for p in pieces), initial=-cycle.vertex)
     return _lay(rank, zip(offsets, pieces))

@@ -160,6 +160,35 @@ def test_enumerate_stream_is_byte_stable_at_rank_six(capsys):
     assert digest == "0e95e331256bb70e13dedb5c733b021281b74a3f7ab62c3c8cadeb34c63c8fb8"
 
 
+@pytest.mark.parametrize("n, digest", [
+    (7, "7ec15764b5426c576533d9f5f1147d72f3583f9e9ba0a2a9086b5104cce33041"),
+    (8, "43c92c6c24081a4d4c9ee20950270c68c0b7c77227e90d69965627cbded0970e"),
+], ids=["rank-7", "rank-8"])
+def test_enumerate_stream_is_byte_stable_at_ranks_seven_and_eight(capsys, n, digest):
+    code, out, _ = run(capsys, "enumerate", "--n", str(n))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_enumerate_stream_runs_in_bounded_memory():
+    # Past the diagonal tables, which the first pass builds, the stream holds
+    # one mask's pieces and a chunk of texts at a time, not a table of keys or
+    # texts per width.
+    import collections
+    import tracemalloc
+
+    from clustertubes import records
+
+    collections.deque(records.iter_orbits_json(8), 0)
+    tracemalloc.start()
+    try:
+        collections.deque(records.iter_orbits_json(8), 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+
+
 def test_enumerate_stream_builds_no_diagram(capsys, monkeypatch):
     from clustertubes import polygons, records
 
@@ -185,11 +214,11 @@ def test_enumerate_stream_builds_no_diagram(capsys, monkeypatch):
 def test_enumerate_checks_every_half(capsys, monkeypatch):
     from clustertubes import polygons
 
-    def grammar_with_a_long_arc(n, table):
-        # one span, the empty diagram on it, whose top arc is longer than the rank
-        yield [0], [n + 2], (table(n + 2)[0],)
+    def masks_with_a_long_arc(n):
+        # one span, whose top arc is longer than the rank
+        yield [0], [n + 2]
 
-    monkeypatch.setattr(polygons, "_walk", grammar_with_a_long_arc)
+    monkeypatch.setattr(polygons, "_cut_masks", masks_with_a_long_arc)
     code, _, err = run(capsys, "enumerate", "--n", "3")
     assert code == 2
     assert err == "error: a finite half has arcs of length at most the rank\n"
@@ -217,6 +246,11 @@ def test_enumerate_writes_whole_lines_in_pipe_sized_blocks(monkeypatch):
     assert len(lines) == torsion_count(5)
     assert len(writes) < len(lines) / 10
     assert all(0 < len(w.encode()) <= 4096 and w.endswith("\n") for w in writes)
+    # Each write but the last is full: the next half's two records would pass
+    # 4,096 bytes, so the write sizes follow from the stream alone.
+    for w, after in zip(writes, writes[1:]):
+        left, right, _ = after.split("\n", 2)
+        assert len(w.encode()) + len(left.encode()) + len(right.encode()) + 2 > 4096
 
 
 @pytest.mark.parametrize("command", ["decompose", "compose"])
@@ -1137,9 +1171,22 @@ BIG = 10**5000  # past the default int/str digit limit
      "rank must be positive, got "),
     (lambda: clustertubes.cyclotomic(-BIG), ValueError, "need d >= 1, got "),
     (lambda: clustertubes.asymptotic_check(-BIG), ValueError, "need n >= 2, got "),
+    (lambda: clustertubes.PeriodicDiagram(2, frozenset({(0, -BIG)})), ValueError,
+     "not an arc: (0, "),
+    (lambda: clustertubes.PeriodicDiagram(2, frozenset({(BIG, BIG + 2)})), ValueError,
+     "orbit ("),
+    (lambda: WingDecomposition(BIG, (BIG + 1,), (clustertubes.DEGENERATE,)), ValueError,
+     "cuts must be strictly increasing within [0, "),
+    (lambda: WingDecomposition(BIG, (0,), (clustertubes.DEGENERATE,)), ValueError,
+     "piece of size 1 on a span of width "),
+    (lambda: clustertubes.from_pointed_cycle(
+        clustertubes.PointedCycle((clustertubes.DEGENERATE,), 0, 1), BIG), ValueError,
+     "piece sizes sum to 1, expected rank "),
 ], ids=["enumerate_polygon-cap", "enumerate_brute-cap", "PolygonDiagram",
         "enumerate_polygon-size", "_diagonal_table", "random_polygon", "PeriodicDiagram",
-        "from_arcs", "cyclotomic", "asymptotic_check"])
+        "from_arcs", "cyclotomic", "asymptotic_check", "PeriodicDiagram-arc",
+        "PeriodicDiagram-canonical", "WingDecomposition-cuts", "WingDecomposition-piece",
+        "from_pointed_cycle"])
 def test_library_limits_quote_a_huge_value_in_bounded_form(call, error, start):
     with pytest.raises(error) as raised:
         call()
