@@ -15,6 +15,18 @@ no other package module, but ``enumerate`` reads the grammar walk of
 :mod:`clustertubes.polygons`.  ``decompose`` and ``compose`` read stdin one
 record per line (:func:`_records`), and a JSON error names its stream line.
 
+The three streams write through one block writer (:func:`_write_blocks`):
+whole lines, in blocks of at most PIPE_BUF (4,096) bytes, each block
+written once the next record would take it past that; a record longer
+than that is written alone.  So a reader that waits for one reply per
+record gets the replies in blocks, as under Python's default buffering.
+When a record faults, the block so far is written before the ``error:``
+line, so every record before the fault reaches stdout.  Every write to
+stdout that can pass PIPE_BUF goes through :func:`_write`, which writes
+on until every byte is out, where unbuffered stdout's text layer would
+drop the rest of a write that a signal cut short or a full non-blocking
+pipe refused.
+
 A command loads only the modules it runs, of the package and of the
 standard library.  This module imports :mod:`clustertubes.config` and a few
 standard modules alone, and each ``cmd_*`` imports its own package modules
@@ -42,9 +54,11 @@ of more than 40 digits abbreviated (:func:`_int_arg`, ``_ECHO``).
 from __future__ import annotations
 
 import argparse
+import io
+import itertools
 import os
 import sys
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .config import _ECHO, BRUTE_RANK, COUNT_RANK, PERP_ORBITS, REFINED_RANK, SERIES_ORDER
 from .config import RECORD_RANK, STRUCTURED_RANK, CapExceeded
@@ -145,10 +159,10 @@ def cmd_count(args: argparse.Namespace) -> int:
         if args.format == "json":
             import json
 
-            print(json.dumps(
+            _write(json.dumps(
                 [{"n": n, "k": k, "l": l, "m": m, "count": c} for (k, l, m), c in table.items()],
                 separators=(",", ":"),
-            ))
+            ) + "\n")
         else:
             print("n,k,l,m,count")
             for (k, l, m), c in table.items():
@@ -158,65 +172,110 @@ def cmd_count(args: argparse.Namespace) -> int:
         if args.format == "json":
             import json
 
-            print(json.dumps({"n": n, "count": total}, separators=(",", ":")))
+            _write(json.dumps({"n": n, "count": total}, separators=(",", ":")) + "\n")
         elif args.format == "csv":
             print("n,count")
-            print(f"{n},{total}")
+            _write(f"{n},{total}\n")
         else:
-            print(total)
+            _write(f"{total}\n")
     return 0
 
 
 _WRITE_BLOCK = 4096  # PIPE_BUF on Linux: a pipe write this long is never split
 
 
+def _write(text: str) -> None:
+    """Write ``text`` to stdout, every byte of it.
+
+    With ``PYTHONUNBUFFERED`` set, stdout's text layer writes straight to a
+    raw file (:class:`io.FileIO`) and ignores the count the write returns.
+    A pipe write longer than PIPE_BUF that a signal cuts short (a stop and
+    continue, say), or a write to a full non-blocking pipe, would lose the
+    rest, with exit 0.  So over a raw file the text is encoded here and
+    written until none is left, waiting while a non-blocking pipe is full:
+    one write when nothing cuts it short.  A buffered stdout writes all it
+    is given itself."""
+    out = sys.stdout
+    raw = getattr(out, "buffer", None)
+    if not isinstance(raw, io.FileIO):
+        out.write(text)
+        return
+    out.flush()  # anything the text layer still holds goes first
+    view = memoryview(text.encode(out.encoding, out.errors))
+    while view:
+        written = raw.write(view)
+        if written is None:  # a non-blocking stdout is full: wait until it drains
+            import select
+
+            select.select([], [raw], [])
+        else:
+            view = view[written:]
+
+
+def _write_blocks(items: Iterable[str]) -> None:
+    """Write ``items``, each ending in a newline, to stdout in blocks: each
+    item whole, a block of at most ``_WRITE_BLOCK`` bytes (an item longer
+    than that alone), and a block written once the next item would take it
+    past that.  The greedy rule makes few writes, each of whole lines: with
+    ``PYTHONUNBUFFERED`` set a print is two writes, 537,612 for the records
+    of ``enumerate --n 8``, where the blocks are 5,834.  Items are ASCII, so
+    a length is a byte count.  When ``items`` raises, the block so far is
+    written first: every item before the fault reaches stdout."""
+    block, size = [], 0
+    try:
+        for item in items:
+            if size + len(item) > _WRITE_BLOCK and size:
+                text, block, size = "".join(block), [], 0
+                _write(text)
+            block.append(item)
+            size += len(item)
+    finally:
+        if block:
+            _write("".join(block))
+
+
 def cmd_enumerate(args: argparse.Namespace) -> int:
     from . import records
 
-    # Whole lines in blocks, not a print each: with PYTHONUNBUFFERED set a
-    # print is two writes (540,000 at n = 8; blocks make 5,800).  Blocks stay
-    # within PIPE_BUF, as unbuffered stdout drops what a signal cuts short.
-    # One string per half, both records around its orbits text; the record
-    # prefixes are fixed per rank.
+    # One item per half: its two records, which differ only in the side and
+    # are fixed per rank but for the orbits text, so that text joins the
+    # three fixed parts in C (a generator per half costs 3% of the stream).
     n = args.n
     left, right = (records.pair_json(n, side, "")[:-1] for side in ("left", "right"))
-    block, size = [], 0
-    for orbits in records.iter_orbits_json(n):  # arc lengths checked there
-        lines = f"{left}{orbits}}}\n{right}{orbits}}}\n"
-        if size + len(lines) > _WRITE_BLOCK:
-            sys.stdout.write("".join(block))
-            block, size = [], 0
-        block.append(lines)
-        size += len(lines)
-    sys.stdout.write("".join(block))
+    parts = itertools.repeat((left, "}\n" + right, "}\n"))
+    _write_blocks(map(str.join, records.iter_orbits_json(n), parts))  # arcs checked there
     return 0
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     from . import records
 
-    for data in _records(args.diagram, "orbits"):
-        n = data["rank"]
-        keys = _read(data, records.arc_keys, n, data["orbits"])
-        if args.n is not None and n != args.n:
-            raise ValueError(f"diagram rank {n} does not match --n {_ECHO.repr(args.n)}")
-        record = records.wings_json(n, *records._cut_spans(n, keys), data.get("finite_side"))
-        # One write per record: print makes two when stdout is unbuffered.
-        sys.stdout.write(record + "\n")
+    def wings() -> Iterator[str]:
+        for data in _records(args.diagram, "orbits"):
+            n = data["rank"]
+            keys = _read(data, records.arc_keys, n, data["orbits"])
+            if args.n is not None and n != args.n:
+                raise ValueError(f"diagram rank {n} does not match --n {_ECHO.repr(args.n)}")
+            yield records.wings_json(n, *records._cut_spans(n, keys),
+                                     data.get("finite_side")) + "\n"
+
+    _write_blocks(wings())
     return 0
 
 
 def cmd_compose(args: argparse.Namespace) -> int:
     from . import records
 
-    for data in _records(args.wings, "pairs"):
-        n = data["rank"]
-        orbits = records.half_orbits_json(n, _read(data, records._wing_spans, data))
-        if "finite_side" in data:
-            record = records.pair_json(n, data["finite_side"], orbits)
-        else:
-            record = records.diagram_json(n, orbits)
-        sys.stdout.write(record + "\n")
+    def halves() -> Iterator[str]:
+        for data in _records(args.wings, "pairs"):
+            n = data["rank"]
+            orbits = records.half_orbits_json(n, _read(data, records._wing_spans, data))
+            if "finite_side" in data:
+                yield records.pair_json(n, data["finite_side"], orbits) + "\n"
+            else:
+                yield records.diagram_json(n, orbits) + "\n"
+
+    _write_blocks(halves())
     return 0
 
 
@@ -248,13 +307,13 @@ def cmd_perp(args: argparse.Namespace) -> int:
 
         arc = (args.arc[0], args.arc[1])
         verdict = torsion.perp_contains(diagram, arc)
-        print(json.dumps({"arc": list(arc), "in_perp": verdict}, separators=(",", ":")))
+        _write(json.dumps({"arc": list(arc), "in_perp": verdict}, separators=(",", ":")) + "\n")
     else:
         orbits = diagram.rank * (args.max_length - 1)
         if orbits > PERP_ORBITS:
             raise CapExceeded(f"perp listing capped at {PERP_ORBITS} orbits "
                               f"(rank x (max length - 1)), got {_ECHO.repr(orbits)}")
-        print(torsion.perp_enumerate(diagram, args.max_length).to_json())
+        _write(torsion.perp_enumerate(diagram, args.max_length).to_json() + "\n")
     return 0
 
 
@@ -271,10 +330,11 @@ def cmd_series(args: argparse.Namespace) -> int:
             {"degree": k, "coefficient": str(series.coeffs[k])}
             for k in range(series.order + 1)
         ]
-        print(json.dumps({"series": args.kind, "coefficients": rows}, separators=(",", ":")))
+        _write(json.dumps({"series": args.kind, "coefficients": rows}, separators=(",", ":"))
+               + "\n")
     else:
         for k in range(series.order + 1):
-            print(f"z^{k}: {series.coeffs[k]}")
+            _write(f"z^{k}: {series.coeffs[k]}\n")
     return 0
 
 
@@ -283,7 +343,7 @@ def cmd_sieve(args: argparse.Namespace) -> int:
 
     records = sieving.csp_verify(args.n)
     if args.format == "json":
-        print(sieving.csp_report_json(records))
+        _write(sieving.csp_report_json(records) + "\n")
     else:
         print("n,d,k,l,m,polyValue,fixedCount,match")
         for r in records:
@@ -314,8 +374,8 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     if n <= STRUCTURED_RANK:
         direct = sieving.orbit_count_direct(n)
         ok = formula == direct
-    print(f"orbit count (Burnside formula): {formula}")
-    print(f"orbit count (direct partition): {direct}")
+    _write(f"orbit count (Burnside formula): {formula}\n")
+    _write(f"orbit count (direct partition): {direct}\n")
     if args.refined:
         print("k,l,m,orbits")
         for (k, l, m), c in sieving.orbit_count_refined(n).items():
@@ -343,7 +403,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         raise ValueError("the given half is not a finite torsion half")
     svg = render_torsion_pair(pair)
     if args.out == "-":
-        sys.stdout.write(svg)
+        _write(svg)
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(svg)

@@ -41,6 +41,7 @@ from __future__ import annotations
 import itertools
 import sys
 from bisect import bisect_left, insort
+from operator import and_
 from typing import AbstractSet, Iterable, Iterator, NoReturn, Sequence
 
 from .config import _ECHO, RECORD_RANK, TEXT_ENTRIES
@@ -474,35 +475,33 @@ def _cut_spans(n: int, keys: AbstractSet[int]) -> tuple[list[int], list[int], li
     Cuts are the vertices of ``[0, n)`` not strictly overarched by any arc.
     A sweep finds them: it walks the keys sorted, that is by left endpoint,
     carrying the furthest right end ``reach`` seen so far, and the vertices
-    from ``reach`` up to the next left endpoint are cuts, one range at a
-    time.  The vertices below the last ``reach - n`` lie under arcs shifted
-    left by n, so the ranges are cut there before any is listed.  Time and
-    memory grow with the arcs, not the rank.  Raises if there is no cut or
-    a multi-vertex span lacks its top arc: the input was not a finite half.
-    No arc straddles a cut (an arc ``(a, b)`` with ``a < d < b`` would
-    overarch the cut ``d mod n``), so with the arcs left of the first cut
-    shifted by n and moved to the end, the sorted keys split into the spans
-    at the cuts, found by bisection.  Those arcs end by the first cut, so
-    their shifted ends stay below 2n and the shift adds ``n << w | n`` to
-    each key.  This is the one walk of :func:`half_spans` and the
-    ``decompose`` command.
+    from ``reach`` up to the next left endpoint are cuts.  The vertices
+    below the sweep's last ``reach`` (the furthest right end of all) minus
+    n lie under arcs shifted left by n, so that end is read first and the
+    sweep starts its reach at it minus n: no vertex below is listed.  Time
+    and memory grow with the arcs, not the rank.  Raises if there is no cut
+    or a multi-vertex span lacks its top arc: the input was not a finite
+    half.  No arc straddles a cut (an arc ``(a, b)`` with ``a < d < b``
+    would overarch the cut ``d mod n``), so with the arcs left of the first
+    cut shifted by n and moved to the end, the sorted keys split into the
+    spans at the cuts, found by bisection, each from the span before.  Those
+    arcs end by the first cut, so their shifted ends stay below 2n and the
+    shift adds ``n << w | n`` to each key.  This is the one walk of
+    :func:`half_spans` and the ``decompose`` command.
     """
     w = key_width(n)
     low = (1 << w) - 1
     arcs = sorted(keys)
-    reach = above = 0  # above: the least key of an arc starting at reach
-    ranges = []
+    reach = max(0, max(map(and_, arcs, itertools.repeat(low)), default=0) - n)
+    above = reach << w  # the least key of an arc starting at reach
+    cuts = []
     for k in arcs:
         if k >= above:  # no arc starting left of this one passes reach
-            ranges.append(range(reach, (k >> w) + 1))
+            cuts += range(reach, (k >> w) + 1)
         if k & low > reach:
             reach = k & low
             above = reach << w
-    under = reach - n
-    if under > 0:
-        ranges = [range(max(r.start, under), r.stop) for r in ranges if r.stop > under]
-    ranges.append(range(reach, n))
-    cuts = list(itertools.chain.from_iterable(ranges))
+    cuts += range(reach, n)
     if not cuts:
         raise ValueError("no cut vertex: the diagram is not a finite half")
 
@@ -515,7 +514,7 @@ def _cut_spans(n: int, keys: AbstractSet[int]) -> tuple[list[int], list[int], li
         if d - c == 1:  # no arc starts here: it would straddle d
             bounds.append(bounds[-1])
         elif c << w | d in keys:
-            bounds.append(bisect_left(arcs, d << w))
+            bounds.append(bisect_left(arcs, d << w, bounds[-1]))
         else:
             raise ValueError(f"span ({c}, {d}) is missing its top arc; input is not Ptolemy")
     return cuts, arcs, bounds

@@ -4,6 +4,7 @@ import json
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -238,38 +239,84 @@ def test_enumerate_builds_no_half(capsys, monkeypatch):
     assert digest == "09c40dd0dad80ce59409fcb07fe471c085a82eb9c1fa9847a93d055c45d832a8"
 
 
-def test_enumerate_writes_whole_lines_in_pipe_sized_blocks(monkeypatch):
-    writes = []
-    monkeypatch.setattr("sys.stdout", SimpleNamespace(write=writes.append, flush=lambda: None))
-    assert main(["enumerate", "--n", "5"]) == 0
-    lines = "".join(writes).splitlines()
-    assert len(lines) == torsion_count(5)
-    assert len(writes) < len(lines) / 10
-    assert all(0 < len(w.encode()) <= 4096 and w.endswith("\n") for w in writes)
-    # Each write but the last is full: the next half's two records would pass
-    # 4,096 bytes, so the write sizes follow from the stream alone.
-    for w, after in zip(writes, writes[1:]):
-        left, right, _ = after.split("\n", 2)
-        assert len(w.encode()) + len(left.encode()) + len(right.encode()) + 2 > 4096
+def complete_diagram(n):
+    """The diagram record of the half at rank n with one span, from the cut
+    0, holding every diagonal of its (n + 1)-gon: about n^2 / 2 orbits."""
+    orbits = sorted(([a, b] for b in range(n + 1) for a in range(b - 1)),
+                    key=lambda arc: (arc[1] - arc[0], arc[0]))
+    return json.dumps({"rank": n, "orbits": orbits}, separators=(",", ":"))
 
 
-@pytest.mark.parametrize("command", ["decompose", "compose"])
-def test_decompose_and_compose_write_each_record_once(capsys, monkeypatch, command):
-    import io
-
-    code, records, _ = run(capsys, "enumerate", "--n", "3")
+def record_stream(capsys, monkeypatch, command):
+    """The arguments of a run of the record stream ``command`` that writes
+    several blocks, its stdin, and the lines that make one item of it: a
+    half's two records for ``enumerate``, one record for the others.  The
+    ``decompose`` and ``compose`` streams hold one record of more than
+    4,096 bytes each way."""
+    if command == "enumerate":
+        return ["enumerate", "--n", "5"], "", 2
+    code, records, _ = run(capsys, "enumerate", "--n", "4")
     assert code == 0
+    lines = records.splitlines()
+    records = "\n".join([*lines[:50], complete_diagram(40), *lines[50:]]) + "\n"
     if command == "compose":
         monkeypatch.setattr("sys.stdin", io.StringIO(records))
         code, records, _ = run(capsys, "decompose")
         assert code == 0
-    k = len(records.splitlines())
+    return [command], records, 1
+
+
+@pytest.mark.parametrize("command", ["enumerate", "decompose", "compose"])
+def test_record_streams_write_whole_lines_in_pipe_sized_blocks(capsys, monkeypatch, command):
+    argv, stdin, per_item = record_stream(capsys, monkeypatch, command)
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
     writes = []
-    monkeypatch.setattr("sys.stdin", io.StringIO(records))
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     monkeypatch.setattr("sys.stdout", SimpleNamespace(write=writes.append, flush=lambda: None))
-    assert main([command]) == 0
-    assert len(writes) == k
-    assert all(w.endswith("\n") and w.count("\n") == 1 for w in writes)
+    assert main(argv) == 0
+    assert "".join(writes) == expected
+    lines = expected.splitlines(keepends=True)
+    assert len(writes) < len(lines) / 10
+    assert any(len(w) > 4096 for w in writes) is (command != "enumerate")
+    for w in writes:
+        # Whole items, at most 4,096 bytes, or one item alone past that.
+        assert w.endswith("\n") and (len(w.encode()) <= 4096 or w.count("\n") == per_item)
+    # Each write but the last is full: the next item would pass 4,096
+    # bytes, so the write sizes follow from the stream alone.
+    for w, after in zip(writes, writes[1:]):
+        item = "".join(after.splitlines(keepends=True)[:per_item])
+        assert len(w.encode()) + len(item.encode()) > 4096
+
+
+@pytest.mark.parametrize("command, bad, message", [
+    ("decompose", '{"rank":4 "orbits":[]}',
+     "Expecting ',' delimiter: line 89 column 11 (char 10)"),
+    ("decompose", '{"rank":4,"orbits":[[0,2],[1,3]]}',
+     "span (0, 3) is missing its top arc; input is not Ptolemy"),
+    ("compose", '{"rank":4 "pairs":[]}', "Expecting ',' delimiter: line 89 column 11 (char 10)"),
+    ("compose", '{"rank":4,"pairs":[{"top":[0,4],"arcs":[[0,2]]}]}',
+     "pairs[0] omits its top arc [0, 4] from 'arcs'"),
+    ("compose", '{"rank":3,"pairs":[{"top":[0,1],"arcs":[]},{"top":[0,1],"arcs":[]}]}',
+     "cuts must be strictly increasing within [0, 3)"),
+])
+def test_a_fault_after_several_blocks_keeps_the_records_before_it(capsys, monkeypatch, command,
+                                                                 bad, message):
+    # 88 good records, more than 4,096 bytes of output, then a faulty one:
+    # stdout holds exactly the good records' output, then one error line.
+    code, good, _ = run(capsys, "enumerate", "--n", "4")
+    assert code == 0
+    good = "".join(good.splitlines(keepends=True)[:88])
+    if command == "compose":
+        monkeypatch.setattr("sys.stdin", io.StringIO(good))
+        code, good, _ = run(capsys, "decompose")
+        assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(good))
+    code, written, _ = run(capsys, command)
+    assert code == 0 and len(written) > 4096
+    monkeypatch.setattr("sys.stdin", io.StringIO(good + bad + "\n"))
+    assert run(capsys, command) == (2, written, f"error: {message}\n")
 
 
 def test_enumerate_into_closed_pipe_exits_141_quietly():
@@ -289,6 +336,78 @@ def test_enumerate_into_closed_pipe_exits_141_quietly():
         proc.wait()
         proc.stderr.close()
     assert err == b""
+
+
+def read_stopping(argv, stdin, stop_every):
+    """The exit code, stdout and stderr of the CLI run as a child process
+    with unbuffered stdout (``PYTHONUNBUFFERED=1``) and stdin from the file
+    ``stdin`` (devnull if None), its stdout read through a pipe 4,096 bytes
+    at a time.  With ``stop_every`` set, the child is stopped and continued
+    (SIGSTOP, then SIGCONT) after every ``stop_every``-th read: a write
+    longer than PIPE_BUF that waits on the full pipe then returns early,
+    having written only part of its bytes."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED="1")
+    with open(stdin or os.devnull, "rb") as inp:
+        proc = subprocess.Popen([sys.executable, "-m", "clustertubes.cli", *argv], stdin=inp,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        out, reads = bytearray(), 0
+        while chunk := os.read(proc.stdout.fileno(), 4096):
+            out += chunk
+            reads += 1
+            if stop_every and reads % stop_every == 0:  # the child is not reaped before EOF
+                proc.send_signal(signal.SIGSTOP)
+                proc.send_signal(signal.SIGCONT)
+        err = proc.stderr.read()
+        return proc.wait(timeout=60), bytes(out), err
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdout.close()
+        proc.stderr.close()
+
+
+@pytest.mark.parametrize("argv", [["count", "--n", "40", "--refined", "--format", "json"],
+                                  ["decompose"]], ids=["count", "decompose"])
+def test_a_stopped_and_continued_writer_loses_no_output(tmp_path, argv):
+    # count writes 188,862 bytes in one write, and decompose one record of
+    # about 416,000 bytes among short ones: each outgrows the pipe, so the
+    # write waits on the reader and a stop cuts it short.
+    stdin = None
+    if argv == ["decompose"]:
+        stdin = tmp_path / "diagrams.jsonl"
+        stdin.write_text('{"rank":3,"orbits":[[0,2]]}\n' * 3 + complete_diagram(300) + "\n"
+                         + '{"rank":4,"orbits":[[1,3]]}\n' * 3)
+    code, out, err = read_stopping(argv, stdin, None)
+    assert code == 0 and err == b"" and len(out) > 65536
+    assert read_stopping(argv, stdin, 3) == (code, out, err)
+
+
+def test_a_non_blocking_stdout_loses_no_output():
+    # A write to a full non-blocking pipe writes nothing and returns None;
+    # the writer waits for the pipe to drain instead of dropping the rest.
+    import fcntl
+    import time
+
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED="1")
+    argv = [sys.executable, "-m", "clustertubes.cli", "count", "--n", "40", "--refined",
+            "--format", "json"]
+    expected = subprocess.run(argv, capture_output=True, env=env, timeout=60).stdout
+    r, w = os.pipe()
+    fcntl.fcntl(w, fcntl.F_SETFL, fcntl.fcntl(w, fcntl.F_GETFL) | os.O_NONBLOCK)
+    proc = subprocess.Popen(argv, stdout=w, stderr=subprocess.PIPE, env=env)
+    os.close(w)
+    try:
+        time.sleep(0.2)  # the child fills the pipe and finds it full
+        with os.fdopen(r, "rb") as reader:
+            out = reader.read()
+        assert (proc.wait(timeout=60), out, proc.stderr.read()) == (0, expected, b"")
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
 
 
 def test_cli_import_does_not_load_numpy():
