@@ -15,17 +15,17 @@ no other package module, but ``enumerate`` reads the grammar walk of
 :mod:`clustertubes.polygons`.  ``decompose`` and ``compose`` read stdin one
 record per line (:func:`_records`), and a JSON error names its stream line.
 
-The three streams write through one block writer (:func:`_write_blocks`):
-whole lines, in blocks of at most PIPE_BUF (4,096) bytes, each block
-written once the next record would take it past that; a record longer
-than that is written alone.  So a reader that waits for one reply per
-record gets the replies in blocks, as under Python's default buffering.
-When a record faults, the block so far is written before the ``error:``
-line, so every record before the fault reaches stdout.  Every write to
-stdout that can pass PIPE_BUF goes through :func:`_write`, which writes
-on until every byte is out, where unbuffered stdout's text layer would
-drop the rest of a write that a signal cut short or a full non-blocking
-pipe refused.
+Every command writes all its stdout (a stream's records, a table's rows
+or one document) in one call of :func:`_write_blocks`: whole lines, in
+blocks of at most PIPE_BUF (4,096) bytes, each written once the next line
+would take it past that; a longer line is written alone.  So a reader
+that waits for one reply per record gets the replies in blocks, as under
+Python's default buffering.  When a record faults, the block so far is
+written before the ``error:`` line, so every record before the fault
+reaches stdout.  Each block goes through :func:`_write`, which writes on
+until every byte is out, where unbuffered stdout's text layer would drop
+the rest of a write that a signal cut short or a full non-blocking pipe
+refused; ``print`` writes stderr alone.
 
 A command loads only the modules it runs, of the package and of the
 standard library.  This module imports :mod:`clustertubes.config` and a few
@@ -37,9 +37,9 @@ once, at its top, never per record.  So ``count`` loads
 :mod:`clustertubes.polygons` and loads neither the halves
 (:mod:`clustertubes.torsion`) nor the arc calculus; ``sieve`` alone adds
 the q-polynomials.  ``json`` loads only where JSON
-input is decoded (the record commands) and in the branches that print JSON
-through it (``count``, ``series`` and ``sieve`` with ``--format json``,
-``perp --arc``); ``fractions`` loads only in root isolation, which no
+input is decoded (the record commands) and in :func:`_json_line`, the
+JSON of ``count``, ``series`` and ``sieve`` with ``--format json`` and
+of ``perp --arc``; ``fractions`` loads only in root isolation, which no
 command runs.  The value classes are slotted classes on
 :class:`clustertubes.config.Frozen`, so no module loads ``inspect`` or
 generates methods at import.  No ``.pyc`` need be cached for this to pay:
@@ -157,35 +157,44 @@ def cmd_count(args: argparse.Namespace) -> int:
     if args.refined:
         table = counting.refined_table(n)
         if args.format == "json":
-            import json
-
-            _write(json.dumps(
-                [{"n": n, "k": k, "l": l, "m": m, "count": c} for (k, l, m), c in table.items()],
-                separators=(",", ":"),
-            ) + "\n")
+            lines = [_json_line([{"n": n, "k": k, "l": l, "m": m, "count": c}
+                                 for (k, l, m), c in table.items()])]
         else:
-            print("n,k,l,m,count")
-            for (k, l, m), c in table.items():
-                print(f"{n},{k},{l},{m},{c}")
+            lines = _csv_lines("n,k,l,m,count", ((n, *klm, c) for klm, c in table.items()))
     else:
         total = counting.torsion_count(n)
         if args.format == "json":
-            import json
-
-            _write(json.dumps({"n": n, "count": total}, separators=(",", ":")) + "\n")
+            lines = [_json_line({"n": n, "count": total})]
         elif args.format == "csv":
-            print("n,count")
-            _write(f"{n},{total}\n")
+            lines = _csv_lines("n,count", [(n, total)])
         else:
-            _write(f"{total}\n")
+            lines = [f"{total}\n"]
+    _write_blocks(lines)
     return 0
+
+
+def _json_line(value: object) -> str:
+    """``value`` as one line of compact JSON: the ``--format json`` output
+    of ``count``, ``series`` and ``sieve``, and the verdict of ``perp --arc``."""
+    import json
+
+    return json.dumps(value, separators=(",", ":")) + "\n"
+
+
+def _csv_lines(header: str, rows: Iterable[Iterable[object]]) -> Iterator[str]:
+    """The lines of a CSV table: ``header``, then each row's fields joined
+    by commas."""
+    yield header + "\n"
+    for row in rows:
+        yield ",".join(map(str, row)) + "\n"
 
 
 _WRITE_BLOCK = 4096  # PIPE_BUF on Linux: a pipe write this long is never split
 
 
 def _write(text: str) -> None:
-    """Write ``text`` to stdout, every byte of it.
+    """Write ``text`` to stdout, every byte of it; only :func:`_write_blocks`
+    calls it, and nothing else writes stdout.
 
     With ``PYTHONUNBUFFERED`` set, stdout's text layer writes straight to a
     raw file (:class:`io.FileIO`) and ignores the count the write returns.
@@ -200,7 +209,6 @@ def _write(text: str) -> None:
     if not isinstance(raw, io.FileIO):
         out.write(text)
         return
-    out.flush()  # anything the text layer still holds goes first
     view = memoryview(text.encode(out.encoding, out.errors))
     while view:
         written = raw.write(view)
@@ -216,11 +224,13 @@ def _write_blocks(items: Iterable[str]) -> None:
     """Write ``items``, each ending in a newline, to stdout in blocks: each
     item whole, a block of at most ``_WRITE_BLOCK`` bytes (an item longer
     than that alone), and a block written once the next item would take it
-    past that.  The greedy rule makes few writes, each of whole lines: with
-    ``PYTHONUNBUFFERED`` set a print is two writes, 537,612 for the records
-    of ``enumerate --n 8``, where the blocks are 5,834.  Items are ASCII, so
-    a length is a byte count.  When ``items`` raises, the block so far is
-    written first: every item before the fault reaches stdout."""
+    past that; each command calls it once, with all its stdout.  The greedy
+    rule makes few writes, each of whole lines: with ``PYTHONUNBUFFERED``
+    set a print is two writes, 537,612 for the records of ``enumerate --n
+    8`` and 292,602 for the rows of ``count --n 150 --refined``, where the
+    blocks are 5,834 and 4,096.  Items are ASCII, so a length is a byte
+    count.  When ``items`` raises, the block so far is written first: every
+    item before the fault reaches stdout."""
     block, size = [], 0
     try:
         for item in items:
@@ -303,17 +313,15 @@ def cmd_perp(args: argparse.Namespace) -> int:
     if args.n is not None and diagram.rank != args.n:
         raise ValueError(f"diagram rank {diagram.rank} does not match --n {_ECHO.repr(args.n)}")
     if args.arc is not None:
-        import json
-
         arc = (args.arc[0], args.arc[1])
-        verdict = torsion.perp_contains(diagram, arc)
-        _write(json.dumps({"arc": list(arc), "in_perp": verdict}, separators=(",", ":")) + "\n")
+        line = _json_line({"arc": list(arc), "in_perp": torsion.perp_contains(diagram, arc)})
     else:
         orbits = diagram.rank * (args.max_length - 1)
         if orbits > PERP_ORBITS:
             raise CapExceeded(f"perp listing capped at {PERP_ORBITS} orbits "
                               f"(rank x (max length - 1)), got {_ECHO.repr(orbits)}")
-        _write(torsion.perp_enumerate(diagram, args.max_length).to_json() + "\n")
+        line = torsion.perp_enumerate(diagram, args.max_length).to_json() + "\n"
+    _write_blocks([line])
     return 0
 
 
@@ -324,17 +332,11 @@ def cmd_series(args: argparse.Namespace) -> int:
         raise CapExceeded(f"series order capped at {SERIES_ORDER}, got {_ECHO.repr(args.order)}")
     series = (series_P if args.kind == "P" else series_torsion)(args.order)
     if args.format == "json":
-        import json
-
-        rows = [
-            {"degree": k, "coefficient": str(series.coeffs[k])}
-            for k in range(series.order + 1)
-        ]
-        _write(json.dumps({"series": args.kind, "coefficients": rows}, separators=(",", ":"))
-               + "\n")
+        rows = [{"degree": k, "coefficient": str(c)} for k, c in enumerate(series.coeffs)]
+        lines = [_json_line({"series": args.kind, "coefficients": rows})]
     else:
-        for k in range(series.order + 1):
-            _write(f"z^{k}: {series.coeffs[k]}\n")
+        lines = (f"z^{k}: {c}\n" for k, c in enumerate(series.coeffs))
+    _write_blocks(lines)
     return 0
 
 
@@ -343,11 +345,11 @@ def cmd_sieve(args: argparse.Namespace) -> int:
 
     records = sieving.csp_verify(args.n)
     if args.format == "json":
-        _write(sieving.csp_report_json(records) + "\n")
+        lines = [_json_line([r.to_dict() for r in records])]
     else:
-        print("n,d,k,l,m,polyValue,fixedCount,match")
-        for r in records:
-            print(f"{r.n},{r.d},{r.k},{r.l},{r.m},{r.poly_value},{r.fixed_count},{r.match}")
+        lines = _csv_lines("n,d,k,l,m,polyValue,fixedCount,match",
+                           (r.to_dict().values() for r in records))
+    _write_blocks(lines)
     bad = [r for r in records if not r.match]
     if bad:
         print(f"sieving: {len(bad)} mismatching record(s)", file=sys.stderr)
@@ -374,12 +376,12 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     if n <= STRUCTURED_RANK:
         direct = sieving.orbit_count_direct(n)
         ok = formula == direct
-    _write(f"orbit count (Burnside formula): {formula}\n")
-    _write(f"orbit count (direct partition): {direct}\n")
+    lines: Iterable[str] = [f"orbit count (Burnside formula): {formula}\n",
+                            f"orbit count (direct partition): {direct}\n"]
     if args.refined:
-        print("k,l,m,orbits")
-        for (k, l, m), c in sieving.orbit_count_refined(n).items():
-            print(f"{k},{l},{m},{c}")
+        table = sieving.orbit_count_refined(n).items()
+        lines = itertools.chain(lines, _csv_lines("k,l,m,orbits", ((*klm, c) for klm, c in table)))
+    _write_blocks(lines)
     if not ok:
         print("orbits: formula and direct partition disagree", file=sys.stderr)
         return 1
@@ -403,7 +405,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         raise ValueError("the given half is not a finite torsion half")
     svg = render_torsion_pair(pair)
     if args.out == "-":
-        _write(svg)
+        _write_blocks([svg])
     else:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(svg)
@@ -466,12 +468,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checks.append(("Burnside orbit count == direct partition", burnside))
 
     width = max(len(label) for label, _ in checks)
+    lines = []
     for label, verdict in checks:
         if isinstance(verdict, bool):
             verdict = "pass" if verdict else "FAIL"
-        print(f"{label:<{width}}  {verdict}")
-    print()
-    print("\n".join(readings))
+        lines.append(f"{label:<{width}}  {verdict}\n")
+    _write_blocks([*lines, "\n" + "\n".join(readings) + "\n"])
     return 1 if any(verdict is False for _, verdict in checks) else 0
 
 

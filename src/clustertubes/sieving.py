@@ -203,9 +203,3 @@ def csp_verify(n: int) -> list[SieveRecord]:
                 SieveRecord(n, d, k, l, m, value, count, value == count == smaller)
             )
     return records
-
-
-def csp_report_json(records: list[SieveRecord]) -> str:
-    import json
-
-    return json.dumps([r.to_dict() for r in records], separators=(",", ":"))

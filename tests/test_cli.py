@@ -266,28 +266,63 @@ def record_stream(capsys, monkeypatch, command):
     return [command], records, 1
 
 
+def recorded_writes(monkeypatch, argv, stdin=""):
+    """The exit code of ``main(argv)`` reading ``stdin``, and each write it
+    makes to stdout, in order."""
+    writes = []
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    monkeypatch.setattr("sys.stdout", SimpleNamespace(write=writes.append, flush=lambda: None))
+    return main(argv), writes
+
+
+def assert_whole_line_blocks(writes, expected, per_item):
+    """``writes`` make up ``expected`` in greedy blocks of whole items, an
+    item being ``per_item`` lines."""
+    assert "".join(writes) == expected
+    for w in writes:
+        # Whole items, at most 4,096 bytes, or one item alone past that.
+        assert w.endswith("\n") and (len(w.encode()) <= 4096 or w.count("\n") == per_item)
+    # Each write but the last is full: the next item would pass 4,096
+    # bytes, so the write sizes follow from the output alone.
+    for w, after in zip(writes, writes[1:]):
+        item = "".join(after.splitlines(keepends=True)[:per_item])
+        assert len(w.encode()) + len(item.encode()) > 4096
+
+
 @pytest.mark.parametrize("command", ["enumerate", "decompose", "compose"])
 def test_record_streams_write_whole_lines_in_pipe_sized_blocks(capsys, monkeypatch, command):
     argv, stdin, per_item = record_stream(capsys, monkeypatch, command)
     monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
     code, expected, _ = run(capsys, *argv)
     assert code == 0
-    writes = []
-    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
-    monkeypatch.setattr("sys.stdout", SimpleNamespace(write=writes.append, flush=lambda: None))
-    assert main(argv) == 0
-    assert "".join(writes) == expected
+    code, writes = recorded_writes(monkeypatch, argv, stdin)
+    assert code == 0
     lines = expected.splitlines(keepends=True)
     assert len(writes) < len(lines) / 10
     assert any(len(w) > 4096 for w in writes) is (command != "enumerate")
-    for w in writes:
-        # Whole items, at most 4,096 bytes, or one item alone past that.
-        assert w.endswith("\n") and (len(w.encode()) <= 4096 or w.count("\n") == per_item)
-    # Each write but the last is full: the next item would pass 4,096
-    # bytes, so the write sizes follow from the stream alone.
-    for w, after in zip(writes, writes[1:]):
-        item = "".join(after.splitlines(keepends=True)[:per_item])
-        assert len(w.encode()) + len(item.encode()) > 4096
+    assert_whole_line_blocks(writes, expected, per_item)
+
+
+@pytest.mark.parametrize("argv, lines_per_write", [
+    (["count", "--n", "40", "--refined"], 10),
+    (["orbits", "--n", "40", "--refined"], 10),
+    (["sieve", "--n", "6"], 10),
+    # Ten of its 25 lines pass 4,096 bytes, and each is written alone.
+    (["series", "--order", "24", "--kind", "torsion"], 1),
+    (["verify", "--n", "9"], 10),
+], ids=["count", "orbits", "sieve", "series", "verify"])
+def test_tables_write_whole_lines_in_pipe_sized_blocks(capsys, monkeypatch,
+                                                       restore_int_digit_limit, argv,
+                                                       lines_per_write):
+    # Each line is one item of the block writer; a print would make two
+    # writes per row, the row and then its newline.
+    code, expected, _ = run(capsys, *argv)
+    assert code == 0
+    code, writes = recorded_writes(monkeypatch, argv)
+    assert code == 0
+    lines = expected.count("\n")
+    assert lines > 10 and len(writes) < lines / lines_per_write
+    assert_whole_line_blocks(writes, expected, 1)
 
 
 @pytest.mark.parametrize("command, bad, message", [
@@ -384,23 +419,41 @@ def test_a_stopped_and_continued_writer_loses_no_output(tmp_path, argv):
     assert read_stopping(argv, stdin, 3) == (code, out, err)
 
 
-def test_a_non_blocking_stdout_loses_no_output():
+@pytest.mark.parametrize("argv", [
+    ["count", "--n", "40", "--refined", "--format", "json"],
+    ["count", "--n", "60", "--refined"],
+    ["orbits", "--n", "60", "--refined"],
+], ids=["count-json", "count-csv", "orbits-csv"])
+def test_a_non_blocking_stdout_loses_no_output(argv):
     # A write to a full non-blocking pipe writes nothing and returns None;
     # the writer waits for the pipe to drain instead of dropping the rest.
+    # One JSON document of 188,862 bytes, and CSV tables of 489,382 and
+    # 442,045 bytes in rows.
     import fcntl
+    import struct
+    import termios
     import time
 
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED="1")
-    argv = [sys.executable, "-m", "clustertubes.cli", "count", "--n", "40", "--refined",
-            "--format", "json"]
+    argv = [sys.executable, "-m", "clustertubes.cli", *argv]
     expected = subprocess.run(argv, capture_output=True, env=env, timeout=60).stdout
     r, w = os.pipe()
     fcntl.fcntl(w, fcntl.F_SETFL, fcntl.fcntl(w, fcntl.F_GETFL) | os.O_NONBLOCK)
+    # Within a block of full: a block that does not fill its last page
+    # takes a page of its own, so a pipe of blocks may stop short of full.
+    nearly_full = fcntl.fcntl(r, fcntl.F_GETPIPE_SZ) - 4096
     proc = subprocess.Popen(argv, stdout=w, stderr=subprocess.PIPE, env=env)
     os.close(w)
     try:
-        time.sleep(0.2)  # the child fills the pipe and finds it full
+        # Read nothing until the child has filled the pipe and found it
+        # full, or has exited having dropped what did not fit.
+        deadline = time.monotonic() + 60
+        while proc.poll() is None and time.monotonic() < deadline:
+            if struct.unpack("i", fcntl.ioctl(r, termios.FIONREAD, b"\0" * 4))[0] > nearly_full:
+                time.sleep(0.1)
+                break
+            time.sleep(0.01)
         with os.fdopen(r, "rb") as reader:
             out = reader.read()
         assert (proc.wait(timeout=60), out, proc.stderr.read()) == (0, expected, b"")
