@@ -23,9 +23,10 @@ that waits for one reply per record gets the replies in blocks, as under
 Python's default buffering.  When a record faults, the block so far is
 written before the ``error:`` line, so every record before the fault
 reaches stdout.  Each block goes through :func:`_write`, which writes on
-until every byte is out, where unbuffered stdout's text layer would drop
-the rest of a write that a signal cut short or a full non-blocking pipe
-refused; ``print`` writes stderr alone.
+until every byte is out, buffered or not, where stdout's text layer would
+drop the rest of a write that a signal cut short or a full non-blocking
+pipe refused, and :func:`main`'s last flush waits likewise; ``print``
+writes stderr alone.
 
 A command loads only the modules it runs, of the package and of the
 standard library.  This module imports :mod:`clustertubes.config` and a few
@@ -196,28 +197,53 @@ def _write(text: str) -> None:
     """Write ``text`` to stdout, every byte of it; only :func:`_write_blocks`
     calls it, and nothing else writes stdout.
 
-    With ``PYTHONUNBUFFERED`` set, stdout's text layer writes straight to a
-    raw file (:class:`io.FileIO`) and ignores the count the write returns.
-    A pipe write longer than PIPE_BUF that a signal cuts short (a stop and
-    continue, say), or a write to a full non-blocking pipe, would lose the
-    rest, with exit 0.  So over a raw file the text is encoded here and
-    written until none is left, waiting while a non-blocking pipe is full:
-    one write when nothing cuts it short.  A buffered stdout writes all it
-    is given itself."""
+    Stdout's text layer ignores the count a write returns.  With
+    ``PYTHONUNBUFFERED`` set it writes straight to a raw file
+    (:class:`io.FileIO`), so a pipe write longer than PIPE_BUF that a signal
+    cuts short (a stop and continue, say), or a write to a full non-blocking
+    pipe, would lose the rest, with exit 0.  Under default buffering a full
+    non-blocking pipe makes its :class:`io.BufferedWriter` raise, having
+    taken only part of the text, and the text layer drops the rest.  So over
+    either the text is encoded here and handed on until none is left,
+    waiting while the pipe is full: one call when nothing refuses, the
+    writes the text layer would make.  A line-buffered stdout (a terminal)
+    is flushed after each text, as its text layer does."""
     out = sys.stdout
-    raw = getattr(out, "buffer", None)
-    if not isinstance(raw, io.FileIO):
+    layer = getattr(out, "buffer", None)
+    if not isinstance(layer, (io.FileIO, io.BufferedWriter)):
         out.write(text)
         return
     view = memoryview(text.encode(out.encoding, out.errors))
     while view:
-        written = raw.write(view)
-        if written is None:  # a non-blocking stdout is full: wait until it drains
-            import select
-
-            select.select([], [raw], [])
+        try:
+            written = layer.write(view)
+        except BlockingIOError as full:  # the buffer took this much and is full
+            written = full.characters_written
+            _wait(layer)
+        if written is None:  # a full raw file takes nothing
+            _wait(layer)
         else:
             view = view[written:]
+    if out.line_buffering:
+        _flush(out)
+
+
+def _wait(stream: io.IOBase) -> None:
+    """Wait until the full non-blocking pipe behind ``stream`` drains."""
+    import select
+
+    select.select([], [stream], [])
+
+
+def _flush(stream: io.IOBase) -> None:
+    """Flush ``stream``, waiting while a non-blocking pipe is full: a
+    buffered writer keeps what the pipe refused, and the next flush writes
+    it."""
+    while True:
+        try:
+            return stream.flush()
+        except BlockingIOError:
+            _wait(stream)
 
 
 def _write_blocks(items: Iterable[str]) -> None:
@@ -558,8 +584,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if sys.stdout is None:  # the process started with fd 1 closed
             raise OSError("stdout is closed")
+        _flush(sys.stdout)  # text written before: _write goes past the text layer
         code = args.func(args)
-        sys.stdout.flush()
+        _flush(sys.stdout)
         return code
     except BrokenPipeError:
         # The reader closed stdout (``enumerate | head``).  Point stdout at

@@ -22,10 +22,12 @@ Two enumerators are provided.  :func:`enumerate_polygon` is the brute-force
 oracle: a diagram of size m is the one-span case of the closed-subset
 search of :mod:`clustertubes.arcs`, its diagonals and top arc at rank m.
 :func:`_diagonal_table` generates the same sets recursively through the
-cell-at-the-base grammar, as plain tuples of diagonal pairs; it is the one
-place the grammar is generated, and the ``enumerate`` stream reads it
-directly.  :func:`polygon_diagrams` is the same table as
-:class:`PolygonDiagram` objects, for the callers that need them.
+cell-at-the-base grammar, each as one ``bytes`` of diagonal codes
+``a << 4 | b`` (so up to size 15); it is the one place the grammar is
+generated, and the ``enumerate`` stream reads it directly.
+:func:`polygon_diagrams` is the same table as :class:`PolygonDiagram`
+objects, decoded through one grid of pairs, for the callers that need
+them.
 Agreement of the two enumerators is part of the test suite.
 :func:`random_polygon` draws one diagram from the grammar, assembled
 through :func:`compose_base`.
@@ -153,46 +155,53 @@ def enumerate_polygon(m: int) -> list[PolygonDiagram]:
     return out
 
 
+_CODE_SIZE = 15  # the largest size whose diagonals (a, b) fit a byte a << 4 | b
+_PAIRS = [divmod(code, 16) for code in range(256)]  # code -> (a, b), one object per pair
+
+
 @functools.cache
-def _diagonal_table(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+def _diagonal_table(m: int) -> tuple[bytes, ...]:
     """The diagonals of every Ptolemy diagram of size m, generated through
-    the base-cell grammar: each diagram's sorted diagonal pairs, the diagrams
-    in ascending order of those tuples.
+    the base-cell grammar: each diagram as one ``bytes``, a diagonal
+    ``(a, b)`` laid as the byte ``a << 4 | b``, in ascending order.  Byte
+    order is pair order, so this is the order of the sorted diagonal tuples.
 
     A non-degenerate diagram is a cell sitting on the base edge -- a triangle,
     a clique or an empty cell -- with smaller diagrams glued along their own
     base edges onto the cell's other edges.  A glued piece of size >= 2 adds
-    its base edge and its diagonals shifted to the edge's first corner, and a
-    clique adds its internal connectors.  Every pair is taken from one grid
-    per size, so the diagrams of a size share their pair objects.  This is
-    the only place the grammar is generated; nothing is validated or built
-    but the tuples.
+    its base edge and its diagonals shifted to the edge's first corner c,
+    which adds ``17 c`` to each byte, and a clique adds its internal
+    connectors.  The codes of a piece lie below those of the piece on the
+    next edge, so a diagram without a clique is its pieces joined in edge
+    order.  This is the only place the grammar is generated;
+    nothing is validated or built but the bytes.  Sizes above 15 do not fit
+    the codes and raise :class:`~clustertubes.config.CapExceeded`.
     """
     if m < 1:
         raise ValueError(f"size must be >= 1, got {_ECHO.repr(m)}")
+    if m > _CODE_SIZE:
+        raise CapExceeded(f"polygon diagonal codes capped at size {_CODE_SIZE}, "
+                          f"got {_ECHO.repr(m)}")
     if m == 1:
-        return ((),)
-    pair = [[(a, b) for b in range(m + 1)] for a in range(m + 1)]
+        return (b"",)
+    shift = [bytes([(code + 17 * c) & 255 for code in range(256)]) for c in range(m)]
     out = []
     for t in range(1, m):
         for inner in itertools.combinations(range(1, m), t):
             corners = (0,) + inner + (m,)
-            glued = []  # per edge, what each piece glued on it adds
-            for c, d in zip(corners, corners[1:]):
-                pieces = _diagonal_table(d - c)
-                if d - c >= 2:
-                    pieces = [(pair[c][d], *[pair[c + a][c + b] for a, b in diagonals])
-                              for diagonals in pieces]
-                glued.append(pieces)
-            # a triangle (t == 1) or an empty cell adds nothing, a clique its
-            # internal connectors
-            clique = [pair[a][b] for a, b in _connectors(corners)] if t >= 2 else []
-            for combo in itertools.product(*glued):
-                diagonals = [p for piece in combo for p in piece]
-                if clique:
-                    out.append(tuple(sorted(clique + diagonals)))
-                diagonals.sort()
-                out.append(tuple(diagonals))
+            # per edge (c, d), what each piece glued on it adds
+            edges = [[bytes(sorted(bytes([c << 4 | d]) + piece.translate(shift[c])))
+                      for piece in _diagonal_table(d - c)] if d - c >= 2 else (b"",)
+                     for c, d in zip(corners, corners[1:])]
+            diagrams = map(b"".join, itertools.product(*edges))
+            if t == 1:  # a triangle adds nothing
+                out += diagrams
+                continue
+            # an empty cell adds nothing, a clique its internal connectors
+            clique = bytes([a << 4 | b for a, b in _connectors(corners)])
+            for diagonals in diagrams:
+                out.append(bytes(sorted(clique + diagonals)))
+                out.append(diagonals)
     out.sort()
     return tuple(out)
 
@@ -201,8 +210,10 @@ def _diagonal_table(m: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 def polygon_diagrams(m: int) -> tuple[PolygonDiagram, ...]:
     """All Ptolemy diagrams of size m, in the order of
     :func:`_diagonal_table`, as objects: one :class:`PolygonDiagram` per
-    entry of that table, for the callers that need them."""
-    return tuple(PolygonDiagram._canonical(m, diagonals) for diagonals in _diagonal_table(m))
+    entry of that table, its codes decoded through one grid of pairs, so
+    every diagram shares one object per pair."""
+    return tuple(PolygonDiagram._canonical(m, tuple(map(_PAIRS.__getitem__, diagonals)))
+                 for diagonals in _diagonal_table(m))
 
 
 def _check_rank(n: int) -> None:

@@ -27,8 +27,9 @@ as plain ints, in two layouts of the low-field width w of
 w is the same for every rank up to ``RECORD_RANK``, so each writer joins
 its texts from one table kept across records, bounded by ``TEXT_ENTRIES``.
 The ``enumerate`` stream (:func:`iter_orbits_json`) keys its orbits per rank
-instead, as ``(j - i) n + i``, through one dict per cut, and writes one cut
-mask at a time with no Python loop per arc.  The writers share no code with
+instead, as ``(j - i) n + i``, one byte each, through one ``bytes.translate``
+table per cut, and writes one cut mask at a time with no Python loop per
+arc.  The writers share no code with
 :meth:`~clustertubes.arcs.PeriodicDiagram.orbits_json` or
 :func:`~clustertubes.torsion.enumerate_brute`, which the tests check them
 against, so this module loads neither :mod:`clustertubes.arcs` nor
@@ -290,21 +291,24 @@ def iter_orbits_json(n: int) -> Iterator[str]:
 
     The stream walks the cut masks of
     :func:`~clustertubes.polygons._cut_masks` and reads each span ``(c,
-    d)``'s pieces as the diagonal tuples of
-    :func:`~clustertubes.polygons._diagonal_table` of width ``d - c``, so no
-    polygon diagram is built.  A canonical orbit ``(i, j)`` is laid as the
-    integer key ``(j - i) n + i``, so ascending keys are ``sorted_orbits()``
-    order (length, then left endpoint), and a half's text is joined from a
-    table of the ``n (n + 1)`` orbits of length at most n.  One dict per cut
-    c, built once per rank, maps a diagonal ``(a, b)`` of the span at c to
-    its key ``(b - a) n + (c + a) mod n``.
+    d)``'s pieces from :func:`~clustertubes.polygons._diagonal_table` of
+    width ``d - c``, each a ``bytes`` of diagonal codes ``a << 4 | b``, so
+    no polygon diagram is built.  A canonical orbit ``(i, j)`` is laid as
+    the integer key ``(j - i) n + i``, so ascending keys are
+    ``sorted_orbits()`` order (length, then left endpoint), and a half's
+    text is joined from a table of the ``n (n + 1)`` orbits of length at
+    most n.  That is at most 90 keys at ``STRUCTURED_RANK`` = 9, so a key
+    fits a byte: one 256-byte table per cut c, built once per rank, maps
+    the code of a diagonal ``(a, b)`` of the span at c to its key
+    ``(b - a) n + (c + a) mod n``, and ``bytes.translate`` lays a whole
+    piece at once.
 
-    A mask with one span of width >= 2 (a wide span) maps each piece
-    through its cut's dict, sorts the keys and appends the top arc, the
+    A mask with one span of width >= 2 (a wide span) translates each piece
+    through its cut's table, sorts the keys and appends the top arc, the
     half's longest orbit, last.  A mask with more wide spans, each at most
-    ``n - 2`` wide and so with a short table, shifts each wide span's pieces
-    into key tuples once, top key first, and sorts each product element's
-    keys.  Either walks its
+    ``n - 2`` wide and so with a short table, translates each wide span's
+    pieces once, top key first, and sorts the joined keys of each product
+    element.  Either walks its
     pieces in chunks of ``_CHUNK`` halves, so no table is copied and no more
     than a chunk of texts is held.  A span wider than the rank would lay an
     arc longer than the rank, which no finite half has: the mask raises
@@ -315,25 +319,29 @@ def iter_orbits_json(n: int) -> Iterator[str]:
 
     _check_rank(n)
     text = [f"[{(i := k % n)},{i + k // n}]" for k in range(n * (n + 1))].__getitem__
-    rot = [{(a, b): (b - a) * n + (c + a) % n for b in range(n + 1) for a in range(b - 1)}
-           for c in range(n)]
-    flat = itertools.chain.from_iterable
+    rot = []
+    for c in range(n):
+        table = bytearray(256)
+        for b in range(n + 1):
+            for a in range(b - 1):
+                table[a << 4 | b] = (b - a) * n + (c + a) % n
+        rot.append(bytes(table))
     for cuts, ends in _cut_masks(n):
         wide = [(c, d) for c, d in zip(cuts, ends) if d - c >= 2]
         if any(d - c > n for c, d in wide):
             raise ValueError("a finite half has arcs of length at most the rank")
         if len(wide) == 1:
             (c, d), = wide
-            key, top = rot[c].__getitem__, text((d - c) * n + c)
+            keys, top = rot[c], text((d - c) * n + c)
             pieces = iter(_diagonal_table(d - c))
-            while texts := [f"[{','.join(map(text, sorted(map(key, D))))},{top}]" if D
+            while texts := [f"[{','.join(map(text, sorted(D.translate(keys))))},{top}]" if D
                             else f"[{top}]" for D in itertools.islice(pieces, _CHUNK)]:
                 yield from texts
         else:
             halves = itertools.product(*[
-                [((d - c) * n + c, *map(rot[c].__getitem__, D)) for D in _diagonal_table(d - c)]
+                [bytes([(d - c) * n + c]) + D.translate(rot[c]) for D in _diagonal_table(d - c)]
                 for c, d in wide])
-            while texts := ["[" + ",".join(map(text, sorted(flat(p)))) + "]"
+            while texts := ["[" + ",".join(map(text, sorted(b"".join(p)))) + "]"
                             for p in itertools.islice(halves, _CHUNK)]:
                 yield from texts
 

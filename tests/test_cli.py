@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -169,6 +170,28 @@ def test_enumerate_stream_is_byte_stable_at_ranks_seven_and_eight(capsys, n, dig
     code, out, _ = run(capsys, "enumerate", "--n", str(n))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_enumerate_stream_is_byte_stable_at_rank_nine():
+    # The rank cap, and so the largest orbit keys of the stream.
+    from clustertubes import records
+
+    digest = hashlib.sha256()
+    texts = records.iter_orbits_json(9)
+    while chunk := list(itertools.islice(texts, 4096)):
+        digest.update("".join(text + "\n" for text in chunk).encode())
+    assert digest.hexdigest() == (
+        "2a276e1dd4017c0ddbe5f4776177895940f6b7194afa2aa95f564fafd810bb8b")
+
+
+def test_orbit_keys_of_the_stream_fit_a_byte():
+    # iter_orbits_json lays each orbit of a rank-n half as a key below
+    # n (n + 1), through one bytes.translate table per cut, and reads spans
+    # of width up to n, whose diagonals are the codes a << 4 | b.
+    from clustertubes.polygons import _CODE_SIZE
+
+    assert STRUCTURED_RANK * (STRUCTURED_RANK + 1) <= 256
+    assert STRUCTURED_RANK <= _CODE_SIZE
 
 
 def test_enumerate_stream_runs_in_bounded_memory():
@@ -419,16 +442,23 @@ def test_a_stopped_and_continued_writer_loses_no_output(tmp_path, argv):
     assert read_stopping(argv, stdin, 3) == (code, out, err)
 
 
-@pytest.mark.parametrize("argv", [
-    ["count", "--n", "40", "--refined", "--format", "json"],
-    ["count", "--n", "60", "--refined"],
-    ["orbits", "--n", "60", "--refined"],
-], ids=["count-json", "count-csv", "orbits-csv"])
-def test_a_non_blocking_stdout_loses_no_output(argv):
-    # A write to a full non-blocking pipe writes nothing and returns None;
-    # the writer waits for the pipe to drain instead of dropping the rest.
-    # One JSON document of 188,862 bytes, and CSV tables of 489,382 and
-    # 442,045 bytes in rows.
+NON_BLOCKING_RUNS = {
+    "count-json": ["count", "--n", "40", "--refined", "--format", "json"],
+    "count-csv": ["count", "--n", "60", "--refined"],
+    "orbits-csv": ["orbits", "--n", "60", "--refined"],
+}
+
+
+@pytest.mark.parametrize("argv, unbuffered", [
+    *((argv, True) for argv in NON_BLOCKING_RUNS.values()),
+    *((argv, False) for argv in NON_BLOCKING_RUNS.values()),
+], ids=[*NON_BLOCKING_RUNS, *(f"{name}-buffered" for name in NON_BLOCKING_RUNS)])
+def test_a_non_blocking_stdout_loses_no_output(argv, unbuffered):
+    # A raw write to a full non-blocking pipe writes nothing and returns
+    # None, and a buffered one raises once its buffer is full; either way
+    # the writer waits for the pipe to drain instead of dropping the rest,
+    # and so does the last flush.  One JSON document of 188,862 bytes, and
+    # CSV tables of 489,382 and 442,045 bytes in rows.
     import fcntl
     import struct
     import termios
@@ -436,6 +466,8 @@ def test_a_non_blocking_stdout_loses_no_output(argv):
 
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path, PYTHONUNBUFFERED="1")
+    if not unbuffered:
+        del env["PYTHONUNBUFFERED"]
     argv = [sys.executable, "-m", "clustertubes.cli", *argv]
     expected = subprocess.run(argv, capture_output=True, env=env, timeout=60).stdout
     r, w = os.pipe()
@@ -461,6 +493,19 @@ def test_a_non_blocking_stdout_loses_no_output(argv):
         proc.kill()
         proc.wait()
         proc.stderr.close()
+
+
+def test_text_printed_before_main_comes_first_under_default_buffering():
+    # Under default buffering the writer hands its blocks to stdout's
+    # buffered writer, past the text layer, so main flushes that layer first.
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    env.pop("PYTHONUNBUFFERED", None)
+    script = ("import sys; from clustertubes.cli import main; print('before'); "
+              "sys.exit(main(['count', '--n', '3']))")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            timeout=60, env=env)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "before\n32\n", "")
 
 
 def test_cli_import_does_not_load_numpy():
@@ -1336,6 +1381,9 @@ BIG = 10**5000  # past the default int/str digit limit
     (lambda: clustertubes.PolygonDiagram(-BIG), ValueError, "size must be >= 1, got "),
     (lambda: clustertubes.enumerate_polygon(-BIG), ValueError, "size must be >= 1, got "),
     (lambda: _diagonal_table(-BIG), ValueError, "size must be >= 1, got "),
+    (lambda: _diagonal_table(BIG), CapExceeded, "polygon diagonal codes capped at size 15, got "),
+    (lambda: polygon_diagrams(BIG), CapExceeded,
+     "polygon diagonal codes capped at size 15, got "),
     (lambda: random_polygon(random.Random(0), -BIG), ValueError, "size must be >= 1, got "),
     (lambda: clustertubes.PeriodicDiagram(-BIG, frozenset()), ValueError,
      "rank must be positive, got "),
@@ -1355,7 +1403,8 @@ BIG = 10**5000  # past the default int/str digit limit
         clustertubes.PointedCycle((clustertubes.DEGENERATE,), 0, 1), BIG), ValueError,
      "piece sizes sum to 1, expected rank "),
 ], ids=["enumerate_polygon-cap", "enumerate_brute-cap", "PolygonDiagram",
-        "enumerate_polygon-size", "_diagonal_table", "random_polygon", "PeriodicDiagram",
+        "enumerate_polygon-size", "_diagonal_table", "_diagonal_table-cap",
+        "polygon_diagrams-cap", "random_polygon", "PeriodicDiagram",
         "from_arcs", "cyclotomic", "asymptotic_check", "PeriodicDiagram-arc",
         "PeriodicDiagram-canonical", "WingDecomposition-cuts", "WingDecomposition-piece",
         "from_pointed_cycle"])

@@ -58,11 +58,15 @@ def test_brute_force_equals_grammar(m):
 @pytest.mark.parametrize("m", range(1, POLYGON_BRUTE + 1))
 def test_diagonal_table_equals_brute_force(m):
     table = _diagonal_table(m)
+    assert all(type(diagonals) is bytes for diagonals in table)
     assert list(table) == sorted(table)  # grammar order
-    assert table == tuple(P.diagonals for P in enumerate_polygon(m))
-    pairs = [p for diagonals in table for p in diagonals]
+    # a diagonal (a, b) is the byte a << 4 | b
+    decoded = tuple(tuple(divmod(code, 16) for code in diagonals) for diagonals in table)
+    assert decoded == tuple(P.diagonals for P in enumerate_polygon(m))
+    diagrams = polygon_diagrams(m)
+    assert tuple(P.diagonals for P in diagrams) == decoded
+    pairs = [p for P in diagrams for p in P.diagonals]
     assert len({id(p) for p in pairs}) == len(set(pairs))  # one object per pair
-    assert tuple(P.diagonals for P in polygon_diagrams(m)) == table
 
 
 def test_diagonal_table_lengths_equal_the_counts():
@@ -70,13 +74,14 @@ def test_diagonal_table_lengths_equal_the_counts():
     try:
         assert [len(_diagonal_table(m)) for m in range(1, 11)] == list(counts[1:])
     finally:
-        _diagonal_table.cache_clear()  # the width-10 table holds 46 MB
+        _diagonal_table.cache_clear()  # the width-10 table holds 20 MB
     with pytest.raises(ValueError):
         _diagonal_table(0)
 
 
 def test_diagonal_tables_stay_small():
-    # The tables of widths 1..8 peak at 1.5 MB under tracemalloc, the
+    # The tables of widths 1..8, one bytes object per diagram, peak at
+    # 0.80 MB under tracemalloc (1.52 MB as tuples of pairs), the
     # PolygonDiagram objects of polygon_diagrams(1..8) at 6.5 MB.
     import tracemalloc
 
@@ -88,7 +93,7 @@ def test_diagonal_tables_stay_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * 2**20
+    assert peak < 0.9 * 2**20
 
 
 def test_brute_force_equals_grammar_count_size_seven():
