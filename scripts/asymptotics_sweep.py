@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import argparse
 
-from clustertubes.counting import asymptotic_check, growth_amplitude, growth_rate
+from clustertubes.asymptotics import asymptotic_check, growth_amplitude, growth_rate
 
 
 def main() -> None:

@@ -21,15 +21,16 @@ _EXPORTS = {
         "Arc", "PeriodicDiagram", "cross", "ext1_dim", "is_ptolemy", "is_rigid",
         "nc_contains", "nc_enumerate", "normalize_orbit", "orbits_cross",
     ),
+    "asymptotics": ("asymptotic_check", "growth_amplitude", "growth_rate", "real_root"),
     "config": ("CapExceeded",),
-    "counting": (
-        "asymptotic_check", "growth_amplitude", "growth_rate", "real_root",
-        "refined_table", "torsion_count", "torsion_count_refined",
+    "counting": ("refined_table", "torsion_count", "torsion_count_refined"),
+    "pieces": (
+        "Cell", "cells", "compose_base", "decompose_base", "enumerate_polygon",
+        "is_ptolemy_polygon",
     ),
     "polygons": (
-        "Cell", "CellKind", "DEGENERATE", "MixedFaceError", "PolygonDiagram", "cells",
-        "decompose_base", "compose_base", "enumerate_polygon", "is_ptolemy_polygon",
-        "polygon_diagrams", "statistics_polygon",
+        "CellKind", "DEGENERATE", "MixedFaceError", "PolygonDiagram", "polygon_diagrams",
+        "statistics_polygon",
     ),
     "qpolys": ("QPoly", "cyclotomic", "eval_at_primitive_root", "qbinomial", "qmultinomial"),
     "records": ("iter_orbits_json",),

@@ -16,12 +16,12 @@ from operator import attrgetter
 
 BRUTE_RANK = 7  # torsion.enumerate_brute: subsets of the n(n-1) arc orbits
 STRUCTURED_RANK = 9  # polygons._check_rank: every grammar walk (tau^s fixed points walk rank s)
-POLYGON_BRUTE = 8  # polygons.enumerate_polygon: subsets of diagonals
-SERIES_ORDER = 24  # cli.cmd_series, and cmd_verify's refined series row (the library is uncapped)
-COUNT_RANK = 20_000  # cli.cmd_count, cmd_orbits: the closed-form counts (likewise)
-REFINED_RANK = 150  # cli.cmd_count/cmd_orbits --refined, cmd_verify: the (k, l, m) table
-PERP_ORBITS = 40_000  # cli.cmd_perp --max-length: the rank x (max_length - 1) orbits it tests
-RECORD_RANK = 500  # cli._check_side_and_cap: decompose, compose, perp, render; records.key_width
+POLYGON_BRUTE = 8  # pieces.enumerate_polygon: subsets of diagonals
+SERIES_ORDER = 24  # commands.series, and verify's refined series row (the library is uncapped)
+COUNT_RANK = 20_000  # commands.count, commands.orbits: the closed-form counts (likewise)
+REFINED_RANK = 150  # count/orbits --refined, commands.verify: the (k, l, m) table
+PERP_ORBITS = 40_000  # commands.perp --max-length: the rank x (max_length - 1) orbits it tests
+RECORD_RANK = 500  # commands.reading: decompose, compose, perp, render; records.key_width
 TEXT_ENTRIES = 4_096  # records.wings_json, records.half_orbits_json: each one's table of texts
 
 

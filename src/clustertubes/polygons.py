@@ -11,26 +11,22 @@ subdivision of the polygon by its non-crossed chords: triangles, cliques
 (>= 4 vertices, all internal connectors drawn) and empty cells (>= 4
 vertices, none drawn).  The cell counts are the statistics ``(k, l, m)``
 that the refined torsion-pair counts are indexed by.  One walk over that
-subdivision, base face first, reads every face: :func:`cells` lists them,
+subdivision, base face first, reads every face (:func:`_faces`), and
 :func:`statistics_polygon` tallies their kinds into a plain ``(k, l, m)``
-tuple and :func:`decompose_base` takes the base face.  A face with some but
-not all of its internal connectors raises :class:`MixedFaceError`; the test
-suite checks that this happens exactly on the diagonal sets that are not
-Ptolemy, for every set up to size 6.
+tuple.  A face with some but not all of its internal connectors raises
+:class:`MixedFaceError`; the test suite checks that this happens exactly on
+the diagonal sets that are not Ptolemy, for every set up to size 6.
 
-Two enumerators are provided.  :func:`enumerate_polygon` is the brute-force
-oracle: a diagram of size m is the one-span case of the closed-subset
-search of :mod:`clustertubes.arcs`, its diagonals and top arc at rank m.
-:func:`_diagonal_table` generates the same sets recursively through the
-cell-at-the-base grammar, each as one ``bytes`` of diagonal codes
-``a << 4 | b`` (so up to size 15); it is the one place the grammar is
-generated, and the ``enumerate`` stream reads it directly.
+:func:`_diagonal_table` generates the diagrams of a size recursively
+through the cell-at-the-base grammar, each as one ``bytes`` of diagonal
+codes ``a << 4 | b``; it is the one place the grammar is generated, and the
+``enumerate`` stream reads it directly.  No table wider than
+``_TABLE_WIDTH`` = 10 is built: the tables grow about sixfold per size.
 :func:`polygon_diagrams` is the same table as :class:`PolygonDiagram`
 objects, decoded through one grid of pairs, for the callers that need
-them.
-Agreement of the two enumerators is part of the test suite.
-:func:`random_polygon` draws one diagram from the grammar, assembled
-through :func:`compose_base`.
+them.  The cells as objects, the base-cell split and glue, random draws
+and the brute-force oracles the grammar is checked against are in
+:mod:`clustertubes.pieces`, which the grammar does not load.
 
 :func:`_cut_masks` is the one loop over the cut masks of the rank-n
 halves.  :func:`_walk`, next to the tables it reads, runs the cut/wing
@@ -38,8 +34,8 @@ grammar over it for :mod:`clustertubes.torsion` and the tau fixed points
 of :mod:`clustertubes.sieving`, and the ``enumerate`` stream of
 :mod:`clustertubes.records` reads the masks and the diagonal tables
 itself; every walk is behind the ``STRUCTURED_RANK`` gate
-:func:`_check_rank`.  Only the brute-force oracle and
-:func:`is_ptolemy_polygon` load :mod:`clustertubes.arcs`, inside themselves.
+:func:`_check_rank`.  This module loads neither :mod:`clustertubes.arcs`
+nor :mod:`clustertubes.pieces`.
 """
 
 from __future__ import annotations
@@ -47,10 +43,9 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-import random
 from typing import Callable, Iterator, Sequence
 
-from .config import _ECHO, POLYGON_BRUTE, STRUCTURED_RANK, CapExceeded, Frozen
+from .config import _ECHO, STRUCTURED_RANK, CapExceeded, Frozen
 
 
 class MixedFaceError(ValueError):
@@ -63,20 +58,6 @@ class CellKind(enum.Enum):
     TRIANGLE = "triangle"
     CLIQUE = "clique"
     EMPTY_CELL = "empty_cell"
-
-
-class Cell(Frozen):
-    """One face of the unique cell decomposition, with its polygon labels."""
-
-    __slots__ = ("vertices", "kind")
-
-    def __init__(self, vertices: tuple[int, ...], kind: CellKind) -> None:
-        if kind is CellKind.TRIANGLE:
-            if len(vertices) != 3:
-                raise ValueError(f"triangle with {len(vertices)} vertices")
-        elif len(vertices) < 4:
-            raise ValueError(f"{kind.value} needs >= 4 vertices, got {len(vertices)}")
-        super().__init__(vertices, kind)
 
 
 class PolygonDiagram(Frozen):
@@ -117,45 +98,10 @@ def _connectors(corners: Sequence[int]) -> list[tuple[int, int]]:
     return [(corners[x], corners[y]) for x, y in pairs if 2 <= y - x < t]
 
 
-def is_ptolemy_polygon(diagram: PolygonDiagram) -> bool:
-    """Every crossing pair of diagonals forces its four connectors.
-
-    Connectors of length 1 are polygon sides and the pair ``(0, size)`` is
-    the base edge; both count as present.  This is
-    :func:`~clustertubes.arcs.is_ptolemy` of the one-span half: the
-    diagonals and the base edge as its top arc, at the size as rank.
-    """
-    from .arcs import PeriodicDiagram, is_ptolemy
-
-    m = diagram.size
-    return m == 1 or is_ptolemy(PeriodicDiagram(m, frozenset({(0, m), *diagram.diagonals})))
-
-
-def enumerate_polygon(m: int) -> list[PolygonDiagram]:
-    """Brute-force oracle: every diagonal subset with the Ptolemy property.
-
-    The diagonals and the top arc ``(0, m)`` are the pool of
-    :func:`~clustertubes.arcs.ptolemy_subsets` at rank m; the subsets
-    holding the top arc, without it, are the diagrams.  (At size 1 the top
-    arc is a side, which crosses nothing.)  Counts for m = 1..5 are 1, 1,
-    4, 17, 82.
-    """
-    from .arcs import ptolemy_subsets
-
-    if m < 1:
-        raise ValueError(f"size must be >= 1, got {_ECHO.repr(m)}")
-    if m > POLYGON_BRUTE:
-        raise CapExceeded(f"polygon brute force capped at size {POLYGON_BRUTE}, "
-                          f"got {_ECHO.repr(m)}")
-    diags = _connectors(range(m + 1))
-    top = 1 << len(diags)
-    out = [PolygonDiagram(m, tuple(d for t, d in enumerate(diags) if mask >> t & 1))
-           for mask in ptolemy_subsets(m, diags + [(0, m)]) if mask & top]
-    out.sort(key=lambda P: P.diagonals)
-    return out
-
-
-_CODE_SIZE = 15  # the largest size whose diagonals (a, b) fit a byte a << 4 | b
+# The widest table built.  A table holds p(m) pieces, about 47 bytes each:
+# 421,214 at width 10 (20 MB), 2,492,112 at 11 (117 MB) and 14,937,210 at
+# 12 (0.7 GB).  Every width up to 15 would fit the byte codes a << 4 | b.
+_TABLE_WIDTH = 10
 _PAIRS = [divmod(code, 16) for code in range(256)]  # code -> (a, b), one object per pair
 
 
@@ -174,13 +120,14 @@ def _diagonal_table(m: int) -> tuple[bytes, ...]:
     connectors.  The codes of a piece lie below those of the piece on the
     next edge, so a diagram without a clique is its pieces joined in edge
     order.  This is the only place the grammar is generated;
-    nothing is validated or built but the bytes.  Sizes above 15 do not fit
-    the codes and raise :class:`~clustertubes.config.CapExceeded`.
+    nothing is validated or built but the bytes.  Sizes above
+    ``_TABLE_WIDTH`` raise :class:`~clustertubes.config.CapExceeded` before
+    any table is built.
     """
     if m < 1:
         raise ValueError(f"size must be >= 1, got {_ECHO.repr(m)}")
-    if m > _CODE_SIZE:
-        raise CapExceeded(f"polygon diagonal codes capped at size {_CODE_SIZE}, "
+    if m > _TABLE_WIDTH:
+        raise CapExceeded(f"polygon diagram tables capped at size {_TABLE_WIDTH}, "
                           f"got {_ECHO.repr(m)}")
     if m == 1:
         return (b"",)
@@ -254,26 +201,6 @@ def _walk(n: int, table: Callable[[int], Sequence]) -> Iterator[tuple[list[int],
             yield cuts, ends, pieces
 
 
-def _base_kinds(inner: int) -> tuple[CellKind, ...]:
-    """The kinds of a base cell with ``inner`` corners off the base edge."""
-    return (CellKind.TRIANGLE,) if inner == 1 else (CellKind.CLIQUE, CellKind.EMPTY_CELL)
-
-
-def random_polygon(rng: random.Random, m: int) -> PolygonDiagram:
-    """A random Ptolemy diagram of size m: a base cell on a random nonempty
-    set of inner corners, of a random kind, with random diagrams drawn the
-    same way glued on, assembled by :func:`compose_base`.  Every diagram of
-    size m can occur, though not uniformly."""
-    if m < 1:
-        raise ValueError(f"size must be >= 1, got {_ECHO.repr(m)}")
-    if m == 1:
-        return DEGENERATE
-    mask = rng.randrange(1, 1 << (m - 1))
-    corners = (0, *(v for v in range(1, m) if mask >> (v - 1) & 1), m)
-    cell = Cell(corners, rng.choice(_base_kinds(len(corners) - 2)))
-    return compose_base(cell, [random_polygon(rng, d - c) for c, d in zip(corners, corners[1:])])
-
-
 def _faces(diagram: PolygonDiagram) -> Iterator[tuple[tuple[int, ...], CellKind]]:
     """The faces of the subdivision by the non-crossed chords, base face
     first, each as its corners in increasing order and its kind.
@@ -329,61 +256,9 @@ def _faces(diagram: PolygonDiagram) -> Iterator[tuple[tuple[int, ...], CellKind]
         stack.extend((x, y) for x, y in zip(corners, corners[1:]) if y - x >= 2)
 
 
-def cells(diagram: PolygonDiagram) -> list[Cell]:
-    """The unique cell decomposition, as faces of the non-crossed subdivision.
-
-    The degenerate diagram has no cells.  Raises :class:`MixedFaceError` on
-    non-Ptolemy input.
-    """
-    return sorted((Cell(corners, kind) for corners, kind in _faces(diagram)),
-                  key=lambda c: c.vertices)
-
-
 def statistics_polygon(diagram: PolygonDiagram) -> tuple[int, int, int]:
     """The statistics ``(k, l, m)``: the numbers of triangles, cliques and
     empty cells of the cell decomposition."""
     kinds = [kind for _, kind in _faces(diagram)]
     return (kinds.count(CellKind.TRIANGLE), kinds.count(CellKind.CLIQUE),
             kinds.count(CellKind.EMPTY_CELL))
-
-
-def decompose_base(diagram: PolygonDiagram) -> tuple[Cell | None, list[PolygonDiagram]]:
-    """Split off the cell adjacent to the base edge.
-
-    Returns the base cell (None for the degenerate diagram) together with the
-    sub-diagrams glued to its non-base edges, each re-rooted so that its own
-    base edge is the glued edge.  :func:`compose_base` reassembles exactly.
-    """
-    if diagram.size == 1:
-        return None, []
-    corners, kind = next(_faces(diagram))
-    subs = []
-    for c, d in zip(corners, corners[1:]):
-        inner = tuple(
-            (a - c, b - c)
-            for a, b in diagram.diagonals
-            if c <= a and b <= d and (a, b) != (c, d)
-        )
-        subs.append(PolygonDiagram(d - c, inner))
-    return Cell(corners, kind), subs
-
-
-def compose_base(cell: Cell | None, subs: Sequence[PolygonDiagram]) -> PolygonDiagram:
-    """Inverse of :func:`decompose_base`."""
-    if cell is None:
-        if subs:
-            raise ValueError("degenerate diagram has no glued pieces")
-        return DEGENERATE
-    corners = cell.vertices
-    if len(subs) != len(corners) - 1:
-        raise ValueError(f"cell with {len(corners)} corners needs {len(corners) - 1} pieces")
-    diags = _connectors(corners) if cell.kind is CellKind.CLIQUE else []
-    for i, sub in enumerate(subs):
-        c, d = corners[i], corners[i + 1]
-        if sub.size != d - c:
-            raise ValueError(f"piece of size {sub.size} glued on an edge of span {d - c}")
-        if sub.size >= 2:
-            diags.append((c, d))
-            diags.extend((c + a, c + b) for a, b in sub.diagonals)
-    return PolygonDiagram(corners[-1], tuple(diags))
-

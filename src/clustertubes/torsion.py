@@ -48,7 +48,6 @@ from .polygons import (
     _check_rank,
     _walk,
     polygon_diagrams,
-    random_polygon,
     statistics_polygon,
 )
 from .records import check_arc, half_spans, pair_json, read_wings, spans_json
@@ -343,11 +342,13 @@ def enumerate_structured(n: int) -> list[PeriodicDiagram]:
 def sample_halves(n: int, count: int, seed: int = 0) -> Iterator[PeriodicDiagram]:
     """Random finite halves at rank n, one at a time: a random cut set, and
     on each span a diagram drawn by
-    :func:`~clustertubes.polygons.random_polygon`.
+    :func:`~clustertubes.pieces.random_polygon`.
 
     Deterministic for a fixed seed; not uniform over halves, which is fine
     for round-trip testing.  No list of diagrams is built, so any rank works.
     """
+    from .pieces import random_polygon
+
     rng = random.Random(seed)
     for _ in range(count):
         mask = rng.randrange(1, 1 << n)

@@ -18,19 +18,10 @@ from clustertubes.arcs import (
     orbits_cross,
     ptolemy_completions,
 )
-from clustertubes.counting import (
-    growth_amplitude,
-    growth_rate,
-    refined_table,
-    torsion_count,
-    asymptotic_check,
-)
-from clustertubes.polygons import (
-    compose_base,
-    decompose_base,
-    enumerate_polygon,
-    polygon_diagrams,
-)
+from clustertubes.asymptotics import asymptotic_check, growth_amplitude, growth_rate
+from clustertubes.counting import refined_table, torsion_count
+from clustertubes.pieces import compose_base, decompose_base, enumerate_polygon
+from clustertubes.polygons import polygon_diagrams
 from clustertubes.series import X, Y1, Y2, series_P, series_torsion
 from clustertubes.sieving import csp_verify, fixed_histograms, orbit_count, orbit_count_direct
 from clustertubes.torsion import (

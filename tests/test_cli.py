@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import io
 import itertools
 import json
@@ -18,7 +19,8 @@ from clustertubes.cli import main
 from clustertubes.config import BRUTE_RANK, COUNT_RANK, PERP_ORBITS, RECORD_RANK, CapExceeded
 from clustertubes.config import REFINED_RANK, SERIES_ORDER, STRUCTURED_RANK, TEXT_ENTRIES
 from clustertubes.counting import torsion_count
-from clustertubes.polygons import _diagonal_table, polygon_diagrams, random_polygon
+from clustertubes.pieces import random_polygon
+from clustertubes.polygons import _diagonal_table, polygon_diagrams
 from clustertubes.torsion import TorsionPair, WingDecomposition, _lay, decompose, iter_structured
 from clustertubes.torsion import sample_halves
 
@@ -187,11 +189,12 @@ def test_enumerate_stream_is_byte_stable_at_rank_nine():
 def test_orbit_keys_of_the_stream_fit_a_byte():
     # iter_orbits_json lays each orbit of a rank-n half as a key below
     # n (n + 1), through one bytes.translate table per cut, and reads spans
-    # of width up to n, whose diagonals are the codes a << 4 | b.
-    from clustertubes.polygons import _CODE_SIZE
+    # of width up to n, whose diagonals are the codes a << 4 | b: the widest
+    # table built must hold them, and its codes fit a byte.
+    from clustertubes.polygons import _TABLE_WIDTH
 
     assert STRUCTURED_RANK * (STRUCTURED_RANK + 1) <= 256
-    assert STRUCTURED_RANK <= _CODE_SIZE
+    assert STRUCTURED_RANK <= _TABLE_WIDTH <= 15
 
 
 def test_enumerate_stream_runs_in_bounded_memory():
@@ -214,7 +217,7 @@ def test_enumerate_stream_runs_in_bounded_memory():
 
 
 def test_enumerate_stream_builds_no_diagram(capsys, monkeypatch):
-    from clustertubes import polygons, records
+    from clustertubes import pieces, polygons, records
 
     def outputs():
         _diagonal_table.cache_clear()
@@ -230,8 +233,8 @@ def test_enumerate_stream_builds_no_diagram(capsys, monkeypatch):
 
     for name in ("__init__", "_canonical"):
         monkeypatch.setattr(polygons.PolygonDiagram, name, refuse)
-    monkeypatch.setattr(polygons.Cell, "__init__", refuse)
-    monkeypatch.setattr(polygons, "compose_base", refuse)
+    monkeypatch.setattr(pieces.Cell, "__init__", refuse)
+    monkeypatch.setattr(pieces, "compose_base", refuse)
     assert outputs() == expected
 
 
@@ -506,6 +509,30 @@ def test_text_printed_before_main_comes_first_under_default_buffering():
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                             timeout=60, env=env)
     assert (result.returncode, result.stdout, result.stderr) == (0, "before\n32\n", "")
+
+
+def console_script(name):
+    """The target of ``name`` in the ``[project.scripts]`` table of
+    pyproject.toml, read line by line: tomllib is 3.11+, and the project
+    supports 3.10."""
+    section = None
+    for line in (Path(SRC).parent / "pyproject.toml").read_text(encoding="utf-8").splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            section = line
+        elif section == "[project.scripts]" and line.partition("=")[0].strip() == name:
+            return line.partition("=")[2].strip().strip('"')
+    raise AssertionError(f"no console script {name!r}")
+
+
+def test_the_console_script_runs_a_command(capsys, monkeypatch):
+    # The installed command calls its target with no arguments, as
+    # sys.exit(main()), so main reads sys.argv.
+    module, _, attr = console_script("clustertubes").partition(":")
+    entry = getattr(importlib.import_module(module), attr)
+    monkeypatch.setattr("sys.argv", ["clustertubes", "count", "--n", "1"])
+    assert entry() == 0
+    assert capsys.readouterr() == ("2\n", "")
 
 
 def test_cli_import_does_not_load_numpy():
@@ -1381,9 +1408,11 @@ BIG = 10**5000  # past the default int/str digit limit
     (lambda: clustertubes.PolygonDiagram(-BIG), ValueError, "size must be >= 1, got "),
     (lambda: clustertubes.enumerate_polygon(-BIG), ValueError, "size must be >= 1, got "),
     (lambda: _diagonal_table(-BIG), ValueError, "size must be >= 1, got "),
-    (lambda: _diagonal_table(BIG), CapExceeded, "polygon diagonal codes capped at size 15, got "),
+    (lambda: _diagonal_table(BIG), CapExceeded, "polygon diagram tables capped at size 10, got "),
     (lambda: polygon_diagrams(BIG), CapExceeded,
-     "polygon diagonal codes capped at size 15, got "),
+     "polygon diagram tables capped at size 10, got "),
+    (lambda: _diagonal_table(11), CapExceeded, "polygon diagram tables capped at size 10, got 11"),
+    (lambda: polygon_diagrams(11), CapExceeded, "polygon diagram tables capped at size 10, got 11"),
     (lambda: random_polygon(random.Random(0), -BIG), ValueError, "size must be >= 1, got "),
     (lambda: clustertubes.PeriodicDiagram(-BIG, frozenset()), ValueError,
      "rank must be positive, got "),
@@ -1404,7 +1433,8 @@ BIG = 10**5000  # past the default int/str digit limit
      "piece sizes sum to 1, expected rank "),
 ], ids=["enumerate_polygon-cap", "enumerate_brute-cap", "PolygonDiagram",
         "enumerate_polygon-size", "_diagonal_table", "_diagonal_table-cap",
-        "polygon_diagrams-cap", "random_polygon", "PeriodicDiagram",
+        "polygon_diagrams-cap", "_diagonal_table-width-11", "polygon_diagrams-width-11",
+        "random_polygon", "PeriodicDiagram",
         "from_arcs", "cyclotomic", "asymptotic_check", "PeriodicDiagram-arc",
         "PeriodicDiagram-canonical", "WingDecomposition-cuts", "WingDecomposition-piece",
         "from_pointed_cycle"])

@@ -3,15 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from clustertubes.counting import (
+from clustertubes.asymptotics import (
     ALPHA_POLYNOMIAL,
     RHO_POLYNOMIAL,
     asymptotic_check,
-    binomial,
     growth_amplitude,
     growth_rate,
-    multinomial,
     real_root,
+)
+from clustertubes.counting import (
+    binomial,
+    multinomial,
     refined_support,
     refined_table,
     torsion_count,

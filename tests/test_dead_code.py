@@ -22,10 +22,10 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "clustertubes"
 
 
 def top_level_statements():
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for stmt in tree.body:
-            yield path.name, stmt
+            yield path.relative_to(PACKAGE).as_posix(), stmt
 
 
 def referenced_names(node, skip=None):

@@ -19,7 +19,12 @@ import clustertubes
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 PACKAGE = SRC / "clustertubes"
-MODULES = sorted(PACKAGE.glob("*.py"))
+MODULES = sorted(PACKAGE.rglob("*.py"))
+HANDLERS = sorted((PACKAGE / "commands").glob("*.py"))
+
+
+def module_id(path):
+    return path.relative_to(PACKAGE).as_posix()
 
 
 def imported_names(tree):
@@ -32,12 +37,12 @@ def imported_names(tree):
                 yield alias.asname or alias.name
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=module_id)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(imported_names(tree)) - used)
-    assert unused == [], f"{path.name} imports but never uses {unused}"
+    assert unused == [], f"{module_id(path)} imports but never uses {unused}"
 
 
 def package_imports(tree):
@@ -60,15 +65,20 @@ def package_imports(tree):
 # cell statistics of the polygon grammar are checked against the series,
 # the record streams against PeriodicDiagram.orbits_json (arcs) and
 # enumerate_brute (torsion), and the grammar against the Ptolemy check and
-# search of arcs: none may share code with the routes it is compared
-# against.
+# search of arcs and the oracles of pieces: none may share code with the
+# routes it is compared against.  The grammar loads neither arcs nor
+# pieces; pieces reads the grammar's diagrams and arcs' search, and the
+# asymptotics read the closed form alone.
 @pytest.mark.parametrize("module, forbidden", [
     ("counting", {"series", "torsion", "polygons", "qpolys", "sieving"}),
     ("series", {"counting", "torsion", "polygons"}),
-    ("polygons", {"series", "counting", "qpolys", "sieving", "torsion"}),
+    ("polygons", {"series", "counting", "qpolys", "sieving", "torsion", "arcs", "pieces"}),
     ("records", {"arcs", "torsion", "counting", "series", "qpolys", "sieving"}),
     ("arcs", {"polygons", "torsion", "counting", "series", "qpolys", "sieving"}),
-], ids=["counting", "series", "polygons", "records", "arcs"])
+    ("pieces", {"series", "counting", "qpolys", "sieving", "torsion", "records"}),
+    ("asymptotics", {path.stem for path in PACKAGE.glob("*.py")} - {"config", "counting"}
+     | {"commands"}),
+], ids=["counting", "series", "polygons", "records", "arcs", "pieces", "asymptotics"])
 def test_independent_routes_share_no_code(module, forbidden):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     shared = sorted(set(package_imports(tree)) & forbidden)
@@ -101,47 +111,91 @@ def loaded_modules(script, *argv):
     return set(result.stderr.split())
 
 
-# decompose and compose run the record kernels of records alone, and
-# enumerate adds the grammar walk of polygons; none loads the arc calculus
-# or the halves.  perp and render read a diagram record into a diagram and
-# run the halves (torsion) on it; render reads its wing spans there too.
-# The symmetry commands read sieving, which walks the grammar through
-# polygons and loads neither torsion nor arcs: orbits for the closed form
-# and the direct partition, sieve for those histograms and the q-analogues.
-# verify loads both layers, for every route it checks.
-RECORD_MODULES = ["cli", "config", "records"]
-HALF_MODULES = ["arcs", "cli", "config", "polygons", "records", "torsion"]
-SYMMETRY_MODULES = ["cli", "config", "counting", "polygons", "series", "sieving"]
+# Every command loads cli, config, the writer (commands) and its own
+# handler module, commands.<command>, and no other handler.  decompose and
+# compose run the record kernels of records alone, read through
+# commands.reading, and enumerate adds the grammar walk of polygons; none
+# loads the arc calculus or the halves.  perp and render read a diagram
+# record into a diagram and run the halves (torsion) on it; render reads
+# its wing spans there too.  The symmetry commands read sieving, which
+# walks the grammar through polygons and loads neither torsion nor arcs:
+# orbits for the closed form and the direct partition, sieve for those
+# histograms and the q-analogues.  verify loads both layers, for every
+# route it checks.  None of these runs loads the asymptotics or the
+# polygon oracles (pieces); verify's sampled round trips, past rank 6,
+# draw their pieces through pieces.random_polygon.
+RECORD_MODULES = ["commands.reading", "records"]
+HALF_MODULES = ["arcs", "commands.reading", "polygons", "records", "torsion"]
+SYMMETRY_MODULES = ["counting", "polygons", "series", "sieving"]
 PAIR = '{"rank":4,"finite_side":"left","orbits":[[1,3],[0,4]]}'
 
 
 @pytest.mark.parametrize("argv, loaded", [
     ([], []),
-    (["count", "--n", "1"], ["cli", "config", "counting"]),
-    (["series", "--order", "3"], ["cli", "config", "series"]),
-    (["enumerate", "--n", "1"], sorted([*RECORD_MODULES, "polygons"])),
+    (["count", "--n", "1"], ["counting"]),
+    (["series", "--order", "3"], ["series"]),
+    (["enumerate", "--n", "1"], ["polygons", "records"]),
     (["decompose", "--diagram", '{"rank":4,"orbits":[[1,3]]}'], RECORD_MODULES),
     (["compose", "--wings", '{"rank":2,"pairs":[{"top":[0,2],"arcs":[[0,2]]}]}'],
      RECORD_MODULES),
     (["perp", "--diagram", '{"rank":4,"orbits":[[1,3]]}', "--max-length", "3"], HALF_MODULES),
-    (["render", "--pair", "-", "--out", "-"], sorted([*HALF_MODULES, "render"])),
-    (["sieve", "--n", "4"], sorted([*SYMMETRY_MODULES, "qpolys"])),
+    (["render", "--pair", "-", "--out", "-"], [*HALF_MODULES, "render"]),
+    (["sieve", "--n", "4"], [*SYMMETRY_MODULES, "qpolys"]),
     (["orbits", "--n", "4", "--refined"], SYMMETRY_MODULES),
-    (["verify", "--n", "4"], sorted({*HALF_MODULES, *SYMMETRY_MODULES})),
+    (["verify", "--n", "4"], ["arcs", "polygons", "records", "torsion", *SYMMETRY_MODULES]),
 ], ids=["import", "count", "series", "enumerate", "decompose", "compose", "perp", "render",
         "sieve", "orbits", "verify"])
 def test_a_command_loads_only_the_modules_it_runs(argv, loaded):
-    package = sorted(m for m in loaded_modules(LOADED, *argv) if m.split(".")[0] == "clustertubes")
-    assert package == ["clustertubes", *(f"clustertubes.{m}" for m in loaded)]
+    package = {m for m in loaded_modules(LOADED, *argv) if m.split(".")[0] == "clustertubes"}
+    if argv:
+        loaded = ["cli", "commands", f"commands.{argv[0]}", "config", *loaded]
+    assert sorted(package) == sorted({"clustertubes", *(f"clustertubes.{m}" for m in loaded)})
+
+
+def absolute_imports(tree, package):
+    """The absolute name of every module a module of ``package`` imports,
+    wherever the import statement is, and for ``from m import x`` also
+    ``m.x``, which may be a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            parts = package.split(".")
+            base = parts[:len(parts) - node.level + 1] if node.level else []
+            module = ".".join([*base, *filter(None, [node.module])])
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+@pytest.mark.parametrize("path", HANDLERS, ids=module_id)
+def test_no_handler_imports_the_cli(path):
+    # Under python -m clustertubes.cli the CLI runs as __main__, so a handler
+    # that imported clustertubes.cli would compile and run it a second time.
+    names = set(absolute_imports(ast.parse(path.read_text(encoding="utf-8")),
+                                 "clustertubes.commands"))
+    assert "clustertubes.cli" not in names, module_id(path)
+
+
+def test_the_cli_runs_once_under_dash_m():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "clustertubes.cli", "count", "--n", "1"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert (result.returncode, result.stdout) == (0, "2\n"), result.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert "clustertubes.counting" in imported  # the listing reaches the command's modules
+    assert "clustertubes.cli" not in imported
 
 
 def test_the_grammar_loads_no_arc_calculus():
-    # polygons holds the grammar walk that sieving reads; only its
-    # brute-force oracle and Ptolemy check load arcs, inside themselves
+    # polygons holds the grammar walk that sieving reads; the brute-force
+    # oracle and the Ptolemy check that load arcs are in pieces
     loaded = loaded_modules("import sys, clustertubes.polygons; "
                             "print(*sys.modules, file=sys.stderr)")
     assert "clustertubes.polygons" in loaded
-    assert "clustertubes.arcs" not in loaded
+    assert not loaded & {"clustertubes.arcs", "clustertubes.pieces"}
 
 
 def module_level_imports(tree):

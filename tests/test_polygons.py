@@ -4,20 +4,22 @@ import random
 import pytest
 
 from clustertubes.config import POLYGON_BRUTE, CapExceeded
-from clustertubes.polygons import (
-    DEGENERATE,
+from clustertubes.pieces import (
     Cell,
-    CellKind,
-    MixedFaceError,
-    PolygonDiagram,
-    _diagonal_table,
     cells,
     compose_base,
     decompose_base,
     enumerate_polygon,
     is_ptolemy_polygon,
-    polygon_diagrams,
     random_polygon,
+)
+from clustertubes.polygons import (
+    DEGENERATE,
+    CellKind,
+    MixedFaceError,
+    PolygonDiagram,
+    _diagonal_table,
+    polygon_diagrams,
     statistics_polygon,
 )
 from clustertubes.series import series_P

@@ -10,13 +10,8 @@ from hypothesis import strategies as st
 from clustertubes.arcs import PeriodicDiagram, nc_enumerate
 from clustertubes.config import CapExceeded
 from clustertubes.counting import refined_table, torsion_count
-from clustertubes.polygons import (
-    DEGENERATE,
-    PolygonDiagram,
-    _diagonal_table,
-    enumerate_polygon,
-    polygon_diagrams,
-)
+from clustertubes.pieces import enumerate_polygon
+from clustertubes.polygons import DEGENERATE, PolygonDiagram, _diagonal_table, polygon_diagrams
 from clustertubes.records import iter_orbits_json, read_record
 from clustertubes.sieving import (
     fixed_histograms,

@@ -13,7 +13,8 @@ import pytest
 
 from clustertubes.arcs import PeriodicDiagram
 from clustertubes.config import Frozen
-from clustertubes.polygons import Cell, CellKind, PolygonDiagram
+from clustertubes.pieces import Cell
+from clustertubes.polygons import CellKind, PolygonDiagram
 from clustertubes.qpolys import QPoly
 from clustertubes.series import Poly3, PowerSeries
 from clustertubes.sieving import SieveRecord
