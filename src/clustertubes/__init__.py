@@ -26,7 +26,7 @@ _EXPORTS = {
     "counting": ("refined_table", "torsion_count", "torsion_count_refined"),
     "pieces": (
         "Cell", "cells", "compose_base", "decompose_base", "enumerate_polygon",
-        "is_ptolemy_polygon",
+        "is_ptolemy_polygon", "random_polygon",
     ),
     "polygons": (
         "CellKind", "DEGENERATE", "MixedFaceError", "PolygonDiagram", "polygon_diagrams",

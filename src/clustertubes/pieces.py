@@ -11,7 +11,9 @@ read, so that no command which walks the grammar loads it.
 :func:`~clustertubes.polygons.statistics_polygon` tallies, and
 :func:`decompose_base` takes the base face and the pieces glued on it;
 :func:`compose_base` is its inverse.  :func:`random_polygon` draws one
-diagram from the grammar, assembled through :func:`compose_base`.
+diagram from the grammar: :func:`_draw` lays the drawn cells' diagonals in
+one list, with no cell or piece built on the way, and
+:func:`~clustertubes.torsion.sample_halves` lays its spans with it.
 
 :func:`enumerate_polygon` is the brute-force oracle: a diagram of size m is
 the one-span case of the closed-subset search of
@@ -80,24 +82,37 @@ def enumerate_polygon(m: int) -> list[PolygonDiagram]:
     return out
 
 
-def _base_kinds(inner: int) -> tuple[CellKind, ...]:
-    """The kinds of a base cell with ``inner`` corners off the base edge."""
-    return (CellKind.TRIANGLE,) if inner == 1 else (CellKind.CLIQUE, CellKind.EMPTY_CELL)
+# The kinds a base cell may take, by whether it has more than one inner corner.
+_BASE_KINDS = ((CellKind.TRIANGLE,), (CellKind.CLIQUE, CellKind.EMPTY_CELL))
+
+
+def _draw(rng: random.Random, corners: Sequence[int], out: list[tuple[int, int]]) -> None:
+    """On each edge ``(c, d)`` of span >= 2 between consecutive corners, in
+    order, append the edge to ``out`` and then the diagonals, shifted by c,
+    of a diagram of size d - c drawn from the grammar: a base cell on a
+    random nonempty set of inner corners, of a random kind (one draw even
+    for a triangle's one kind), a clique's connectors, and the cell's own
+    edges drawn the same way.  The one drawer of :func:`random_polygon` and
+    of :func:`~clustertubes.torsion.sample_halves`; it builds no object."""
+    for c, d in zip(corners, corners[1:]):
+        if d - c >= 2:
+            out.append((c, d))
+            mask = rng.randrange(1, 1 << (d - c - 1))
+            cell = (c, *(v for v in range(c + 1, d) if mask >> (v - c - 1) & 1), d)
+            if rng.choice(_BASE_KINDS[len(cell) > 3]) is CellKind.CLIQUE:
+                out += _connectors(cell)
+            _draw(rng, cell, out)
 
 
 def random_polygon(rng: random.Random, m: int) -> PolygonDiagram:
-    """A random Ptolemy diagram of size m: a base cell on a random nonempty
-    set of inner corners, of a random kind, with random diagrams drawn the
-    same way glued on, assembled by :func:`compose_base`.  Every diagram of
-    size m can occur, though not uniformly."""
+    """A random Ptolemy diagram of size m, drawn by :func:`_draw` on the
+    base edge and checked once.  Every diagram of size m can occur, though
+    not uniformly."""
     if m < 1:
         raise ValueError(f"size must be >= 1, got {_ECHO.repr(m)}")
-    if m == 1:
-        return DEGENERATE
-    mask = rng.randrange(1, 1 << (m - 1))
-    corners = (0, *(v for v in range(1, m) if mask >> (v - 1) & 1), m)
-    cell = Cell(corners, rng.choice(_base_kinds(len(corners) - 2)))
-    return compose_base(cell, [random_polygon(rng, d - c) for c, d in zip(corners, corners[1:])])
+    out: list[tuple[int, int]] = []
+    _draw(rng, (0, m), out)
+    return PolygonDiagram(m, out[1:])  # without the base edge, drawn first
 
 
 def cells(diagram: PolygonDiagram) -> list[Cell]:

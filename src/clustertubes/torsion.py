@@ -28,6 +28,11 @@ The structure theory implemented here:
   is the canonical order of that stream, which
   :func:`~clustertubes.records.iter_orbits_json` writes from the same
   grammar without building a half.
+* *Samples*.  Past the exhaustive ranks, ``verify`` runs the round trips
+  on the seeded halves of :func:`sample_halves`, which lays each half's
+  arcs itself with the drawer of :func:`~clustertubes.pieces.random_polygon`
+  and never through ``_lay``, the layer ``compose`` and
+  ``from_pointed_cycle`` rebuild a half with.
 * *Records*.  :mod:`clustertubes.records` describes, reads and writes the
   records and their integer keys.  :func:`decompose` reads its span walk
   and is the one builder of a decomposition, for
@@ -341,17 +346,27 @@ def enumerate_structured(n: int) -> list[PeriodicDiagram]:
 
 def sample_halves(n: int, count: int, seed: int = 0) -> Iterator[PeriodicDiagram]:
     """Random finite halves at rank n, one at a time: a random cut set, and
-    on each span a diagram drawn by
-    :func:`~clustertubes.pieces.random_polygon`.
+    on each span of width >= 2 its top arc and a diagram drawn by the
+    drawer of :func:`~clustertubes.pieces.random_polygon`.
 
-    Deterministic for a fixed seed; not uniform over halves, which is fine
-    for round-trip testing.  No list of diagrams is built, so any rank works.
+    Each half's arcs go into one list, and the half is built once from
+    their orbits: the sampler lays its own arcs, so the round trips it
+    feeds check :func:`compose` and :func:`from_pointed_cycle` against code
+    they do not share.  Deterministic for a fixed seed; not uniform over
+    halves, which is fine for round-trip testing.  No list of diagrams is
+    built, so any rank works.
     """
-    from .pieces import random_polygon
+    from .pieces import _draw
 
+    if n < 1:
+        raise ValueError(f"rank must be >= 1, got {_ECHO.repr(n)}")
     rng = random.Random(seed)
     for _ in range(count):
         mask = rng.randrange(1, 1 << n)
         cuts = [v for v in range(n) if mask >> v & 1]
-        ends = cuts[1:] + [cuts[0] + n]
-        yield _lay(n, ((c, random_polygon(rng, d - c)) for c, d in zip(cuts, ends)))
+        arcs: list[tuple[int, int]] = []
+        _draw(rng, [*cuts, cuts[0] + n], arcs)
+        # Canonical as built: n >= 1, each left endpoint taken mod n, and
+        # each length a span's width >= 2 or a drawn diagonal's length >= 2.
+        yield PeriodicDiagram._canonical(
+            n, frozenset([((r := i % n), r + (j - i)) for i, j in arcs]))

@@ -238,6 +238,22 @@ def test_enumerate_stream_builds_no_diagram(capsys, monkeypatch):
     assert outputs() == expected
 
 
+def test_verify_samples_without_the_code_it_checks(capsys, monkeypatch):
+    # The sampled halves are drawn without the cells and glue of pieces, the
+    # object calculus of the diagrams the round trips rebuild.
+    from clustertubes import pieces
+
+    expected = run(capsys, "verify", "--n", "9")
+    assert expected[0] == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sampler built a cell or glued pieces")
+
+    monkeypatch.setattr(pieces.Cell, "__init__", refuse)
+    monkeypatch.setattr(pieces, "compose_base", refuse)
+    assert run(capsys, "verify", "--n", "9") == expected
+
+
 def test_enumerate_checks_every_half(capsys, monkeypatch):
     from clustertubes import polygons
 
@@ -1006,9 +1022,10 @@ def test_perp_listing_limit_exits_3_before_computing(capsys, monkeypatch):
 
 
 def test_verify_builds_no_polygon_list(capsys):
-    # The sampled round trips draw pieces through random_polygon, so only
-    # fixed_histograms(9) fills this cache: the widths 1..3 of the rank-1 and
-    # rank-3 halves that give the fixed points of tau^1 and tau^3.
+    # The sampled round trips lay their own arcs from the grammar's drawer
+    # and read no table, so only fixed_histograms(9) fills this cache: the
+    # widths 1..3 of the rank-1 and rank-3 halves that give the fixed points
+    # of tau^1 and tau^3.
     polygon_diagrams.cache_clear()
     _diagonal_table.cache_clear()
     code, out, _ = run(capsys, "verify", "--n", "9")
@@ -1414,6 +1431,7 @@ BIG = 10**5000  # past the default int/str digit limit
     (lambda: _diagonal_table(11), CapExceeded, "polygon diagram tables capped at size 10, got 11"),
     (lambda: polygon_diagrams(11), CapExceeded, "polygon diagram tables capped at size 10, got 11"),
     (lambda: random_polygon(random.Random(0), -BIG), ValueError, "size must be >= 1, got "),
+    (lambda: next(sample_halves(-BIG, 1)), ValueError, "rank must be >= 1, got "),
     (lambda: clustertubes.PeriodicDiagram(-BIG, frozenset()), ValueError,
      "rank must be positive, got "),
     (lambda: clustertubes.PeriodicDiagram.from_arcs(-BIG, []), ValueError,
@@ -1434,7 +1452,7 @@ BIG = 10**5000  # past the default int/str digit limit
 ], ids=["enumerate_polygon-cap", "enumerate_brute-cap", "PolygonDiagram",
         "enumerate_polygon-size", "_diagonal_table", "_diagonal_table-cap",
         "polygon_diagrams-cap", "_diagonal_table-width-11", "polygon_diagrams-width-11",
-        "random_polygon", "PeriodicDiagram",
+        "random_polygon", "sample_halves-rank", "PeriodicDiagram",
         "from_arcs", "cyclotomic", "asymptotic_check", "PeriodicDiagram-arc",
         "PeriodicDiagram-canonical", "WingDecomposition-cuts", "WingDecomposition-piece",
         "from_pointed_cycle"])

@@ -123,7 +123,7 @@ def loaded_modules(script, *argv):
 # histograms and the q-analogues.  verify loads both layers, for every
 # route it checks.  None of these runs loads the asymptotics or the
 # polygon oracles (pieces); verify's sampled round trips, past rank 6,
-# draw their pieces through pieces.random_polygon.
+# lay their own arcs with the drawer of pieces.random_polygon.
 RECORD_MODULES = ["commands.reading", "records"]
 HALF_MODULES = ["arcs", "commands.reading", "polygons", "records", "torsion"]
 SYMMETRY_MODULES = ["counting", "polygons", "series", "sieving"]

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -241,3 +242,18 @@ def test_random_polygon_draws_grammar_diagrams(m):
 def test_random_polygon_rejects_size_zero():
     with pytest.raises(ValueError):
         random_polygon(random.Random(0), 0)
+
+
+# Fifty draws of one size from one seed, and then the generator's next
+# float, which pins how many random bits the draws took.
+@pytest.mark.parametrize("seed, m, expected", [
+    (0, 2, "1322b22ad305ad5bc20a50fe25b65c528c88689e4314d74d425c01040a1fcc68"),
+    (1, 5, "7468f9667024182a85aab9cfc85777eda41b71439a26bdf37c95ff270975be4a"),
+    (2, 9, "28547744e6d1e63dd6c18e31ad162796c94a5aa9ac46d3e9396c0d4dd03d79c9"),
+    (3, 16, "b7ef3a3a54fff692bd6c40e9d014ceb937a3b689c08568182eedc1527ab2de87"),
+    (4, 40, "14606b918dd91dfbaf9f3682cfa92547180bb70b8f7337e2b58eb69e17916ed0"),
+], ids=["0-2", "1-5", "2-9", "3-16", "4-40"])
+def test_random_polygon_draws_are_pinned(seed, m, expected):
+    rng = random.Random(seed)
+    draws = [*(random_polygon(rng, m).diagonals for _ in range(50)), rng.random()]
+    assert hashlib.sha256("\n".join(map(repr, draws)).encode()).hexdigest() == expected

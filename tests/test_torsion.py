@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -524,6 +525,49 @@ def test_sample_halves_draws_one_half_at_a_time():
     samples = sample_halves(150, 1000, seed=150)
     assert iter(samples) is samples and not isinstance(samples, list)
     assert next(samples).rank == 150
+
+
+def digest(items):
+    return hashlib.sha256("\n".join(map(repr, items)).encode()).hexdigest()
+
+
+# The pools verify draws at ranks 7, 9 and 24, and a short one at rank 150,
+# each half as its sorted orbits: the sampler draws the same halves however
+# it lays them.
+SAMPLED_POOLS = [
+    (7, 1000, "77ef8d1ee85b2fb0ec6d463e2510130518535748487df5a268cdac754115f3cc"),
+    (9, 1000, "4953c9649387e4ab3969f4b737be10517b095745307addfbbac2b1be37c87863"),
+    (24, 1000, "a640c82ac8500d679818f8b5a57333313d160dcfeabbae8890dc3e57e18a4d1f"),
+    (150, 100, "bc32a4f158032a60ca5bae40ce0b54407f0cc7f627f6e4b383ee4c0e1fdfc599"),
+]
+
+
+@pytest.mark.parametrize("n, count, expected", SAMPLED_POOLS,
+                         ids=[f"{n}-{count}" for n, count, _ in SAMPLED_POOLS])
+def test_sample_halves_draws_are_pinned(n, count, expected):
+    assert digest(X.sorted_orbits() for X in sample_halves(n, count, seed=n)) == expected
+
+
+def test_sample_halves_lays_its_own_arcs(monkeypatch):
+    # compose and from_pointed_cycle rebuild a half through _lay, so the
+    # halves they are checked on must be laid without it, and without
+    # building the pieces they rebuild.
+    from clustertubes import torsion
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sampler ran the code it checks")
+
+    monkeypatch.setattr(torsion, "_lay", refuse)
+    for name in ("__init__", "_canonical"):
+        monkeypatch.setattr(PolygonDiagram, name, refuse)
+    n, count, expected = SAMPLED_POOLS[1]
+    assert digest(X.sorted_orbits() for X in sample_halves(n, count, seed=n)) == expected
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_sample_halves_rejects_a_rank_below_one(n):
+    with pytest.raises(ValueError, match=f"^rank must be >= 1, got {n}$"):
+        next(sample_halves(n, 1))
 
 
 # ---- statistics --------------------------------------------------------------------
