@@ -50,9 +50,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     histogram: bool | str = _skipped(n, "SERIES_ORDER", SERIES_ORDER)
     burnside: bool | str = skipped
     readings = [f"translation-invariance readings: {skipped}"]
+    if n <= SERIES_ORDER:
+        histogram = dict(series_torsion(n).coeffs[n].terms) == refined
     if n <= STRUCTURED_RANK:
-        fixed = sieving.fixed_histograms(n)  # fixed[n] is series_torsion(n)'s z^n coefficient
-        histogram = dict(fixed[n]) == refined
+        fixed = sieving.fixed_histograms(n)
         burnside = sieving.orbit_count(n) == sum(sieving.orbits_from_fixed(fixed).values())
         readings = ["translation-invariance readings (count of tau^d-invariant pairs):",
                     "d,enumerated,count_at_rank_d,count_at_rank_n/d"]
@@ -60,8 +61,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
             enumerated = sum(fixed[d].values())
             readings.append(f"{d},{enumerated},{counting.torsion_count(d)},"
                             f"{counting.torsion_count(n // d)}")
-    elif n <= SERIES_ORDER:
-        histogram = dict(series_torsion(n).coeffs[n].terms) == refined
     checks.append(("refined series coefficients == refined formula", histogram))
     checks.append(("Burnside orbit count == direct partition", burnside))
 

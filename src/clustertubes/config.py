@@ -4,7 +4,7 @@ Every exhaustive path in this package, and every closed form or series the
 CLI prints, is desk-scale by design.  Each constant below guards one of
 them.  Going past one raises :class:`CapExceeded` instead of silently
 grinding; the CLI maps it to exit code 3.  ``TEXT_ENTRIES`` bounds memory
-and refuses nothing: a text table kept across records stops growing there.
+and refuses nothing: a text cache kept across records evicts past it.
 ``_ECHO`` bounds the other side of outside input: how much of a malformed
 value an error message quotes.  :class:`Frozen` is the base of the
 package's value classes.
@@ -22,7 +22,7 @@ COUNT_RANK = 20_000  # commands.count, commands.orbits: the closed-form counts (
 REFINED_RANK = 150  # count/orbits --refined, commands.verify: the (k, l, m) table
 PERP_ORBITS = 40_000  # commands.perp --max-length: the rank x (max_length - 1) orbits it tests
 RECORD_RANK = 500  # commands.reading: decompose, compose, perp, render; records.key_width
-TEXT_ENTRIES = 4_096  # records.wings_json, records.half_orbits_json: each one's table of texts
+TEXT_ENTRIES = 4_096  # records._arc_text, records._orbit_text: each one's LRU cache of texts
 
 
 # Error lines echo a malformed value through this: a short one prints as its

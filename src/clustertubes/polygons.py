@@ -184,12 +184,14 @@ def _cut_masks(n: int) -> Iterator[tuple[list[int], list[int]]]:
         yield cuts, cuts[1:] + [cuts[0] + n]
 
 
-def _walk(n: int, table: Callable[[int], Sequence]) -> Iterator[tuple[list[int], list[int], tuple]]:
-    """The cut/wing grammar at rank n, as ``(cuts, ends, pieces)``.
+def _walk(n: int, table: Callable[[int], Sequence]) -> Iterator[tuple[list[int], tuple]]:
+    """The cut/wing grammar at rank n, as ``(cuts, pieces)``.
 
     For each mask of :func:`_cut_masks`, ``pieces`` runs through the product
     of one entry of ``table(d - c)`` per span ``(c, d)``, in cut order, the
-    last span varying fastest; nothing is laid.
+    last span varying fastest; nothing is laid.  ``cuts`` lists the mask's
+    cuts ascending, so the piece ``pieces[t]`` sits on the span from
+    ``cuts[t]`` to the next cut (the last wraps to the first plus n).
     ``table`` is :func:`polygon_diagrams` for the callers that read
     diagrams, or the diagrams' statistics for
     :func:`~clustertubes.sieving.fixed_histograms`.
@@ -198,7 +200,7 @@ def _walk(n: int, table: Callable[[int], Sequence]) -> Iterator[tuple[list[int],
     for cuts, ends in _cut_masks(n):
         spans = [table(d - c) for c, d in zip(cuts, ends)]
         for pieces in itertools.product(*spans):
-            yield cuts, ends, pieces
+            yield cuts, pieces
 
 
 def _faces(diagram: PolygonDiagram) -> Iterator[tuple[tuple[int, ...], CellKind]]:

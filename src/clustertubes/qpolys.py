@@ -13,6 +13,7 @@ raises.
 from __future__ import annotations
 
 import functools
+import itertools
 from typing import Iterable
 
 from .config import _ECHO, Frozen
@@ -98,16 +99,26 @@ Q_ONE = QPoly((1,))
 
 @functools.cache
 def qbinomial(a: int, b: int) -> QPoly:
-    """Gaussian binomial [a choose b]_q, by the Pascal recurrence.
+    """Gaussian binomial [a choose b]_q, as the product over i = 1..b of
+    (1 - q^(a-b+i)) / (1 - q^i), with b taken as min(b, a - b).
 
-    Out-of-range b (negative or > a) gives the zero polynomial; the refined
-    counting formulas rely on that vanishing convention.
+    Each factor is one multiplication by 1 - q^(a-b+i) and one exact
+    division by 1 - q^i (the quotient's coefficients are d_k = c_k +
+    d_(k-i)), so nothing recurses and any a is in reach.  Out-of-range b
+    (negative or > a) gives the zero polynomial; the refined counting
+    formulas rely on that vanishing convention.
     """
     if b < 0 or b > a:
         return Q_ZERO
-    if b == 0 or b == a:
-        return Q_ONE
-    return qbinomial(a - 1, b - 1) + qbinomial(a - 1, b).shift(b)
+    b = min(b, a - b)
+    c = [1]
+    for i in range(1, b + 1):
+        e = a - b + i
+        c = [x - y for x, y in zip(c + [0] * e, [0] * e + c)]
+        for r in range(i):
+            c[r::i] = itertools.accumulate(c[r::i])
+        del c[len(c) - i:]  # zero: the quotient has degree i less
+    return QPoly(tuple(c))
 
 
 def qmultinomial(parts: Iterable[int]) -> QPoly:

@@ -25,7 +25,9 @@ as plain ints, in two layouts of the low-field width w of
   :func:`_wing_spans` lays them, and :func:`half_orbits_json` writes them.
 
 w is the same for every rank up to ``RECORD_RANK``, so each writer joins
-its texts from one table kept across records, bounded by ``TEXT_ENTRIES``.
+its texts from one cache kept across records, :func:`_arc_text` or
+:func:`_orbit_text`, which holds the ``TEXT_ENTRIES`` texts used last;
+past that rank each text is formatted as it is written.
 The ``enumerate`` stream (:func:`iter_orbits_json`) keys its orbits per rank
 instead, as ``(j - i) n + i``, one byte each, through one ``bytes.translate``
 table per cut, and writes one cut mask at a time with no Python loop per
@@ -39,6 +41,7 @@ the functions that read it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
 from bisect import bisect_left, insort
@@ -173,53 +176,18 @@ def arc_keys(rank: int, arcs: list) -> set[int]:
     return {(r := i % rank) << w | r + min(j - i, rank + 1) for i, j in arcs}
 
 
-class _Texts(dict):
-    """A table of the compact JSON texts ``[i,j]`` of arcs by their integer
-    keys of width ``width``.  A text is made on first use and kept while
-    the table holds fewer than ``TEXT_ENTRIES``, so the table stays bounded
-    whatever the input; a key it no longer takes is formatted on every use."""
-
-    __slots__ = ("width",)
-
-    def __init__(self, width: int) -> None:
-        super().__init__()
-        self.width = width
-
-    def __missing__(self, key: int) -> str:
-        text = self.text(key)
-        if len(self) < TEXT_ENTRIES:
-            self[key] = text
-        return text
-
-    def at(self, width: int) -> "_Texts":
-        """This table if its keys are ``width`` bits wide, else a new one."""
-        return self if width == self.width else type(self)(width)
+@functools.lru_cache(TEXT_ENTRIES)
+def _arc_text(key: int, w: int = _RECORD_WIDTH) -> str:
+    """The text ``[i,j]`` of the arc with arc key ``key = i << w | j``."""
+    return f"[{key >> w},{key & ((1 << w) - 1)}]"
 
 
-class _ArcTexts(_Texts):
-    """The texts of arcs ``(i, j)`` by their arc keys ``i << width | j``."""
-
-    __slots__ = ()
-
-    def text(self, key: int) -> str:
-        return f"[{key >> self.width},{key & ((1 << self.width) - 1)}]"
-
-
-class _OrbitTexts(_Texts):
-    """The texts of canonical orbits ``(i, j)`` by their orbit keys
-    ``(j - i) << width | i``."""
-
-    __slots__ = ()
-
-    def text(self, key: int) -> str:
-        i = key & ((1 << self.width) - 1)
-        return f"[{i},{i + (key >> self.width)}]"
-
-
-# An arc's text does not depend on the rank, so one table of each kind serves
-# every record: the keys of every rank up to RECORD_RANK have one width.
-_ORBIT_TEXTS = _OrbitTexts(key_width(RECORD_RANK))
-_ARC_TEXTS = _ArcTexts(key_width(RECORD_RANK))
+@functools.lru_cache(TEXT_ENTRIES)
+def _orbit_text(key: int, w: int = _RECORD_WIDTH) -> str:
+    """The text ``[i,j]`` of the canonical orbit with orbit key
+    ``key = (j - i) << w | i``."""
+    i = key & ((1 << w) - 1)
+    return f"[{i},{i + (key >> w)}]"
 
 
 def diagram_json(rank: int, orbits_text: str) -> str:
@@ -239,14 +207,18 @@ def half_orbits_json(n: int, keys: Iterable[int]) -> str:
     deduplicated and sorted, as the ``orbits`` text of a record.
 
     One set dedups the keys, a plain int sort orders the orbits, and each
-    text comes from the bounded table :data:`_ORBIT_TEXTS`.  An orbit longer
+    text comes from the bounded cache :func:`_orbit_text`.  An orbit longer
     than n, which no finite half has, raises ValueError.
     """
     w = key_width(n)
     keys = sorted(set(keys))
     if keys and keys[-1] >= (n + 1) << w:
         raise ValueError("a finite half has arcs of length at most the rank")
-    return "[" + ",".join(map(_ORBIT_TEXTS.at(w).__getitem__, keys)) + "]"
+    if w == _RECORD_WIDTH:
+        texts = map(_orbit_text, keys)
+    else:  # past RECORD_RANK: formatted each time, not cached
+        texts = map(_orbit_text.__wrapped__, keys, itertools.repeat(w))
+    return "[" + ",".join(texts) + "]"
 
 
 def wings_json(rank: int, cuts: Sequence[int], arcs: list[int], bounds: list[int],
@@ -255,11 +227,15 @@ def wings_json(rank: int, cuts: Sequence[int], arcs: list[int], bounds: list[int
     ``cuts[t]`` reaches the next cut (the last wraps to the first plus the
     rank), and its arcs have the sorted arc keys
     ``arcs[bounds[t]:bounds[t + 1]]``.  The one writer of wing records; the
-    texts of all the arcs come at once from :data:`_ARC_TEXTS`, and each
-    span joins its share of them."""
+    texts of all the arcs come at once from the bounded cache
+    :func:`_arc_text`, and each span joins its share of them."""
     if finite_side not in (None, "left", "right"):
         raise ValueError(f"finite_side must be 'left' or 'right', got {finite_side!r}")
-    texts = list(map(_ARC_TEXTS.at(key_width(rank)).__getitem__, arcs))
+    w = key_width(rank)
+    if w == _RECORD_WIDTH:
+        texts = list(map(_arc_text, arcs))
+    else:  # past RECORD_RANK: formatted each time, not cached
+        texts = list(map(_arc_text.__wrapped__, arcs, itertools.repeat(w)))
     ends = [*cuts[1:], cuts[0] + rank]
     pairs = ",".join([f'{{"top":[{c},{d}],"arcs":[{",".join(texts[a:b])}]}}'
                       for c, d, a, b in zip(cuts, ends, bounds, bounds[1:])])

@@ -69,7 +69,7 @@ def fixed_histograms(n: int) -> dict[int, Counter]:
     for s in shifts:
         hists[s] = Counter()
         r = n // s
-        for _, _, pieces in _walk(s, cells.__getitem__):
+        for _, pieces in _walk(s, cells.__getitem__):
             k, l, m = map(sum, zip(*pieces))
             hists[s][k * r, l * r, m * r] += 2
     hists[n] = Counter(dict(series_torsion(n).coeffs[n].terms))

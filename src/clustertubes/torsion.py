@@ -315,7 +315,7 @@ def iter_structured(n: int) -> Iterator[PeriodicDiagram]:
     starting at the largest cut varying fastest.
     """
     _check_rank(n)  # before 1 << n, which fails below 0
-    for cuts, _, pieces in _walk(n, polygon_diagrams):
+    for cuts, pieces in _walk(n, polygon_diagrams):
         yield _lay(n, zip(cuts, pieces))
 
 

@@ -720,15 +720,18 @@ def test_record_commands_build_no_half(capsys, monkeypatch):
 def test_text_tables_stay_within_their_bound(capsys, monkeypatch):
     # Records at the rank limit whose arcs are all distinct: the fans of
     # every length from one vertex, a different vertex s each, so the only
-    # cut is s.  Every text table the commands keep across records stops
-    # growing at its bound, and the texts past it are still right: the arc
-    # texts decompose writes and the orbit texts compose writes.
+    # cut is s.  Every text cache the commands keep across records holds at
+    # most its bound, evicting the text used least recently, and the texts
+    # past it are still right: the arc texts decompose writes and the orbit
+    # texts compose writes.
     from clustertubes import arcs, torsion
     from clustertubes import records as home
 
-    tables = [t for module in (arcs, home, torsion) for t in vars(module).values()
-              if isinstance(t, dict) and type(t) is not dict]
-    assert [id(t) for t in tables] == [id(home._ORBIT_TEXTS), id(home._ARC_TEXTS)]
+    caches = [f for module in (arcs, home, torsion) for f in vars(module).values()
+              if hasattr(f, "cache_info") and f.__module__ == module.__name__]
+    assert caches == [home._arc_text, home._orbit_text]
+    for cache in caches:
+        cache.cache_clear()
     n = RECORD_RANK
     starts = range(TEXT_ENTRIES // (n - 1) + 2)
     fans = [[[s, s + k] for k in range(2, n + 1)] for s in starts]
@@ -745,7 +748,9 @@ def test_text_tables_stay_within_their_bound(capsys, monkeypatch):
     code, rebuilt, _ = run(capsys, "compose")
     assert code == 0
     assert rebuilt.splitlines() == records
-    assert [len(t) for t in tables] == [TEXT_ENTRIES] * len(tables)
+    infos = [cache.cache_info() for cache in caches]
+    assert [(info.maxsize, info.currsize) for info in infos] == [(TEXT_ENTRIES,) * 2] * 2
+    assert all(info.misses > TEXT_ENTRIES for info in infos)  # texts were evicted
 
 
 def test_decompose_single_diagram(capsys):
@@ -902,6 +907,8 @@ def test_verify_passes(capsys, n):
     (4, "619544c3d974fdbb38a905b4600136c45c2e3f03e792d4fdb2545cb756ff8b13"),
     (5, "eb57d68b6ce97a02423e9ed1e7af1ea08440b52821e4c47c9cb8548b78a8232e"),
     (6, "3f71b8b28f50703492e2ee2e051a8bc989ef806842cc1f097dc28387cecfca01"),
+    (9, "8fc37b84d4c6a45d59005429c89ea46e9dda65613db52efc79c3a12e214ed616"),
+    (24, "d242febc0a2df21b42c79aa667d0ccb29be3acbf22a54da0ff3a6109f617b9b2"),
 ])
 def test_verify_output_is_byte_stable(capsys, n, digest):
     code, out, _ = run(capsys, "verify", "--n", str(n))

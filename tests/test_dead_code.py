@@ -1,8 +1,10 @@
-"""Every private top-level function in the package is referenced, and so is
-every public one that ``__init__.py`` does not export, and every method.
+"""Every private top-level function, class and module-level name in the
+package is referenced, and so is every public function that
+``__init__.py`` does not export, and every method.
 
-A private function is reachable only from inside the package, so one that
-nothing there names is dead code a deletion left behind.  A public function
+A private function, class or name is reachable only from inside the
+package, so one that nothing there names is dead code a deletion left
+behind.  A public function
 the package does not export is in the same position: no user is promised it,
 so something in the package must call it.  A method is held to the same
 rule whether or not its class is exported: a command or another part of the
@@ -35,32 +37,59 @@ def referenced_names(node, skip=None):
         sub = stack.pop()
         if sub is skip:
             continue
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
             yield sub.id
         elif isinstance(sub, ast.Attribute):
             yield sub.attr
         stack.extend(ast.iter_child_nodes(sub))
 
 
-def unreferenced(functions, statements):
+def bound_names(stmt):
+    """The names a top-level class or assignment binds: the class's, or the
+    plain names the assignment stores to."""
+    if isinstance(stmt, ast.ClassDef):
+        return [stmt.name]
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [sub.id for target in targets for sub in ast.walk(target)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)]
+
+
+def is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def unreferenced(bindings, statements):
+    """``module:name`` of each ``(module, name, stmt)`` binding that no
+    statement other than ``stmt`` references."""
     dead = []
-    for module, func in functions:
-        elsewhere = (stmt for _, stmt in statements if stmt is not func)
-        if not any(func.name in referenced_names(stmt) for stmt in elsewhere):
-            dead.append(f"{module}:{func.name}")
+    for module, name, node in bindings:
+        elsewhere = (stmt for _, stmt in statements if stmt is not node)
+        if not any(name in referenced_names(stmt) for stmt in elsewhere):
+            dead.append(f"{module}:{name}")
     return dead
 
 
 def test_every_private_function_is_referenced():
     statements = list(top_level_statements())
     private = [
-        (module, stmt) for module, stmt in statements
-        if isinstance(stmt, ast.FunctionDef)
-        and stmt.name.startswith("_") and not stmt.name.startswith("__")
+        (module, stmt.name, stmt) for module, stmt in statements
+        if isinstance(stmt, ast.FunctionDef) and is_private(stmt.name)
     ]
     assert private  # the walk found the package
     dead = unreferenced(private, statements)
     assert dead == [], f"private functions nothing references: {dead}"
+
+
+def test_every_private_class_and_module_name_is_referenced():
+    statements = list(top_level_statements())
+    private = [
+        (module, name, stmt) for module, stmt in statements
+        for name in bound_names(stmt) if is_private(name)
+    ]
+    assert {"_ECHO", "_Echo"} <= {name for _, name, _ in private}  # the walk found them
+    dead = unreferenced(private, statements)
+    assert dead == [], f"private classes and names nothing references: {dead}"
 
 
 def test_every_unexported_public_function_is_referenced():
@@ -71,7 +100,8 @@ def test_every_unexported_public_function_is_referenced():
         if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")
     ]
     assert exported & {stmt.name for _, stmt in public}  # the walk found the exports
-    unexported = [(module, stmt) for module, stmt in public if stmt.name not in exported]
+    unexported = [(module, stmt.name, stmt) for module, stmt in public
+                  if stmt.name not in exported]
     dead = unreferenced(unexported, statements)
     assert dead == [], f"unexported public functions nothing references: {dead}"
 

@@ -35,6 +35,20 @@ def test_qbinomial_symmetry_and_degree():
             assert p.degree == b * (a - b)
 
 
+def test_qbinomial_meets_the_pascal_rule():
+    assert qbinomial(0, 0) == Q_ONE
+    for a in range(1, 40):
+        for b in range(-1, a + 2):
+            assert qbinomial(a, b) == qbinomial(a - 1, b - 1) + qbinomial(a - 1, b).shift(b)
+
+
+def test_qbinomial_at_large_a():
+    # A recursion one level per unit of a would pass the interpreter's limit.
+    p = qbinomial(1500, 3)
+    assert p(1) == math.comb(1500, 3)
+    assert p.degree == 3 * 1497
+
+
 def test_qmultinomial():
     assert qmultinomial((1, 1)).coeffs == (1, 1)
     assert qmultinomial((2, 1, 1))(1) == 12

@@ -136,7 +136,7 @@ def full_walk_fixed_histograms(n):
     hists = {s: Counter() for s in shifts}
     table = {}
     full = (1 << n) - 1
-    for cuts, _, pieces in _walk(n, polygon_diagrams):
+    for cuts, pieces in _walk(n, polygon_diagrams):
         mask = sum(1 << c for c in cuts)
         k = l = m = 0
         for piece in pieces:
