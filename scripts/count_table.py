@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from clustertubes.counting import refined_table, torsion_count
+from clustertubes.counting import refined_rows, torsion_count
 
 
 def main() -> None:
@@ -28,7 +28,7 @@ def main() -> None:
     if args.refined:
         print("n,k,l,m,count")
         for n in range(1, args.max_n + 1):
-            for (k, l, m), count in refined_table(n).items():
+            for (k, l, m), count in refined_rows(n):
                 print(f"{n},{k},{l},{m},{count}")
     else:
         print("n,count")

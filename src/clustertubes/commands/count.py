@@ -1,5 +1,5 @@
 """``count``: the closed-form count of torsion pairs at rank n, or with
-``--refined`` the (k, l, m) table, as text, CSV or JSON."""
+``--refined`` the (k, l, m) rows, as text, CSV or JSON."""
 
 from __future__ import annotations
 
@@ -19,12 +19,12 @@ def cmd_count(args: argparse.Namespace) -> int:
         kind = "refined count table" if args.refined else "count"
         raise CapExceeded(f"{kind} capped at rank {limit}, got {_ECHO.repr(n)}")
     if args.refined:
-        table = counting.refined_table(n)
+        rows = counting.refined_rows(n)
         if args.format == "json":
             lines = [_json_line([{"n": n, "k": k, "l": l, "m": m, "count": c}
-                                 for (k, l, m), c in table.items()])]
+                                 for (k, l, m), c in rows])]
         else:
-            lines = _csv_lines("n,k,l,m,count", ((n, *klm, c) for klm, c in table.items()))
+            lines = _csv_lines("n,k,l,m,count", ((n, *klm, c) for klm, c in rows))
     else:
         total = counting.torsion_count(n)
         if args.format == "json":

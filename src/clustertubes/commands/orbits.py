@@ -29,8 +29,8 @@ def cmd_orbits(args: argparse.Namespace) -> int:
     lines: Iterable[str] = [f"orbit count (Burnside formula): {formula}\n",
                             f"orbit count (direct partition): {direct}\n"]
     if args.refined:
-        table = sieving.orbit_count_refined(n).items()
-        lines = itertools.chain(lines, _csv_lines("k,l,m,orbits", ((*klm, c) for klm, c in table)))
+        rows = sieving.orbit_count_refined(n)
+        lines = itertools.chain(lines, _csv_lines("k,l,m,orbits", ((*klm, c) for klm, c in rows)))
     _write_blocks(lines)
     if not ok:
         print("orbits: formula and direct partition disagree", file=sys.stderr)

@@ -19,7 +19,7 @@ STRUCTURED_RANK = 9  # polygons._check_rank: every grammar walk (tau^s fixed poi
 POLYGON_BRUTE = 8  # pieces.enumerate_polygon: subsets of diagonals
 SERIES_ORDER = 24  # commands.series, and verify's refined series row (the library is uncapped)
 COUNT_RANK = 20_000  # commands.count, commands.orbits: the closed-form counts (likewise)
-REFINED_RANK = 150  # count/orbits --refined, commands.verify: the (k, l, m) table
+REFINED_RANK = 150  # count/orbits --refined, commands.verify: n^3/24 rows, each under n digits
 PERP_ORBITS = 40_000  # commands.perp --max-length: the rank x (max_length - 1) orbits it tests
 RECORD_RANK = 500  # commands.reading: decompose, compose, perp, render; records.key_width
 TEXT_ENTRIES = 4_096  # records._arc_text, records._orbit_text: each one's LRU cache of texts

@@ -10,7 +10,8 @@ and the refinement by k triangles, l cliques and m empty cells is
                    * C(n-1-k-l-m, l+m),
 
 with the convention that a binomial with bottom larger than top (or negative
-top) is zero.
+top) is zero.  :func:`refined_rows` yields the refined counts one row at a
+time, so a command that writes or sums them holds no table.
 
 The growth of T(n) is in :mod:`clustertubes.asymptotics`, which no
 command loads.
@@ -19,7 +20,7 @@ command loads.
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from collections.abc import Iterable, Iterator
 
 from .config import _ECHO
 
@@ -88,22 +89,23 @@ def torsion_count_refined(n: int, k: int, l: int, m: int) -> int:
     return 2 * multinomial((n - 1, k, l, m)) * binomial(n - 1 - k - l - m, l + m)
 
 
-def refined_support(n: int) -> list[tuple[int, int, int]]:
-    """All (k, l, m) with a nonzero refined count, sorted.
+def refined_rows(n: int) -> Iterator[tuple[tuple[int, int, int], int]]:
+    """The rows ``((k, l, m), T(n, k, l, m))`` of the nonzero counts, sorted.
 
     These are the triples with k + 2(l+m) <= n-1: there both the
     multinomial and ``C(n-1-k-l-m, l+m)`` are positive, and outside it the
-    binomial vanishes.  The loops produce them in sorted order.
+    binomial vanishes.  The rank is checked at the call, before any row.
     """
     if n < 1:
         raise ValueError(f"rank must be >= 1, got {_ECHO.repr(n)}")
-    return [
-        (k, l, m)
+    return (
+        ((k, l, m), torsion_count_refined(n, k, l, m))
         for k in range(n)
         for l in range((n - 1 - k) // 2 + 1)
         for m in range((n - 1 - k) // 2 - l + 1)
-    ]
+    )
 
 
 def refined_table(n: int) -> dict[tuple[int, int, int], int]:
-    return {klm: torsion_count_refined(n, *klm) for klm in refined_support(n)}
+    """The rows of :func:`refined_rows` as one dict."""
+    return dict(refined_rows(n))

@@ -65,12 +65,6 @@ class QPoly(Frozen):
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "QPoly":
-        """Multiply by q^k."""
-        if self.is_zero():
-            return self
-        return QPoly((0,) * k + self.coeffs)
-
     def __call__(self, value: int) -> int:
         acc = 0
         for c in reversed(self.coeffs):

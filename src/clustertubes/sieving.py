@@ -26,6 +26,9 @@ The fixed-point side is :func:`fixed_histograms`: the refined generating
 function for d = 1, and for d > 1 the rank-(n/d) halves, each with its
 statistics multiplied by d.
 
+:func:`orbit_count_refined` streams the refined orbit counts as rows, from
+those of :func:`~clustertubes.counting.refined_rows`.
+
 :func:`csp_verify` checks all of this exactly (integer arithmetic only)
 and returns one record per (d, k, l, m); any mismatch is reported, never
 raised, so the caller can render the full table.
@@ -35,10 +38,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
 from .config import _ECHO, Frozen
-from .counting import refined_support, torsion_count, torsion_count_refined
+from .counting import refined_rows, torsion_count, torsion_count_refined
 from .polygons import _check_rank, _walk, polygon_diagrams, statistics_polygon
 
 if TYPE_CHECKING:  # the sieving check imports qpolys where it runs, so orbits never loads it
@@ -103,19 +107,17 @@ def orbit_count_direct(n: int) -> int:
     return sum(orbits_from_fixed(fixed_histograms(n)).values())
 
 
-def orbit_count_refined(n: int) -> dict[tuple[int, int, int], int]:
-    """tau-orbit counts refined by (triangles, cliques, empty cells)."""
-    if n < 1:
-        raise ValueError(f"rank must be >= 1, got {_ECHO.repr(n)}")
-    out: dict[tuple[int, int, int], int] = {}
-    for k, l, m in refined_support(n):
-        total = 0
-        for d in _divisors(math.gcd(n, k, l, m)):
+def orbit_count_refined(n: int) -> Iterator[tuple[tuple[int, int, int], int]]:
+    """tau-orbit counts refined by (triangles, cliques, empty cells), as rows
+    ``((k, l, m), orbits)`` in :func:`~clustertubes.counting.refined_rows`
+    order.  Of the Burnside sum over d | gcd(n, k, l, m), the d = 1 term is
+    the row's count; only the terms d > 1 are computed, at rank n/d."""
+    for (k, l, m), total in refined_rows(n):
+        for d in _divisors(math.gcd(n, k, l, m))[1:]:
             total += _totient(d) * torsion_count_refined(n // d, k // d, l // d, m // d)
         if total % n:
             raise ArithmeticError("refined Burnside sum is not divisible by the group order")
-        out[(k, l, m)] = total // n
-    return out
+        yield (k, l, m), total // n
 
 
 def orbits_from_fixed(fixed: dict[int, Counter]) -> dict[tuple[int, int, int], int]:
@@ -184,7 +186,7 @@ def csp_verify(n: int) -> list[SieveRecord]:
     from .qpolys import eval_at_primitive_root
 
     fixed = fixed_histograms(n)
-    checked = set(refined_support(n))
+    checked = {klm for klm, _ in refined_rows(n)}
     for hist in fixed.values():
         checked.update(hist)  # any stats outside the formula support must show up as mismatches
 

@@ -909,9 +909,28 @@ def test_verify_passes(capsys, n):
     (6, "3f71b8b28f50703492e2ee2e051a8bc989ef806842cc1f097dc28387cecfca01"),
     (9, "8fc37b84d4c6a45d59005429c89ea46e9dda65613db52efc79c3a12e214ed616"),
     (24, "d242febc0a2df21b42c79aa667d0ccb29be3acbf22a54da0ff3a6109f617b9b2"),
+    (60, "9bde7f5f6934e85acf5c3e8db0d90262b61513403a04b7659f7ab3e2fa5b3fb9"),
 ])
 def test_verify_output_is_byte_stable(capsys, n, digest):
     code, out, _ = run(capsys, "verify", "--n", str(n))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("count", "--n", "60", "--refined"),
+     "4f9848511590b4e44724f92071cb1ce1d7a073adc4768779fa92ec4e1872c3dd"),
+    (("count", "--n", "60", "--refined", "--format", "json"),
+     "56511c09aecf6e4a6d3b1ebaa70952adb234b4ad4a5102755bdd1389cc4f781c"),
+    (("orbits", "--n", "60", "--refined"),
+     "f1103601f203ddf5802da602fdc84bf5bbdeaa29f462ce0ce5d3af1b9b5aa21e"),
+    (("verify", "--n", "30"),
+     "07aff2110723fa3889a4867e84c92dd118c114b754fcab2dcfa744a4e7776490"),
+], ids=["count", "count-json", "orbits", "verify"])
+def test_refined_outputs_are_byte_stable_and_build_no_table(capsys, monkeypatch, argv, digest):
+    # The commands stream counting.refined_rows; the dict is the library's alone.
+    monkeypatch.setattr("clustertubes.counting.refined_table", refuse)
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -948,7 +967,7 @@ def test_cap_exceeded_exit_code(capsys):
 )
 def test_count_rank_limits_exit_3_before_computing(capsys, monkeypatch, limit, refined, message):
     monkeypatch.setattr("clustertubes.counting.torsion_count", lambda n: 0)
-    monkeypatch.setattr("clustertubes.counting.refined_table", lambda n: {})
+    monkeypatch.setattr("clustertubes.counting.refined_rows", lambda n: iter(()))
     code, _, _ = run(capsys, "count", "--n", str(limit), *refined)
     assert code == 0
 
@@ -956,7 +975,7 @@ def test_count_rank_limits_exit_3_before_computing(capsys, monkeypatch, limit, r
         raise AssertionError("computed past the limit")
 
     monkeypatch.setattr("clustertubes.counting.torsion_count", refuse)
-    monkeypatch.setattr("clustertubes.counting.refined_table", refuse)
+    monkeypatch.setattr("clustertubes.counting.refined_rows", refuse)
     code, out, err = run(capsys, "count", "--n", str(limit + 1), *refined)
     assert code == 3
     assert out == ""
@@ -977,9 +996,9 @@ def test_orbits_and_verify_rank_limits_exit_3_before_computing(
         capsys, monkeypatch, argv, limit, message):
     fakes = {
         "clustertubes.counting.torsion_count": lambda n: 0,
-        "clustertubes.counting.refined_table": lambda n: {},
+        "clustertubes.counting.refined_rows": lambda n: iter(()),
         "clustertubes.sieving.orbit_count": lambda n: 0,
-        "clustertubes.sieving.orbit_count_refined": lambda n: {},
+        "clustertubes.sieving.orbit_count_refined": lambda n: iter(()),
         "clustertubes.torsion.count_structured": lambda n: 0,
         "clustertubes.torsion.sample_halves": lambda n, count, seed: [],
         "clustertubes.series.series_torsion": lambda order, *_: SimpleNamespace(coeffs=[0] * (order + 1)),

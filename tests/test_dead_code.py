@@ -10,7 +10,9 @@ so something in the package must call it.  A method is held to the same
 rule whether or not its class is exported: a command or another part of the
 package must call it, and a reference the tests alone need lives in the
 tests.  A reference is any name or attribute equal to it
-(``sieving._divisors`` counts) outside the function's own definition.
+(``sieving._divisors`` counts) outside the function's own definition; for
+a method, only an attribute (``self.tau``) counts, since a local variable
+of the same name is no call of it.
 Dunder methods are called by the language, not by name, so they are not
 checked.
 """
@@ -30,14 +32,15 @@ def top_level_statements():
             yield path.relative_to(PACKAGE).as_posix(), stmt
 
 
-def referenced_names(node, skip=None):
-    """Names and attributes under ``node``, leaving out the subtree ``skip``."""
+def referenced_names(node, skip=None, names=True):
+    """Names and attributes under ``node``, leaving out the subtree ``skip``;
+    attributes alone when not ``names``."""
     stack = [node]
     while stack:
         sub = stack.pop()
         if sub is skip:
             continue
-        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+        if names and isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
             yield sub.id
         elif isinstance(sub, ast.Attribute):
             yield sub.attr
@@ -127,6 +130,7 @@ def test_every_method_is_referenced():
     assert methods  # the walk found the classes
     dead = [
         f"{module}:{cls.name}.{func.name}" for module, cls, func in methods
-        if not any(func.name in referenced_names(stmt, skip=func) for _, stmt in statements)
+        if not any(func.name in referenced_names(stmt, skip=func, names=False)
+                   for _, stmt in statements)
     ]
     assert sorted(dead) == sorted(METHOD_ALLOW), f"methods nothing references: {dead}"

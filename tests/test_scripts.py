@@ -26,6 +26,15 @@ def test_count_table():
     ]
 
 
+def test_count_table_refined():
+    result = run_script("count_table.py", "--max-n", "3", "--refined")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == [
+        "n,k,l,m,count", "1,0,0,0,2", "2,0,0,0,2", "2,1,0,0,4", "3,0,0,0,2",
+        "3,0,0,1,6", "3,0,1,0,6", "3,1,0,0,6", "3,2,0,0,12",
+    ]
+
+
 def test_asymptotics_sweep():
     result = run_script("asymptotics_sweep.py", "--max-n", "40", "--step", "20")
     assert result.returncode == 0, result.stderr

@@ -740,7 +740,7 @@ def test_orbit_counts():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_orbit_counts_refined(n):
-    assert orbit_count_refined(n) == orbits_from_fixed(fixed_histograms(n))
+    assert list(orbit_count_refined(n)) == list(orbits_from_fixed(fixed_histograms(n)).items())
 
 
 def tau_orbit_partition(n):
@@ -763,7 +763,7 @@ def test_orbit_counts_from_fixed_points_equal_an_explicit_partition(n):
 
 def test_orbit_refined_sums_to_total():
     for n in range(1, 6):
-        assert sum(orbit_count_refined(n).values()) == orbit_count(n)
+        assert sum(orbits for _, orbits in orbit_count_refined(n)) == orbit_count(n)
 
 
 # ---- torsion pair values ---------------------------------------------------------------
