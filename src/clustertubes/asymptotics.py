@@ -80,6 +80,9 @@ def real_root(
 ) -> Fraction:
     """Isolate the largest or smallest positive real root by Sturm bisection.
 
+    ``which`` is ``"largest"`` or ``"smallest"``; any other value raises
+    ValueError.
+
     The interval ``(0, B]``, B the Cauchy bound, holds every positive root.
     Each step halves it and keeps the half holding the wanted root, which a
     Sturm count of the distinct roots in each half decides, until it is no
@@ -87,6 +90,8 @@ def real_root(
     rational arithmetic, so roots however close, or of any multiplicity,
     are told apart.
     """
+    if which not in ("largest", "smallest"):
+        raise ValueError(f"which must be 'largest' or 'smallest', got {_ECHO.repr(which)}")
     if tolerance is None:
         tolerance = Fraction(1, 10**14)
     if not coeffs or coeffs[-1] == 0:

@@ -27,14 +27,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
                    2 * torsion.count_structured(n) == formula))
     brute: bool | str = _skipped(n, "BRUTE_RANK", BRUTE_RANK)
     if n <= BRUTE_RANK:
-        brute = Counter(torsion.enumerate_brute(n)) == Counter(torsion.iter_structured(n))
+        halves = torsion.enumerate_brute(n)
+        brute = Counter(halves) == Counter(torsion.iter_structured(n))
     checks.append(("brute == structured (as sets)", brute))
     refined_sum = sum(count for _, count in counting.refined_rows(n))
     checks.append(("refined formula sums to total", refined_sum == formula))
 
-    # The round trips take every half up to rank 6 and 1000 samples beyond.
+    # The round trips take every half up to rank 6, the brute oracle's (not
+    # _lay's, which compose and the rebuild use), and 1000 samples beyond.
     exhaustive = n <= 6
-    pool = torsion.iter_structured(n) if exhaustive else torsion.sample_halves(n, 1000, seed=n)
+    pool = halves if exhaustive else torsion.sample_halves(n, 1000, seed=n)
 
     def round_trips_hold(X: PeriodicDiagram) -> bool:
         wings = torsion.decompose(X)  # once, for both round trips

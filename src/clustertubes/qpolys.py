@@ -2,12 +2,12 @@
 
 Cyclic sieving turns counting statements into polynomial identities: the
 q-analogue of a count, evaluated at a primitive d-th root of unity, must
-equal a fixed-point count.  Those evaluations are done exactly here by
-reducing modulo the d-th cyclotomic polynomial (computed by exact division
-of ``q^d - 1`` by the lower cyclotomics) -- never with floating complex
-arithmetic.  A reduction that is not a constant means the value is not a
-rational integer; for the sieving polynomials that signals a bug, so it
-raises.
+equal a fixed-point count.  Each evaluation is exact, the remainder modulo
+the d-th cyclotomic polynomial for every d >= 1 (q - 1 leaves p(1)), never
+floating complex arithmetic.  The one division is by a monic cyclotomic, so
+it stays in the integers.  A remainder that is not a constant means the
+value is not a rational integer; for the sieving polynomials that signals a
+bug, so it raises.
 """
 
 from __future__ import annotations
@@ -129,57 +129,44 @@ def qmultinomial(parts: Iterable[int]) -> QPoly:
 
 @functools.cache
 def cyclotomic(d: int) -> QPoly:
-    """The d-th cyclotomic polynomial, by exact division of q^d - 1."""
+    """The d-th cyclotomic polynomial: q^d - 1 divided by the lower ones."""
     if d < 1:
         raise ValueError(f"need d >= 1, got {_ECHO.repr(d)}")
     num = QPoly((-1,) + (0,) * (d - 1) + (1,))
     for e in range(1, d):
         if d % e == 0:
-            num = _exact_div(num, cyclotomic(e))
+            num = _divmod(num, cyclotomic(e))[0]
     return num
 
 
-def _exact_div(num: QPoly, den: QPoly) -> QPoly:
-    quo, rem = _divmod_int(num, den)
-    if not rem.is_zero():
-        raise ArithmeticError(f"{num} is not divisible by {den}")
-    return quo
+def _divmod(num: QPoly, den: QPoly) -> tuple[QPoly, QPoly]:
+    """Quotient and remainder of num by den, which must be monic (unchecked).
 
-
-def _divmod_int(num: QPoly, den: QPoly) -> tuple[QPoly, QPoly]:
-    """Long division over Z; requires each leading-term division to be exact."""
-    if den.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
+    Every divisor here is a cyclotomic polynomial, whose leading coefficient
+    is 1, so both results have integer coefficients.
+    """
     r = list(num.coeffs)
     d = den.coeffs
-    q = [0] * max(0, len(r) - len(d) + 1)
-    while len(r) >= len(d) and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) < len(d):
-            break
-        factor, rem = divmod(r[-1], d[-1])
-        if rem != 0:
-            raise ArithmeticError("leading coefficient does not divide")
-        pos = len(r) - len(d)
-        q[pos] = factor
-        for i, c in enumerate(d):
-            r[pos + i] -= factor * c
-    return QPoly(tuple(q)), QPoly(tuple(r))
+    top = len(d) - 1
+    q = [0] * max(0, len(r) - top)
+    for pos in range(len(r) - len(d), -1, -1):
+        factor = q[pos] = r[pos + top]
+        if factor:
+            for i, c in enumerate(d):
+                r[pos + i] -= factor * c
+    return QPoly(tuple(q)), QPoly(tuple(r[:top]))
 
 
 def eval_at_primitive_root(p: QPoly, d: int) -> int:
-    """Exact value of p at a primitive d-th root of unity.
+    """Exact value of p at a primitive d-th root of unity, for any d >= 1.
 
-    Reduces modulo the d-th cyclotomic polynomial; if the residue is a
-    constant that constant is the value, otherwise the evaluation is not a
+    That value is the remainder of p modulo the d-th cyclotomic polynomial
+    when the remainder is a constant (at d = 1, p(1)); otherwise it is not a
     rational integer and a ValueError is raised.
     """
-    if d == 1:
-        return p(1)
-    _, rem = _divmod_int(p, cyclotomic(d))
+    rem = _divmod(p, cyclotomic(d))[1]
     if rem.degree > 0:
         raise ValueError(
             f"evaluation at a primitive {d}-th root is not an integer (residue {rem})"
         )
-    return rem.coeffs[0] if rem.coeffs else 0
+    return rem(0)

@@ -254,6 +254,30 @@ def test_verify_samples_without_the_code_it_checks(capsys, monkeypatch):
     assert run(capsys, "verify", "--n", "9") == expected
 
 
+def test_verify_round_trips_halves_that_lay_did_not_build(capsys, monkeypatch):
+    # compose and from_pointed_cycle rebuild through _lay, so a half that
+    # _lay built would be checked against the code that made it.
+    from clustertubes import torsion
+
+    lay = torsion._lay
+    laid, decomposed = [], []  # laid keeps every laid half alive, so no id is reused
+
+    def recording_lay(*args):
+        laid.append(lay(*args))
+        return laid[-1]
+
+    def recording_decompose(X):
+        decomposed.append(X)
+        return decompose(X)
+
+    monkeypatch.setattr(torsion, "_lay", recording_lay)
+    monkeypatch.setattr(torsion, "decompose", recording_decompose)
+    code, _, _ = run(capsys, "verify", "--n", "6")
+    assert code == 0
+    assert len(decomposed) == torsion.count_structured(6)
+    assert not {id(X) for X in laid} & {id(X) for X in decomposed}
+
+
 def test_enumerate_checks_every_half(capsys, monkeypatch):
     from clustertubes import polygons
 
@@ -839,14 +863,24 @@ def test_sieve_json(capsys):
     assert set(records[0]) == {"n", "d", "k", "l", "m", "polyValue", "fixedCount", "match"}
 
 
+# Ranks 8 and 9 reduce modulo the cyclotomic polynomials of 4, 8 and 9.
 @pytest.mark.parametrize("n, digest", [
     (6, "5ffdfbdbe3778c4ebeaf291c1449de7abcb22ee2bfa9f737f0a000fde9edaf42"),
     (7, "b07bb772acc7b75867c60f30b12d41b0f21b89a1ce2d4da36b23a3c2651694ae"),
+    (8, "b0f6ef6ef4b6ee08c9973697fa30fdfe61c8d3d1e36a2949e922c0f84cb94e7c"),
+    (9, "e8c2a41bde79f1c24952ed56604a0f7fe2ae64292432ee29fdfa590f8ee761c2"),
 ])
 def test_sieve_output_is_byte_stable(capsys, n, digest):
     code, out, _ = run(capsys, "sieve", "--n", str(n))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_sieve_json_output_is_byte_stable(capsys):
+    code, out, _ = run(capsys, "sieve", "--n", "9", "--format", "json")
+    assert code == 0
+    assert (hashlib.sha256(out.encode()).hexdigest()
+            == "0133eaa5bca54c33131c1f380202bb8e568d8559072311e183ef85a3d874bf11")
 
 
 def test_fixed_points_lay_no_half_and_apply_no_tau(capsys, monkeypatch):
@@ -1464,6 +1498,8 @@ BIG = 10**5000  # past the default int/str digit limit
      "rank must be positive, got "),
     (lambda: clustertubes.cyclotomic(-BIG), ValueError, "need d >= 1, got "),
     (lambda: clustertubes.asymptotic_check(-BIG), ValueError, "need n >= 2, got "),
+    (lambda: clustertubes.real_root((-2, 0, 1), "x" * BIG.bit_length()), ValueError,
+     "which must be 'largest' or 'smallest', got "),
     (lambda: clustertubes.PeriodicDiagram(2, frozenset({(0, -BIG)})), ValueError,
      "not an arc: (0, "),
     (lambda: clustertubes.PeriodicDiagram(2, frozenset({(BIG, BIG + 2)})), ValueError,
@@ -1479,7 +1515,7 @@ BIG = 10**5000  # past the default int/str digit limit
         "enumerate_polygon-size", "_diagonal_table", "_diagonal_table-cap",
         "polygon_diagrams-cap", "_diagonal_table-width-11", "polygon_diagrams-width-11",
         "random_polygon", "sample_halves-rank", "PeriodicDiagram",
-        "from_arcs", "cyclotomic", "asymptotic_check", "PeriodicDiagram-arc",
+        "from_arcs", "cyclotomic", "asymptotic_check", "real_root-which", "PeriodicDiagram-arc",
         "PeriodicDiagram-canonical", "WingDecomposition-cuts", "WingDecomposition-piece",
         "from_pointed_cycle"])
 def test_library_limits_quote_a_huge_value_in_bounded_form(call, error, start):

@@ -19,6 +19,8 @@ from clustertubes.counting import (
     torsion_count,
     torsion_count_refined,
 )
+from clustertubes.qpolys import Q_ONE, QPoly
+from clustertubes.series import series_P
 
 RHO = 6.847333996370022
 ALPHA = 0.2658656601482029
@@ -172,6 +174,72 @@ def test_root_choice_matters():
 def test_real_root_tolerance_parameter():
     loose = real_root(RHO_POLYNOMIAL, "largest", tolerance=Fraction(1, 100))
     assert abs(float(loose) - RHO) < 0.01
+
+
+# rho and alpha from the grammar's equation.  At x = 1 and s = 2 the series
+# P solves P = z - z P + 2 P^2 + P^3, so it inverts psi = N / D with
+# N = w - 2 w^2 - w^3 and D = 1 - w.  P is singular at tau, the root in
+# (0, 1/2) of psi' = F / D^2, F = N' D - N D'; there rho = 1 / psi(tau), and
+# as psi''(tau) = F'(tau) / D(tau)^2 < 0, alpha^2 = 2 psi / (D^2 |psi''|) =
+# -2 N / (D F').  So rho and alpha^2 are roots of the resultants in w of F
+# with x N - D and with y D F' + 2 N.  Each resultant has degree <= 3 in its
+# parameter (three rows of its Sylvester matrix are linear in it), so
+# agreeing with a cubic at 8 points, up to one constant, proves it that cubic.
+
+def _derivative(p):
+    return QPoly(tuple(k * c for k, c in enumerate(p.coeffs))[1:])
+
+
+def _bareiss_det(rows):
+    """Determinant of an integer matrix by fraction-free elimination."""
+    m = [list(row) for row in rows]
+    sign, prev = 1, 1
+    for k in range(len(m) - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, len(m)) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap], sign = m[swap], m[k], -sign
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1]
+
+
+def _resultant(f, g):
+    """Res(f, g) as the Sylvester determinant, f and g of degree 3 (formally)."""
+    def high_first(p):
+        return [0] * (4 - len(p.coeffs)) + list(p.coeffs[::-1])
+
+    return _bareiss_det([[0] * i + high_first(p) + [0] * (2 - i)
+                         for p in (f, g) for i in range(3)])
+
+
+def _proportional(values, coeffs, points):
+    """values[i] == c * coeffs(points[i]) for one nonzero rational c."""
+    at = [QPoly(coeffs)(t) for t in points]
+    c = Fraction(values[0], at[0])
+    return c != 0 and all(v == c * a for v, a in zip(values, at))
+
+
+def test_growth_polynomials_follow_from_the_grammar_equation():
+    quad, cub = 2, 1  # 1 + x and s - x at x = 1, s = 2
+    order = 12
+    P = QPoly(series_P(order, 1, 1, 1).coeffs)
+    lhs = QPoly((0, 1)) * (Q_ONE - P)
+    rhs = P - P * P * quad - P * P * P * cub
+    assert lhs.coeffs[:order + 1] == rhs.coeffs[:order + 1]
+
+    N, D = QPoly((0, 1, -quad, -cub)), QPoly((1, -1))
+    F = _derivative(N) * D - N * _derivative(D)
+    assert F.coeffs == (1, -4, -1, 2)
+    points = range(1, 9)
+    rho = [_resultant(F, N * x - D) for x in points]
+    assert _proportional(rho, RHO_POLYNOMIAL, points)
+    alpha2 = [_resultant(F, D * _derivative(F) * y + N * 2) for y in points]
+    assert _proportional(alpha2, ALPHA_POLYNOMIAL[::2], points)
+    assert ALPHA_POLYNOMIAL[1::2] == (0, 0, 0)  # a polynomial in x^2
 
 
 def test_asymptotic_ratio_small_case():

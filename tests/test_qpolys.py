@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -6,6 +7,7 @@ from clustertubes.qpolys import (
     QPoly,
     Q_ONE,
     Q_ZERO,
+    _divmod,
     cyclotomic,
     eval_at_primitive_root,
     qbinomial,
@@ -89,13 +91,31 @@ def test_eval_rejects_non_integer_values():
         eval_at_primitive_root(QPoly((0, 1)), 3)  # q itself is not rational at d=3
 
 
-def test_division_requires_exact_leading_coefficients():
-    from clustertubes.qpolys import _divmod_int
+def test_divmod_splits_q_power_minus_one_at_its_top_cyclotomic():
+    for d in range(1, 31):
+        lower = Q_ONE
+        for e in range(1, d):
+            if d % e == 0:
+                lower = lower * cyclotomic(e)
+        quo, rem = _divmod(QPoly((-1,) + (0,) * (d - 1) + (1,)), cyclotomic(d))
+        assert quo == lower and rem.is_zero()
 
-    quo, rem = _divmod_int(QPoly((1, 0, 1)) * QPoly((2, 3)), QPoly((2, 3)))
-    assert quo == QPoly((1, 0, 1)) and rem.is_zero()
-    with pytest.raises(ArithmeticError):
-        _divmod_int(QPoly((0, 0, 1)), QPoly((0, 2)))  # q^2 / 2q is not integral
+
+def test_divmod_by_a_cyclotomic_is_euclidean_division():
+    rng = random.Random(20120)
+    for _ in range(40):
+        p = QPoly(tuple(rng.randint(-50, 50) for _ in range(rng.randint(0, 61))))
+        for d in range(1, 13):
+            quo, rem = _divmod(p, cyclotomic(d))
+            assert quo * cyclotomic(d) + rem == p
+            assert rem.degree < cyclotomic(d).degree
+
+
+def test_eval_at_the_first_root_is_the_value_at_one():
+    rng = random.Random(1207)
+    for _ in range(40):
+        p = QPoly(tuple(rng.randint(-9, 9) for _ in range(rng.randint(0, 30))))
+        assert eval_at_primitive_root(p, 1) == p(1)
 
 
 def test_q_lucas_divisible_bottom():
